@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 from .errors import LexiconParseError
-from .features import AXES, AdverbClass, LexicalCategory
+from .features import AXES, INVARIABLE_CATEGORIES, AdverbClass, LexicalCategory
 from .lexicon import LexicalEntry, Lexicon, WordForm, _parse_bundle
 
 # Source tags never admitted into the merged lexicon.
@@ -24,10 +24,6 @@ RELATED_KEY = "related"
 
 # Upper bound on cross-reference expansion waves.
 EXPANSION_CAP = 10
-
-_INVARIABLE = frozenset(
-    {LexicalCategory.adverb, LexicalCategory.conjunction, LexicalCategory.preposition}
-)
 
 
 @dataclass(frozen=True)
@@ -411,7 +407,7 @@ def _merge_extras(records, label, conflicts):
 
 def _entry_from_records(lemma, category, records, conflicts):
     label = "%s/%s" % (lemma, category.value)
-    if category in _INVARIABLE:
+    if category in INVARIABLE_CATEGORIES:
         forms = (WordForm(surface=lemma),)
     else:
         by_surface = {}
@@ -455,7 +451,7 @@ def unify_entries(a, b):
             "cannot unify %r/%s with %r/%s"
             % (a.lemma, a.category.value, b.lemma, b.category.value)
         )
-    if a.category in _INVARIABLE:
+    if a.category in INVARIABLE_CATEGORIES:
         forms = (WordForm(surface=a.lemma),)
     else:
         by_surface = {}

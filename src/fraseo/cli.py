@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 
 from . import builder, evaluation, lm
 from .errors import FraseoError
+from .fileio import write_text_atomic
 from .lexicon import save_lexicon
 from .pipeline import generate, load_resources
 
@@ -35,23 +34,6 @@ def _canonical_json(payload):
     return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
 
 
-def _write_text_atomic(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=directory, delete=False, suffix=".tmp"
-    )
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(handle.name, path)
-    except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
-
-
 def _render_tree(node, fills, counter=None):
     """Parenthesized tree with the pre-inflection fill surfaces at leaves."""
     if counter is None:
@@ -59,9 +41,9 @@ def _render_tree(node, fills, counter=None):
     if node.is_leaf:
         fill = fills[counter[0]]
         counter[0] += 1
-        return "(%s %s)" % (node.symbol.name, fill.surface)
+        return "(%s %s)" % (node.symbol, fill.surface)
     children = " ".join(_render_tree(child, fills, counter) for child in node.children)
-    return "(%s %s)" % (node.symbol.name, children)
+    return "(%s %s)" % (node.symbol, children)
 
 
 def _candidate_payload(candidate):
@@ -143,7 +125,7 @@ def cmd_build_lexicon(args):
     lexicon, report = builder.build_lexicon(args.primary, args.expansion, oracle)
     save_lexicon(lexicon, args.out)
     if args.report:
-        _write_text_atomic(args.report, _canonical_json(report.to_flat_dict()) + "\n")
+        write_text_atomic(args.report, _canonical_json(report.to_flat_dict()) + "\n")
     print("wrote %d entries to %s" % (len(lexicon.entries), args.out))
     return EXIT_OK
 

@@ -14,6 +14,12 @@ n number, g gender, t tense, m mood).
 
 Recursion is bounded: no nonterminal may occur more than ``depth_limit``
 times on any root-to-leaf path, which keeps enumeration finite.
+
+All searches over the grammar go through one function, ``derive``: a
+memoized top-down search that asks a caller-supplied fill for each
+terminal's choices. ``enumerate_trees`` accepts every terminal,
+``match_leaf_sequence`` matches one category per position, and the planner
+fills terminals with keywords and inserted function words.
 """
 
 import re
@@ -64,7 +70,13 @@ class GrammarRule:
 
 @dataclass(frozen=True)
 class TreeNode:
-    """Derivation tree skeleton node; terminal leaves have no children."""
+    """Derivation tree node; terminal leaves have no children.
+
+    ``symbol`` is always the plain ``str`` name of the nonterminal or
+    terminal category. Searches share subtrees and leaves between trees, so
+    a leaf is identified by its position in ``leaf_sequence()``, never by
+    object identity.
+    """
 
     symbol: str
     children: tuple = ()
@@ -104,38 +116,6 @@ class Grammar:
         for rule in self.rules:
             by_head.setdefault(rule.head.name, []).append(rule)
         self.rules_for = by_head
-        self._min_leaves = self._compute_min_leaves()
-
-    def _compute_min_leaves(self):
-        """Lower bound on leaf count per symbol, for search pruning."""
-        bounds = {name: 1 for name in TERMINALS}
-        pending = set(self.rules_for)
-        changed = True
-        while changed:
-            changed = False
-            for name in list(pending):
-                best = None
-                for rule in self.rules_for[name]:
-                    total = 0
-                    feasible = True
-                    for ref in rule.body:
-                        if ref.name in bounds:
-                            total += bounds[ref.name]
-                        else:
-                            feasible = False
-                            break
-                    if feasible and (best is None or total < best):
-                        best = total
-                if best is not None:
-                    bounds[name] = best
-                    pending.discard(name)
-                    changed = True
-        for name in pending:
-            bounds[name] = 1
-        return bounds
-
-    def min_leaves(self, symbol):
-        return self._min_leaves.get(symbol, 1)
 
 
 def _parse_symbol(token, line_number):
@@ -194,60 +174,84 @@ def load_grammar(path, depth_limit=2):
 _LEAF_CACHE = {name: TreeNode(symbol=name) for name in TERMINALS}
 
 
-def _usage_key(usage):
-    return tuple(sorted(usage.items()))
+def derive(grammar, fill, state=None):
+    """Derivations of the start symbol, lazily, in deterministic DFS order.
+
+    The package's one grammar search. Rules are tried in file order and
+    rule bodies expand leftmost first. ``fill(name, parent_head,
+    grandparent_head, state)`` returns the ``(payloads, new_state)`` choices
+    for terminal ``name`` whose parent node is headed ``parent_head`` and
+    grandparent ``grandparent_head`` (None above the root); a terminal with
+    no choices cuts the branch. ``state`` threads left to right through the
+    leaves and must be hashable.
+
+    Returns an iterator of ``(tree, payloads, end_state)``, where
+    ``payloads`` concatenates the leaves' payload tuples in leaf order. The
+    derivations of each nonterminal below the start symbol are memoized on
+    (symbol, parent head, state, path usage), the usage counting each
+    nonterminal's occurrences on the path from the root; none may exceed
+    ``grammar.depth_limit``. Memoized subtrees and leaves are shared between
+    trees. The start symbol's derivations are streamed, never all held at
+    once.
+    """
+    start_usage = tuple(int(name == grammar.start) for name in grammar.rules_for)
+    return _Derivation(grammar, fill).derivations(grammar.start, None, state, start_usage)
 
 
-def _expand(grammar, symbol, usage, memo):
-    """All subtrees for ``symbol`` under the path-usage profile, rule order."""
-    if symbol in TERMINALS:
-        return (_LEAF_CACHE[symbol],)
-    key = (symbol, _usage_key(usage))
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    results = []
-    for rule in grammar.rules_for.get(symbol, ()):
-        child_options = []
-        feasible = True
-        for ref in rule.body:
-            if ref.name in TERMINALS:
-                child_options.append((_LEAF_CACHE[ref.name],))
-                continue
-            count = usage.get(ref.name, 0) + 1
-            if count > grammar.depth_limit:
-                feasible = False
-                break
-            child_usage = dict(usage)
-            child_usage[ref.name] = count
-            options = _expand(grammar, ref.name, child_usage, memo)
-            if not options:
-                feasible = False
-                break
-            child_options.append(options)
-        if not feasible:
-            continue
-        results.extend(
-            TreeNode(symbol=symbol, children=combo, rule_index=rule.index)
-            for combo in _product(child_options)
-        )
-    memo[key] = tuple(results)
-    return memo[key]
+class _Derivation:
+    """One ``derive`` run: the fill and the memo, with no reference cycle.
+
+    Plain methods instead of nested closures let the memo go as soon as the
+    returned iterator does, without waiting for the cyclic garbage collector.
+    """
+
+    def __init__(self, grammar, fill):
+        self.grammar = grammar
+        self.fill = fill
+        self.slots = {name: index for index, name in enumerate(grammar.rules_for)}
+        self.memo = {}
+
+    def expand(self, symbol, parent, grandparent, state, usage):
+        """(node, payloads, end_state) choices for one body symbol."""
+        if symbol in TERMINALS:
+            leaf = _LEAF_CACHE[symbol]
+            return [
+                (leaf, payloads, end)
+                for payloads, end in self.fill(symbol, parent, grandparent, state)
+            ]
+        slot = self.slots[symbol]
+        count = usage[slot] + 1
+        if count > self.grammar.depth_limit:
+            return ()
+        usage = usage[:slot] + (count,) + usage[slot + 1 :]
+        key = (symbol, parent, state, usage)
+        found = self.memo.get(key)
+        if found is None:
+            found = self.memo[key] = list(self.derivations(symbol, parent, state, usage))
+        return found
+
+    def derivations(self, symbol, parent, state, usage):
+        for rule in self.grammar.rules_for[symbol]:
+            for children, payloads, end in self.body(
+                rule.body, 0, symbol, parent, state, usage, (), ()
+            ):
+                yield TreeNode(symbol, children, rule.index), payloads, end
+
+    def body(self, refs, index, head, parent, state, usage, children, payloads):
+        """Complete a rule body whose first ``index`` symbols are built."""
+        choices = self.expand(refs[index].name, head, parent, state, usage)
+        if index + 1 == len(refs):
+            for node, more, end in choices:
+                yield children + (node,), payloads + more, end
+            return
+        for node, more, middle in choices:
+            yield from self.body(
+                refs, index + 1, head, parent, middle, usage, children + (node,), payloads + more
+            )
 
 
-def _product(option_lists):
-    """Cross product preserving leftmost-major order."""
-    if not option_lists:
-        yield ()
-        return
-    head, rest = option_lists[0], option_lists[1:]
-    if not rest:
-        for item in head:
-            yield (item,)
-        return
-    for item in head:
-        for tail in _product(rest):
-            yield (item,) + tail
+def _accept_any(name, parent, grandparent, state):
+    return (((), state),)
 
 
 def enumerate_trees(grammar):
@@ -256,92 +260,26 @@ def enumerate_trees(grammar):
     Order follows rule file order with leftmost expansion; no tree re-enters
     any nonterminal more than ``grammar.depth_limit`` times on one path.
     """
-    memo = {}
-    start_usage = {grammar.start: 1}
-    for rule in grammar.rules_for.get(grammar.start, ()):
-        child_options = []
-        feasible = True
-        for ref in rule.body:
-            if ref.name in TERMINALS:
-                child_options.append((_LEAF_CACHE[ref.name],))
-                continue
-            count = start_usage.get(ref.name, 0) + 1
-            if count > grammar.depth_limit:
-                feasible = False
-                break
-            child_usage = dict(start_usage)
-            child_usage[ref.name] = count
-            options = _expand(grammar, ref.name, child_usage, memo)
-            if not options:
-                feasible = False
-                break
-            child_options.append(options)
-        if not feasible:
-            continue
-        for combo in _product(child_options):
-            yield TreeNode(symbol=grammar.start, children=combo, rule_index=rule.index)
+    for tree, _payloads, _state in derive(grammar, _accept_any):
+        yield tree
 
 
 def match_leaf_sequence(grammar, cats):
     """Trees whose leaf sequence equals ``cats`` exactly, in DFS order.
 
-    Equivalent to filtering enumerate_trees() on the leaf sequence, but
-    searches top-down with length pruning.
+    Equivalent to filtering enumerate_trees() on the leaf sequence; the
+    search state is the position in ``cats``.
     """
     if not cats:
         raise ValueError("empty category sequence")
     cats = tuple(cat.value if isinstance(cat, LexicalCategory) else cat for cat in cats)
-    length = len(cats)
-    results = []
 
-    def expand(symbol, usage, position):
-        """Yield (node, next_position) for derivations of symbol at position."""
-        if symbol in TERMINALS:
-            if position < length and cats[position] == symbol:
-                yield _LEAF_CACHE[symbol], position + 1
-            return
-        if position + grammar.min_leaves(symbol) > length:
-            return
-        for rule in grammar.rules_for.get(symbol, ()):
-            yield from expand_body(rule, 0, usage, position, ())
+    def fill(name, parent, grandparent, position):
+        if position < len(cats) and cats[position] == name:
+            return (((), position + 1),)
+        return ()
 
-    def expand_body(rule, body_index, usage, position, built):
-        if body_index == len(rule.body):
-            yield TreeNode(
-                symbol=rule.head.name, children=built, rule_index=rule.index
-            ), position
-            return
-        ref = rule.body[body_index]
-        remaining_min = sum(
-            grammar.min_leaves(other.name) for other in rule.body[body_index + 1 :]
-        )
-        if ref.name in TERMINALS:
-            if position < length and cats[position] == ref.name:
-                if position + 1 + remaining_min <= length:
-                    yield from expand_body(
-                        rule,
-                        body_index + 1,
-                        usage,
-                        position + 1,
-                        built + (_LEAF_CACHE[ref.name],),
-                    )
-            return
-        count = usage.get(ref.name, 0) + 1
-        if count > grammar.depth_limit:
-            return
-        child_usage = dict(usage)
-        child_usage[ref.name] = count
-        for child, next_position in expand(ref.name, child_usage, position):
-            if next_position + remaining_min > length:
-                continue
-            yield from expand_body(
-                rule, body_index + 1, usage, next_position, built + (child,)
-            )
-
-    for tree, end in expand(grammar.start, {grammar.start: 1}, 0):
-        if end == length:
-            results.append(tree)
-    return results
+    return [tree for tree, _payloads, end in derive(grammar, fill, 0) if end == len(cats)]
 
 
 def propagate_features(grammar, tree, root_assignment):

@@ -19,8 +19,6 @@ File format::
 Absent attributes mean the axis is unspecified.
 """
 
-import os
-import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
@@ -36,6 +34,7 @@ from .features import (
     Person,
     Tense,
 )
+from .fileio import write_text_atomic
 
 GENDER_CODES = {"m": Gender.masculine, "f": Gender.feminine}
 NUMBER_CODES = {"s": Number.singular, "p": Number.plural}
@@ -308,14 +307,4 @@ def save_lexicon(lexicon, path):
     for entry in lexicon.entries:
         root.append(entry_element(entry))
     ET.indent(root)
-    payload = ET.tostring(root, encoding="unicode") + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as out:
-            out.write(payload)
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
+    write_text_atomic(path, ET.tostring(root, encoding="unicode") + "\n")

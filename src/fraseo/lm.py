@@ -16,12 +16,11 @@ Queries normalize the preposition weights into a distribution and turn the
 reflexive tally into a relative frequency.
 """
 
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 from .errors import ModelError
 from .features import LexicalCategory
+from .fileio import write_text_atomic
 
 ADJACENT_WEIGHT = 1.0
 SKIP_ONE_WEIGHT = 0.5
@@ -128,17 +127,7 @@ class NGramModel:
             lines.append("V %s %d %d" % (verb, stats.total, stats.reflexive))
             for prep in sorted(stats.preps):
                 lines.append("P %s %s %s" % (verb, prep, repr(stats.preps[prep])))
-        payload = "\n".join(lines) + "\n"
-        directory = os.path.dirname(os.path.abspath(path))
-        handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as out:
-                out.write(payload)
-            os.replace(temp_path, path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+        write_text_atomic(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path):

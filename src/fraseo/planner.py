@@ -5,7 +5,9 @@ against the lexicon, detect the sentence mode, split the keywords into
 subject and predicate around the main verb, then search the grammar for
 every structure that fits the keyword sequence once function words
 (determiners, prepositions, conjunctions) are interleaved where the
-grammar demands them.
+grammar demands them. The search is the shared ``grammar.derive``; the
+planner only fills its terminals, threading (token position, main verb
+lemma) as the search state.
 
 Candidate plans are ranked by how far their insertions stray from the
 house realization policy (fewer deviations first), with grammar search
@@ -16,9 +18,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import EmptyInputError, NoStructureError, NoVerbError
 from .features import LexicalCategory, Number
+from .grammar import derive
 from .lexicon import Lexicon, LexicalEntry, WordForm, lookup_form, lookup_lemma
 
 NEGATION_WORD = "no"
@@ -224,27 +228,28 @@ def insert_default_subject(subject_tokens, lexicon):
     return [token]
 
 
-# Where a prepositional slot sits decides how it may be filled when no
-# user token supplies the preposition.
-_PREP_CTX_NOUN = "noun"  # inside a nominal syntagm: default "de"
-_PREP_CTX_PREDICATE = "predicate"  # predicate complement: verb usage model
-_PREP_CTX_VERB_LINK = "verb_link"  # between two verbs: verb usage model
-
-
 @dataclass
 class _Search:
-    grammar: object
     lexicon: Lexicon
     lm: object
     tokens: list
 
 
-def _fill_terminal(search, name, pos, verb_lemma, prep_ctx):
-    """Yield (fill, new_pos, new_verb_lemma) choices for a terminal slot."""
+def _fill_terminal(search, name, parent, grandparent, state):
+    """(payloads, new_state) choices for a terminal slot of the grammar search.
+
+    The state is (token position, main verb lemma). A slot takes the pending
+    token when it reads as the slot's category; otherwise only a function
+    word may be inserted. An inserted preposition is "de" inside a nominal
+    syntagm; in a predicate complement (an SP under PRED) or between two
+    verbs it comes from the verb usage model.
+    """
+    pos, verb_lemma = state
     category = LexicalCategory(name)
     tokens = search.tokens
     token = tokens[pos] if pos < len(tokens) else None
     if token is not None and token.matches_category(category):
+        choices = []
         for entry, form in token.resolutions_for(category):
             new_verb = verb_lemma
             if category is LexicalCategory.verb and verb_lemma is None and entry:
@@ -260,20 +265,27 @@ def _fill_terminal(search, name, pos, verb_lemma, prep_ctx):
                 form=form,
                 rationale=rationale,
             )
-            yield fill, pos + 1, new_verb
-        return
+            choices.append(((fill,), (pos + 1, new_verb)))
+        return choices
     # The pending token does not fit: only function words may be invented.
     if category is LexicalCategory.determiner:
-        yield _inserted_fill(search, category, DEFAULT_DETERMINER, RATIONALE_DETERMINER), pos, verb_lemma
+        surface, rationale = DEFAULT_DETERMINER, RATIONALE_DETERMINER
     elif category is LexicalCategory.conjunction:
-        yield _inserted_fill(search, category, DEFAULT_CONJUNCTION, RATIONALE_CONJUNCTION), pos, verb_lemma
+        surface, rationale = DEFAULT_CONJUNCTION, RATIONALE_CONJUNCTION
     elif category is LexicalCategory.preposition:
-        if prep_ctx == _PREP_CTX_NOUN:
-            yield _inserted_fill(search, category, NOUN_PREPOSITION, RATIONALE_PREPOSITION), pos, verb_lemma
-        elif verb_lemma is not None:
-            top = search.lm.top_preposition(verb_lemma) if search.lm else None
-            if top and top[1] >= LM_PREPOSITION_THRESHOLD:
-                yield _inserted_fill(search, category, top[0], RATIONALE_PREPOSITION), pos, verb_lemma
+        rationale = RATIONALE_PREPOSITION
+        if (grandparent if parent == "SP" else parent) != "PRED":
+            surface = NOUN_PREPOSITION
+        else:
+            top = None
+            if verb_lemma is not None and search.lm:
+                top = search.lm.top_preposition(verb_lemma)
+            if not top or top[1] < LM_PREPOSITION_THRESHOLD:
+                return ()
+            surface = top[0]
+    else:
+        return ()
+    return (((_inserted_fill(search, category, surface, rationale),), state),)
 
 
 def _inserted_fill(search, category, surface, rationale):
@@ -293,138 +305,53 @@ def _inserted_fill(search, category, surface, rationale):
     )
 
 
-def _child_prep_ctx(parent_name, child_name, inherited):
-    if child_name == "SP":
-        return _PREP_CTX_PREDICATE if parent_name == "PRED" else _PREP_CTX_NOUN
-    if child_name == LexicalCategory.preposition.value:
-        if parent_name == "SP":
-            return inherited
-        if parent_name == "PRED":
-            return _PREP_CTX_VERB_LINK
-        return _PREP_CTX_NOUN
-    return inherited
-
-
-def _match_symbol(search, name, pos, verb_lemma, usage, prep_ctx):
-    """Yield (tree, fills, new_pos, new_verb_lemma) for one symbol.
-
-    Walks rules in grammar order, consuming tokens left to right; the
-    yield order is the planner's DFS discovery order.
-    """
-    from . import grammar as grammar_mod
-
-    if name in grammar_mod.TERMINALS:
-        for fill, new_pos, new_verb in _fill_terminal(search, name, pos, verb_lemma, prep_ctx):
-            # Fresh node per slot: scoring tells leaves apart by identity.
-            leaf = grammar_mod.TreeNode(symbol=grammar_mod.SymbolRef(name))
-            yield leaf, (fill,), new_pos, new_verb
-        return
-
-    rules = search.grammar.rules_for.get(name, ())
-    count = usage.get(name, 0) + 1
-    if count > search.grammar.depth_limit:
-        return
-    child_usage = dict(usage)
-    child_usage[name] = count
-    for rule in rules:
-        yield from _match_body(search, rule, 0, pos, verb_lemma, child_usage, prep_ctx, (), ())
-
-
-def _match_body(search, rule, body_index, pos, verb_lemma, usage, prep_ctx, children, fills):
-    from . import grammar as grammar_mod
-
-    if body_index == len(rule.body):
-        node = grammar_mod.TreeNode(
-            symbol=grammar_mod.SymbolRef(rule.head.name),
-            children=children,
-            rule_index=rule.index,
-        )
-        yield node, fills, pos, verb_lemma
-        return
-    symbol = rule.body[body_index]
-    child_ctx = _child_prep_ctx(rule.head.name, symbol.name, prep_ctx)
-    for child, child_fills, new_pos, new_verb in _match_symbol(
-        search, symbol.name, pos, verb_lemma, usage, child_ctx
-    ):
-        yield from _match_body(
-            search,
-            rule,
-            body_index + 1,
-            new_pos,
-            new_verb,
-            usage,
-            prep_ctx,
-            children + (child,),
-            fills + child_fills,
-        )
-
-
-def _iter_parses(search):
-    start = search.grammar.start
-    usage = {}
-    yield from _match_symbol(search, start, 0, None, usage, _PREP_CTX_NOUN)
-
-
-def _collect_leaves(node, out):
-    if node.is_leaf:
-        out.append(node)
-        return
-    for child in node.children:
-        _collect_leaves(child, out)
-
-
-def _noun_phrase_flags(tree, fills):
+def _noun_phrase_flags(tree):
     """Per-leaf context flags used by the deviation scoring.
 
     Returns a list aligned with the leaf order holding dicts with keys
-    in_subject, in_sp, coord_member, plus the index of the leaf's phrase
-    parent node.
+    in_subject, in_sp, coord_member and determiner: the leaf position of
+    the determiner opening the innermost SNS/SN phrase around the leaf, or
+    None when that phrase has none or no such phrase exists.
     """
     flags = []
 
-    def walk(node, in_subject, in_sp, coord_member, leaf_counter):
+    def walk(node, in_subject, in_sp, coord_member, determiner):
         if node.is_leaf:
             flags.append(
                 {
                     "in_subject": in_subject,
                     "in_sp": in_sp,
                     "coord_member": coord_member,
-                    "parent": None,
+                    "determiner": determiner,
                 }
             )
             return
-        name = node.symbol.name
+        name = node.symbol
         for index, child in enumerate(node.children):
             child_subject = in_subject
             child_sp = in_sp or name == "SP"
             child_coord = coord_member
+            child_determiner = determiner
             if name == "S" and len(node.children) == 2 and index == 0:
                 child_subject = True
             if name == "S" and index == len(node.children) - 1:
                 child_subject = False
-            if name == "SNC" and node.children[index].symbol.name == "SNS":
+            if name == "SNC" and child.symbol == "SNS":
                 child_coord = True
-            start = len(flags)
-            walk(child, child_subject, child_sp, child_coord, leaf_counter)
-            if child.symbol.name in ("SNS", "SN"):
-                for i in range(start, len(flags)):
-                    if flags[i]["parent"] is None:
-                        flags[i]["parent"] = child
+            if child.symbol in ("SNS", "SN"):
+                opens = child.children[0].symbol == LexicalCategory.determiner.value
+                child_determiner = len(flags) if opens else None
+            walk(child, child_subject, child_sp, child_coord, child_determiner)
 
     walk(tree, False, False, False, None)
     return flags
 
 
-def _determiner_state(parent, fills, leaf_index, leaf_positions):
-    """How the noun at leaf_index got its determiner: explicit/inserted/bare."""
-    if parent is None:
+def _determiner_state(fills, determiner):
+    """How a noun got its determiner (leaf position or None): explicit/inserted/bare."""
+    if determiner is None:
         return "bare"
-    children = parent.children
-    if not children or children[0].symbol.name != LexicalCategory.determiner.value:
-        return "bare"
-    det_leaf_pos = leaf_positions[id(children[0])]
-    det_fill = fills[det_leaf_pos]
-    return "inserted" if det_fill.is_inserted else "explicit"
+    return "inserted" if fills[determiner].is_inserted else "explicit"
 
 
 def _score_deviations(search, tree, fills, elided_default):
@@ -438,16 +365,13 @@ def _score_deviations(search, tree, fills, elided_default):
     """
     deviations = 1 if elided_default else 0
 
-    leaves = []
-    _collect_leaves(tree, leaves)
-    leaf_positions = {id(leaf): i for i, leaf in enumerate(leaves)}
-    flags = _noun_phrase_flags(tree, fills)
+    flags = _noun_phrase_flags(tree)
 
     for index, fill in enumerate(fills):
         if fill.category is not LexicalCategory.noun:
             continue
         info = flags[index]
-        det_state = _determiner_state(info["parent"], fills, index, leaf_positions)
+        det_state = _determiner_state(fills, info["determiner"])
         if det_state == "explicit":
             continue
         if info["in_sp"] or info["coord_member"] or info["in_subject"]:
@@ -460,27 +384,29 @@ def _score_deviations(search, tree, fills, elided_default):
         elif not wants_determiner and det_state == "inserted":
             deviations += 1
 
-    deviations += _verb_profile_deviation(search, tree, fills, leaf_positions)
+    deviations += _verb_profile_deviation(search, tree, fills)
     return deviations
 
 
-def _verb_profile_deviation(search, tree, fills, leaf_positions):
+def _verb_profile_deviation(search, tree, fills):
     pred = None
+    start = 0
     for child in tree.children:
-        if child.symbol.name == "PRED":
-            pred = child
+        if child.symbol == "PRED":
+            pred, pred_start = child, start
+        start += len(child.leaf_sequence())
     if pred is None or len(pred.children) < 2:
         return 0
-    verb_fill = fills[leaf_positions[id(pred.children[0])]]
+    verb_fill = fills[pred_start]
     if verb_fill.entry is None:
         return 0
     top = search.lm.top_preposition(verb_fill.entry.lemma) if search.lm else None
     if not top or top[1] < LM_PREPOSITION_THRESHOLD:
         return 0
     complement = pred.children[1]
-    if complement.symbol.name == "SP":
+    if complement.symbol == "SP":
         return 0
-    if complement.symbol.name == LexicalCategory.preposition.value:
+    if complement.symbol == LexicalCategory.preposition.value:
         return 0
     return 1
 
@@ -549,12 +475,12 @@ def plan_structures(tokens, grammar, lexicon, lm, max_plans=0):
     discovery = 0
     for subject_tokens, elided_default in attempts:
         search = _Search(
-            grammar=grammar,
             lexicon=lexicon,
             lm=lm,
             tokens=list(subject_tokens) + list(predicate),
         )
-        for tree, fills, pos, _verb in _iter_parses(search):
+        fill = partial(_fill_terminal, search)
+        for tree, fills, (pos, _verb) in derive(grammar, fill, (0, None)):
             if pos != len(search.tokens):
                 continue
             if elided_default and len(tree.children) == 2:

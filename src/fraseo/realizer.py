@@ -246,55 +246,53 @@ def apply_negation(words, mode, lexicon, pairs=None):
 
 def _phrase_targets(tree, fills, agreement):
     """Agreement targets for determiner and adjective slots, by leaf index."""
-    leaves = []
-
-    def collect(node):
-        if node.is_leaf:
-            leaves.append(node)
-            return
-        for child in node.children:
-            collect(child)
-
-    collect(tree)
-    position = {id(leaf): index for index, leaf in enumerate(leaves)}
     targets = {}
 
-    def adjective_leaf(sadj_node):
-        for child in sadj_node.children:
-            if child.is_leaf and child.symbol.name == LexicalCategory.adjective.value:
-                return child
+    def with_starts(node, start):
+        """(child, leaf index of its first leaf) pairs of a node starting at ``start``."""
+        pairs = []
+        for child in node.children:
+            pairs.append((child, start))
+            start += len(child.leaf_sequence())
+        return pairs
+
+    def adjective_position(sadj_node, start):
+        for child, position in with_starts(sadj_node, start):
+            if child.is_leaf and child.symbol == LexicalCategory.adjective.value:
+                return position
         return None
 
-    def visit(node):
+    def visit(node, start):
         if node.is_leaf:
             return
-        name = node.symbol.name
+        name = node.symbol
+        children = with_starts(node, start)
         if name in ("SNS", "SN"):
             noun_features = None
-            for child in node.children:
-                if child.is_leaf and child.symbol.name == LexicalCategory.noun.value:
-                    fill = fills[position[id(child)]]
+            for child, position in children:
+                if child.is_leaf and child.symbol == LexicalCategory.noun.value:
+                    fill = fills[position]
                     if fill.form is not None:
                         noun_features = fill.form.features
             if noun_features is not None:
                 target = (noun_features.gender, noun_features.number)
-                for child in node.children:
-                    if child.is_leaf and child.symbol.name == LexicalCategory.determiner.value:
-                        targets[position[id(child)]] = target
-                    elif not child.is_leaf and child.symbol.name == "SADJ":
-                        leaf = adjective_leaf(child)
+                for child, position in children:
+                    if child.is_leaf and child.symbol == LexicalCategory.determiner.value:
+                        targets[position] = target
+                    elif not child.is_leaf and child.symbol == "SADJ":
+                        leaf = adjective_position(child, position)
                         if leaf is not None:
-                            targets[position[id(leaf)]] = target
+                            targets[leaf] = target
         elif name == "PRED":
-            for child in node.children:
-                if not child.is_leaf and child.symbol.name == "SADJ":
-                    leaf = adjective_leaf(child)
+            for child, position in children:
+                if not child.is_leaf and child.symbol == "SADJ":
+                    leaf = adjective_position(child, position)
                     if leaf is not None:
-                        targets[position[id(leaf)]] = (agreement.gender, agreement.number)
-        for child in node.children:
-            visit(child)
+                        targets[leaf] = (agreement.gender, agreement.number)
+        for child, position in children:
+            visit(child, position)
 
-    visit(tree)
+    visit(tree, 0)
     return targets
 
 

@@ -70,18 +70,44 @@ def test_recursive_grammar_is_depth_bounded():
     assert [len(tree.leaf_sequence()) for tree in trees] == [1, 2, 3]
 
 
-def test_match_leaf_sequence_agrees_with_enumeration():
-    grammar = parse_grammar(SMALL_GRAMMAR)
+def test_match_leaf_sequence_agrees_with_enumeration(grammar, data_dir):
+    small = parse_grammar(SMALL_GRAMMAR)
     wanted = ("noun", "verb", "determiner", "noun")
-    matched = match_leaf_sequence(grammar, wanted)
+    matched = match_leaf_sequence(small, wanted)
     assert [tree.leaf_sequence() for tree in matched] == [wanted]
     by_filter = [
-        tree for tree in enumerate_trees(grammar) if tree.leaf_sequence() == wanted
+        tree for tree in enumerate_trees(small) if tree.leaf_sequence() == wanted
     ]
     assert [str(tree) for tree in matched] == [str(tree) for tree in by_filter]
-    assert match_leaf_sequence(grammar, ("verb",)) == []
+    assert match_leaf_sequence(small, ("verb",)) == []
     with pytest.raises(ValueError):
-        match_leaf_sequence(grammar, ())
+        match_leaf_sequence(small, ())
+
+    # The bundled grammar: prepositional syntagm, coordination, two-verb
+    # predicate, and a chain of prepositional syntagms one level deeper
+    # than depth_limit allows.
+    too_deep = ("noun", "verb", "noun") + ("preposition", "noun") * 3
+    cases = [
+        ("determiner", "noun", "verb", "preposition", "determiner", "noun"),
+        ("noun", "conjunction", "noun", "verb", "noun"),
+        ("pronoun", "verb", "preposition", "verb", "noun"),
+        too_deep,
+    ]
+    by_filter = {wanted: [] for wanted in cases}
+    for tree in enumerate_trees(grammar):
+        sequence = tree.leaf_sequence()
+        if sequence in by_filter:
+            by_filter[sequence].append(str(tree))
+    for wanted in cases:
+        matched = [str(tree) for tree in match_leaf_sequence(grammar, wanted)]
+        assert matched == by_filter[wanted], wanted
+    assert all(by_filter[wanted] for wanted in cases[:3])
+    assert match_leaf_sequence(grammar, too_deep) == []
+    deeper = parse_grammar(
+        (data_dir / "spanish.grammar").read_text(encoding="utf-8"),
+        depth_limit=grammar.depth_limit + 1,
+    )
+    assert match_leaf_sequence(deeper, too_deep)
 
 
 def test_bundled_grammar_enumeration_is_stable(grammar):

@@ -1,7 +1,10 @@
 import pytest
 
+from fraseo import planner
 from fraseo.errors import EmptyInputError, NoStructureError, NoVerbError
+from fraseo.evaluation import load_corpus
 from fraseo.features import LexicalCategory
+from fraseo.pipeline import generate
 from fraseo.planner import (
     MARKER_NEGATION,
     MARKER_QUESTION,
@@ -177,3 +180,24 @@ def test_oov_subject_reads_as_proper_name(resources):
     assert head.category is LexicalCategory.proper_name
     assert head.entry is None
     assert head.surface == "Ana"
+
+
+# Terminal fills the memoized search makes over the exact-match corpus.
+# A deterministic work counter: raise it only with a reason.
+CORPUS_FILL_CALLS = 1636
+
+
+def test_search_work_on_corpus_is_bounded(resources, bundled_fixtures, monkeypatch):
+    calls = []
+    fill = planner._fill_terminal
+
+    def counting_fill(*args):
+        calls.append(args)
+        return fill(*args)
+
+    monkeypatch.setattr(planner, "_fill_terminal", counting_fill)
+    items = load_corpus(bundled_fixtures / "exact_match_corpus.tsv")
+    assert len(items) == 9
+    for item in items:
+        generate(item.keywords, resources, max_candidates=0)
+    assert 0 < len(calls) <= CORPUS_FILL_CALLS
