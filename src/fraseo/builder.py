@@ -5,16 +5,26 @@ expand them through a second one (following cross-reference links to a
 fixed point), verify every record against a pluggable oracle, then merge
 per (lemma, category) by unifying compatible feature bundles. A
 MergeReport tallies every stage.
+
+Source files use the lexicon format, read by ``lexicon.read_lexicon_file``,
+plus a ``source`` attribute on the root or on an entry; ``x-`` prefixed
+entry attributes become extras.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import LexiconParseError
 from .features import AXES, INVARIABLE_CATEGORIES, AdverbClass, LexicalCategory
-from .lexicon import LexicalEntry, Lexicon, WordForm, _parse_bundle
+from .lexicon import (
+    LexicalEntry,
+    Lexicon,
+    WordForm,
+    parse_extras,
+    parse_forms,
+    read_lexicon_file,
+)
 
 # Source tags never admitted into the merged lexicon.
 DROPPED_CATEGORIES = frozenset({"interjection", "numeral", "proper_name"})
@@ -105,54 +115,30 @@ class MergeReport:
 def load_source_records(path, default_source=None):
     """Read a source lexicon file into SourceRecords.
 
-    Same XML shape as the lexicon format plus a ``source`` attribute on
-    the root (or per entry); ``x-`` prefixed entry attributes become
-    extras; categories are kept verbatim for later mapping.
+    Entries take their source from their own ``source`` attribute, else
+    the root's, else ``default_source``, else the path. Categories and
+    adverb classes are kept verbatim for later mapping. Errors name the
+    path and the line.
     """
-    try:
-        tree = ET.parse(path)
-    except ET.ParseError as exc:
-        raise LexiconParseError("unparseable source file %s: %s" % (path, exc))
-    except OSError as exc:
-        raise LexiconParseError("cannot read source file %s: %s" % (path, exc))
-    root = tree.getroot()
-    if root.tag != "lexicon":
-        raise LexiconParseError("source root must be <lexicon>, got <%s>" % root.tag)
-    root_source = root.get("source") or default_source or str(path)
-    records = []
-    for element in root:
-        if element.tag != "entry":
-            raise LexiconParseError("unexpected element <%s> in source" % element.tag)
+
+    def read_record(element, root):
         lemma = element.get("lemma", "").strip()
         if not lemma:
             raise LexiconParseError("source entry without lemma")
-        forms = []
-        for child in element:
-            if child.tag != "form":
-                raise LexiconParseError(
-                    "unexpected element <%s> under source entry %r" % (child.tag, lemma)
-                )
-            surface = child.get("surface")
-            if not surface:
-                raise LexiconParseError("form without surface under source entry %r" % lemma)
-            forms.append(WordForm(surface=surface, features=_parse_bundle(child.attrib, None)))
-        extras = tuple(
-            (key[2:], value)
-            for key, value in element.attrib.items()
-            if key.startswith("x-")
+        return SourceRecord(
+            source_id=element.get("source", root.get("source") or default_source or str(path)),
+            lemma=lemma,
+            category=element.get("cat", ""),
+            forms=parse_forms(element, lemma),
+            adverb_class=element.get("adverb-class"),
+            reflexive_capable=element.get("reflexive", "false").lower() == "true",
+            extras=parse_extras(element),
         )
-        records.append(
-            SourceRecord(
-                source_id=element.get("source", root_source),
-                lemma=lemma,
-                category=element.get("cat", ""),
-                forms=tuple(forms),
-                adverb_class=element.get("adverb-class"),
-                reflexive_capable=element.get("reflexive", "false").lower() == "true",
-                extras=extras,
-            )
-        )
-    return records
+
+    try:
+        return read_lexicon_file(path, read_record)
+    except OSError as exc:
+        raise LexiconParseError("cannot read source file %s: %s" % (path, exc))
 
 
 def build_expansion_index(records):
@@ -177,12 +163,9 @@ def map_category(raw):
     if name in DROPPED_CATEGORIES:
         return None
     try:
-        category = LexicalCategory(name)
+        return LexicalCategory(name)
     except ValueError:
         return None
-    if category is LexicalCategory.proper_name:
-        return None
-    return category
 
 
 def _map_record(record, report):
@@ -191,39 +174,24 @@ def _map_record(record, report):
         if report is not None:
             report.dropped_records += 1
         return None
-    mapped = SourceRecord(
-        source_id=record.source_id,
-        lemma=record.lemma,
-        category=category.value,
-        forms=record.forms,
-        adverb_class=record.adverb_class,
-        reflexive_capable=record.reflexive_capable,
-        extras=record.extras,
-    )
+    mapped = replace(record, category=category.value)
     if report is not None:
         report.note_extracted(mapped)
     return mapped
 
 
-def _lookup_expansion(expansion_source, lemma):
-    if expansion_source is None:
-        return []
-    if callable(expansion_source):
-        found = expansion_source(lemma)
-    else:
-        found = expansion_source.get(lemma)
-    return list(found) if found else []
-
-
 def extract_and_map(primary_records, expansion_source, report=None):
     """Map primary records to the common format and expand cross-references.
 
-    Returns (primary set, expansion set). Every lemma surviving the
-    category filter is looked up in the expansion source; lemmas its
+    Returns (primary set, expansion set). ``expansion_source`` maps a lemma
+    to its expansion records (see ``build_expansion_index``), or is None.
+    Every lemma surviving the category filter is looked up in it; lemmas its
     records reference through the ``related`` extra are followed
     breadth-first until no new lemma appears (bounded by EXPANSION_CAP
     waves). Lookup misses are counted, never fatal.
     """
+    if expansion_source is None:
+        expansion_source = {}
     mapped_primary = []
     for record in primary_records:
         mapped = _map_record(record, report)
@@ -243,7 +211,7 @@ def extract_and_map(primary_records, expansion_source, report=None):
             break
         next_frontier = []
         for lemma in frontier:
-            found = _lookup_expansion(expansion_source, lemma)
+            found = expansion_source.get(lemma)
             if not found:
                 if report is not None:
                     report.expansion_misses += 1
@@ -405,15 +373,20 @@ def _merge_extras(records, label, conflicts):
     return tuple(extras)
 
 
+def _forms_by_surface(records):
+    by_surface = {}
+    for record in records:
+        for form in record.forms:
+            by_surface.setdefault(form.surface, []).append(form)
+    return by_surface
+
+
 def _entry_from_records(lemma, category, records, conflicts):
     label = "%s/%s" % (lemma, category.value)
     if category in INVARIABLE_CATEGORIES:
         forms = (WordForm(surface=lemma),)
     else:
-        by_surface = {}
-        for record in records:
-            for form in record.forms:
-                by_surface.setdefault(form.surface, []).append(form)
+        by_surface = _forms_by_surface(records)
         forms = []
         for surface in sorted(by_surface):
             merged = _merge_surface(surface, by_surface[surface], label, conflicts)
@@ -433,12 +406,6 @@ def _entry_from_records(lemma, category, records, conflicts):
     ).validate()
 
 
-def _record_to_entry(record):
-    category = LexicalCategory(record.category)
-    conflicts = []
-    return _entry_from_records(record.lemma, category, [record], conflicts)
-
-
 def unify_entries(a, b):
     """Merge two entries for the same lemma and category.
 
@@ -451,44 +418,33 @@ def unify_entries(a, b):
             "cannot unify %r/%s with %r/%s"
             % (a.lemma, a.category.value, b.lemma, b.category.value)
         )
-    if a.category in INVARIABLE_CATEGORIES:
-        forms = (WordForm(surface=a.lemma),)
-    else:
-        by_surface = {}
-        for form in list(a.forms) + list(b.forms):
-            by_surface.setdefault(form.surface, []).append(form)
-        forms = []
-        for surface in sorted(by_surface):
-            clusters = _cluster_forms(by_surface[surface])
-            if len(clusters) > 1:
-                return None
-            forms.append(WordForm(surface=surface, features=clusters[0][0]))
-        forms = tuple(sorted(forms, key=_form_key))
-    values = {}
-    for entry in (a, b):
-        for key, value in entry.extras:
-            values.setdefault(key, set()).add(value)
-    extras = tuple((key, sorted(values[key])[0]) for key in sorted(values))
-    classes = sorted(
-        {entry.adverb_class for entry in (a, b) if entry.adverb_class is not None},
-        key=lambda item: item.value,
-    )
-    return LexicalEntry(
-        lemma=a.lemma,
-        category=a.category,
-        forms=forms,
-        adverb_class=classes[0] if classes else None,
-        reflexive_capable=a.reflexive_capable or b.reflexive_capable,
-        extras=extras,
-    ).validate()
+    # Unlike merge, a pair keeps no majority reading: any split surface fails.
+    if a.category not in INVARIABLE_CATEGORIES and any(
+        len(_cluster_forms(forms)) > 1 for forms in _forms_by_surface((a, b)).values()
+    ):
+        return None
+    records = [
+        SourceRecord(
+            source_id="",
+            lemma=entry.lemma,
+            category=entry.category.value,
+            forms=entry.forms,
+            adverb_class=entry.adverb_class.value if entry.adverb_class else None,
+            reflexive_capable=entry.reflexive_capable,
+            extras=entry.extras,
+        )
+        for entry in (a, b)
+    ]
+    return _entry_from_records(a.lemma, a.category, records, [])
 
 
 def merge(record_sets, report=None):
     """Merge verified record sets into one lexicon.
 
-    Records sharing (lemma, category) anywhere are pooled and unified;
-    singletons pass through unchanged. The result does not depend on the
-    order of the record sets.
+    Records sharing (lemma, category) anywhere are pooled and unified; a
+    lone record goes through the same path, so its own incompatible
+    readings are reported too. The result does not depend on the order of
+    the record sets.
     """
     if report is None:
         report = MergeReport()
@@ -505,10 +461,9 @@ def merge(record_sets, report=None):
         records = groups[(lemma, category)]
         if len(records) == 1:
             report.merged_unique += 1
-            entries.append(_record_to_entry(records[0]))
         else:
             report.merged_common += 1
-            entries.append(_entry_from_records(lemma, category, records, report.conflicts))
+        entries.append(_entry_from_records(lemma, category, records, report.conflicts))
     return Lexicon.from_entries(entries), report
 
 

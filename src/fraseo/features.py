@@ -77,6 +77,11 @@ class AdverbClass(Enum):
 
 AXES = ("gender", "number", "person", "tense", "mood")
 
+# Each axis with its ``unspecified`` member, so bundles test by identity.
+AXIS_UNSPECIFIED = tuple(
+    (axis, kind.unspecified) for axis, kind in zip(AXES, (Gender, Number, Person, Tense, Mood))
+)
+
 
 @dataclass(frozen=True)
 class FeatureBundle:
@@ -109,7 +114,9 @@ class FeatureBundle:
 
     def specified_axes(self):
         return [
-            axis for axis in AXES if getattr(self, axis).value != "unspecified"
+            axis
+            for axis, unspecified in AXIS_UNSPECIFIED
+            if getattr(self, axis) is not unspecified
         ]
 
     def matches(self, target):
@@ -117,28 +124,27 @@ class FeatureBundle:
 
         Axes compare as equal when either side leaves them unspecified.
         """
-        for axis in AXES:
+        for axis, unspecified in AXIS_UNSPECIFIED:
             mine = getattr(self, axis)
             wanted = getattr(target, axis)
-            if mine.value == "unspecified" or wanted.value == "unspecified":
+            if mine is unspecified or wanted is unspecified:
                 continue
             if mine is not wanted:
                 return False
         return True
 
     def agrees_with(self, other):
-        """Symmetric variant of matches(); bundles unify on specified axes."""
+        """Alias of matches(), which is symmetric: bundles unify on specified axes."""
         return self.matches(other)
 
     def merged_with(self, other):
         """Union of two compatible bundles; specified axes win."""
-        if not self.agrees_with(other):
+        if not self.matches(other):
             raise ValueError("cannot merge conflicting bundles %s and %s" % (self, other))
         kwargs = {}
-        for axis in AXES:
+        for axis, unspecified in AXIS_UNSPECIFIED:
             mine = getattr(self, axis)
-            theirs = getattr(other, axis)
-            kwargs[axis] = mine if mine.value != "unspecified" else theirs
+            kwargs[axis] = mine if mine is not unspecified else getattr(other, axis)
         return FeatureBundle(**kwargs)
 
     def replaced(self, **kwargs):
@@ -147,11 +153,7 @@ class FeatureBundle:
         return FeatureBundle(**current)
 
     def __str__(self):
-        parts = [
-            "%s=%s" % (axis, getattr(self, axis).value)
-            for axis in AXES
-            if getattr(self, axis).value != "unspecified"
-        ]
+        parts = ["%s=%s" % (axis, getattr(self, axis).value) for axis in self.specified_axes()]
         return "{%s}" % ", ".join(parts) if parts else "{unspecified}"
 
 

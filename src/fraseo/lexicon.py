@@ -16,11 +16,15 @@ File format::
       </entry>
     </lexicon>
 
-Absent attributes mean the axis is unspecified.
+Absent attributes mean the axis is unspecified; ``x-`` prefixed entry
+attributes are carried as extras. ``read_lexicon_file`` is the one reader
+of this format: ``load_lexicon`` and the builder's source loader each hand
+it a per-entry callback built on ``parse_forms`` and ``parse_extras``.
 """
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from xml.parsers import expat
 
 from .errors import InflectionMiss, LexiconConflictError, LexiconParseError
 from .features import (
@@ -36,28 +40,28 @@ from .features import (
 )
 from .fileio import write_text_atomic
 
-GENDER_CODES = {"m": Gender.masculine, "f": Gender.feminine}
-NUMBER_CODES = {"s": Number.singular, "p": Number.plural}
-PERSON_CODES = {"1": Person.first, "2": Person.second, "3": Person.third}
-TENSE_CODES = {
-    "pres": Tense.present,
-    "past": Tense.past,
-    "fut": Tense.future,
-    "cond": Tense.conditional,
-}
-MOOD_CODES = {
-    "ind": Mood.indicative,
-    "subj": Mood.subjunctive,
-    "imp": Mood.imperative,
-    "inf": Mood.infinitive,
-    "ger": Mood.gerund,
-    "part": Mood.participle,
+# <form> attribute codes per feature axis; the attribute names are the axes.
+FORM_CODES = {
+    "gender": {"m": Gender.masculine, "f": Gender.feminine},
+    "number": {"s": Number.singular, "p": Number.plural},
+    "person": {"1": Person.first, "2": Person.second, "3": Person.third},
+    "tense": {
+        "pres": Tense.present,
+        "past": Tense.past,
+        "fut": Tense.future,
+        "cond": Tense.conditional,
+    },
+    "mood": {
+        "ind": Mood.indicative,
+        "subj": Mood.subjunctive,
+        "imp": Mood.imperative,
+        "inf": Mood.infinitive,
+        "ger": Mood.gerund,
+        "part": Mood.participle,
+    },
 }
 
-_CODE_FOR = {}
-for _codes in (GENDER_CODES, NUMBER_CODES, PERSON_CODES, TENSE_CODES, MOOD_CODES):
-    for _code, _value in _codes.items():
-        _CODE_FOR[_value] = _code
+_CODE_FOR = {value: code for codes in FORM_CODES.values() for code, value in codes.items()}
 
 
 @dataclass(frozen=True)
@@ -156,50 +160,44 @@ def inflect(entry, target):
     raise InflectionMiss(entry, target)
 
 
-def _parse_bundle(attrs, line):
-    def decode(codes, key):
-        raw = attrs.get(key)
-        if raw is None:
-            return None
-        if raw not in codes:
-            raise LexiconParseError("bad %s code %r" % (key, raw), line)
-        return codes[raw]
-
-    kwargs = {}
-    for key, codes, axis in (
-        ("gender", GENDER_CODES, "gender"),
-        ("number", NUMBER_CODES, "number"),
-        ("person", PERSON_CODES, "person"),
-        ("tense", TENSE_CODES, "tense"),
-        ("mood", MOOD_CODES, "mood"),
-    ):
-        value = decode(codes, key)
-        if value is not None:
-            kwargs[axis] = value
-    return FeatureBundle(**kwargs)
-
-
-def _entry_lines(path):
-    """Line numbers of successive <entry openings, for error reporting."""
-    lines = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, text in enumerate(handle, start=1):
-                count = text.count("<entry")
-                lines.extend([number] * count)
-    except OSError:
-        pass
-    return lines
+def parse_forms(element, lemma):
+    """The <form> children of an <entry> element as a tuple of WordForms."""
+    forms = []
+    for child in element:
+        if child.tag != "form":
+            raise LexiconParseError(
+                "unexpected element <%s> under entry %r" % (child.tag, lemma)
+            )
+        surface = child.get("surface")
+        if not surface:
+            raise LexiconParseError("form without surface under entry %r" % lemma)
+        bundle = {}
+        for axis, codes in FORM_CODES.items():
+            raw = child.get(axis)
+            if raw is None:
+                continue
+            if raw not in codes:
+                raise LexiconParseError("bad %s code %r" % (axis, raw))
+            bundle[axis] = codes[raw]
+        forms.append(WordForm(surface=surface, features=FeatureBundle(**bundle)))
+    return tuple(forms)
 
 
-def parse_entry_element(element, line=None, extra_attrs=False):
-    """Build a LexicalEntry from an <entry> element; shared with merge sources."""
+def parse_extras(element):
+    """The ``x-`` prefixed attributes of an <entry> element as (key, value) pairs."""
+    return tuple(
+        (key[2:], value) for key, value in element.attrib.items() if key.startswith("x-")
+    )
+
+
+def parse_entry_element(element):
+    """Build a validated LexicalEntry from an <entry> element."""
     lemma = element.get("lemma", "")
     raw_cat = element.get("cat", "")
     try:
         category = LexicalCategory(raw_cat)
     except ValueError:
-        raise LexiconParseError("unknown category %r for lemma %r" % (raw_cat, lemma), line)
+        raise LexiconParseError("unknown category %r for lemma %r" % (raw_cat, lemma))
     adverb_class = None
     raw_class = element.get("adverb-class")
     if raw_class is not None:
@@ -207,80 +205,95 @@ def parse_entry_element(element, line=None, extra_attrs=False):
             adverb_class = AdverbClass(raw_class)
         except ValueError:
             raise LexiconParseError(
-                "unknown adverb-class %r for lemma %r" % (raw_class, lemma), line
+                "unknown adverb-class %r for lemma %r" % (raw_class, lemma)
             )
-    reflexive = element.get("reflexive", "false").lower() == "true"
-    extras = []
-    if extra_attrs:
-        for key, value in element.attrib.items():
-            if key.startswith("x-"):
-                extras.append((key[2:], value))
-    forms = []
-    for child in element:
-        if child.tag != "form":
-            raise LexiconParseError(
-                "unexpected element <%s> under entry %r" % (child.tag, lemma), line
-            )
-        surface = child.get("surface")
-        if not surface:
-            raise LexiconParseError("form without surface under entry %r" % lemma, line)
-        forms.append(WordForm(surface=surface, features=_parse_bundle(child.attrib, line)))
     try:
         return LexicalEntry(
             lemma=lemma,
             category=category,
-            forms=tuple(forms),
+            forms=parse_forms(element, lemma),
             adverb_class=adverb_class,
-            reflexive_capable=reflexive,
-            extras=tuple(extras),
+            reflexive_capable=element.get("reflexive", "false").lower() == "true",
+            extras=parse_extras(element),
         ).validate()
     except ValueError as exc:
-        raise LexiconParseError(str(exc), line)
+        raise LexiconParseError(str(exc))
+
+
+def _element_lines(path):
+    """Opening lines of the root element and then of each of its children.
+
+    Called only once a file has failed, so a good file is parsed once.
+    """
+    parser = expat.ParserCreate()
+    lines = []
+    depth = 0
+
+    def start(name, attrs):
+        nonlocal depth
+        if depth <= 1:
+            lines.append(parser.CurrentLineNumber)
+        depth += 1
+
+    def end(name):
+        nonlocal depth
+        depth -= 1
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    with open(path, "rb") as handle:
+        parser.ParseFile(handle)
+    return lines
+
+
+def read_lexicon_file(path, read_entry):
+    """Parse a lexicon-format XML file; ``read_entry(element, root)`` per entry.
+
+    Checks the <lexicon> root and that every child is an <entry>, and
+    returns the callback results in file order. A LexiconParseError from
+    the callback is raised again naming ``path`` and the entry's line.
+    """
+    try:
+        root = ET.parse(path).getroot()
+    except ET.ParseError as exc:
+        raise LexiconParseError("%s: malformed XML: %s" % (path, exc), exc.position[0])
+    if root.tag != "lexicon":
+        raise LexiconParseError(
+            "%s: root element must be <lexicon>, got <%s>" % (path, root.tag),
+            _element_lines(path)[0],
+        )
+    results = []
+    for index, element in enumerate(root):
+        try:
+            if element.tag != "entry":
+                raise LexiconParseError("unexpected element <%s>" % element.tag)
+            results.append(read_entry(element, root))
+        except LexiconParseError as exc:
+            line = _element_lines(path)[index + 1]
+            raise LexiconParseError("%s: %s" % (path, exc), line) from None
+    return results
 
 
 def load_lexicon(path):
     """Parse a lexicon XML file; duplicate (lemma, category) pairs are errors."""
-    entry_lines = _entry_lines(path)
-    try:
-        tree = ET.parse(path)
-    except ET.ParseError as exc:
-        line = exc.position[0] if exc.position else None
-        raise LexiconParseError("malformed XML: %s" % exc, line)
-    root = tree.getroot()
-    if root.tag != "lexicon":
-        raise LexiconParseError("root element must be <lexicon>, got <%s>" % root.tag, 1)
-    entries = []
-    seen = {}
-    for index, element in enumerate(root):
-        line = entry_lines[index] if index < len(entry_lines) else None
-        if element.tag != "entry":
-            raise LexiconParseError("unexpected element <%s>" % element.tag, line)
-        entry = parse_entry_element(element, line, extra_attrs=True)
+    entries = read_lexicon_file(path, lambda element, root: parse_entry_element(element))
+    first_index = {}
+    for index, entry in enumerate(entries):
         key = (entry.lemma, entry.category)
-        if key in seen:
+        if key in first_index:
+            lines = _element_lines(path)
             raise LexiconConflictError(
-                "duplicate entry for lemma %r category %s (first seen on line %s)"
-                % (entry.lemma, entry.category.value, seen[key]),
-                line,
+                "%s: duplicate entry for lemma %r category %s (first seen on line %d)"
+                % (path, entry.lemma, entry.category.value, lines[first_index[key] + 1]),
+                lines[index + 1],
             )
-        seen[key] = line
-        entries.append(entry)
+        first_index[key] = index
     return Lexicon.from_entries(entries)
 
 
 def bundle_attrs(features):
     """Feature bundle as the XML attribute dict used by <form> elements."""
-    attrs = {}
-    for key, value in (
-        ("gender", features.gender),
-        ("number", features.number),
-        ("person", features.person),
-        ("tense", features.tense),
-        ("mood", features.mood),
-    ):
-        if value.value != "unspecified":
-            attrs[key] = _CODE_FOR[value]
-    return attrs
+    return {axis: _CODE_FOR[getattr(features, axis)] for axis in features.specified_axes()}
 
 
 def entry_element(entry, source=None):

@@ -1,9 +1,14 @@
-"""Independent brute-force reference implementations used to pin test values.
+"""Independent reference implementations used to pin test values.
 
-These deliberately avoid the package's coincidence-matrix code path:
-agreement is computed by enumerating every ordered pair of labels inside
-each unit. Tests compare package output against these routines.
+The agreement routines deliberately avoid the package's coincidence-matrix
+code path: agreement is computed by enumerating every ordered pair of labels
+inside each unit. ``reference_unify_entries`` is the two-entry unification
+as it stood before it was folded into the builder's merge path. Tests
+compare package output against these routines.
 """
+
+from fraseo.features import AXES, INVARIABLE_CATEGORIES
+from fraseo.lexicon import LexicalEntry, WordForm
 
 
 def pairable_units(unit_labels):
@@ -66,3 +71,67 @@ def unit_labels_from_table(table, observers, units):
                 labels.append(value)
         out.append(labels)
     return out
+
+
+def _bundle_key(features):
+    return tuple(getattr(features, axis).value for axis in AXES)
+
+
+def _form_key(form):
+    return (form.surface, _bundle_key(form.features))
+
+
+def _cluster_forms(forms):
+    ordered = sorted(forms, key=_form_key)
+    clusters = []
+    for form in ordered:
+        for index, (bundle, support) in enumerate(clusters):
+            try:
+                merged = bundle.merged_with(form.features)
+            except ValueError:
+                continue
+            clusters[index] = (merged, support + 1)
+            break
+        else:
+            clusters.append((form.features, 1))
+    clusters.sort(key=lambda item: (-item[1], _bundle_key(item[0])))
+    return clusters
+
+
+def reference_unify_entries(a, b):
+    """Unified entry, None on any ambiguous shared surface, ValueError on different words."""
+    if a.lemma != b.lemma or a.category is not b.category:
+        raise ValueError(
+            "cannot unify %r/%s with %r/%s"
+            % (a.lemma, a.category.value, b.lemma, b.category.value)
+        )
+    if a.category in INVARIABLE_CATEGORIES:
+        forms = (WordForm(surface=a.lemma),)
+    else:
+        by_surface = {}
+        for form in list(a.forms) + list(b.forms):
+            by_surface.setdefault(form.surface, []).append(form)
+        forms = []
+        for surface in sorted(by_surface):
+            clusters = _cluster_forms(by_surface[surface])
+            if len(clusters) > 1:
+                return None
+            forms.append(WordForm(surface=surface, features=clusters[0][0]))
+        forms = tuple(sorted(forms, key=_form_key))
+    values = {}
+    for entry in (a, b):
+        for key, value in entry.extras:
+            values.setdefault(key, set()).add(value)
+    extras = tuple((key, sorted(values[key])[0]) for key in sorted(values))
+    classes = sorted(
+        {entry.adverb_class for entry in (a, b) if entry.adverb_class is not None},
+        key=lambda item: item.value,
+    )
+    return LexicalEntry(
+        lemma=a.lemma,
+        category=a.category,
+        forms=forms,
+        adverb_class=classes[0] if classes else None,
+        reflexive_capable=a.reflexive_capable or b.reflexive_capable,
+        extras=extras,
+    ).validate()

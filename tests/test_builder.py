@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraseo import builder
-from fraseo.features import FeatureBundle, Gender, LexicalCategory, Number
+from fraseo.features import AdverbClass, FeatureBundle, Gender, LexicalCategory, Number
 from fraseo.lexicon import (
     LexicalEntry,
     WordForm,
@@ -10,6 +12,7 @@ from fraseo.lexicon import (
     lookup_lemma,
     save_lexicon,
 )
+from oracles import reference_unify_entries
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +223,76 @@ def test_unify_entries_cases():
     )
     with pytest.raises(ValueError):
         builder.unify_entries(noun_a, other)
+
+
+def test_single_record_conflicts_are_reported():
+    record = builder.SourceRecord(
+        source_id="x",
+        lemma="casa",
+        category="noun",
+        forms=(
+            WordForm("casa", FeatureBundle(gender=Gender.feminine)),
+            WordForm("casa", FeatureBundle(gender=Gender.masculine)),
+            WordForm("casas", FeatureBundle(gender=Gender.feminine, number=Number.plural)),
+        ),
+    )
+    lexicon, report = builder.merge([[record]])
+    assert report.merged_unique == 1
+    assert lookup_form(lexicon, "casa") == ()
+    assert [form.surface for form in lexicon.entries[0].forms] == ["casas"]
+    assert len(report.conflicts) == 1
+    assert "casa" in report.conflicts[0] and "excluded" in report.conflicts[0]
+
+
+_BUNDLES = st.builds(
+    FeatureBundle,
+    gender=st.sampled_from(list(Gender)),
+    number=st.sampled_from(list(Number)),
+)
+_FORMS = st.lists(
+    st.builds(WordForm, st.sampled_from(["lema", "lemas", "lemo"]), _BUNDLES),
+    min_size=1,
+    max_size=4,
+).map(tuple)
+_EXTRAS = st.dictionaries(
+    st.sampled_from(["related", "note"]), st.sampled_from(["a", "b"]), max_size=2
+).map(lambda extras: tuple(extras.items()))
+
+
+@st.composite
+def _entry_pairs(draw):
+    stored = [c for c in LexicalCategory if c is not LexicalCategory.proper_name]
+    category = draw(st.sampled_from(stored))
+
+    def entry(lemma):
+        return LexicalEntry(
+            lemma=lemma,
+            category=category,
+            forms=draw(_FORMS),
+            adverb_class=draw(
+                st.none() | st.sampled_from(list(AdverbClass))
+                if category is LexicalCategory.adverb
+                else st.none()
+            ),
+            reflexive_capable=category is LexicalCategory.verb and draw(st.booleans()),
+            extras=draw(_EXTRAS),
+        )
+
+    return entry("lema"), entry(draw(st.sampled_from(["lema", "lema", "lema", "otro"])))
+
+
+def _outcome(unify, a, b):
+    try:
+        return unify(a, b)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_entry_pairs())
+def test_unify_entries_matches_reference(pair):
+    a, b = pair
+    assert _outcome(builder.unify_entries, a, b) == _outcome(reference_unify_entries, a, b)
 
 
 def test_invariable_categories_collapse_to_lemma():

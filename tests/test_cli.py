@@ -145,6 +145,33 @@ def test_build_lexicon_subcommand(bundled_fixtures, tmp_path):
     assert report["dropped_records"] == 3
 
 
+def test_build_lexicon_bad_source_names_file_and_line(bundled_fixtures, tmp_path):
+    primary = tmp_path / "primary.xml"
+    primary.write_text(
+        '<?xml version="1.0" encoding="utf-8"?>\n'
+        '<lexicon source="alpha">\n'
+        '  <entry lemma="casa" cat="noun"><form surface="casa"/></entry>\n'
+        '  <entry lemma="gato" cat="noun"><form surface="gato" number="x"/></entry>\n'
+        "</lexicon>\n",
+        encoding="utf-8",
+    )
+    out_path = tmp_path / "merged.xml"
+    status, out, err = run_cli(
+        [
+            "build-lexicon",
+            "--primary", str(primary),
+            "--expansion", str(bundled_fixtures / "source_b.xml"),
+            "--oracle", str(bundled_fixtures / "allowlist.tsv"),
+            "--out", str(out_path),
+        ]
+    )
+    assert status == 1
+    assert out == ""
+    assert "line 4" in err
+    assert "primary.xml" in err
+    assert not out_path.exists()
+
+
 def test_train_lm_subcommand(data_dir, tmp_path):
     out_path = tmp_path / "toy.lm"
     status, out, _ = run_cli(

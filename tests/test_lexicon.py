@@ -103,8 +103,15 @@ def test_duplicate_entries_rejected():
 def test_malformed_xml_reports_line(tmp_path):
     path = tmp_path / "bad.xml"
     path.write_text("<lexicon>\n<entry lemma='x' cat='noun'>\n", encoding="utf-8")
-    with pytest.raises(LexiconParseError):
+    with pytest.raises(LexiconParseError) as err:
         load_lexicon(path)
+    assert err.value.line == 3
+    assert str(path) in str(err.value)
+
+    path.write_text('<?xml version="1.0"?>\n<lexica>\n</lexica>\n', encoding="utf-8")
+    with pytest.raises(LexiconParseError) as err:
+        load_lexicon(path)
+    assert err.value.line == 2
 
 
 def test_unknown_category_and_bad_codes_rejected(tmp_path):
@@ -115,27 +122,50 @@ def test_unknown_category_and_bad_codes_rejected(tmp_path):
     )
     with pytest.raises(LexiconParseError) as err:
         load_lexicon(path)
+    assert err.value.line == 1
     assert "widget" in str(err.value)
 
     path.write_text(
         '<lexicon><entry lemma="x" cat="noun"><form surface="x" gender="z"/></entry></lexicon>',
         encoding="utf-8",
     )
-    with pytest.raises(LexiconParseError):
+    with pytest.raises(LexiconParseError) as err:
         load_lexicon(path)
+    assert err.value.line == 1
+    assert "bad gender code 'z'" in str(err.value)
+
+    # Entry text inside a comment is not an entry and must not shift lines.
+    path.write_text(
+        "<lexicon>\n"
+        '<!-- <entry lemma="x"> -->\n'
+        '<entry lemma="a" cat="noun"><form surface="a"/></entry>\n'
+        '<entry lemma="b" cat="noun">\n'
+        '  <form surface="b"/>\n'
+        "</entry>\n"
+        '<entry lemma="c" cat="noun"><form surface="c" number="x"/></entry>\n'
+        "</lexicon>\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(LexiconParseError) as err:
+        load_lexicon(path)
+    assert err.value.line == 7
+    assert str(path) in str(err.value)
 
 
 def test_duplicate_lemma_category_in_file_rejected(tmp_path):
     path = tmp_path / "dup.xml"
     path.write_text(
-        "<lexicon>"
-        '<entry lemma="x" cat="noun"><form surface="x"/></entry>'
-        '<entry lemma="x" cat="noun"><form surface="xs"/></entry>'
-        "</lexicon>",
+        "<lexicon>\n"
+        '<entry lemma="x" cat="noun"><form surface="x"/></entry>\n'
+        "<!-- <entry> -->\n"
+        '<entry lemma="x" cat="noun"><form surface="xs"/></entry>\n'
+        "</lexicon>\n",
         encoding="utf-8",
     )
-    with pytest.raises(LexiconConflictError):
+    with pytest.raises(LexiconConflictError) as err:
         load_lexicon(path)
+    assert err.value.line == 4
+    assert "first seen on line 2" in str(err.value)
 
 
 def test_save_load_round_trip_preserves_queries(lexicon, tmp_path):

@@ -1,0 +1,58 @@
+"""Properties of generate() over arbitrary keyword lists."""
+
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fraseo.errors import PlanningError
+from fraseo.pipeline import generate, load_default_resources
+from fraseo.planner import plan_structures, tokenize_and_resolve
+
+_WORD_RE = re.compile(r"\w+")
+
+RESOURCES = load_default_resources()
+SURFACES = sorted(
+    {form.surface for entry in RESOURCES.lexicon.entries for form in entry.forms}
+)
+
+
+def _no_count(text):
+    return sum(1 for word in _WORD_RE.findall(text.lower()) if word == "no")
+
+
+# Free text may not carry a standalone "no" of its own: an unknown word is
+# realized verbatim, and the property counts the negation the marker adds.
+FREE_TEXT = st.text(max_size=8).filter(lambda text: _no_count(text) == 0)
+
+WORDS = st.lists(
+    st.sampled_from(SURFACES) | st.sampled_from(["no", "NO", "?", "", "  "]) | FREE_TEXT,
+    max_size=7,
+)
+
+
+def _planning_raises(words):
+    try:
+        plan_structures(
+            tokenize_and_resolve(words, RESOURCES.lexicon),
+            RESOURCES.grammar,
+            RESOURCES.lexicon,
+            RESOURCES.lm,
+        )
+    except PlanningError:
+        return True
+    return False
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(WORDS)
+def test_generate_properties(words):
+    result = generate(words, RESOURCES)
+    texts = result.texts
+    assert generate(words, RESOURCES).texts == texts
+    assert len(set(texts)) == len(texts)
+    assert result.echo == _planning_raises(words)
+    assert result.echo == (not texts)
+    for text in texts:
+        assert text.endswith((".", "?"))
+        assert _no_count(text) == (1 if result.mode.is_negative else 0)
