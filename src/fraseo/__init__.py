@@ -99,7 +99,6 @@ from .realizer import (
     AgreementResult,
     RealizedSentence,
     apply_contractions,
-    apply_negation,
     infer_agreement,
     load_polarity_pairs,
     realize,

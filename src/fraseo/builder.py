@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import LexiconParseError
+from .errors import LexiconError, LexiconParseError
 from .features import AXES, INVARIABLE_CATEGORIES, AdverbClass, LexicalCategory
 from .lexicon import (
     LexicalEntry,
@@ -444,7 +444,8 @@ def merge(record_sets, report=None):
     Records sharing (lemma, category) anywhere are pooled and unified; a
     lone record goes through the same path, so its own incompatible
     readings are reported too. The result does not depend on the order of
-    the record sets.
+    the record sets. A merged entry that fails validation raises
+    LexiconError naming its lemma, category and sources.
     """
     if report is None:
         report = MergeReport()
@@ -463,7 +464,14 @@ def merge(record_sets, report=None):
             report.merged_unique += 1
         else:
             report.merged_common += 1
-        entries.append(_entry_from_records(lemma, category, records, report.conflicts))
+        try:
+            entry = _entry_from_records(lemma, category, records, report.conflicts)
+        except ValueError as exc:
+            sources = ", ".join(sorted({record.source_id for record in records}))
+            raise LexiconError(
+                "%s/%s from %s: %s" % (lemma, category.value, sources, exc)
+            ) from exc
+        entries.append(entry)
     return Lexicon.from_entries(entries), report
 
 

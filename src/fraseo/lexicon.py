@@ -107,7 +107,7 @@ class LexicalEntry:
 @dataclass
 class Lexicon:
     entries: tuple = ()
-    lemma_index: dict = field(default_factory=dict)
+    lemma_index: dict = field(default_factory=dict)  # lemma -> entries in file order
     form_index: dict = field(default_factory=dict)
 
     @classmethod
@@ -116,13 +116,13 @@ class Lexicon:
         lemma_index = {}
         form_index = {}
         for entry in entries:
-            key = (entry.lemma, entry.category)
-            if key in lemma_index:
+            same_lemma = lemma_index.setdefault(entry.lemma, [])
+            if any(other.category is entry.category for other in same_lemma):
                 raise LexiconConflictError(
                     "duplicate entry for lemma %r category %s"
                     % (entry.lemma, entry.category.value)
                 )
-            lemma_index[key] = entry
+            same_lemma.append(entry)
             for form in entry.forms:
                 form_index.setdefault(form.surface, []).append((entry, form))
         return cls(entries=entries, lemma_index=lemma_index, form_index=form_index)
@@ -132,15 +132,11 @@ class Lexicon:
 
 
 def lookup_lemma(lexicon, lemma, category=None):
-    """Entries for ``lemma``, optionally restricted to one category."""
-    if category is not None:
-        entry = lexicon.lemma_index.get((lemma, category))
-        return (entry,) if entry is not None else ()
-    return tuple(
-        entry
-        for (key_lemma, _), entry in lexicon.lemma_index.items()
-        if key_lemma == lemma
-    )
+    """Entries for ``lemma`` in file order, optionally of one category only."""
+    entries = lexicon.lemma_index.get(lemma, ())
+    if category is None:
+        return tuple(entries)
+    return tuple(entry for entry in entries if entry.category is category)
 
 
 def lookup_form(lexicon, surface):

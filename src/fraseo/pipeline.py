@@ -9,7 +9,7 @@ from .errors import EmptyInputError, NoStructureError, NoVerbError
 from .grammar import load_grammar
 from .lexicon import load_lexicon
 from .lm import NGramModel
-from .planner import plan_structures, tokenize_and_resolve
+from .planner import check_grammar, plan_structures, tokenize_and_resolve
 from .realizer import load_polarity_pairs, realize
 
 _BUNDLED_LEXICON = "sample_lexicon.xml"
@@ -46,7 +46,10 @@ def _bundled(name):
 
 
 def load_resources(lexicon_path=None, grammar_path=None, lm_path=None):
-    """Load generation resources, falling back to the bundled ones."""
+    """Load generation resources, falling back to the bundled ones.
+
+    A grammar the planner cannot interpret raises GrammarError.
+    """
     if lexicon_path is None:
         with importlib.resources.as_file(_bundled(_BUNDLED_LEXICON)) as path:
             lexicon = load_lexicon(path)
@@ -57,6 +60,7 @@ def load_resources(lexicon_path=None, grammar_path=None, lm_path=None):
             grammar = load_grammar(path)
     else:
         grammar = load_grammar(grammar_path)
+    check_grammar(grammar, grammar_path or _BUNDLED_GRAMMAR)
     if lm_path is None:
         with importlib.resources.as_file(_bundled(_BUNDLED_LM)) as path:
             lm = NGramModel.load(path)
@@ -92,7 +96,7 @@ def generate(words, resources, max_candidates=0):
     candidates = []
     seen = set()
     for plan in plans:
-        sentence = realize(plan, resources.lexicon, resources.lm, resources.polarity_pairs)
+        sentence = realize(plan, resources.lm, resources.polarity_pairs)
         if sentence.text in seen:
             continue
         seen.add(sentence.text)

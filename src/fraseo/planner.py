@@ -12,6 +12,11 @@ lemma) as the search state.
 Candidate plans are ranked by how far their insertions stray from the
 house realization policy (fewer deviations first), with grammar search
 order breaking ties.
+
+The planner owns the grammar's phrase roles (PHRASE_NAMES; ``check_grammar``
+rejects other names): one walk of each plan tree records what the scoring
+needs and, on the plan, what each determiner and adjective agrees with, so
+the realizer never reads the tree.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import enum
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import EmptyInputError, NoStructureError, NoVerbError
+from .errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
 from .features import LexicalCategory, Number
 from .grammar import derive
 from .lexicon import Lexicon, LexicalEntry, WordForm, lookup_form, lookup_lemma
@@ -36,6 +41,19 @@ DEFAULT_DETERMINER = "el"
 DEFAULT_CONJUNCTION = "y"
 NOUN_PREPOSITION = "de"
 REFLEXIVE_LEMMA = "se"
+
+# The nonterminals whose roles the planner interprets; a generation
+# grammar starts at S and uses no others.
+PHRASE_NAMES = frozenset("S SNS SNC SN SADJ SADV SP OBJ OBJS PRED".split())
+_NOMINAL_PHRASES = ("SNS", "SN")
+_NOUN = LexicalCategory.noun.value
+_DETERMINER = LexicalCategory.determiner.value
+_ADJECTIVE = LexicalCategory.adjective.value
+
+# SentencePlan.agreement_targets values besides a noun's leaf position: a
+# predicative adjective agrees with the subject; other leaves with nothing.
+SUBJECT_AGREEMENT = None
+NO_AGREEMENT = -1
 
 # An inserted preposition must be this likely under the verb's usage
 # profile before the planner will commit to it.
@@ -149,6 +167,9 @@ class SentencePlan:
     reflexive_forced: bool = False
     main_verb_lemma: str | None = None
     subject_leaf_count: int = 0
+    # Per leaf: the leaf position of the noun a determiner or adjective
+    # agrees with, SUBJECT_AGREEMENT or NO_AGREEMENT.
+    agreement_targets: tuple = ()
 
     @property
     def subject_fills(self):
@@ -157,6 +178,22 @@ class SentencePlan:
     @property
     def predicate_fills(self):
         return self.slot_assignment[self.subject_leaf_count :]
+
+
+def check_grammar(grammar, source):
+    """Reject a grammar whose phrase roles the planner cannot interpret.
+
+    The grammar must start at S and use no nonterminal outside PHRASE_NAMES;
+    the GrammarError raised otherwise names ``source`` and the symbol.
+    """
+    if grammar.start != "S":
+        raise GrammarError("%s: start symbol %r is not 'S'" % (source, grammar.start))
+    for rule in grammar.rules:
+        if rule.head.name not in PHRASE_NAMES:
+            raise GrammarError(
+                "%s: unknown nonterminal %r in rule %s (known: %s)"
+                % (source, rule.head.name, rule, " ".join(sorted(PHRASE_NAMES)))
+            )
 
 
 def _resolve_word(word, lexicon):
@@ -305,46 +342,66 @@ def _inserted_fill(search, category, surface, rationale):
     )
 
 
-def _noun_phrase_flags(tree):
-    """Per-leaf context flags used by the deviation scoring.
+def _phrase_roles(tree):
+    """The phrase roles of a plan tree's leaves, from the one walk that reads them.
 
-    Returns a list aligned with the leaf order holding dicts with keys
-    in_subject, in_sp, coord_member and determiner: the leaf position of
-    the determiner opening the innermost SNS/SN phrase around the leaf, or
-    None when that phrase has none or no such phrase exists.
+    Returns (contexts, agreement, subject_leaves, pred): per leaf,
+    (in_subject, in_sp, coord_member, determiner), determiner being the
+    position of the determiner opening the innermost SNS/SN phrase, if any;
+    the ``SentencePlan.agreement_targets`` tuple, where an SNS/SN
+    determiner and the adjective of an SADJ in such a phrase agree with its
+    noun and an SADJ under PRED with the subject; the subject's leaf count;
+    and (the root's PRED child, its first leaf position) or None.
     """
-    flags = []
+    contexts, targets, starts = [], [], []
 
-    def walk(node, in_subject, in_sp, coord_member, determiner):
-        if node.is_leaf:
-            flags.append(
-                {
-                    "in_subject": in_subject,
-                    "in_sp": in_sp,
-                    "coord_member": coord_member,
-                    "determiner": determiner,
-                }
-            )
-            return
+    def walk(node, parent, in_subject, in_sp, coord_member, phrase):
+        # ``phrase`` is the innermost SNS/SN as [determiner, noun] positions.
         name = node.symbol
+        nominal = name in _NOMINAL_PHRASES
         for index, child in enumerate(node.children):
-            child_subject = in_subject
-            child_sp = in_sp or name == "SP"
-            child_coord = coord_member
-            child_determiner = determiner
-            if name == "S" and len(node.children) == 2 and index == 0:
-                child_subject = True
-            if name == "S" and index == len(node.children) - 1:
-                child_subject = False
-            if name == "SNC" and child.symbol == "SNS":
-                child_coord = True
-            if child.symbol in ("SNS", "SN"):
-                opens = child.children[0].symbol == LexicalCategory.determiner.value
-                child_determiner = len(flags) if opens else None
-            walk(child, child_subject, child_sp, child_coord, child_determiner)
+            if node is tree:
+                starts.append(len(contexts))
+            symbol = child.symbol
+            if not child.is_leaf:
+                if symbol in _NOMINAL_PHRASES:
+                    opens = child.children[0].symbol == _DETERMINER
+                    child_phrase = [len(contexts) if opens else None, None]
+                else:
+                    child_phrase = phrase
+                walk(
+                    child,
+                    name,
+                    index == 0 and len(node.children) == 2 if name == "S" else in_subject,
+                    in_sp or name == "SP",
+                    coord_member or (name == "SNC" and symbol == "SNS"),
+                    child_phrase,
+                )
+                continue
+            target = NO_AGREEMENT
+            if nominal and symbol == _NOUN:
+                phrase[1] = len(contexts)
+            elif nominal and symbol == _DETERMINER:
+                target = phrase
+            elif name == "SADJ" and symbol == _ADJECTIVE:
+                if parent in _NOMINAL_PHRASES:
+                    target = phrase
+                elif parent == "PRED":
+                    target = SUBJECT_AGREEMENT
+            contexts.append((in_subject, in_sp, coord_member, phrase and phrase[0]))
+            targets.append(target)
 
-    walk(tree, False, False, False, None)
-    return flags
+    walk(tree, None, False, False, False, None)
+    agreement = tuple(
+        (NO_AGREEMENT if target[1] is None else target[1])
+        if isinstance(target, list) else target  # a phrase: agree with its noun
+        for target in targets
+    )
+    pred = None
+    for child, start in zip(tree.children, starts):
+        if child.symbol == "PRED":
+            pred = (child, start)
+    return contexts, agreement, starts[1] if len(starts) == 2 else 0, pred
 
 
 def _determiner_state(fills, determiner):
@@ -354,7 +411,7 @@ def _determiner_state(fills, determiner):
     return "inserted" if fills[determiner].is_inserted else "explicit"
 
 
-def _score_deviations(search, tree, fills, elided_default):
+def _score_deviations(search, contexts, pred, fills, elided_default):
     """Count how far a parse strays from the preferred realization policy.
 
     Policy: keep the default subject; give subject nouns, coordination
@@ -365,16 +422,13 @@ def _score_deviations(search, tree, fills, elided_default):
     """
     deviations = 1 if elided_default else 0
 
-    flags = _noun_phrase_flags(tree)
-
-    for index, fill in enumerate(fills):
+    for fill, (in_subject, in_sp, coord_member, determiner) in zip(fills, contexts):
         if fill.category is not LexicalCategory.noun:
             continue
-        info = flags[index]
-        det_state = _determiner_state(fills, info["determiner"])
+        det_state = _determiner_state(fills, determiner)
         if det_state == "explicit":
             continue
-        if info["in_sp"] or info["coord_member"] or info["in_subject"]:
+        if in_sp or coord_member or in_subject:
             wants_determiner = True
         else:
             plural = fill.form is not None and fill.form.features.number is Number.plural
@@ -384,26 +438,21 @@ def _score_deviations(search, tree, fills, elided_default):
         elif not wants_determiner and det_state == "inserted":
             deviations += 1
 
-    deviations += _verb_profile_deviation(search, tree, fills)
+    deviations += _verb_profile_deviation(search, pred, fills)
     return deviations
 
 
-def _verb_profile_deviation(search, tree, fills):
-    pred = None
-    start = 0
-    for child in tree.children:
-        if child.symbol == "PRED":
-            pred, pred_start = child, start
-        start += len(child.leaf_sequence())
-    if pred is None or len(pred.children) < 2:
+def _verb_profile_deviation(search, pred, fills):
+    if pred is None or len(pred[0].children) < 2:
         return 0
-    verb_fill = fills[pred_start]
+    node, start = pred
+    verb_fill = fills[start]
     if verb_fill.entry is None:
         return 0
     top = search.lm.top_preposition(verb_fill.entry.lemma) if search.lm else None
     if not top or top[1] < LM_PREPOSITION_THRESHOLD:
         return 0
-    complement = pred.children[1]
+    complement = node.children[1]
     if complement.symbol == "SP":
         return 0
     if complement.symbol == LexicalCategory.preposition.value:
@@ -413,9 +462,7 @@ def _verb_profile_deviation(search, tree, fills):
 
 def _plan_from_parse(search, mode, subject_tokens, predicate_tokens, tree, fills,
                      elided_default, reflexive_forced, discovery_index):
-    subject_leaves = 0
-    if len(tree.children) == 2:
-        subject_leaves = len(tree.children[0].leaf_sequence())
+    contexts, agreement, subject_leaves, pred = _phrase_roles(tree)
     inserted = tuple(
         (index, fill.category, fill.rationale)
         for index, fill in enumerate(fills)
@@ -426,7 +473,7 @@ def _plan_from_parse(search, mode, subject_tokens, predicate_tokens, tree, fills
         if fill.category is LexicalCategory.verb and fill.entry is not None:
             verb_lemma = fill.entry.lemma
             break
-    deviations = _score_deviations(search, tree, fills, elided_default)
+    deviations = _score_deviations(search, contexts, pred, fills, elided_default)
     return SentencePlan(
         mode=mode,
         subject_tokens=tuple(subject_tokens),
@@ -439,6 +486,7 @@ def _plan_from_parse(search, mode, subject_tokens, predicate_tokens, tree, fills
         reflexive_forced=reflexive_forced,
         main_verb_lemma=verb_lemma,
         subject_leaf_count=subject_leaves,
+        agreement_targets=agreement,
     )
 
 

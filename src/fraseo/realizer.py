@@ -4,6 +4,10 @@ Final stage of the generation pipeline: infer sentence-wide agreement
 from the subject, pick the tense, inflect every slot, add the reflexive
 clitic when the verb calls for one, negate, contract adjacent function
 words, and punctuate.
+
+The planner owns the grammar's phrase roles, so this module reads no tree
+and no lexicon: determiners and adjectives agree as the plan's
+``agreement_targets`` say, and ``no`` goes before the verb inflected here.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from .features import (
     Person,
     Tense,
 )
-from .lexicon import inflect, lookup_form
-from .planner import SentenceMode
+from .lexicon import inflect
+from .planner import NO_AGREEMENT, SUBJECT_AGREEMENT
 
 PROVENANCE_DEFAULT = "default"
 PROVENANCE_SUBJECT = "derived-from-subject"
@@ -144,7 +148,7 @@ def infer_agreement(subject_slots):
     return AgreementResult(person, number, gender, provenance)
 
 
-def select_tense(tokens, lexicon=None):
+def select_tense(tokens):
     """Tense from the first time adverb among the tokens; present otherwise."""
     for token in tokens:
         for entry, _form in getattr(token, "resolved", ()):
@@ -204,17 +208,13 @@ def apply_contractions(words):
     return out
 
 
-def _find_finite_verb(words, lexicon):
-    for index, word in enumerate(words):
-        for entry, form in lookup_form(lexicon, word):
-            if entry.category is not LexicalCategory.verb:
-                continue
-            if form.features.mood is Mood.indicative:
-                return index
-    return None
-
-
 def _negate(words, pairs, verb_index, trace):
+    """Swap polarity adverbs and insert ``no`` before the finite verb.
+
+    ``verb_index`` is the finite verb's position in ``words``, as
+    ``realize`` placed it; a reflexive clitic just before it stays glued to
+    its verb (``no se seca``). With no finite verb, ``no`` goes first.
+    """
     words = list(words)
     for index, word in enumerate(words):
         if word in pairs:
@@ -229,81 +229,26 @@ def _negate(words, pairs, verb_index, trace):
     return words
 
 
-def apply_negation(words, mode, lexicon, pairs=None):
-    """Insert ``no`` before the finite verb and swap polarity adverbs.
-
-    Modes without negation return the words unchanged. The finite verb is
-    located through the lexicon; a preceding reflexive clitic stays glued
-    to its verb (``no se seca``).
-    """
-    if not mode.is_negative:
-        return list(words)
-    if pairs is None:
-        pairs = load_polarity_pairs()
-    verb_index = _find_finite_verb(words, lexicon)
-    return _negate(words, pairs, verb_index, [])
-
-
-def _phrase_targets(tree, fills, agreement):
-    """Agreement targets for determiner and adjective slots, by leaf index."""
-    targets = {}
-
-    def with_starts(node, start):
-        """(child, leaf index of its first leaf) pairs of a node starting at ``start``."""
-        pairs = []
-        for child in node.children:
-            pairs.append((child, start))
-            start += len(child.leaf_sequence())
-        return pairs
-
-    def adjective_position(sadj_node, start):
-        for child, position in with_starts(sadj_node, start):
-            if child.is_leaf and child.symbol == LexicalCategory.adjective.value:
-                return position
-        return None
-
-    def visit(node, start):
-        if node.is_leaf:
-            return
-        name = node.symbol
-        children = with_starts(node, start)
-        if name in ("SNS", "SN"):
-            noun_features = None
-            for child, position in children:
-                if child.is_leaf and child.symbol == LexicalCategory.noun.value:
-                    fill = fills[position]
-                    if fill.form is not None:
-                        noun_features = fill.form.features
-            if noun_features is not None:
-                target = (noun_features.gender, noun_features.number)
-                for child, position in children:
-                    if child.is_leaf and child.symbol == LexicalCategory.determiner.value:
-                        targets[position] = target
-                    elif not child.is_leaf and child.symbol == "SADJ":
-                        leaf = adjective_position(child, position)
-                        if leaf is not None:
-                            targets[leaf] = target
-        elif name == "PRED":
-            for child, position in children:
-                if not child.is_leaf and child.symbol == "SADJ":
-                    leaf = adjective_position(child, position)
-                    if leaf is not None:
-                        targets[leaf] = (agreement.gender, agreement.number)
-        for child, position in children:
-            visit(child, position)
-
-    visit(tree, 0)
-    return targets
-
-
 def _capitalized(surface):
     if not surface:
         return surface
     return surface[0].upper() + surface[1:]
 
 
-def _inflect_slot(fill, index, targets, agreement, tense, verb_seen, trace):
+def _agreement_target(plan, index, agreement):
+    """(gender, number) the determiner or adjective at leaf ``index`` takes."""
+    noun = plan.agreement_targets[index]
+    if noun is SUBJECT_AGREEMENT:
+        return agreement.gender, agreement.number
+    if noun == NO_AGREEMENT:
+        return Gender.unspecified, Number.unspecified
+    features = plan.slot_assignment[noun].form.features
+    return features.gender, features.number
+
+
+def _inflect_slot(plan, index, agreement, tense, verb_seen, trace):
     """Surface for one slot. Returns (word, is_finite_verb)."""
+    fill = plan.slot_assignment[index]
     category = fill.category
 
     if category is LexicalCategory.proper_name or fill.entry is None:
@@ -330,7 +275,7 @@ def _inflect_slot(fill, index, targets, agreement, tense, verb_seen, trace):
         return word, not verb_seen
 
     if category in (LexicalCategory.determiner, LexicalCategory.adjective):
-        gender, number = targets.get(index, (Gender.unspecified, Number.unspecified))
+        gender, number = _agreement_target(plan, index, agreement)
         target = FeatureBundle(gender=gender, number=number)
         try:
             word = inflect(fill.entry, target)
@@ -350,7 +295,7 @@ def _insertion_label(rationale):
     return rationale.replace("_", " ")
 
 
-def realize(plan, lexicon, lm, polarity_pairs=None):
+def realize(plan, lm, polarity_pairs=None):
     """Turn one SentencePlan into the final sentence text.
 
     Pipeline: agreement -> tense -> slot inflection -> reflexive clitic ->
@@ -363,18 +308,14 @@ def realize(plan, lexicon, lm, polarity_pairs=None):
     trace.append("agreement %s" % agreement)
 
     tokens = list(plan.subject_tokens) + list(plan.predicate_tokens)
-    tense = select_tense(tokens, lexicon)
+    tense = select_tense(tokens)
     trace.append("tense %s" % tense.value)
-
-    targets = _phrase_targets(plan.tree, plan.slot_assignment, agreement)
 
     words = []
     finite_index = None
     verb_seen = False
     for index, fill in enumerate(plan.slot_assignment):
-        word, is_finite = _inflect_slot(
-            fill, index, targets, agreement, tense, verb_seen, trace
-        )
+        word, is_finite = _inflect_slot(plan, index, agreement, tense, verb_seen, trace)
         if fill.category is LexicalCategory.verb:
             verb_seen = True
         if is_finite:

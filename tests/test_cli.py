@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -170,6 +171,82 @@ def test_build_lexicon_bad_source_names_file_and_line(bundled_fixtures, tmp_path
     assert "line 4" in err
     assert "primary.xml" in err
     assert not out_path.exists()
+
+
+def test_build_lexicon_invalid_merged_entry_exits_1(bundled_fixtures, tmp_path):
+    primary = tmp_path / "primary.xml"
+    primary.write_text(
+        '<?xml version="1.0" encoding="utf-8"?>\n'
+        '<lexicon source="alpha">\n'
+        '  <entry lemma="casa" cat="noun"><form surface="casa" tense="pres"/></entry>\n'
+        "</lexicon>\n",
+        encoding="utf-8",
+    )
+    out_path = tmp_path / "merged.xml"
+    status, out, err = run_cli(
+        [
+            "build-lexicon",
+            "--primary", str(primary),
+            "--expansion", str(bundled_fixtures / "source_b.xml"),
+            "--oracle", str(bundled_fixtures / "allowlist.tsv"),
+            "--out", str(out_path),
+        ]
+    )
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: casa/noun from alpha")
+    assert "tense present requires" in err
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+def _grammar_file(tmp_path, data_dir, name, edit):
+    text = (data_dir / "spanish.grammar").read_text(encoding="utf-8")
+    path = tmp_path / name
+    path.write_text(edit(text), encoding="utf-8")
+    return str(path)
+
+
+def test_generate_rejects_unknown_nonterminal(data_dir, tmp_path):
+    renamed = _grammar_file(
+        tmp_path, data_dir, "np.grammar", lambda text: re.sub(r"\bSN\b", "NP", text)
+    )
+    status, out, err = run_cli(["generate", "--grammar", renamed, "niñas", "comer", "manzanas"])
+    assert status == 1
+    assert out == ""
+    assert "np.grammar" in err
+    assert "unknown nonterminal 'NP'" in err
+
+
+def test_generate_rejects_other_start_symbol(data_dir, tmp_path):
+    path = tmp_path / "start.grammar"
+    path.write_text("X -> SNS PRED\nSNS -> noun\nPRED -> verb\n", encoding="utf-8")
+    status, out, err = run_cli(["generate", "--grammar", str(path), "niñas", "comer"])
+    assert status == 1
+    assert out == ""
+    assert "start.grammar" in err
+    assert "start symbol 'X'" in err
+
+
+def test_generate_with_subset_grammar(data_dir, tmp_path):
+    subset = _grammar_file(
+        tmp_path,
+        data_dir,
+        "subset.grammar",
+        lambda text: "".join(
+            line for line in text.splitlines(keepends=True) if "SNC" not in line
+        ),
+    )
+    status, out, err = run_cli(["generate", "--grammar", subset, "niñas", "comer", "manzanas"])
+    assert status == 0
+    assert err == ""
+    assert out.splitlines() == [
+        "Las niñas comen manzanas.",
+        "Las niñas comen las manzanas.",
+        "Niñas comen manzanas.",
+    ]
+    status, out, _ = run_cli(["generate", "--grammar", subset, "perro", "y", "gato", "comer"])
+    assert status == 2
 
 
 def test_train_lm_subcommand(data_dir, tmp_path):

@@ -45,6 +45,22 @@ def test_lookup_lemma_without_category_spans_categories(lexicon):
     assert lookup_lemma(lexicon, "zzz-missing") == ()
 
 
+def test_lookup_lemma_keeps_file_order_and_filters_category():
+    def entry(lemma, category):
+        return LexicalEntry(lemma=lemma, category=category, forms=(WordForm(lemma),))
+
+    bajo_prep = entry("bajo", LexicalCategory.preposition)
+    bajo_adj = entry("bajo", LexicalCategory.adjective)
+    alto = entry("alto", LexicalCategory.adjective)
+    lexicon = Lexicon.from_entries([bajo_prep, alto, bajo_adj])
+    assert lookup_lemma(lexicon, "bajo") == (bajo_prep, bajo_adj)
+    assert lookup_lemma(lexicon, "bajo", LexicalCategory.adjective) == (bajo_adj,)
+    assert lookup_lemma(lexicon, "bajo", LexicalCategory.noun) == ()
+    assert lookup_lemma(lexicon, "zzz-missing", LexicalCategory.noun) == ()
+    with pytest.raises(LexiconConflictError):
+        Lexicon.from_entries([bajo_adj, alto, bajo_adj])
+
+
 def test_inflect_picks_matching_form(lexicon):
     el = lookup_lemma(lexicon, "el", LexicalCategory.determiner)[0]
     assert inflect(el, FeatureBundle(gender=Gender.feminine, number=Number.plural)) == "las"

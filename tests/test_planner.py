@@ -1,9 +1,10 @@
 import pytest
 
 from fraseo import planner
-from fraseo.errors import EmptyInputError, NoStructureError, NoVerbError
+from fraseo.errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
 from fraseo.evaluation import load_corpus
 from fraseo.features import LexicalCategory
+from fraseo.grammar import parse_grammar
 from fraseo.pipeline import generate
 from fraseo.planner import (
     MARKER_NEGATION,
@@ -185,6 +186,29 @@ def test_oov_subject_reads_as_proper_name(resources):
 # Terminal fills the memoized search makes over the exact-match corpus.
 # A deterministic work counter: raise it only with a reason.
 CORPUS_FILL_CALLS = 1636
+
+
+def test_agreement_targets_name_the_agreeing_noun(resources):
+    none, subject = planner.NO_AGREEMENT, planner.SUBJECT_AGREEMENT
+    # (S (SNS determiner noun) (PRED verb (OBJ (SN determiner noun (SADJ adjective)))))
+    top = plans_for(["niña", "comer", "manzana", "roja"], resources)[0]
+    assert top.agreement_targets == (1, none, none, 4, none, 4)
+    # (S (SNS determiner noun) (PRED verb (SADJ adjective))): predicative
+    top = plans_for(["niñas", "ser", "contento"], resources)[0]
+    assert top.agreement_targets == (1, none, none, subject)
+    # (S (SNC (SNS determiner noun) conjunction (SNS determiner noun)) (PRED verb))
+    top = plans_for(["perro", "y", "gato", "comer"], resources)[0]
+    assert top.agreement_targets == (1, none, none, 4, none, none)
+    assert top.subject_leaf_count == 5
+
+
+def test_check_grammar_accepts_only_known_phrase_names(grammar):
+    planner.check_grammar(grammar, "spanish.grammar")
+    planner.check_grammar(parse_grammar("S -> PRED\nPRED -> verb\n"), "small")
+    with pytest.raises(GrammarError, match="small: unknown nonterminal 'VP'"):
+        planner.check_grammar(parse_grammar("S -> VP\nVP -> verb\n"), "small")
+    with pytest.raises(GrammarError, match="small: start symbol 'PRED' is not 'S'"):
+        planner.check_grammar(parse_grammar("PRED -> verb\n"), "small")
 
 
 def test_search_work_on_corpus_is_bounded(resources, bundled_fixtures, monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ from fraseo.realizer import (
     PROVENANCE_DEFAULT,
     PROVENANCE_SUBJECT,
     apply_contractions,
-    apply_negation,
+    _negate,
     infer_agreement,
     load_polarity_pairs,
     realize,
@@ -132,35 +134,52 @@ def test_contractions_idempotent(words):
     assert apply_contractions(once) == once
 
 
-def test_negation_inserts_before_finite_verb(lexicon):
+def test_negation_inserts_before_finite_verb(resources):
     words = ["yo", "voy", "siempre", "a", "el", "teatro"]
-    negated = apply_negation(words, SentenceMode.negative, lexicon)
+    trace = []
+    negated = _negate(words, load_polarity_pairs(), 1, trace)
     assert negated == ["yo", "no", "voy", "nunca", "a", "el", "teatro"]
     assert apply_contractions(negated) == ["yo", "no", "voy", "nunca", "al", "teatro"]
+    assert trace == ["polarity siempre -> nunca", "negation no before voy"]
+    result = realize_top(resources, ["yo", "ir", "siempre", "teatro", "no"])
+    assert result.text == "Yo no voy nunca al teatro."
 
 
-def test_negation_keeps_clitic_attached(lexicon):
+def test_negation_keeps_clitic_attached(resources):
     words = ["mamá", "se", "seca", "el", "pelo"]
-    negated = apply_negation(words, SentenceMode.negative, lexicon)
+    negated = _negate(words, load_polarity_pairs(), 2, [])
     assert negated == ["mamá", "no", "se", "seca", "el", "pelo"]
+    result = realize_top(resources, ["mamá", "secar", "pelo", "no"])
+    assert result.text == "La mamá no se seca el pelo."
+    assert "negation no before seca" in result.trace
 
 
-def test_negation_noop_for_affirmative(lexicon):
-    words = ["yo", "voy"]
-    assert apply_negation(words, SentenceMode.affirmative, lexicon) == words
-    assert apply_negation(words, SentenceMode.interrogative, lexicon) == words
+def test_negation_noop_for_affirmative(resources):
+    plan = top_plan(resources, ["yo", "ir", "siempre", "teatro"])
+    texts = {}
+    for mode in SentenceMode:
+        result = realize(replace(plan, mode=mode), resources.lm)
+        texts[mode] = result.text
+        if not mode.is_negative:
+            assert not any(line.startswith(("negation", "polarity")) for line in result.trace)
+    assert texts[SentenceMode.affirmative] == "Yo voy siempre al teatro."
+    assert texts[SentenceMode.interrogative] == "¿Yo voy siempre al teatro?"
+    assert texts[SentenceMode.negative] == "Yo no voy nunca al teatro."
 
 
-def test_negation_without_finite_verb_prepends(lexicon):
-    assert apply_negation(["caminar"], SentenceMode.negative, lexicon) == ["no", "caminar"]
+def test_negation_without_finite_verb_prepends():
+    trace = []
+    assert _negate(["caminar"], load_polarity_pairs(), None, trace) == ["no", "caminar"]
+    assert trace == ["negation no before caminar"]
+
+
+def top_plan(resources, words):
+    tokens = tokenize_and_resolve(words, resources.lexicon)
+    return plan_structures(tokens, resources.grammar, resources.lexicon, resources.lm)[0]
 
 
 def realize_top(resources, words):
-    tokens = tokenize_and_resolve(words, resources.lexicon)
-    plans = plan_structures(
-        tokens, resources.grammar, resources.lexicon, resources.lm
-    )
-    return realize(plans[0], resources.lexicon, resources.lm)
+    return realize(top_plan(resources, words), resources.lm)
 
 
 def test_realize_contraction_in_trace(resources):
@@ -212,6 +231,6 @@ def test_realize_inflection_miss_keeps_surface():
     tokens = tokenize_and_resolve(["nadar"], lexicon)
     plans = plan_structures(tokens, grammar, lexicon, None)
     elided = [plan for plan in plans if plan.subject_leaf_count == 0]
-    result = realize(elided[0], lexicon, None)
+    result = realize(elided[0], None)
     assert result.text == "Nadar."
     assert any(line.startswith("inflection miss nadar") for line in result.trace)
