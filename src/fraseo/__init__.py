@@ -92,6 +92,7 @@ from .planner import (
     detect_mode,
     insert_default_subject,
     plan_structures,
+    select_tense,
     split_subject_predicate,
     tokenize_and_resolve,
 )
@@ -102,7 +103,6 @@ from .realizer import (
     infer_agreement,
     load_polarity_pairs,
     realize,
-    select_tense,
 )
 
 __version__ = "0.1.0"

@@ -438,6 +438,14 @@ def unify_entries(a, b):
     return _entry_from_records(a.lemma, a.category, records, [])
 
 
+def _is_valid_alone(lemma, category, record):
+    try:
+        _entry_from_records(lemma, category, [record], [])
+    except ValueError:
+        return False
+    return True
+
+
 def merge(record_sets, report=None):
     """Merge verified record sets into one lexicon.
 
@@ -445,7 +453,9 @@ def merge(record_sets, report=None):
     lone record goes through the same path, so its own incompatible
     readings are reported too. The result does not depend on the order of
     the record sets. A merged entry that fails validation raises
-    LexiconError naming its lemma, category and sources.
+    LexiconError naming its lemma, category and the sources of the records
+    that fail alone, or every source of the group when only the pooled
+    forms are invalid.
     """
     if report is None:
         report = MergeReport()
@@ -467,7 +477,8 @@ def merge(record_sets, report=None):
         try:
             entry = _entry_from_records(lemma, category, records, report.conflicts)
         except ValueError as exc:
-            sources = ", ".join(sorted({record.source_id for record in records}))
+            culprits = [r for r in records if not _is_valid_alone(lemma, category, r)]
+            sources = ", ".join(sorted({r.source_id for r in culprits or records}))
             raise LexiconError(
                 "%s/%s from %s: %s" % (lemma, category.value, sources, exc)
             ) from exc

@@ -178,12 +178,6 @@ def _add_resource_flags(parser, max_candidates_default):
     parser.add_argument("--grammar", help="path to a grammar file")
     parser.add_argument("--lm", help="path to a trained language model file")
     parser.add_argument(
-        "--format",
-        choices=(FORMAT_PLAIN, FORMAT_JSON),
-        default=FORMAT_PLAIN,
-        help="output format (default plain)",
-    )
-    parser.add_argument(
         "--max-candidates",
         type=int,
         default=max_candidates_default,
@@ -200,6 +194,12 @@ def build_parser():
 
     p_generate = sub.add_parser("generate", help="realize sentences from keywords")
     _add_resource_flags(p_generate, max_candidates_default=3)
+    p_generate.add_argument(
+        "--format",
+        choices=(FORMAT_PLAIN, FORMAT_JSON),
+        default=FORMAT_PLAIN,
+        help="output format (default plain)",
+    )
     p_generate.add_argument("words", nargs="+", help="keywords, plus optional 'no' and '?'")
     p_generate.set_defaults(func=cmd_generate)
 

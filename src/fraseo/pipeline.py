@@ -96,7 +96,7 @@ def generate(words, resources, max_candidates=0):
     candidates = []
     seen = set()
     for plan in plans:
-        sentence = realize(plan, resources.lm, resources.polarity_pairs)
+        sentence = realize(plan, resources.polarity_pairs)
         if sentence.text in seen:
             continue
         seen.add(sentence.text)

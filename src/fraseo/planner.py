@@ -13,6 +13,10 @@ Candidate plans are ranked by how far their insertions stray from the
 house realization policy (fewer deviations first), with grammar search
 order breaking ties.
 
+The planner makes every keyword- and model-driven decision: the mode and
+the tense come from the keywords, the inserted prepositions and the
+reflexive clitic from the verb usage model. The realizer only renders them.
+
 The planner owns the grammar's phrase roles (PHRASE_NAMES; ``check_grammar``
 rejects other names): one walk of each plan tree records what the scoring
 needs and, on the plan, what each determiner and adjective agrees with, so
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
-from .features import LexicalCategory, Number
+from .features import AdverbClass, LexicalCategory, Number, Tense
 from .grammar import derive
 from .lexicon import Lexicon, LexicalEntry, WordForm, lookup_form, lookup_lemma
 
@@ -56,8 +60,10 @@ SUBJECT_AGREEMENT = None
 NO_AGREEMENT = -1
 
 # An inserted preposition must be this likely under the verb's usage
-# profile before the planner will commit to it.
+# profile before the planner will commit to it; a verb takes the reflexive
+# clitic when the model has seen it reflexive more often than this.
 LM_PREPOSITION_THRESHOLD = 0.5
+REFLEXIVE_THRESHOLD = 0.5
 
 # Rationale labels recorded for inserted words.
 RATIONALE_DETERMINER = "determiner"
@@ -89,19 +95,10 @@ class InputToken:
     resolved: tuple = ()  # tuple of (LexicalEntry, WordForm) pairs
     marker: str | None = None
     is_default_subject: bool = False
-    is_reflexive_marker: bool = False
-
-    @property
-    def is_marker(self):
-        return self.marker is not None
 
     @property
     def is_oov(self):
         return self.marker is None and not self.resolved
-
-    @property
-    def categories(self):
-        return frozenset(entry.category for entry, _ in self.resolved)
 
     def matches_category(self, category):
         if self.marker is not None:
@@ -157,27 +154,29 @@ class SentencePlan:
     """A fully lexicalized structure candidate, ready for realization."""
 
     mode: SentenceMode
-    subject_tokens: tuple
-    predicate_tokens: tuple
     tree: object  # grammar.TreeNode
     slot_assignment: tuple  # SlotFill per leaf, in leaf order
-    inserted: tuple  # (leaf position, LexicalCategory, rationale)
     deviations: int
     discovery_index: int
-    reflexive_forced: bool = False
-    main_verb_lemma: str | None = None
+    tense: Tense
+    reflexive: bool  # the finite verb takes a reflexive clitic
     subject_leaf_count: int = 0
     # Per leaf: the leaf position of the noun a determiner or adjective
     # agrees with, SUBJECT_AGREEMENT or NO_AGREEMENT.
     agreement_targets: tuple = ()
 
     @property
-    def subject_fills(self):
-        return self.slot_assignment[: self.subject_leaf_count]
+    def inserted(self):
+        """(leaf position, LexicalCategory, rationale) per inserted or default word."""
+        return tuple(
+            (index, fill.category, fill.rationale)
+            for index, fill in enumerate(self.slot_assignment)
+            if fill.rationale is not None
+        )
 
     @property
-    def predicate_fills(self):
-        return self.slot_assignment[self.subject_leaf_count :]
+    def subject_fills(self):
+        return self.slot_assignment[: self.subject_leaf_count]
 
 
 def check_grammar(grammar, source):
@@ -242,6 +241,19 @@ def detect_mode(tokens):
     if question:
         return SentenceMode.interrogative
     return SentenceMode.affirmative
+
+
+def select_tense(tokens):
+    """Tense from the first time adverb among the tokens; present otherwise."""
+    for token in tokens:
+        for entry, _form in token.resolved:
+            if entry.category is not LexicalCategory.adverb:
+                continue
+            if entry.adverb_class is AdverbClass.time_past:
+                return Tense.past
+            if entry.adverb_class is AdverbClass.time_future:
+                return Tense.future
+    return Tense.present
 
 
 def split_subject_predicate(tokens):
@@ -314,15 +326,22 @@ def _fill_terminal(search, name, parent, grandparent, state):
         if (grandparent if parent == "SP" else parent) != "PRED":
             surface = NOUN_PREPOSITION
         else:
-            top = None
-            if verb_lemma is not None and search.lm:
-                top = search.lm.top_preposition(verb_lemma)
-            if not top or top[1] < LM_PREPOSITION_THRESHOLD:
+            surface = None
+            if verb_lemma is not None:
+                surface = _dominant_preposition(search.lm, verb_lemma)
+            if surface is None:
                 return ()
-            surface = top[0]
     else:
         return ()
     return (((_inserted_fill(search, category, surface, rationale),), state),)
+
+
+def _dominant_preposition(lm, lemma):
+    """The preposition the usage model commits to after verb ``lemma``, or None."""
+    top = lm.top_preposition(lemma)
+    if top is None or top[1] < LM_PREPOSITION_THRESHOLD:
+        return None
+    return top[0]
 
 
 def _inserted_fill(search, category, surface, rationale):
@@ -449,8 +468,7 @@ def _verb_profile_deviation(search, pred, fills):
     verb_fill = fills[start]
     if verb_fill.entry is None:
         return 0
-    top = search.lm.top_preposition(verb_fill.entry.lemma) if search.lm else None
-    if not top or top[1] < LM_PREPOSITION_THRESHOLD:
+    if _dominant_preposition(search.lm, verb_fill.entry.lemma) is None:
         return 0
     complement = node.children[1]
     if complement.symbol == "SP":
@@ -460,49 +478,24 @@ def _verb_profile_deviation(search, pred, fills):
     return 1
 
 
-def _plan_from_parse(search, mode, subject_tokens, predicate_tokens, tree, fills,
-                     elided_default, reflexive_forced, discovery_index):
-    contexts, agreement, subject_leaves, pred = _phrase_roles(tree)
-    inserted = tuple(
-        (index, fill.category, fill.rationale)
-        for index, fill in enumerate(fills)
-        if fill.rationale is not None
-    )
-    verb_lemma = None
-    for fill in fills:
-        if fill.category is LexicalCategory.verb and fill.entry is not None:
-            verb_lemma = fill.entry.lemma
-            break
-    deviations = _score_deviations(search, contexts, pred, fills, elided_default)
-    return SentencePlan(
-        mode=mode,
-        subject_tokens=tuple(subject_tokens),
-        predicate_tokens=tuple(predicate_tokens),
-        tree=tree,
-        slot_assignment=tuple(fills),
-        inserted=inserted,
-        deviations=deviations,
-        discovery_index=discovery_index,
-        reflexive_forced=reflexive_forced,
-        main_verb_lemma=verb_lemma,
-        subject_leaf_count=subject_leaves,
-        agreement_targets=agreement,
-    )
-
-
-def plan_structures(tokens, grammar, lexicon, lm, max_plans=0):
+def plan_structures(tokens, grammar, lexicon, lm):
     """Rank every grammar structure that fits the resolved keywords.
 
     Returns SentencePlans sorted by (policy deviations, discovery order).
-    Raises NoStructureError when the grammar offers no fit, NoVerbError
-    when no keyword reads as a verb.
+    Every plan carries the mode and tense the keywords ask for, and whether
+    its main verb takes the reflexive clitic: always after an explicit
+    ``se``, otherwise when the usage model ``lm`` says so. Raises
+    NoStructureError when the grammar offers no fit, NoVerbError when no
+    keyword reads as a verb.
     """
     mode = detect_mode(tokens)
+    tense = select_tense(tokens)
     subject, predicate = split_subject_predicate(tokens)
 
-    reflexive_forced = False
-    if subject and subject[-1].resolves_lemma(REFLEXIVE_LEMMA, LexicalCategory.pronoun):
-        reflexive_forced = True
+    reflexive_forced = bool(subject) and subject[-1].resolves_lemma(
+        REFLEXIVE_LEMMA, LexicalCategory.pronoun
+    )
+    if reflexive_forced:
         subject = subject[:-1]
 
     if not subject and any(
@@ -528,24 +521,31 @@ def plan_structures(tokens, grammar, lexicon, lm, max_plans=0):
             tokens=list(subject_tokens) + list(predicate),
         )
         fill = partial(_fill_terminal, search)
-        for tree, fills, (pos, _verb) in derive(grammar, fill, (0, None)):
+        for tree, fills, (pos, verb_lemma) in derive(grammar, fill, (0, None)):
             if pos != len(search.tokens):
                 continue
             if elided_default and len(tree.children) == 2:
                 continue
             if not elided_default and subject_tokens and len(tree.children) != 2:
                 continue
+            contexts, agreement, subject_leaves, pred = _phrase_roles(tree)
+            reflexive = reflexive_forced or (
+                verb_lemma is not None
+                and lm.reflexive_probability(verb_lemma) > REFLEXIVE_THRESHOLD
+            )
             plans.append(
-                _plan_from_parse(
-                    search,
-                    mode,
-                    subject_tokens,
-                    predicate,
-                    tree,
-                    fills,
-                    elided_default,
-                    reflexive_forced,
-                    discovery,
+                SentencePlan(
+                    mode=mode,
+                    tree=tree,
+                    slot_assignment=tuple(fills),
+                    deviations=_score_deviations(
+                        search, contexts, pred, fills, elided_default
+                    ),
+                    discovery_index=discovery,
+                    tense=tense,
+                    reflexive=reflexive,
+                    subject_leaf_count=subject_leaves,
+                    agreement_targets=agreement,
                 )
             )
             discovery += 1
@@ -555,6 +555,4 @@ def plan_structures(tokens, grammar, lexicon, lm, max_plans=0):
         raise NoStructureError("no grammar structure fits: %s" % words)
 
     plans.sort(key=lambda plan: (plan.deviations, plan.discovery_index))
-    if max_plans and max_plans > 0:
-        plans = plans[:max_plans]
     return plans

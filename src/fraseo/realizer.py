@@ -1,13 +1,14 @@
 """Morphological and orthographic realization of sentence plans.
 
 Final stage of the generation pipeline: infer sentence-wide agreement
-from the subject, pick the tense, inflect every slot, add the reflexive
-clitic when the verb calls for one, negate, contract adjacent function
+from the subject, inflect every slot in the plan's tense, add the reflexive
+clitic when the plan asks for one, negate, contract adjacent function
 words, and punctuate.
 
-The planner owns the grammar's phrase roles, so this module reads no tree
-and no lexicon: determiners and adjectives agree as the plan's
-``agreement_targets`` say, and ``no`` goes before the verb inflected here.
+The planner makes every decision, so this module renders the plan alone and
+reads no tree, no lexicon, no usage model and no keywords: determiners and
+adjectives agree as the plan's ``agreement_targets`` say, and ``no`` goes
+before the verb inflected here.
 """
 
 from __future__ import annotations
@@ -16,16 +17,7 @@ import importlib.resources
 from dataclasses import dataclass
 
 from .errors import InflectionMiss
-from .features import (
-    AdverbClass,
-    FeatureBundle,
-    Gender,
-    LexicalCategory,
-    Mood,
-    Number,
-    Person,
-    Tense,
-)
+from .features import FeatureBundle, Gender, LexicalCategory, Mood, Number, Person
 from .lexicon import inflect
 from .planner import NO_AGREEMENT, SUBJECT_AGREEMENT
 
@@ -44,8 +36,6 @@ _CLITICS = {
     (Person.third, True): "se",
 }
 _CLITIC_WORDS = frozenset(_CLITICS.values())
-
-REFLEXIVE_THRESHOLD = 0.5
 
 # Obligatory fusions of adjacent function words.
 CONTRACTIONS = {
@@ -148,19 +138,6 @@ def infer_agreement(subject_slots):
     return AgreementResult(person, number, gender, provenance)
 
 
-def select_tense(tokens):
-    """Tense from the first time adverb among the tokens; present otherwise."""
-    for token in tokens:
-        for entry, _form in getattr(token, "resolved", ()):
-            if entry.category is not LexicalCategory.adverb:
-                continue
-            if entry.adverb_class is AdverbClass.time_past:
-                return Tense.past
-            if entry.adverb_class is AdverbClass.time_future:
-                return Tense.future
-    return Tense.present
-
-
 def load_polarity_pairs(path=None):
     """Read the positive -> negative adverb table (tab separated)."""
     if path is None:
@@ -246,14 +223,14 @@ def _agreement_target(plan, index, agreement):
     return features.gender, features.number
 
 
-def _inflect_slot(plan, index, agreement, tense, verb_seen, trace):
+def _inflect_slot(plan, index, agreement, verb_seen, trace):
     """Surface for one slot. Returns (word, is_finite_verb)."""
     fill = plan.slot_assignment[index]
     category = fill.category
 
     if category is LexicalCategory.proper_name or fill.entry is None:
         word = _capitalized(fill.surface)
-        if fill.token is not None and fill.token.is_oov:
+        if category is LexicalCategory.proper_name:
             trace.append("proper name %s" % word)
         return word, False
 
@@ -262,7 +239,7 @@ def _inflect_slot(plan, index, agreement, tense, verb_seen, trace):
             target = FeatureBundle(
                 person=agreement.person,
                 number=agreement.number,
-                tense=tense,
+                tense=plan.tense,
                 mood=Mood.indicative,
             )
         else:
@@ -295,27 +272,25 @@ def _insertion_label(rationale):
     return rationale.replace("_", " ")
 
 
-def realize(plan, lm, polarity_pairs=None):
+def realize(plan, polarity_pairs):
     """Turn one SentencePlan into the final sentence text.
 
-    Pipeline: agreement -> tense -> slot inflection -> reflexive clitic ->
-    negation -> contractions -> orthography. Every transformation is
-    recorded in the trace.
+    Pipeline: agreement -> slot inflection -> reflexive clitic -> negation
+    (swapping the adverbs of the positive -> negative ``polarity_pairs``
+    table) -> contractions -> orthography. Every transformation is recorded
+    in the trace.
     """
     trace = ["mode %s" % plan.mode.value]
 
     agreement = infer_agreement(plan.subject_fills)
     trace.append("agreement %s" % agreement)
-
-    tokens = list(plan.subject_tokens) + list(plan.predicate_tokens)
-    tense = select_tense(tokens)
-    trace.append("tense %s" % tense.value)
+    trace.append("tense %s" % plan.tense.value)
 
     words = []
     finite_index = None
     verb_seen = False
     for index, fill in enumerate(plan.slot_assignment):
-        word, is_finite = _inflect_slot(plan, index, agreement, tense, verb_seen, trace)
+        word, is_finite = _inflect_slot(plan, index, agreement, verb_seen, trace)
         if fill.category is LexicalCategory.verb:
             verb_seen = True
         if is_finite:
@@ -324,18 +299,14 @@ def realize(plan, lm, polarity_pairs=None):
             trace.append("insert %s %s" % (_insertion_label(fill.rationale), word))
         words.append(word)
 
-    reflexive = plan.reflexive_forced
-    if not reflexive and plan.main_verb_lemma and lm is not None:
-        reflexive = lm.reflexive_probability(plan.main_verb_lemma) > REFLEXIVE_THRESHOLD
-    if reflexive and finite_index is not None:
+    if plan.reflexive and finite_index is not None:
         clitic = _CLITICS[(agreement.person, agreement.number is Number.plural)]
         words.insert(finite_index, clitic)
         trace.append("reflexive clitic %s" % clitic)
         finite_index += 1
 
     if plan.mode.is_negative:
-        pairs = polarity_pairs if polarity_pairs is not None else load_polarity_pairs()
-        words = _negate(words, pairs, finite_index, trace)
+        words = _negate(words, polarity_pairs, finite_index, trace)
 
     words, contraction_trace = _contract_once(words)
     trace.extend(contraction_trace)

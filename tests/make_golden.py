@@ -99,7 +99,7 @@ def golden_record(words, resources):
         return {"input": list(words), "echo": type(exc).__name__}
     out = []
     for plan in plans:
-        sentence = realize(plan, resources.lm, resources.polarity_pairs)
+        sentence = realize(plan, resources.polarity_pairs)
         out.append(
             {
                 "deviations": plan.deviations,

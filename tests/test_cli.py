@@ -71,6 +71,20 @@ def test_bad_configuration_exit_1(tmp_path):
     assert err.startswith("error: ")
 
 
+def test_format_is_a_generate_option_only(bundled_fixtures):
+    corpus = str(bundled_fixtures / "exact_match_corpus.tsv")
+    for argv in (
+        ["evaluate", "--format", "json", "--corpus", corpus],
+        ["repl", "--format", "json"],
+    ):
+        with pytest.raises(SystemExit) as exited:
+            run_cli(argv)
+        assert exited.value.code == 2
+    status, out, _ = run_cli(["generate", "--format", "json", "dibujar", "animales"])
+    assert status == 0
+    assert json.loads(out)["candidates"][0]["text"] == "Yo dibujo animales."
+
+
 def test_evaluate_bundled_corpus(bundled_fixtures):
     status, out, _ = run_cli(
         ["evaluate", "--corpus", str(bundled_fixtures / "exact_match_corpus.tsv")]
@@ -173,30 +187,66 @@ def test_build_lexicon_bad_source_names_file_and_line(bundled_fixtures, tmp_path
     assert not out_path.exists()
 
 
-def test_build_lexicon_invalid_merged_entry_exits_1(bundled_fixtures, tmp_path):
-    primary = tmp_path / "primary.xml"
-    primary.write_text(
+def _source_file(path, source, entry):
+    path.write_text(
         '<?xml version="1.0" encoding="utf-8"?>\n'
-        '<lexicon source="alpha">\n'
-        '  <entry lemma="casa" cat="noun"><form surface="casa" tense="pres"/></entry>\n'
-        "</lexicon>\n",
+        '<lexicon source="%s">\n  %s\n</lexicon>\n' % (source, entry),
         encoding="utf-8",
     )
-    out_path = tmp_path / "merged.xml"
-    status, out, err = run_cli(
+    return str(path)
+
+
+def _build_lexicon(primary, expansion, bundled_fixtures, out_path):
+    return run_cli(
         [
             "build-lexicon",
-            "--primary", str(primary),
-            "--expansion", str(bundled_fixtures / "source_b.xml"),
+            "--primary", primary,
+            "--expansion", expansion,
             "--oracle", str(bundled_fixtures / "allowlist.tsv"),
             "--out", str(out_path),
         ]
     )
+
+
+def test_build_lexicon_invalid_merged_entry_exits_1(bundled_fixtures, tmp_path):
+    # The expansion source "beta" also has a valid casa/noun: only the
+    # record that fails on its own is named.
+    primary = _source_file(
+        tmp_path / "primary.xml",
+        "alpha",
+        '<entry lemma="casa" cat="noun"><form surface="casa" tense="pres"/></entry>',
+    )
+    out_path = tmp_path / "merged.xml"
+    status, out, err = _build_lexicon(
+        primary, str(bundled_fixtures / "source_b.xml"), bundled_fixtures, out_path
+    )
     assert status == 1
     assert out == ""
-    assert err.startswith("error: casa/noun from alpha")
+    assert err.startswith("error: casa/noun from alpha:")
+    assert "beta" not in err
     assert "tense present requires" in err
     assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_build_lexicon_invalid_pooled_forms_name_every_source(bundled_fixtures, tmp_path):
+    # Each record is valid alone; pooled, "lavar" is an infinitive with a person.
+    primary = _source_file(
+        tmp_path / "primary.xml",
+        "alpha",
+        '<entry lemma="lavar" cat="verb"><form surface="lavar" mood="inf"/></entry>',
+    )
+    expansion = _source_file(
+        tmp_path / "expansion.xml",
+        "beta",
+        '<entry lemma="lavar" cat="verb"><form surface="lavar" person="1"/></entry>',
+    )
+    out_path = tmp_path / "merged.xml"
+    status, out, err = _build_lexicon(primary, expansion, bundled_fixtures, out_path)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: lavar/verb from alpha, beta:")
+    assert "non-finite mood infinitive cannot carry tense or person" in err
     assert not out_path.exists()
 
 

@@ -3,8 +3,9 @@ import pytest
 from fraseo import planner
 from fraseo.errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
 from fraseo.evaluation import load_corpus
-from fraseo.features import LexicalCategory
+from fraseo.features import LexicalCategory, Tense
 from fraseo.grammar import parse_grammar
+from fraseo.lm import NGramModel
 from fraseo.pipeline import generate
 from fraseo.planner import (
     MARKER_NEGATION,
@@ -20,10 +21,10 @@ from fraseo.planner import (
 )
 
 
-def plans_for(words, resources, max_plans=0):
+def plans_for(words, resources, lm=None):
     tokens = tokenize_and_resolve(words, resources.lexicon)
     return plan_structures(
-        tokens, resources.grammar, resources.lexicon, resources.lm, max_plans=max_plans
+        tokens, resources.grammar, resources.lexicon, resources.lm if lm is None else lm
     )
 
 
@@ -108,7 +109,7 @@ def test_default_subject_plan_preferred(resources):
     assert top.deviations == 0
     assert [fill.surface for fill in top.slot_assignment] == ["yo", "dibujar", "animales"]
     assert any(r == RATIONALE_DEFAULT_SUBJECT for _, _, r in top.inserted)
-    assert top.main_verb_lemma == "dibujar"
+    assert top.slot_assignment[1].entry.lemma == "dibujar"
     assert top.subject_leaf_count == 1
     assert len(top.subject_fills) == 1
     # The subjectless variant exists but ranks behind the default subject.
@@ -134,20 +135,22 @@ def test_ranking_is_deterministic(resources):
     assert keys == sorted(keys)
 
 
-def test_max_plans_caps_output(resources):
-    capped = plans_for(["niñas", "tomar", "batido", "chocolate"], resources, max_plans=2)
-    assert len(capped) == 2
-    full = plans_for(["niñas", "tomar", "batido", "chocolate"], resources)
-    assert [p.discovery_index for p in capped] == [p.discovery_index for p in full[:2]]
-
-
 def test_reflexive_marker_stripped_and_forced(resources):
-    plans = plans_for(["mamá", "se", "secar", "pelo"], resources)
-    top = plans[0]
-    assert top.reflexive_forced
-    assert all(fill.surface != "se" for fill in top.slot_assignment)
-    plain = plans_for(["mamá", "secar", "pelo"], resources)
-    assert not plain[0].reflexive_forced
+    # An explicit "se" forces the clitic even when the model knows nothing.
+    for lm in (resources.lm, NGramModel()):
+        plans = plans_for(["mamá", "se", "secar", "pelo"], resources, lm)
+        assert all(plan.reflexive for plan in plans)
+        assert all(fill.surface != "se" for fill in plans[0].slot_assignment)
+    # Without "se", only the usage model makes secar reflexive.
+    assert all(plan.reflexive for plan in plans_for(["mamá", "secar", "pelo"], resources))
+    empty = plans_for(["mamá", "secar", "pelo"], resources, NGramModel())
+    assert not any(plan.reflexive for plan in empty)
+
+
+def test_tense_planned_from_time_adverb(resources):
+    for adverb, tense in (("ayer", Tense.past), ("mañana", Tense.future)):
+        plans = plans_for(["yo", "comer", adverb], resources)
+        assert plans and all(plan.tense is tense for plan in plans)
 
 
 def test_explicit_preposition_without_subject_is_rejected(resources):

@@ -2,7 +2,7 @@
 
 import re
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraseo.errors import PlanningError
@@ -10,6 +10,8 @@ from fraseo.pipeline import generate, load_default_resources
 from fraseo.planner import plan_structures, tokenize_and_resolve
 
 _WORD_RE = re.compile(r"\w+")
+_CLITICS = ("me", "te", "se", "nos", "os")
+_ANCHOR = "negation no before "
 
 RESOURCES = load_default_resources()
 SURFACES = sorted(
@@ -31,6 +33,22 @@ WORDS = st.lists(
 )
 
 
+def _no_is_placed_before_its_anchor(candidate):
+    """``no`` comes right before the word its trace line names, or before its clitic.
+
+    A clitic stays glued to its verb: "no se seca", never "se no seca".
+    """
+    (anchor,) = [
+        line[len(_ANCHOR):].lower() for line in candidate.trace if line.startswith(_ANCHOR)
+    ]
+    words = _WORD_RE.findall(candidate.text.lower())
+    index = words.index("no")
+    after = words[index + 1 :]
+    if after[:1] == [anchor]:
+        return index == 0 or words[index - 1] not in _CLITICS
+    return after[:2] in [[clitic, anchor] for clitic in _CLITICS]
+
+
 def _planning_raises(words):
     try:
         plan_structures(
@@ -46,6 +64,7 @@ def _planning_raises(words):
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(WORDS)
+@example(["mamá", "secar", "pelo", "no"])
 def test_generate_properties(words):
     result = generate(words, RESOURCES)
     texts = result.texts
@@ -53,6 +72,9 @@ def test_generate_properties(words):
     assert len(set(texts)) == len(texts)
     assert result.echo == _planning_raises(words)
     assert result.echo == (not texts)
-    for text in texts:
+    for candidate in result.candidates:
+        text = candidate.text
         assert text.endswith((".", "?"))
         assert _no_count(text) == (1 if result.mode.is_negative else 0)
+        if result.mode.is_negative:
+            assert _no_is_placed_before_its_anchor(candidate), (text, candidate.trace)

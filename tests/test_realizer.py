@@ -15,11 +15,13 @@ from fraseo.features import (
 )
 from fraseo.grammar import parse_grammar
 from fraseo.lexicon import Lexicon, LexicalEntry, WordForm, lookup_form
+from fraseo.lm import NGramModel
 from fraseo.pipeline import generate
 from fraseo.planner import (
     SentenceMode,
     SlotFill,
     plan_structures,
+    select_tense,
     tokenize_and_resolve,
 )
 from fraseo.realizer import (
@@ -30,7 +32,6 @@ from fraseo.realizer import (
     infer_agreement,
     load_polarity_pairs,
     realize,
-    select_tense,
 )
 
 
@@ -158,7 +159,7 @@ def test_negation_noop_for_affirmative(resources):
     plan = top_plan(resources, ["yo", "ir", "siempre", "teatro"])
     texts = {}
     for mode in SentenceMode:
-        result = realize(replace(plan, mode=mode), resources.lm)
+        result = realize(replace(plan, mode=mode), resources.polarity_pairs)
         texts[mode] = result.text
         if not mode.is_negative:
             assert not any(line.startswith(("negation", "polarity")) for line in result.trace)
@@ -179,7 +180,7 @@ def top_plan(resources, words):
 
 
 def realize_top(resources, words):
-    return realize(top_plan(resources, words), resources.lm)
+    return realize(top_plan(resources, words), resources.polarity_pairs)
 
 
 def test_realize_contraction_in_trace(resources):
@@ -229,8 +230,8 @@ def test_realize_inflection_miss_keeps_surface():
     )
     grammar = parse_grammar("S -> PRED\nPRED -> verb\n")
     tokens = tokenize_and_resolve(["nadar"], lexicon)
-    plans = plan_structures(tokens, grammar, lexicon, None)
+    plans = plan_structures(tokens, grammar, lexicon, NGramModel())
     elided = [plan for plan in plans if plan.subject_leaf_count == 0]
-    result = realize(elided[0], None)
+    result = realize(elided[0], {})
     assert result.text == "Nadar."
     assert any(line.startswith("inflection miss nadar") for line in result.trace)
