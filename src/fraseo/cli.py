@@ -173,13 +173,20 @@ def cmd_agreement(args):
     return EXIT_OK
 
 
+def _candidate_cap(text):
+    """argparse type of ``--max-candidates``: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("expected an integer >= 0, got %r" % text)
+    return int(text)
+
+
 def _add_resource_flags(parser, max_candidates_default):
     parser.add_argument("--lexicon", help="path to a lexicon XML file")
     parser.add_argument("--grammar", help="path to a grammar file")
     parser.add_argument("--lm", help="path to a trained language model file")
     parser.add_argument(
         "--max-candidates",
-        type=int,
+        type=_candidate_cap,
         default=max_candidates_default,
         help="candidate cap, 0 for unlimited (default %d)" % max_candidates_default,
     )

@@ -35,15 +35,17 @@ class InflectionMiss(LexiconError):
 
 
 class GrammarError(FraseoError):
-    pass
+    """A grammar is unusable; the message names the line when one is at fault."""
+
+    def __init__(self, reason, line=None):
+        message = reason if line is None else "line %d: %s" % (line, reason)
+        super().__init__(message)
+        self.reason = reason
+        self.line = line
 
 
 class GrammarParseError(GrammarError):
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = "line %d: %s" % (line, message)
-        super().__init__(message)
-        self.line = line
+    """Raised when a grammar file is malformed."""
 
 
 class UndefinedSymbolError(GrammarParseError):

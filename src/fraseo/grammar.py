@@ -1,4 +1,4 @@
-"""Feature-annotated context-free grammar over lexical categories.
+"""Context-free grammar over lexical categories.
 
 Rule files hold one production per line::
 
@@ -8,9 +8,10 @@ Rule files hold one production per line::
 
 The first rule's head is the start symbol. Lowercase lexical category names
 (noun, verb, ...) are terminals; every other symbol needs at least one rule.
-Parenthesized variables express agreement links: within one rule, equal names
-mean equal values. A variable's leading letter picks its axis (p person,
-n number, g gender, t tense, m mood).
+Parenthesized agreement variables are annotations: the parser checks that
+each starts with an axis letter (p person, n number, g gender, t tense,
+m mood) and drops them. A rule keeps only symbol names, and generation takes
+agreement from the phrase names the planner interprets.
 
 Recursion is bounded: no nonterminal may occur more than ``depth_limit``
 times on any root-to-leaf path, which keeps enumeration finite.
@@ -30,42 +31,22 @@ from .features import LexicalCategory
 
 TERMINALS = frozenset(cat.value for cat in LexicalCategory)
 
-AXIS_FOR_PREFIX = {
-    "p": "person",
-    "n": "number",
-    "g": "gender",
-    "t": "tense",
-    "m": "mood",
-}
+# Leading letters an agreement variable may start with; checked, never read.
+_VARIABLE_PREFIXES = "pngtm"
 
 _SYMBOL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\(([^()]*)\))?$")
 
 
 @dataclass(frozen=True)
-class SymbolRef:
-    """One symbol occurrence in a rule, with its agreement variables."""
-
-    name: str
-    variables: tuple = ()
-
-    @property
-    def is_terminal(self):
-        return self.name in TERMINALS
-
-
-@dataclass(frozen=True)
 class GrammarRule:
-    head: SymbolRef
+    """One production: head name, body names and the line it was read from."""
+
+    head: str
     body: tuple
-    index: int
+    line: int
 
     def __str__(self):
-        def fmt(ref):
-            if ref.variables:
-                return "%s(%s)" % (ref.name, ",".join(ref.variables))
-            return ref.name
-
-        return "%s -> %s" % (fmt(self.head), " ".join(fmt(ref) for ref in self.body))
+        return "%s -> %s" % (self.head, " ".join(self.body))
 
 
 @dataclass(frozen=True)
@@ -80,7 +61,6 @@ class TreeNode:
 
     symbol: str
     children: tuple = ()
-    rule_index: int = -1
 
     @property
     def is_leaf(self):
@@ -114,25 +94,24 @@ class Grammar:
     def __post_init__(self):
         by_head = {}
         for rule in self.rules:
-            by_head.setdefault(rule.head.name, []).append(rule)
+            by_head.setdefault(rule.head, []).append(rule)
         self.rules_for = by_head
 
 
 def _parse_symbol(token, line_number):
+    """The symbol name of ``token``, after checking its variable syntax."""
     match = _SYMBOL_RE.match(token)
     if not match:
         raise GrammarParseError("cannot parse symbol %r" % token, line_number)
     name, raw_vars = match.group(1), match.group(2)
-    variables = ()
-    if raw_vars:
-        variables = tuple(var.strip() for var in raw_vars.split(",") if var.strip())
-        for var in variables:
-            if var[0] not in AXIS_FOR_PREFIX:
-                raise GrammarParseError(
-                    "variable %r on %r has no axis prefix (p/n/g/t/m)" % (var, name),
-                    line_number,
-                )
-    return SymbolRef(name=name, variables=variables)
+    for var in (raw_vars or "").split(","):
+        var = var.strip()
+        if var and var[0] not in _VARIABLE_PREFIXES:
+            raise GrammarParseError(
+                "variable %r on %r has no axis prefix (p/n/g/t/m)" % (var, name),
+                line_number,
+            )
+    return name
 
 
 def parse_grammar(text, depth_limit=2):
@@ -145,30 +124,35 @@ def parse_grammar(text, depth_limit=2):
             raise GrammarParseError("missing '->'", line_number)
         head_part, body_part = line.split("->", 1)
         head = _parse_symbol(head_part.strip(), line_number)
-        if head.is_terminal:
+        if head in TERMINALS:
             raise GrammarParseError(
-                "terminal category %r cannot head a rule" % head.name, line_number
+                "terminal category %r cannot head a rule" % head, line_number
             )
         body_tokens = body_part.split()
         if not body_tokens:
             raise GrammarParseError("empty rule body", line_number)
         body = tuple(_parse_symbol(token, line_number) for token in body_tokens)
-        rules.append(GrammarRule(head=head, body=body, index=len(rules)))
+        rules.append(GrammarRule(head=head, body=body, line=line_number))
     if not rules:
         raise GrammarParseError("grammar has no rules")
-    heads = {rule.head.name for rule in rules}
+    heads = {rule.head for rule in rules}
     for rule in rules:
-        for ref in rule.body:
-            if not ref.is_terminal and ref.name not in heads:
+        for name in rule.body:
+            if name not in TERMINALS and name not in heads:
                 raise UndefinedSymbolError(
-                    "symbol %r has no rule and is not a lexical category" % ref.name
+                    "symbol %r has no rule and is not a lexical category" % name, rule.line
                 )
-    return Grammar(rules=tuple(rules), start=rules[0].head.name, depth_limit=depth_limit)
+    return Grammar(rules=tuple(rules), start=rules[0].head, depth_limit=depth_limit)
 
 
 def load_grammar(path, depth_limit=2):
+    """Parse the grammar file at ``path``; a parse error names the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_grammar(handle.read(), depth_limit=depth_limit)
+        text = handle.read()
+    try:
+        return parse_grammar(text, depth_limit=depth_limit)
+    except GrammarParseError as exc:
+        raise type(exc)("%s: %s" % (path, exc.reason), exc.line) from None
 
 
 _LEAF_CACHE = {name: TreeNode(symbol=name) for name in TERMINALS}
@@ -235,18 +219,18 @@ class _Derivation:
             for children, payloads, end in self.body(
                 rule.body, 0, symbol, parent, state, usage, (), ()
             ):
-                yield TreeNode(symbol, children, rule.index), payloads, end
+                yield TreeNode(symbol, children), payloads, end
 
-    def body(self, refs, index, head, parent, state, usage, children, payloads):
+    def body(self, names, index, head, parent, state, usage, children, payloads):
         """Complete a rule body whose first ``index`` symbols are built."""
-        choices = self.expand(refs[index].name, head, parent, state, usage)
-        if index + 1 == len(refs):
+        choices = self.expand(names[index], head, parent, state, usage)
+        if index + 1 == len(names):
             for node, more, end in choices:
                 yield children + (node,), payloads + more, end
             return
         for node, more, middle in choices:
             yield from self.body(
-                refs, index + 1, head, parent, middle, usage, children + (node,), payloads + more
+                names, index + 1, head, parent, middle, usage, children + (node,), payloads + more
             )
 
 
@@ -280,36 +264,6 @@ def match_leaf_sequence(grammar, cats):
         return ()
 
     return [tree for tree, _payloads, end in derive(grammar, fill, 0) if end == len(cats)]
-
-
-def propagate_features(grammar, tree, root_assignment):
-    """Push a root axis valuation through the rule equations of ``tree``.
-
-    Returns a list of (node, assignment) pairs in preorder, where assignment
-    maps axis name to the propagated value (only linked axes appear). Used to
-    check that equation-linked nodes always agree.
-    """
-    out = []
-
-    def walk(node, assignment):
-        out.append((node, dict(assignment)))
-        if node.is_leaf or node.rule_index < 0:
-            return
-        rule = grammar.rules[node.rule_index]
-        bindings = {}
-        for var in rule.head.variables:
-            axis = AXIS_FOR_PREFIX[var[0]]
-            if axis in assignment:
-                bindings[var] = assignment[axis]
-        for ref, child in zip(rule.body, node.children):
-            child_assignment = {}
-            for var in ref.variables:
-                if var in bindings:
-                    child_assignment[AXIS_FOR_PREFIX[var[0]]] = bindings[var]
-            walk(child, child_assignment)
-
-    walk(tree, root_assignment)
-    return out
 
 
 def dfs_paths(root, adjacency):

@@ -140,14 +140,6 @@ class SlotFill:
     def is_inserted(self):
         return self.token is None
 
-    @property
-    def is_function_insertion(self):
-        return self.rationale in (
-            RATIONALE_DETERMINER,
-            RATIONALE_PREPOSITION,
-            RATIONALE_CONJUNCTION,
-        )
-
 
 @dataclass(frozen=True)
 class SentencePlan:
@@ -183,15 +175,19 @@ def check_grammar(grammar, source):
     """Reject a grammar whose phrase roles the planner cannot interpret.
 
     The grammar must start at S and use no nonterminal outside PHRASE_NAMES;
-    the GrammarError raised otherwise names ``source`` and the symbol.
+    the GrammarError raised otherwise names ``source``, the rule's line and
+    the symbol.
     """
     if grammar.start != "S":
-        raise GrammarError("%s: start symbol %r is not 'S'" % (source, grammar.start))
+        raise GrammarError(
+            "%s: start symbol %r is not 'S'" % (source, grammar.start), grammar.rules[0].line
+        )
     for rule in grammar.rules:
-        if rule.head.name not in PHRASE_NAMES:
+        if rule.head not in PHRASE_NAMES:
             raise GrammarError(
                 "%s: unknown nonterminal %r in rule %s (known: %s)"
-                % (source, rule.head.name, rule, " ".join(sorted(PHRASE_NAMES)))
+                % (source, rule.head, rule, " ".join(sorted(PHRASE_NAMES))),
+                rule.line,
             )
 
 

@@ -19,12 +19,10 @@ from dataclasses import dataclass
 from .errors import InflectionMiss
 from .features import FeatureBundle, Gender, LexicalCategory, Mood, Number, Person
 from .lexicon import inflect
-from .planner import NO_AGREEMENT, SUBJECT_AGREEMENT
+from .planner import NEGATION_WORD, NO_AGREEMENT, SUBJECT_AGREEMENT
 
 PROVENANCE_DEFAULT = "default"
 PROVENANCE_SUBJECT = "derived-from-subject"
-
-NEGATION_WORD = "no"
 
 # Reflexive clitic by (person, plural?).
 _CLITICS = {

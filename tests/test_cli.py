@@ -85,6 +85,18 @@ def test_format_is_a_generate_option_only(bundled_fixtures):
     assert json.loads(out)["candidates"][0]["text"] == "Yo dibujo animales."
 
 
+def test_max_candidates_must_not_be_negative(bundled_fixtures):
+    corpus = str(bundled_fixtures / "exact_match_corpus.tsv")
+    for argv in (
+        ["generate", "--max-candidates", "-1", "dibujar", "animales"],
+        ["repl", "--max-candidates", "-1"],
+        ["evaluate", "--max-candidates", "-1", "--corpus", corpus],
+    ):
+        with pytest.raises(SystemExit) as exited:
+            run_cli(argv)
+        assert exited.value.code == 2
+
+
 def test_evaluate_bundled_corpus(bundled_fixtures):
     status, out, _ = run_cli(
         ["evaluate", "--corpus", str(bundled_fixtures / "exact_match_corpus.tsv")]
@@ -265,7 +277,17 @@ def test_generate_rejects_unknown_nonterminal(data_dir, tmp_path):
     assert status == 1
     assert out == ""
     assert "np.grammar" in err
+    assert "line 27" in err
     assert "unknown nonterminal 'NP'" in err
+
+
+def test_generate_rejects_malformed_grammar_naming_file_and_line(tmp_path):
+    path = tmp_path / "bad.grammar"
+    path.write_text("S -> PRED\nPRED -> verb\n\nPRED verb OBJ\n", encoding="utf-8")
+    status, out, err = run_cli(["generate", "--grammar", str(path), "niñas", "comer"])
+    assert status == 1
+    assert out == ""
+    assert err == "error: line 4: %s: missing '->'\n" % path
 
 
 def test_generate_rejects_other_start_symbol(data_dir, tmp_path):

@@ -1,13 +1,17 @@
+import re
+
 import pytest
+from make_golden import golden_inputs, golden_record
 
 from fraseo.errors import CycleError, GrammarParseError, UndefinedSymbolError
 from fraseo.grammar import (
+    GrammarRule,
     dfs_paths,
     enumerate_trees,
     match_leaf_sequence,
     parse_grammar,
-    propagate_features,
 )
+from fraseo.pipeline import load_resources
 
 SMALL_GRAMMAR = """
 S -> NP verb
@@ -21,13 +25,15 @@ def test_parse_grammar_structure():
     grammar = parse_grammar(SMALL_GRAMMAR)
     assert grammar.start == "S"
     assert len(grammar.rules) == 4
-    assert [rule.head.name for rule in grammar.rules_for["NP"]] == ["NP", "NP"]
+    assert [rule.head for rule in grammar.rules_for["NP"]] == ["NP", "NP"]
     assert str(grammar.rules[0]) == "S -> NP verb"
+    assert grammar.rules[2] == GrammarRule("NP", ("determiner", "noun"), 4)
 
 
 def test_parse_grammar_rejects_undefined_symbols():
-    with pytest.raises(UndefinedSymbolError):
-        parse_grammar("S -> NP verb")
+    with pytest.raises(UndefinedSymbolError) as raised:
+        parse_grammar("S -> verb\nS -> NP verb")
+    assert raised.value.line == 2
 
 
 def test_parse_grammar_rejects_bad_lines():
@@ -116,27 +122,19 @@ def test_bundled_grammar_enumeration_is_stable(grammar):
     assert first == second == 66779
 
 
-def test_propagate_features_links_equated_variables():
-    grammar = parse_grammar(
-        "S(n) -> NP(n) verb(n)\nNP(n) -> determiner(n) noun(n)\n"
-    )
-    tree = match_leaf_sequence(grammar, ("determiner", "noun", "verb"))[0]
-    assignments = propagate_features(grammar, tree, {"number": "plural"})
-    leaf_assignments = [
-        assignment for node, assignment in assignments if node.is_leaf
-    ]
-    assert leaf_assignments == [{"number": "plural"}] * 3
-
-
-def test_propagate_features_stops_at_unlinked_children():
-    grammar = parse_grammar("S(n) -> NP verb(n)\nNP -> noun\n")
-    tree = match_leaf_sequence(grammar, ("noun", "verb"))[0]
-    by_symbol = {}
-    for node, assignment in propagate_features(grammar, tree, {"number": "singular"}):
-        if node.is_leaf:
-            by_symbol[node.symbol] = assignment
-    assert by_symbol["noun"] == {}
-    assert by_symbol["verb"] == {"number": "singular"}
+def test_generation_ignores_agreement_variables(resources, data_dir, tmp_path):
+    text = (data_dir / "spanish.grammar").read_text(encoding="utf-8")
+    bare = tmp_path / "bare.grammar"
+    bare.write_text(re.sub(r"\([^()\n]*\)", "", text), encoding="utf-8")
+    rule_lines = [line for line in bare.read_text(encoding="utf-8").splitlines() if "->" in line]
+    assert not any("(" in line for line in rule_lines)
+    stripped = load_resources(grammar_path=bare)
+    assert stripped.grammar.rules == resources.grammar.rules
+    for words in golden_inputs(resources.lexicon):
+        assert golden_record(words, stripped) == golden_record(words, resources), words
+    # The variables are still syntax-checked.
+    with pytest.raises(GrammarParseError):
+        parse_grammar("S(q) -> verb")
 
 
 def test_dfs_paths_listed_order():

@@ -123,7 +123,6 @@ def test_determiner_insertion_recorded(resources):
     inserted = [(pos, cat.value, r) for pos, cat, r in top.inserted]
     assert inserted == [(0, "determiner", RATIONALE_DETERMINER)]
     assert top.slot_assignment[0].is_inserted
-    assert top.slot_assignment[0].is_function_insertion
     assert top.slot_assignment[0].surface == "el"
 
 
