@@ -21,8 +21,20 @@ memoized top-down search that asks a caller-supplied fill for each
 terminal's choices. ``enumerate_trees`` accepts every terminal,
 ``match_leaf_sequence`` matches one category per position, and the planner
 fills terminals with keywords and inserted function words.
+
+A search over an input can prune with lookahead (FIRST sets as in Aho,
+Sethi & Ullman; bounding generation by the input as in Kay 1996, "Chart
+Generation"). ``Grammar.suffix_bounds`` gives, for every rule body suffix,
+the fewest input tokens it must consume and the FIRST set of categories
+that can consume its first token, as a mask of ``TERMINAL_BITS``. Terminals
+the caller may insert without input count as consuming none and are
+transparent for FIRST. Both tables are computed over the grammar without
+the depth limit, which only removes derivations, so the first is a lower
+bound and the second a superset: a suffix they rule out has no derivation,
+and cutting it changes no result.
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -30,6 +42,8 @@ from .errors import CycleError, GrammarParseError, UndefinedSymbolError
 from .features import LexicalCategory
 
 TERMINALS = frozenset(cat.value for cat in LexicalCategory)
+# One bit per terminal: FIRST sets and lookahead category sets are masks.
+TERMINAL_BITS = {cat.value: 1 << index for index, cat in enumerate(LexicalCategory)}
 
 # Leading letters an agreement variable may start with; checked, never read.
 _VARIABLE_PREFIXES = "pngtm"
@@ -96,6 +110,52 @@ class Grammar:
         for rule in self.rules:
             by_head.setdefault(rule.head, []).append(rule)
         self.rules_for = by_head
+        self._bounds = {}
+
+    def suffix_bounds(self, insertable):
+        """``{body: ((min_tokens, first), ...)}``, one pair per body index.
+
+        For the suffix ``body[index:]`` of every rule body, ``min_tokens``
+        is the fewest input tokens any derivation of it consumes and
+        ``first`` the ``TERMINAL_BITS`` mask of the terminals that can
+        consume its first token. Terminals in ``insertable`` (a frozenset of
+        names) may take no token: they count as 0 and FIRST looks past
+        them. The tables ignore ``depth_limit``, so they bound every
+        derivation the search can make. Built once per ``insertable`` and
+        kept.
+        """
+        bounds = self._bounds.get(insertable)
+        if bounds is None:
+            bounds = self._bounds[insertable] = _suffix_bounds(self, insertable)
+        return bounds
+
+
+def _suffix_bounds(grammar, insertable):
+    """The ``Grammar.suffix_bounds`` tables, by fixpoint over the rules."""
+    least = dict.fromkeys(grammar.rules_for, math.inf)
+    first = dict.fromkeys(grammar.rules_for, 0)
+
+    def suffixes(body):
+        out = [(0, 0)]
+        for name in reversed(body):
+            if name in TERMINALS:
+                need, cats = (0 if name in insertable else 1), TERMINAL_BITS[name]
+            else:
+                need, cats = least[name], first[name]
+            after_need, after_cats = out[-1]
+            out.append((need + after_need, cats | after_cats if need == 0 else cats))
+        return tuple(reversed(out[1:]))
+
+    changed = True
+    while changed:
+        changed = False
+        for rule in grammar.rules:
+            need, cats = suffixes(rule.body)[0]
+            if need < least[rule.head] or cats & ~first[rule.head]:
+                least[rule.head] = min(need, least[rule.head])
+                first[rule.head] |= cats
+                changed = True
+    return {rule.body: suffixes(rule.body) for rule in grammar.rules}
 
 
 def _parse_symbol(token, line_number):
@@ -158,7 +218,7 @@ def load_grammar(path, depth_limit=2):
 _LEAF_CACHE = {name: TreeNode(symbol=name) for name in TERMINALS}
 
 
-def derive(grammar, fill, state=None):
+def derive(grammar, fill, state=None, lookahead=None, insertable=frozenset()):
     """Derivations of the start symbol, lazily, in deterministic DFS order.
 
     The package's one grammar search. Rules are tried in file order and
@@ -177,9 +237,26 @@ def derive(grammar, fill, state=None):
     ``grammar.depth_limit``. Memoized subtrees and leaves are shared between
     trees. The start symbol's derivations are streamed, never all held at
     once.
+
+    A fill that consumes input may pass ``lookahead(state)``, returning
+    (tokens left, ``TERMINAL_BITS`` mask of the categories the pending
+    token reads as, 0 when no token is left), with ``insertable``, the
+    frozenset of terminal names its fill can choose without consuming a
+    token; every other terminal must consume exactly one. Before expanding
+    a rule body suffix the search reads its
+    ``grammar.suffix_bounds(insertable)`` entry and cuts the suffix when it
+    needs more tokens than are left, or needs at least one and the pending
+    token reads as no category in its FIRST set. Such a
+    suffix has no derivation, so the stream is the same as without
+    lookahead, in the same order, and the memo stays exact because a cut
+    depends only on the suffix and the state.
     """
     start_usage = tuple(int(name == grammar.start) for name in grammar.rules_for)
-    return _Derivation(grammar, fill).derivations(grammar.start, None, state, start_usage)
+    if lookahead is None:
+        search = _Derivation(grammar, fill)
+    else:
+        search = _PrunedDerivation(grammar, fill, lookahead, insertable)
+    return search.derivations(grammar.start, None, state, start_usage)
 
 
 class _Derivation:
@@ -232,6 +309,25 @@ class _Derivation:
             yield from self.body(
                 names, index + 1, head, parent, middle, usage, children + (node,), payloads + more
             )
+
+
+class _PrunedDerivation(_Derivation):
+    """A ``derive`` run that cuts rule suffixes the input left cannot fill."""
+
+    def __init__(self, grammar, fill, lookahead, insertable):
+        super().__init__(grammar, fill)
+        self.lookahead = lookahead
+        self.bounds = grammar.suffix_bounds(insertable)
+
+    def body(self, names, index, head, parent, state, usage, children, payloads):
+        need, first = self.bounds[names][index]
+        if need:
+            left, pending = self.lookahead(state)
+            if need > left or not pending & first:
+                return ()
+        return _Derivation.body(
+            self, names, index, head, parent, state, usage, children, payloads
+        )
 
 
 def _accept_any(name, parent, grandparent, state):

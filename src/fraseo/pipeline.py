@@ -84,8 +84,11 @@ def generate(words, resources, max_candidates=0):
     Inputs the pipeline cannot handle (no content words, no verb, no
     fitting structure) produce an echo result carrying the original words
     instead of sentences. ``max_candidates`` caps the number of distinct
-    sentences returned; 0 means no cap.
+    sentences returned; 0 means no cap, and a negative cap raises
+    ValueError.
     """
+    if max_candidates < 0:
+        raise ValueError("max_candidates must be >= 0, got %r" % (max_candidates,))
     words = tuple(words)
     try:
         tokens = tokenize_and_resolve(words, resources.lexicon)

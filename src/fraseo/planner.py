@@ -31,7 +31,7 @@ from functools import partial
 
 from .errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
 from .features import AdverbClass, LexicalCategory, Number, Tense
-from .grammar import derive
+from .grammar import TERMINAL_BITS, derive
 from .lexicon import Lexicon, LexicalEntry, WordForm, lookup_form, lookup_lemma
 
 NEGATION_WORD = "no"
@@ -53,6 +53,12 @@ _NOMINAL_PHRASES = ("SNS", "SN")
 _NOUN = LexicalCategory.noun.value
 _DETERMINER = LexicalCategory.determiner.value
 _ADJECTIVE = LexicalCategory.adjective.value
+_CATEGORIES = {category.value: category for category in LexicalCategory}
+# The terminals _fill_terminal may fill with an inserted function word; the
+# grammar search's lookahead looks past them.
+_INSERTABLE = frozenset(
+    (_DETERMINER, LexicalCategory.conjunction.value, LexicalCategory.preposition.value)
+)
 
 # SentencePlan.agreement_targets values besides a noun's leaf position: a
 # predicative adjective agrees with the subject; other leaves with nothing.
@@ -279,6 +285,23 @@ class _Search:
     lm: object
     tokens: list
 
+    def __post_init__(self):
+        # Per token, the TERMINAL_BITS mask of the categories it reads as:
+        # an int, so a search builds no set or generator per token.
+        self.masks = []
+        for token in self.tokens:
+            mask = 0
+            for name, category in _CATEGORIES.items():
+                if token.matches_category(category):
+                    mask |= TERMINAL_BITS[name]
+            self.masks.append(mask)
+
+
+def _lookahead(search, state):
+    """(tokens left, category mask of the pending token or 0) at ``state``."""
+    left = len(search.tokens) - state[0]
+    return left, search.masks[state[0]] if left else 0
+
 
 def _fill_terminal(search, name, parent, grandparent, state):
     """(payloads, new_state) choices for a terminal slot of the grammar search.
@@ -290,7 +313,7 @@ def _fill_terminal(search, name, parent, grandparent, state):
     verbs it comes from the verb usage model.
     """
     pos, verb_lemma = state
-    category = LexicalCategory(name)
+    category = _CATEGORIES[name]
     tokens = search.tokens
     token = tokens[pos] if pos < len(tokens) else None
     if token is not None and token.matches_category(category):
@@ -517,7 +540,10 @@ def plan_structures(tokens, grammar, lexicon, lm):
             tokens=list(subject_tokens) + list(predicate),
         )
         fill = partial(_fill_terminal, search)
-        for tree, fills, (pos, verb_lemma) in derive(grammar, fill, (0, None)):
+        lookahead = partial(_lookahead, search)
+        for tree, fills, (pos, verb_lemma) in derive(
+            grammar, fill, (0, None), lookahead, _INSERTABLE
+        ):
             if pos != len(search.tokens):
                 continue
             if elided_default and len(tree.children) == 2:

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -5,7 +6,9 @@ from make_golden import golden_inputs, golden_record
 
 from fraseo.errors import CycleError, GrammarParseError, UndefinedSymbolError
 from fraseo.grammar import (
+    TERMINAL_BITS,
     GrammarRule,
+    derive,
     dfs_paths,
     enumerate_trees,
     match_leaf_sequence,
@@ -135,6 +138,92 @@ def test_generation_ignores_agreement_variables(resources, data_dir, tmp_path):
     # The variables are still syntax-checked.
     with pytest.raises(GrammarParseError):
         parse_grammar("S(q) -> verb")
+
+
+# LINK derives only insertable words and LOOP never terminates.
+LOOKAHEAD_GRAMMAR = """
+S -> NP verb NP
+S -> LINK NP verb
+S -> verb LOOP
+NP -> determiner noun
+NP -> determiner adjective
+NP -> pronoun
+LINK -> conjunction
+LINK -> conjunction LINK
+LOOP -> noun LOOP
+"""
+
+
+def mask(*names):
+    return sum(TERMINAL_BITS[name] for name in names)
+
+
+NOMINAL_FIRST = mask("determiner", "noun", "adjective", "pronoun")
+
+
+def test_suffix_bounds_min_tokens_and_first_sets():
+    grammar = parse_grammar(LOOKAHEAD_GRAMMAR)
+    insertable = frozenset({"determiner", "conjunction"})
+    bounds = grammar.suffix_bounds(insertable)
+    assert bounds == {
+        ("NP", "verb", "NP"): ((3, NOMINAL_FIRST), (2, mask("verb")), (1, NOMINAL_FIRST)),
+        ("LINK", "NP", "verb"): (
+            (2, NOMINAL_FIRST | mask("conjunction")), (2, NOMINAL_FIRST), (1, mask("verb"))
+        ),
+        ("verb", "LOOP"): ((math.inf, mask("verb")), (math.inf, mask("noun"))),
+        ("determiner", "noun"): ((1, mask("determiner", "noun")), (1, mask("noun"))),
+        ("determiner", "adjective"): (
+            (1, mask("determiner", "adjective")), (1, mask("adjective"))
+        ),
+        ("pronoun",): ((1, mask("pronoun")),),
+        ("conjunction",): ((0, mask("conjunction")),),
+        ("conjunction", "LINK"): ((0, mask("conjunction")), (0, mask("conjunction"))),
+        ("noun", "LOOP"): ((math.inf, mask("noun")), (math.inf, mask("noun"))),
+    }
+    # Built once per insertable set; without insertables every terminal
+    # consumes a token and FIRST stops at the first symbol.
+    assert grammar.suffix_bounds(insertable) is bounds
+    plain = grammar.suffix_bounds(frozenset())
+    assert plain[("LINK", "NP", "verb")][0] == (3, mask("conjunction"))
+    assert plain[("NP", "verb", "NP")][0] == (3, mask("determiner", "pronoun"))
+
+
+def test_lookahead_cuts_work_not_derivations():
+    grammar = parse_grammar(LOOKAHEAD_GRAMMAR, depth_limit=3)
+    insertable = frozenset({"determiner", "conjunction"})
+
+    def search(cats, lookahead):
+        calls = []
+
+        def fill(name, parent, grandparent, position):
+            calls.append(name)
+            if position < len(cats) and cats[position] == name:
+                return ((((name, position),), position + 1),)
+            return ((((name, None),), position),) if name in insertable else ()
+
+        def pending(position):
+            left = len(cats) - position
+            return left, mask(cats[position]) if left else 0
+
+        found = derive(grammar, fill, 0, pending if lookahead else None, insertable)
+        return [(str(tree), payloads, end) for tree, payloads, end in found], len(calls)
+
+    for cats in (
+        ("pronoun", "verb", "noun"),
+        ("noun", "verb", "pronoun"),
+        ("conjunction", "pronoun", "verb"),
+        ("verb", "noun", "noun"),
+        ("verb",),
+    ):
+        pruned, pruned_calls = search(cats, True)
+        full, full_calls = search(cats, False)
+        assert pruned == full, cats
+        assert pruned_calls < full_calls, cats
+    assert search(("pronoun", "verb", "noun"), True)[0][0] == (
+        "S(NP(pronoun) verb NP(determiner noun))",
+        (("pronoun", 0), ("verb", 1), ("determiner", None), ("noun", 2)),
+        3,
+    )
 
 
 def test_dfs_paths_listed_order():

@@ -1,12 +1,17 @@
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from make_golden import golden_inputs
 
 from fraseo import planner
 from fraseo.errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
 from fraseo.evaluation import load_corpus
 from fraseo.features import LexicalCategory, Tense
-from fraseo.grammar import parse_grammar
+from fraseo.grammar import derive, parse_grammar
 from fraseo.lm import NGramModel
-from fraseo.pipeline import generate
+from fraseo.pipeline import generate, load_default_resources
 from fraseo.planner import (
     MARKER_NEGATION,
     MARKER_QUESTION,
@@ -185,9 +190,16 @@ def test_oov_subject_reads_as_proper_name(resources):
     assert head.surface == "Ana"
 
 
-# Terminal fills the memoized search makes over the exact-match corpus.
-# A deterministic work counter: raise it only with a reason.
-CORPUS_FILL_CALLS = 1636
+# Terminal fills the memoized, lookahead-pruned search makes over the
+# exact-match corpus and over the golden inputs. Deterministic work
+# counters: raise them only with a reason.
+CORPUS_FILL_CALLS = 448
+GOLDEN_FILL_CALLS = 7892
+
+RESOURCES = load_default_resources()
+SURFACES = sorted(
+    {form.surface for entry in RESOURCES.lexicon.entries for form in entry.forms}
+)
 
 
 def test_agreement_targets_name_the_agreeing_noun(resources):
@@ -213,7 +225,7 @@ def test_check_grammar_accepts_only_known_phrase_names(grammar):
         planner.check_grammar(parse_grammar("PRED -> verb\n"), "small")
 
 
-def test_search_work_on_corpus_is_bounded(resources, bundled_fixtures, monkeypatch):
+def _fill_calls(inputs, resources, monkeypatch):
     calls = []
     fill = planner._fill_terminal
 
@@ -222,8 +234,73 @@ def test_search_work_on_corpus_is_bounded(resources, bundled_fixtures, monkeypat
         return fill(*args)
 
     monkeypatch.setattr(planner, "_fill_terminal", counting_fill)
+    for words in inputs:
+        generate(words, resources, max_candidates=0)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_search_work_on_corpus_is_bounded(resources, bundled_fixtures, monkeypatch):
     items = load_corpus(bundled_fixtures / "exact_match_corpus.tsv")
     assert len(items) == 9
-    for item in items:
-        generate(item.keywords, resources, max_candidates=0)
-    assert 0 < len(calls) <= CORPUS_FILL_CALLS
+    keywords = [item.keywords for item in items]
+    assert 0 < _fill_calls(keywords, resources, monkeypatch) <= CORPUS_FILL_CALLS
+
+
+def test_search_work_on_golden_inputs_is_bounded(resources, monkeypatch):
+    inputs = golden_inputs(resources.lexicon)
+    assert len(inputs) == 320
+    assert 0 < _fill_calls(inputs, resources, monkeypatch) <= GOLDEN_FILL_CALLS
+
+
+def _pruning_checked(words, resources):
+    """Plan ``words`` with every search run with and without lookahead.
+
+    Asserts that both give the same (tree, payloads, end_state) stream in
+    the same order, and returns the fill calls made (pruned, unpruned).
+    """
+    calls = [0, 0]
+
+    def counted(fill, side):
+        def counting_fill(*args):
+            calls[side] += 1
+            return fill(*args)
+
+        return counting_fill
+
+    def checked_derive(grammar, fill, state, lookahead, insertable):
+        assert lookahead is not None
+        pruned = list(derive(grammar, counted(fill, 0), state, lookahead, insertable))
+        assert pruned == list(derive(grammar, counted(fill, 1), state)), words
+        return iter(pruned)
+
+    with mock.patch.object(planner, "derive", checked_derive):
+        try:
+            plans_for(words, resources)
+        except (EmptyInputError, NoStructureError, NoVerbError):
+            pass
+    return calls
+
+
+def test_lookahead_keeps_every_derivation_on_golden_inputs(resources):
+    pruned = unpruned = 0
+    for words in golden_inputs(resources.lexicon):
+        calls = _pruning_checked(words, resources)
+        pruned += calls[0]
+        unpruned += calls[1]
+    assert 0 < pruned * 3 <= unpruned
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(SURFACES + ["no", "?", "Lucía"]), max_size=7))
+def test_lookahead_keeps_every_derivation(words):
+    _pruning_checked(words, RESOURCES)
+
+
+def test_generate_rejects_negative_cap(resources):
+    assert generate(["dibujar", "animales"], resources, max_candidates=1).texts == [
+        "Yo dibujo animales."
+    ]
+    for cap in (-1, -3):
+        with pytest.raises(ValueError, match="max_candidates"):
+            generate(["dibujar", "animales"], resources, max_candidates=cap)
