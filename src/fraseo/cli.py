@@ -8,6 +8,10 @@ verification), ``train-lm`` (count-based model training), ``evaluate``
 Exit statuses are stable: 0 success, 1 configuration or parse failure,
 2 generation impossible (the input is echoed back). The markers ``no``
 and ``?`` are ordinary argv tokens; quote ``?`` in shells that glob it.
+
+``build-lexicon``, ``evaluate`` and ``agreement`` import ``builder`` or
+``evaluation`` in their own functions, so ``generate`` and ``repl`` start
+without loading either.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import argparse
 import json
 import sys
 
-from . import builder, evaluation, lm
+from . import lm
 from .errors import FraseoError
 from .fileio import write_text_atomic
 from .lexicon import save_lexicon
@@ -121,6 +125,8 @@ def cmd_repl(args):
 
 
 def cmd_build_lexicon(args):
+    from . import builder
+
     oracle = builder.AllowlistOracle.load(args.oracle)
     lexicon, report = builder.build_lexicon(args.primary, args.expansion, oracle)
     save_lexicon(lexicon, args.out)
@@ -141,6 +147,8 @@ def cmd_train_lm(args):
 
 
 def cmd_evaluate(args):
+    from . import evaluation
+
     resources = _load_config_resources(args)
     items = evaluation.load_corpus(args.corpus)
 
@@ -153,6 +161,8 @@ def cmd_evaluate(args):
 
 
 def cmd_agreement(args):
+    from . import evaluation
+
     records = evaluation.load_annotations(args.annotations)
     matrix = evaluation.ReliabilityMatrix.from_annotations(records)
     coincidence = evaluation.coincidence_matrix(matrix)

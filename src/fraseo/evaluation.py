@@ -71,11 +71,34 @@ class ExactMatchReport:
     rate: float
     outcomes: list
 
+    def _hits(self):
+        return [o["candidate_index"] for o in self.outcomes if o["status"] == "matched"]
+
+    @property
+    def top1(self):
+        """Items whose target is the first candidate."""
+        return sum(1 for index in self._hits() if index == 0)
+
+    @property
+    def top3(self):
+        """Items whose target is among the first three candidates."""
+        return sum(1 for index in self._hits() if index < 3)
+
+    @property
+    def mrr(self):
+        """Mean reciprocal rank; echoed, errored and unmatched items count 0."""
+        if not self.total:
+            return 0.0
+        return sum(1 / (index + 1) for index in self._hits()) / self.total
+
     def to_dict(self):
         return {
             "matched": self.matched,
             "total": self.total,
             "rate": self.rate,
+            "top1": self.top1,
+            "top3": self.top3,
+            "mrr": self.mrr,
             "outcomes": list(self.outcomes),
         }
 
@@ -87,7 +110,8 @@ def exact_match_rate(items, generator):
     with ``texts``/``echo``, a string, or an iterable of strings). An
     item counts as matched when any candidate equals the target after
     whitespace normalization. Echoes and generator errors count as
-    unmatched with a recorded outcome.
+    unmatched with a recorded outcome. The report's ``top1``, ``top3`` and
+    ``mrr`` read the rank of each match from its ``candidate_index``.
     """
     outcomes = []
     matched = 0

@@ -348,18 +348,24 @@ def match_leaf_sequence(grammar, cats):
     """Trees whose leaf sequence equals ``cats`` exactly, in DFS order.
 
     Equivalent to filtering enumerate_trees() on the leaf sequence; the
-    search state is the position in ``cats``.
+    search state is the position in ``cats``. Every leaf consumes exactly
+    one category, so the search prunes with a lookahead and no insertables.
     """
     if not cats:
         raise ValueError("empty category sequence")
     cats = tuple(cat.value if isinstance(cat, LexicalCategory) else cat for cat in cats)
+    masks = tuple(TERMINAL_BITS.get(cat, 0) for cat in cats) + (0,)
 
     def fill(name, parent, grandparent, position):
         if position < len(cats) and cats[position] == name:
             return (((), position + 1),)
         return ()
 
-    return [tree for tree, _payloads, end in derive(grammar, fill, 0) if end == len(cats)]
+    def lookahead(position):
+        return len(cats) - position, masks[position]
+
+    found = derive(grammar, fill, 0, lookahead)
+    return [tree for tree, _payloads, end in found if end == len(cats)]
 
 
 def dfs_paths(root, adjacency):

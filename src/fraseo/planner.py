@@ -392,44 +392,7 @@ def _phrase_roles(tree):
     and (the root's PRED child, its first leaf position) or None.
     """
     contexts, targets, starts = [], [], []
-
-    def walk(node, parent, in_subject, in_sp, coord_member, phrase):
-        # ``phrase`` is the innermost SNS/SN as [determiner, noun] positions.
-        name = node.symbol
-        nominal = name in _NOMINAL_PHRASES
-        for index, child in enumerate(node.children):
-            if node is tree:
-                starts.append(len(contexts))
-            symbol = child.symbol
-            if not child.is_leaf:
-                if symbol in _NOMINAL_PHRASES:
-                    opens = child.children[0].symbol == _DETERMINER
-                    child_phrase = [len(contexts) if opens else None, None]
-                else:
-                    child_phrase = phrase
-                walk(
-                    child,
-                    name,
-                    index == 0 and len(node.children) == 2 if name == "S" else in_subject,
-                    in_sp or name == "SP",
-                    coord_member or (name == "SNC" and symbol == "SNS"),
-                    child_phrase,
-                )
-                continue
-            target = NO_AGREEMENT
-            if nominal and symbol == _NOUN:
-                phrase[1] = len(contexts)
-            elif nominal and symbol == _DETERMINER:
-                target = phrase
-            elif name == "SADJ" and symbol == _ADJECTIVE:
-                if parent in _NOMINAL_PHRASES:
-                    target = phrase
-                elif parent == "PRED":
-                    target = SUBJECT_AGREEMENT
-            contexts.append((in_subject, in_sp, coord_member, phrase and phrase[0]))
-            targets.append(target)
-
-    walk(tree, None, False, False, False, None)
+    _walk_roles(tree, None, False, False, False, None, contexts, targets, starts)
     agreement = tuple(
         (NO_AGREEMENT if target[1] is None else target[1])
         if isinstance(target, list) else target  # a phrase: agree with its noun
@@ -440,6 +403,52 @@ def _phrase_roles(tree):
         if child.symbol == "PRED":
             pred = (child, start)
     return contexts, agreement, starts[1] if len(starts) == 2 else 0, pred
+
+
+def _walk_roles(node, parent, in_subject, in_sp, coord_member, phrase,
+                contexts, targets, starts=None):
+    """Append the roles of ``node``'s leaves to ``contexts`` and ``targets``.
+
+    ``phrase`` is the innermost SNS/SN as [determiner, noun] positions.
+    For the root, ``starts`` collects the first leaf position of each
+    child. A module-level function, not a closure, so a walk leaves no
+    reference cycle for the garbage collector.
+    """
+    name = node.symbol
+    nominal = name in _NOMINAL_PHRASES
+    for index, child in enumerate(node.children):
+        if starts is not None:
+            starts.append(len(contexts))
+        symbol = child.symbol
+        if not child.is_leaf:
+            if symbol in _NOMINAL_PHRASES:
+                opens = child.children[0].symbol == _DETERMINER
+                child_phrase = [len(contexts) if opens else None, None]
+            else:
+                child_phrase = phrase
+            _walk_roles(
+                child,
+                name,
+                index == 0 and len(node.children) == 2 if name == "S" else in_subject,
+                in_sp or name == "SP",
+                coord_member or (name == "SNC" and symbol == "SNS"),
+                child_phrase,
+                contexts,
+                targets,
+            )
+            continue
+        target = NO_AGREEMENT
+        if nominal and symbol == _NOUN:
+            phrase[1] = len(contexts)
+        elif nominal and symbol == _DETERMINER:
+            target = phrase
+        elif name == "SADJ" and symbol == _ADJECTIVE:
+            if parent in _NOMINAL_PHRASES:
+                target = phrase
+            elif parent == "PRED":
+                target = SUBJECT_AGREEMENT
+        contexts.append((in_subject, in_sp, coord_member, phrase and phrase[0]))
+        targets.append(target)
 
 
 def _determiner_state(fills, determiner):

@@ -106,6 +106,8 @@ def test_evaluate_bundled_corpus(bundled_fixtures):
     assert payload["total"] == 9
     assert payload["matched"] == 9
     assert payload["rate"] == 1.0
+    assert (payload["top1"], payload["top3"]) == (4, 6)
+    assert payload["mrr"] == pytest.approx(259 / 432)
     assert all(outcome["status"] == "matched" for outcome in payload["outcomes"])
 
 

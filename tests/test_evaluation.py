@@ -76,9 +76,27 @@ def test_exact_match_statuses(bundled_fixtures, tmp_path):
     assert statuses == ["matched", "unmatched", "echo", "error"]
     assert report.outcomes[0]["candidate_index"] == 1
     assert "boom" in report.outcomes[3]["detail"]
+    assert (report.top1, report.top3, report.mrr) == (0, 1, pytest.approx(0.5 / 4))
     payload = report.to_dict()
     assert payload["rate"] == report.rate
+    assert (payload["top1"], payload["top3"], payload["mrr"]) == (0, 1, report.mrr)
     assert len(payload["outcomes"]) == 4
+
+
+def test_exact_match_rank_metrics_on_bundled_corpus(bundled_fixtures, gen):
+    items = load_corpus(bundled_fixtures / "exact_match_corpus.tsv")
+    report = exact_match_rate(items, gen)
+    ranks = [outcome["candidate_index"] for outcome in report.outcomes]
+    assert ranks == [0, 3, 0, 15, 3, 0, 1, 0, 2]
+    assert (report.matched, report.rate) == (9, 1.0)
+    assert (report.top1, report.top3) == (4, 6)
+    assert report.mrr == pytest.approx(259 / 432)
+    assert report.to_dict()["mrr"] == report.mrr
+
+
+def test_exact_match_rank_metrics_of_empty_corpus():
+    report = exact_match_rate([], lambda words: "Hola.")
+    assert (report.top1, report.top3, report.mrr) == (0, 0, 0.0)
 
 
 def test_exact_match_accepts_plain_strings(tmp_path):

@@ -4,6 +4,7 @@ import re
 import pytest
 from make_golden import golden_inputs, golden_record
 
+import fraseo.grammar as grammar_module
 from fraseo.errors import CycleError, GrammarParseError, UndefinedSymbolError
 from fraseo.grammar import (
     TERMINAL_BITS,
@@ -117,6 +118,39 @@ def test_match_leaf_sequence_agrees_with_enumeration(grammar, data_dir):
         depth_limit=grammar.depth_limit + 1,
     )
     assert match_leaf_sequence(deeper, too_deep)
+
+
+def test_match_leaf_sequence_lookahead_keeps_every_derivation(grammar, monkeypatch):
+    """The pruned match yields the unpruned derivation stream, in order."""
+    work = {"pruned": 0, "full": 0}
+
+    def run(grammar, fill, state, lookahead, side):
+        def counting(*args):
+            work[side] += 1
+            return fill(*args)
+
+        found = derive(grammar, counting, state, lookahead)
+        return [(str(tree), payloads, end) for tree, payloads, end in found]
+
+    def both(grammar, fill, state=None, lookahead=None, insertable=frozenset()):
+        assert lookahead is not None and insertable == frozenset()
+        pruned = run(grammar, fill, state, lookahead, "pruned")
+        assert pruned == run(grammar, fill, state, None, "full")
+        return iter(derive(grammar, fill, state, lookahead))
+
+    monkeypatch.setattr(grammar_module, "derive", both)
+    cases = [
+        ("determiner", "noun", "verb", "preposition", "determiner", "noun"),
+        ("noun", "conjunction", "noun", "verb", "noun"),
+        ("pronoun", "verb", "preposition", "verb", "noun"),
+        ("noun", "verb", "noun") + ("preposition", "noun") * 3,
+        ("verb", "noun"),
+        ("noun", "noun", "noun"),
+        ("S", "verb"),
+    ]
+    matched = [len(match_leaf_sequence(grammar, cats)) for cats in cases]
+    assert matched == [1, 1, 1, 0, 1, 0, 0]
+    assert work["pruned"] * 3 < work["full"]
 
 
 def test_bundled_grammar_enumeration_is_stable(grammar):

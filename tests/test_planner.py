@@ -1,3 +1,4 @@
+import gc
 from unittest import mock
 
 import pytest
@@ -251,6 +252,25 @@ def test_search_work_on_golden_inputs_is_bounded(resources, monkeypatch):
     inputs = golden_inputs(resources.lexicon)
     assert len(inputs) == 320
     assert 0 < _fill_calls(inputs, resources, monkeypatch) <= GOLDEN_FILL_CALLS
+
+
+def test_generation_leaves_no_garbage_cycles(resources, bundled_fixtures):
+    """A plan's tree and role lists are freed by reference counting alone."""
+    inputs = [list(item.keywords) for item in load_corpus(
+        bundled_fixtures / "exact_match_corpus.tsv"
+    )]
+    gc.collect()
+    gc.disable()
+    try:
+        for words in inputs:  # warm-up: module-level caches fill here
+            assert not generate(words, resources).echo
+        gc.collect()
+        for _ in range(20):
+            for words in inputs:
+                generate(words, resources)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _pruning_checked(words, resources):
