@@ -112,13 +112,12 @@ class MergeReport:
         return flat
 
 
-def load_source_records(path, default_source=None):
+def load_source_records(path):
     """Read a source lexicon file into SourceRecords.
 
     Entries take their source from their own ``source`` attribute, else
-    the root's, else ``default_source``, else the path. Categories and
-    adverb classes are kept verbatim for later mapping. Errors name the
-    path and the line.
+    the root's, else the path. Categories and adverb classes are kept
+    verbatim for later mapping. Errors name the path and the line.
     """
 
     def read_record(element, root):
@@ -126,7 +125,7 @@ def load_source_records(path, default_source=None):
         if not lemma:
             raise LexiconParseError("source entry without lemma")
         return SourceRecord(
-            source_id=element.get("source", root.get("source") or default_source or str(path)),
+            source_id=element.get("source", root.get("source") or str(path)),
             lemma=lemma,
             category=element.get("cat", ""),
             forms=parse_forms(element, lemma),
@@ -252,7 +251,7 @@ class AllowlistOracle:
                 lemma, _, cats = line.partition("\t")
                 lemma = lemma.strip()
                 if not lemma or not cats.strip():
-                    raise LexiconParseError("bad allowlist line", number)
+                    raise LexiconParseError("%s: bad allowlist line" % path, number)
                 categories = set()
                 for name in cats.split(","):
                     name = normalize_category(name)
@@ -262,7 +261,7 @@ class AllowlistOracle:
                         categories.add(LexicalCategory(name))
                     except ValueError:
                         raise LexiconParseError(
-                            "unknown category %r in allowlist" % name, number
+                            "%s: unknown category %r in allowlist" % (path, name), number
                         )
                 table[lemma] = categories
         return cls(table)

@@ -6,7 +6,9 @@ verification), ``train-lm`` (count-based model training), ``evaluate``
 (exact-match corpus scoring) and ``agreement`` (annotator reliability).
 
 Exit statuses are stable: 0 success, 1 configuration or parse failure,
-2 generation impossible (the input is echoed back). The markers ``no``
+2 generation impossible (the input is echoed back), 141 (128 + SIGPIPE,
+as a shell reports for ``cat`` or ``grep``) when the reader of standard
+output closed it early, with nothing on standard error. The markers ``no``
 and ``?`` are ordinary argv tokens; quote ``?`` in shells that glob it.
 
 ``build-lexicon``, ``evaluate`` and ``agreement`` import ``builder`` or
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import lm
@@ -29,6 +32,7 @@ from .pipeline import generate, load_resources
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NO_GENERATION = 2
+EXIT_BROKEN_PIPE = 141
 
 FORMAT_PLAIN = "plain"
 FORMAT_JSON = "json"
@@ -253,7 +257,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
+        return status
+    except BrokenPipeError:
+        # Send the unwritten rest to devnull so the exit flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except FraseoError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

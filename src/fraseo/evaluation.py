@@ -33,7 +33,10 @@ class CorpusItem:
 
 
 def load_corpus(path):
-    """Read a TSV evaluation corpus: ``target<TAB>kw1,kw2,...`` per line."""
+    """Read a TSV evaluation corpus: ``target<TAB>kw1,kw2,...`` per line.
+
+    Errors name the line and ``path``.
+    """
     items = []
     with open(path, "r", encoding="utf-8") as handle:
         for number, raw in enumerate(handle, start=1):
@@ -42,11 +45,13 @@ def load_corpus(path):
                 continue
             target, sep, keywords = line.partition("\t")
             if not sep:
-                raise EvaluationError("line %d: missing tab separator" % number)
+                raise EvaluationError("line %d: %s: missing tab separator" % (number, path))
             target = target.strip()
             words = tuple(word.strip() for word in keywords.split(",") if word.strip())
             if not target or not words:
-                raise EvaluationError("line %d: empty target or keyword list" % number)
+                raise EvaluationError(
+                    "line %d: %s: empty target or keyword list" % (number, path)
+                )
             items.append(CorpusItem(target=target, keywords=words))
     return items
 

@@ -31,7 +31,8 @@ the caller may insert without input count as consuming none and are
 transparent for FIRST. Both tables are computed over the grammar without
 the depth limit, which only removes derivations, so the first is a lower
 bound and the second a superset: a suffix they rule out has no derivation,
-and cutting it changes no result.
+and cutting it changes no result. A search without a lookahead cuts
+nothing, which makes it the unpruned reference the pruned one must equal.
 """
 
 import math
@@ -249,26 +250,26 @@ def derive(grammar, fill, state=None, lookahead=None, insertable=frozenset()):
     token reads as no category in its FIRST set. Such a
     suffix has no derivation, so the stream is the same as without
     lookahead, in the same order, and the memo stays exact because a cut
-    depends only on the suffix and the state.
+    depends only on the suffix and the state. With ``lookahead`` None
+    nothing is cut.
     """
     start_usage = tuple(int(name == grammar.start) for name in grammar.rules_for)
-    if lookahead is None:
-        search = _Derivation(grammar, fill)
-    else:
-        search = _PrunedDerivation(grammar, fill, lookahead, insertable)
+    search = _Derivation(grammar, fill, lookahead, insertable)
     return search.derivations(grammar.start, None, state, start_usage)
 
 
 class _Derivation:
-    """One ``derive`` run: the fill and the memo, with no reference cycle.
+    """One ``derive`` run: the fill, the lookahead and the memo, with no reference cycle.
 
     Plain methods instead of nested closures let the memo go as soon as the
     returned iterator does, without waiting for the cyclic garbage collector.
     """
 
-    def __init__(self, grammar, fill):
+    def __init__(self, grammar, fill, lookahead, insertable):
         self.grammar = grammar
         self.fill = fill
+        self.lookahead = lookahead
+        self.bounds = grammar.suffix_bounds(insertable)
         self.slots = {name: index for index, name in enumerate(grammar.rules_for)}
         self.memo = {}
 
@@ -299,7 +300,15 @@ class _Derivation:
                 yield TreeNode(symbol, children), payloads, end
 
     def body(self, names, index, head, parent, state, usage, children, payloads):
-        """Complete a rule body whose first ``index`` symbols are built."""
+        """Complete a rule body whose first ``index`` symbols are built.
+
+        With a lookahead, a suffix the input left cannot fill yields nothing.
+        """
+        need, first = self.bounds[names][index]
+        if need and self.lookahead:
+            left, pending = self.lookahead(state)
+            if need > left or not pending & first:
+                return
         choices = self.expand(names[index], head, parent, state, usage)
         if index + 1 == len(names):
             for node, more, end in choices:
@@ -309,25 +318,6 @@ class _Derivation:
             yield from self.body(
                 names, index + 1, head, parent, middle, usage, children + (node,), payloads + more
             )
-
-
-class _PrunedDerivation(_Derivation):
-    """A ``derive`` run that cuts rule suffixes the input left cannot fill."""
-
-    def __init__(self, grammar, fill, lookahead, insertable):
-        super().__init__(grammar, fill)
-        self.lookahead = lookahead
-        self.bounds = grammar.suffix_bounds(insertable)
-
-    def body(self, names, index, head, parent, state, usage, children, payloads):
-        need, first = self.bounds[names][index]
-        if need:
-            left, pending = self.lookahead(state)
-            if need > left or not pending & first:
-                return ()
-        return _Derivation.body(
-            self, names, index, head, parent, state, usage, children, payloads
-        )
 
 
 def _accept_any(name, parent, grandparent, state):

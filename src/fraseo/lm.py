@@ -155,7 +155,7 @@ class NGramModel:
                 else:
                     raise ValueError("unrecognized record")
             except (ValueError, IndexError) as exc:
-                raise ModelError("bad model line %d: %r" % (number, raw)) from exc
+                raise ModelError("line %d: %s: bad model record %r" % (number, path, raw)) from exc
         return model
 
 

@@ -26,7 +26,7 @@ the realizer never reads the tree.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
@@ -95,40 +95,28 @@ class SentenceMode(enum.Enum):
 
 @dataclass(frozen=True)
 class InputToken:
-    """One user keyword, resolved against the lexicon."""
+    """One user keyword, resolved against the lexicon.
+
+    ``readings`` maps each LexicalCategory the token reads as to its
+    (LexicalEntry, WordForm) pairs, both in lexicon order. An
+    out-of-vocabulary word reads only as a proper name with no entry,
+    ``((None, None),)``; a marker reads as nothing.
+    """
 
     raw: str
-    resolved: tuple = ()  # tuple of (LexicalEntry, WordForm) pairs
+    readings: dict = field(default_factory=dict, hash=False)  # a dict has no hash
     marker: str | None = None
     is_default_subject: bool = False
 
-    @property
-    def is_oov(self):
-        return self.marker is None and not self.resolved
 
-    def matches_category(self, category):
-        if self.marker is not None:
-            return False
-        if self.is_oov:
-            return category is LexicalCategory.proper_name
-        return any(entry.category is category for entry, _ in self.resolved)
-
-    def resolutions_for(self, category):
-        """(entry, form) readings of this token under the given category.
-
-        Out-of-vocabulary tokens read as proper names with no entry.
-        """
-        if self.is_oov and category is LexicalCategory.proper_name:
-            return ((None, None),)
-        return tuple(
-            (entry, form) for entry, form in self.resolved if entry.category is category
-        )
-
-    def resolves_lemma(self, lemma, category=None):
-        for entry, _ in self.resolved:
-            if entry.lemma == lemma and (category is None or entry.category is category):
-                return True
-        return False
+def _readings(pairs):
+    """The ``InputToken.readings`` map of a word's lexicon pairs."""
+    if not pairs:
+        return {LexicalCategory.proper_name: ((None, None),)}
+    readings = {}
+    for entry, form in pairs:
+        readings[entry.category] = readings.get(entry.category, ()) + ((entry, form),)
+    return readings
 
 
 @dataclass(frozen=True)
@@ -204,7 +192,7 @@ def _resolve_word(word, lexicon):
     if not pairs:
         entries = lookup_lemma(lexicon, word.lower())
         pairs = tuple((entry, entry.forms[0]) for entry in entries)
-    return InputToken(raw=word, resolved=tuple(pairs))
+    return InputToken(raw=word, readings=_readings(pairs))
 
 
 def tokenize_and_resolve(words, lexicon):
@@ -248,9 +236,7 @@ def detect_mode(tokens):
 def select_tense(tokens):
     """Tense from the first time adverb among the tokens; present otherwise."""
     for token in tokens:
-        for entry, _form in token.resolved:
-            if entry.category is not LexicalCategory.adverb:
-                continue
+        for entry, _form in token.readings.get(LexicalCategory.adverb, ()):
             if entry.adverb_class is AdverbClass.time_past:
                 return Tense.past
             if entry.adverb_class is AdverbClass.time_future:
@@ -262,7 +248,7 @@ def split_subject_predicate(tokens):
     """Split content tokens around the first verb-readable token."""
     content = [token for token in tokens if token.marker is None]
     for index, token in enumerate(content):
-        if token.matches_category(LexicalCategory.verb):
+        if LexicalCategory.verb in token.readings:
             return content[:index], content[index:]
     words = " ".join(token.raw for token in content)
     raise NoVerbError("no verb among the input words: %s" % words)
@@ -274,7 +260,7 @@ def insert_default_subject(subject_tokens, lexicon):
         return list(subject_tokens)
     pairs = lookup_form(lexicon, DEFAULT_SUBJECT_LEMMA)
     token = InputToken(
-        raw=DEFAULT_SUBJECT_LEMMA, resolved=tuple(pairs), is_default_subject=True
+        raw=DEFAULT_SUBJECT_LEMMA, readings=_readings(pairs), is_default_subject=True
     )
     return [token]
 
@@ -286,15 +272,11 @@ class _Search:
     tokens: list
 
     def __post_init__(self):
-        # Per token, the TERMINAL_BITS mask of the categories it reads as:
-        # an int, so a search builds no set or generator per token.
-        self.masks = []
-        for token in self.tokens:
-            mask = 0
-            for name, category in _CATEGORIES.items():
-                if token.matches_category(category):
-                    mask |= TERMINAL_BITS[name]
-            self.masks.append(mask)
+        # Per token, the TERMINAL_BITS mask of the categories it reads as.
+        self.masks = [
+            sum(TERMINAL_BITS[category.value] for category in token.readings)
+            for token in self.tokens
+        ]
 
 
 def _lookahead(search, state):
@@ -316,9 +298,10 @@ def _fill_terminal(search, name, parent, grandparent, state):
     category = _CATEGORIES[name]
     tokens = search.tokens
     token = tokens[pos] if pos < len(tokens) else None
-    if token is not None and token.matches_category(category):
+    readings = token.readings.get(category) if token is not None else None
+    if readings:
         choices = []
-        for entry, form in token.resolutions_for(category):
+        for entry, form in readings:
             new_verb = verb_lemma
             if category is LexicalCategory.verb and verb_lemma is None and entry:
                 new_verb = entry.lemma
@@ -520,14 +503,15 @@ def plan_structures(tokens, grammar, lexicon, lm):
     tense = select_tense(tokens)
     subject, predicate = split_subject_predicate(tokens)
 
-    reflexive_forced = bool(subject) and subject[-1].resolves_lemma(
-        REFLEXIVE_LEMMA, LexicalCategory.pronoun
+    reflexive_forced = bool(subject) and any(
+        entry.lemma == REFLEXIVE_LEMMA
+        for entry, _form in subject[-1].readings.get(LexicalCategory.pronoun, ())
     )
     if reflexive_forced:
         subject = subject[:-1]
 
     if not subject and any(
-        token.matches_category(LexicalCategory.preposition) for token in predicate
+        LexicalCategory.preposition in token.readings for token in predicate
     ):
         raise NoStructureError(
             "explicit preposition with no subject does not fit the grammar"

@@ -233,7 +233,8 @@ def _inflect_slot(plan, index, agreement, verb_seen, trace):
         return word, False
 
     if category is LexicalCategory.verb:
-        if not verb_seen:
+        finite = not verb_seen
+        if finite:
             target = FeatureBundle(
                 person=agreement.person,
                 number=agreement.number,
@@ -242,28 +243,19 @@ def _inflect_slot(plan, index, agreement, verb_seen, trace):
             )
         else:
             target = FeatureBundle(mood=Mood.infinitive)
-        try:
-            word = inflect(fill.entry, target)
-        except InflectionMiss:
-            word = fill.surface
-            trace.append("inflection miss %s kept %s" % (fill.entry.lemma, word))
-        return word, not verb_seen
-
-    if category in (LexicalCategory.determiner, LexicalCategory.adjective):
+    elif category in (LexicalCategory.determiner, LexicalCategory.adjective):
+        finite = False
         gender, number = _agreement_target(plan, index, agreement)
         target = FeatureBundle(gender=gender, number=number)
-        try:
-            word = inflect(fill.entry, target)
-        except InflectionMiss:
-            word = fill.surface
-            trace.append("inflection miss %s kept %s" % (fill.entry.lemma, word))
-        return word, False
-
-    # Nouns and pronouns keep their resolved form; invariable categories
-    # surface their single form.
-    if fill.form is not None:
-        return fill.form.surface, False
-    return fill.surface, False
+    else:
+        # Nouns and pronouns keep their resolved form; invariable categories
+        # surface their single form.
+        return (fill.surface if fill.form is None else fill.form.surface), False
+    try:
+        return inflect(fill.entry, target), finite
+    except InflectionMiss:
+        trace.append("inflection miss %s kept %s" % (fill.entry.lemma, fill.surface))
+        return fill.surface, finite
 
 
 def _insertion_label(rationale):

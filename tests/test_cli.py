@@ -121,6 +121,26 @@ def test_evaluate_unreachable_corpus(bundled_fixtures):
     assert payload["outcomes"][0]["status"] == "echo"
 
 
+def test_closed_output_pipe_exits_141_quietly(bundled_fixtures):
+    corpus = str(bundled_fixtures / "exact_match_corpus.tsv")
+    for argv in (
+        ["evaluate", "--corpus", corpus],
+        ["generate", "--format", "json", "dibujar", "animales"],
+        ["generate", "dibujar", "animales"],
+    ):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fraseo.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        # The child is still importing, so nothing is written yet.
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141, argv
+        assert err == b"", argv
+
+
 def test_agreement_perfect(test_fixtures):
     status, out, _ = run_cli(
         ["agreement", "--annotations", str(test_fixtures / "perfect_annotations.xml")]
@@ -199,6 +219,34 @@ def test_build_lexicon_bad_source_names_file_and_line(bundled_fixtures, tmp_path
     assert "line 4" in err
     assert "primary.xml" in err
     assert not out_path.exists()
+
+
+def test_bad_resource_files_name_file_and_line(bundled_fixtures, tmp_path):
+    corpus = tmp_path / "bad.tsv"
+    corpus.write_text("a target with no tab\n", encoding="utf-8")
+    model = tmp_path / "bad.lm"
+    model.write_text("V ir four 0\n", encoding="utf-8")
+    allowlist = tmp_path / "bad_allowlist.tsv"
+    allowlist.write_text("casa\tbogus\n", encoding="utf-8")
+    good_corpus = str(bundled_fixtures / "exact_match_corpus.tsv")
+    for argv, name in (
+        (["evaluate", "--corpus", str(corpus)], "bad.tsv"),
+        (["evaluate", "--lm", str(model), "--corpus", good_corpus], "bad.lm"),
+        (
+            [
+                "build-lexicon",
+                "--primary", str(bundled_fixtures / "source_a.xml"),
+                "--expansion", str(bundled_fixtures / "source_b.xml"),
+                "--oracle", str(allowlist),
+                "--out", str(tmp_path / "merged.xml"),
+            ],
+            "bad_allowlist.tsv",
+        ),
+    ):
+        status, out, err = run_cli(argv)
+        assert status == 1, name
+        assert out == ""
+        assert name in err and "line 1" in err, err
 
 
 def _source_file(path, source, entry):

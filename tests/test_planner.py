@@ -9,8 +9,9 @@ from make_golden import golden_inputs
 from fraseo import planner
 from fraseo.errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
 from fraseo.evaluation import load_corpus
-from fraseo.features import LexicalCategory, Tense
-from fraseo.grammar import derive, parse_grammar
+from fraseo.features import FeatureBundle, LexicalCategory, Mood, Number, Person, Tense
+from fraseo.grammar import TERMINAL_BITS, derive, parse_grammar
+from fraseo.lexicon import LexicalEntry, Lexicon, WordForm
 from fraseo.lm import NGramModel
 from fraseo.pipeline import generate, load_default_resources
 from fraseo.planner import (
@@ -42,22 +43,57 @@ def test_tokenize_separates_markers(lexicon):
         MARKER_QUESTION,
         None,
     ]
-    assert tokens[0].matches_category(LexicalCategory.noun)
-    assert tokens[3].matches_category(LexicalCategory.verb)
+    assert LexicalCategory.noun in tokens[0].readings
+    assert LexicalCategory.verb in tokens[3].readings
+    assert tokens[1].readings == tokens[2].readings == {}
+
+
+def lemmas(token, category):
+    return [entry.lemma for entry, _form in token.readings.get(category, ())]
 
 
 def test_tokenize_resolves_inflected_and_lemma_lookups(lexicon):
     tokens = tokenize_and_resolve(["Comemos", "lápices"], lexicon)
-    assert tokens[0].resolves_lemma("comer", LexicalCategory.verb)
-    assert tokens[1].resolves_lemma("lápiz", LexicalCategory.noun)
+    assert "comer" in lemmas(tokens[0], LexicalCategory.verb)
+    assert "lápiz" in lemmas(tokens[1], LexicalCategory.noun)
 
 
 def test_tokenize_keeps_oov_words(lexicon):
     tokens = tokenize_and_resolve(["Ana", "comer"], lexicon)
-    assert tokens[0].is_oov
-    assert tokens[0].matches_category(LexicalCategory.proper_name)
-    assert tokens[0].resolutions_for(LexicalCategory.proper_name) == ((None, None),)
-    assert not tokens[0].matches_category(LexicalCategory.noun)
+    assert tokens[0].marker is None
+    assert tokens[0].readings == {LexicalCategory.proper_name: ((None, None),)}
+
+
+def test_readings_keep_every_category_of_a_surface():
+    """A homograph reads as each of its categories, pairs in lexicon order."""
+
+    def subjunctive(person):
+        features = FeatureBundle(
+            person=person, number=Number.singular, tense=Tense.present, mood=Mood.subjunctive
+        )
+        return WordForm("cante", features)
+
+    sing = LexicalEntry(
+        lemma="cantar",
+        category=LexicalCategory.verb,
+        forms=(
+            WordForm("cantar", FeatureBundle(mood=Mood.infinitive)),
+            subjunctive(Person.first),
+            subjunctive(Person.third),
+        ),
+    )
+    song = LexicalEntry(
+        lemma="cante",
+        category=LexicalCategory.noun,
+        forms=(WordForm("cante", FeatureBundle(number=Number.singular)),),
+    )
+    (token,) = tokenize_and_resolve(["cante"], Lexicon.from_entries([sing, song]))
+    assert list(token.readings) == [LexicalCategory.verb, LexicalCategory.noun]
+    assert token.readings[LexicalCategory.verb] == ((sing, sing.forms[1]), (sing, sing.forms[2]))
+    assert token.readings[LexicalCategory.noun] == ((song, song.forms[0]),)
+    search = planner._Search(lexicon=None, lm=None, tokens=[token])
+    both = TERMINAL_BITS["verb"] | TERMINAL_BITS["noun"]
+    assert planner._lookahead(search, (0, None)) == (1, both)
 
 
 def test_tokenize_requires_content(lexicon):
@@ -104,7 +140,7 @@ def test_insert_default_subject(lexicon):
     filled = insert_default_subject([], lexicon)
     assert len(filled) == 1
     assert filled[0].is_default_subject
-    assert filled[0].resolves_lemma("yo", LexicalCategory.pronoun)
+    assert "yo" in lemmas(filled[0], LexicalCategory.pronoun)
     existing = tokenize_and_resolve(["perro"], lexicon)
     assert insert_default_subject(existing, lexicon) == existing
 

@@ -219,19 +219,37 @@ def test_realize_subject_agreement_reinflects_adjective(resources):
 
 
 def test_realize_inflection_miss_keeps_surface():
+    feminine_singular = FeatureBundle(gender=Gender.feminine, number=Number.singular)
+    feminine_plural = FeatureBundle(gender=Gender.feminine, number=Number.plural)
     lexicon = Lexicon.from_entries(
         [
             LexicalEntry(
                 lemma="nadar",
                 category=LexicalCategory.verb,
                 forms=(WordForm("nadar", FeatureBundle(mood=Mood.infinitive)),),
-            )
+            ),
+            LexicalEntry(
+                lemma="la",
+                category=LexicalCategory.determiner,
+                forms=(WordForm("la", feminine_singular),),
+            ),
+            LexicalEntry(
+                lemma="casa",
+                category=LexicalCategory.noun,
+                forms=(WordForm("casas", feminine_plural),),
+            ),
         ]
     )
-    grammar = parse_grammar("S -> PRED\nPRED -> verb\n")
+    grammar = parse_grammar("S -> PRED\nPRED -> verb\nPRED -> verb SN\nSN -> determiner noun\n")
     tokens = tokenize_and_resolve(["nadar"], lexicon)
     plans = plan_structures(tokens, grammar, lexicon, NGramModel())
     elided = [plan for plan in plans if plan.subject_leaf_count == 0]
     result = realize(elided[0], {})
     assert result.text == "Nadar."
     assert any(line.startswith("inflection miss nadar") for line in result.trace)
+    # A determiner with no form agreeing with its plural noun keeps its surface.
+    tokens = tokenize_and_resolve(["nadar", "la", "casas"], lexicon)
+    (plan,) = plan_structures(tokens, grammar, lexicon, NGramModel())
+    result = realize(plan, {})
+    assert result.text == "Nadar la casas."
+    assert "inflection miss la kept la" in result.trace
