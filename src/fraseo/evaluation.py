@@ -175,7 +175,8 @@ def load_annotations(path):
 
     Format: ``<annotations>`` holding one ``<annotation sentence=..
     annotator=..>`` per judgement with ``<error>``, ``<rating>`` and
-    optional ``<best>``/``<suggestion>`` children.
+    optional ``<best>``/``<suggestion>`` children. Errors name the
+    element's line and ``path``.
     """
     try:
         tree = ET.parse(path)
@@ -184,49 +185,63 @@ def load_annotations(path):
     except OSError as exc:
         raise EvaluationError("cannot read annotation file %s: %s" % (path, exc))
     root = tree.getroot()
-    if root.tag != "annotations":
-        raise EvaluationError("annotation root must be <annotations>, got <%s>" % root.tag)
     records = []
-    for element in root:
-        if element.tag != "annotation":
-            raise EvaluationError("unexpected element <%s>" % element.tag)
-        sentence = element.get("sentence")
-        annotator = element.get("annotator")
-        if not sentence or not annotator:
-            raise EvaluationError("annotation needs sentence and annotator attributes")
-        error = element.findtext("error", "").strip()
-        rating_text = element.findtext("rating", "").strip()
-        best_text = element.findtext("best")
-        suggestion = element.findtext("suggestion")
-        try:
-            rating = int(rating_text)
-        except ValueError:
+    index = -1  # the root: its line comes first in _element_lines
+    try:
+        if root.tag != "annotations":
             raise EvaluationError(
-                "bad rating %r for sentence %s annotator %s" % (rating_text, sentence, annotator)
+                "annotation root must be <annotations>, got <%s>" % root.tag
             )
-        best = None
-        if best_text is not None and best_text.strip():
-            try:
-                best = int(best_text.strip())
-            except ValueError:
-                raise EvaluationError("bad best index %r" % best_text)
-        record = AnnotationRecord(
-            sentence_id=sentence,
-            annotator_id=annotator,
-            error_type=error,
-            rating=rating,
-            best_generation=best,
-            suggestion=suggestion.strip() if suggestion else None,
-        )
-        try:
-            record.validate()
-        except ValueError as exc:
-            raise EvaluationError(
-                "invalid annotation for sentence %s annotator %s: %s"
-                % (sentence, annotator, exc)
-            )
-        records.append(record)
+        for index, element in enumerate(root):
+            records.append(_annotation_record(element))
+    except EvaluationError as exc:
+        from .lexicon import _element_lines  # only a failed file is read twice
+
+        line = _element_lines(path)[index + 1]
+        raise EvaluationError("line %d: %s: %s" % (line, path, exc)) from None
     return records
+
+
+def _annotation_record(element):
+    """The AnnotationRecord of one ``<annotation>`` element."""
+    if element.tag != "annotation":
+        raise EvaluationError("unexpected element <%s>" % element.tag)
+    sentence = element.get("sentence")
+    annotator = element.get("annotator")
+    if not sentence or not annotator:
+        raise EvaluationError("annotation needs sentence and annotator attributes")
+    error = element.findtext("error", "").strip()
+    rating_text = element.findtext("rating", "").strip()
+    best_text = element.findtext("best")
+    suggestion = element.findtext("suggestion")
+    try:
+        rating = int(rating_text)
+    except ValueError:
+        raise EvaluationError(
+            "bad rating %r for sentence %s annotator %s" % (rating_text, sentence, annotator)
+        )
+    best = None
+    if best_text is not None and best_text.strip():
+        try:
+            best = int(best_text.strip())
+        except ValueError:
+            raise EvaluationError("bad best index %r" % best_text)
+    record = AnnotationRecord(
+        sentence_id=sentence,
+        annotator_id=annotator,
+        error_type=error,
+        rating=rating,
+        best_generation=best,
+        suggestion=suggestion.strip() if suggestion else None,
+    )
+    try:
+        record.validate()
+    except ValueError as exc:
+        raise EvaluationError(
+            "invalid annotation for sentence %s annotator %s: %s"
+            % (sentence, annotator, exc)
+        )
+    return record
 
 
 @dataclass

@@ -33,6 +33,11 @@ the depth limit, which only removes derivations, so the first is a lower
 bound and the second a superset: a suffix they rule out has no derivation,
 and cutting it changes no result. A search without a lookahead cuts
 nothing, which makes it the unpruned reference the pruned one must equal.
+
+Before a search the planner asks ``covers`` whether the whole input can be
+consumed at all, under the same relaxation: insertable terminals may take
+no token and the depth limit is ignored. When it cannot, the search would
+find nothing, and the planner skips it.
 """
 
 import math
@@ -112,6 +117,7 @@ class Grammar:
             by_head.setdefault(rule.head, []).append(rule)
         self.rules_for = by_head
         self._bounds = {}
+        self._cover_rules = {}
 
     def suffix_bounds(self, insertable):
         """``{body: ((min_tokens, first), ...)}``, one pair per body index.
@@ -129,6 +135,28 @@ class Grammar:
         if bounds is None:
             bounds = self._bounds[insertable] = _suffix_bounds(self, insertable)
         return bounds
+
+    def cover_rules(self, insertable):
+        """``{head: bodies}`` for ``covers``, built once per ``insertable`` and kept.
+
+        Each body symbol becomes ``(name, 0, False)`` for a nonterminal and
+        ``(None, bit, skip)`` for a terminal, ``bit`` its ``TERMINAL_BITS``
+        entry and ``skip`` whether it is in ``insertable``.
+        """
+        rules = self._cover_rules.get(insertable)
+        if rules is None:
+            rules = self._cover_rules[insertable] = {
+                head: tuple(
+                    tuple(
+                        (None, TERMINAL_BITS[name], name in insertable)
+                        if name in TERMINALS else (name, 0, False)
+                        for name in rule.body
+                    )
+                    for rule in rules
+                )
+                for head, rules in self.rules_for.items()
+            }
+        return rules
 
 
 def _suffix_bounds(grammar, insertable):
@@ -356,6 +384,76 @@ def match_leaf_sequence(grammar, cats):
 
     found = derive(grammar, fill, 0, lookahead)
     return [tree for tree, _payloads, end in found if end == len(cats)]
+
+
+def covers(grammar, masks, insertable):
+    """Whether a derivation of the start symbol can consume every input token.
+
+    ``masks`` holds, per token, the ``TERMINAL_BITS`` mask of the categories
+    it reads as. The check relaxes the search as ``suffix_bounds`` does: a
+    terminal consumes one token that reads as it or, when it is in
+    ``insertable``, no token, and ``depth_limit`` is ignored. So ``False``
+    proves that no ``derive`` run over these tokens, with a fill that
+    inserts only ``insertable`` terminals, ends at the last token.
+
+    A memoized recognizer over (symbol, start position) pairs, each holding
+    the end positions it reaches as an int bitset. A pair read while it is
+    being computed (left recursion) gives the previous pass's ends, none at
+    first, and passes repeat until no pair changes: the least fixpoint, so
+    the answer is exact for the relaxed grammar.
+    """
+    rules = grammar.cover_rules(insertable)
+    seeds = {}
+    while True:
+        chart = _Cover(rules, masks, seeds)
+        reached = chart.ends(grammar.start, 0)
+        if not chart.looped or chart.memo == seeds:
+            return bool(reached >> len(masks) & 1)
+        seeds = chart.memo
+
+
+class _Cover:
+    """One ``covers`` pass: plain methods, so the chart leaves no reference cycle."""
+
+    def __init__(self, rules, masks, seeds):
+        self.rules = rules
+        # Per terminal bit, the positions of the tokens that read as it.
+        self.fits = dict.fromkeys(TERMINAL_BITS.values(), 0)
+        for pos, mask in enumerate(masks):
+            while mask:
+                bit = mask & -mask
+                self.fits[bit] |= 1 << pos
+                mask ^= bit
+        self.seeds = seeds
+        self.memo = {}
+        self.looped = False
+
+    def ends(self, symbol, start):
+        """The end positions ``symbol`` reaches from ``start``, as a bitset."""
+        key = (symbol, start)
+        found = self.memo.get(key)
+        if found is None:
+            self.memo[key] = -1  # being computed
+            found = 0
+            for body in self.rules[symbol]:
+                reached = 1 << start
+                for name, bit, skip in body:
+                    if name is None:
+                        reached = (reached if skip else 0) | (reached & self.fits[bit]) << 1
+                    else:
+                        starts, reached = reached, 0
+                        while starts:
+                            low = starts & -starts
+                            reached |= self.ends(name, low.bit_length() - 1)
+                            starts ^= low
+                    if not reached:
+                        break
+                found |= reached
+            self.memo[key] = found
+        elif found < 0:
+            self.looped = True
+            found = self.seeds.get(key, 0)
+        return found
 
 
 def dfs_paths(root, adjacency):

@@ -31,7 +31,7 @@ from functools import partial
 
 from .errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
 from .features import AdverbClass, LexicalCategory, Number, Tense
-from .grammar import TERMINAL_BITS, derive
+from .grammar import TERMINAL_BITS, covers, derive
 from .lexicon import Lexicon, LexicalEntry, WordForm, lookup_form, lookup_lemma
 
 NEGATION_WORD = "no"
@@ -532,6 +532,8 @@ def plan_structures(tokens, grammar, lexicon, lm):
             lm=lm,
             tokens=list(subject_tokens) + list(predicate),
         )
+        if not covers(grammar, search.masks, _INSERTABLE):
+            continue  # the search could not consume every token
         fill = partial(_fill_terminal, search)
         lookahead = partial(_lookahead, search)
         for tree, fills, (pos, verb_lemma) in derive(

@@ -249,6 +249,33 @@ def test_bad_resource_files_name_file_and_line(bundled_fixtures, tmp_path):
         assert name in err and "line 1" in err, err
 
 
+def test_bad_annotation_file_names_file_and_line(tmp_path):
+    path = tmp_path / "bad_annotations.xml"
+
+    def annotation(attrs, rating="3", extra=""):
+        return "<annotation %s><error>a</error><rating>%s</rating>%s</annotation>" % (
+            attrs, rating, extra
+        )
+
+    good = annotation('sentence="s1" annotator="a1"')
+    for bad, reason in (
+        ("<note/>", "unexpected element <note>"),
+        (annotation('sentence="s2"'), "annotation needs sentence and annotator attributes"),
+        (annotation('sentence="s2" annotator="a1"', rating="nine"), "bad rating 'nine'"),
+        (
+            annotation('sentence="s2" annotator="a1"', extra="<best>first</best>"),
+            "bad best index 'first'",
+        ),
+    ):
+        path.write_text(
+            "<annotations>\n  %s\n\n  %s\n</annotations>\n" % (good, bad), encoding="utf-8"
+        )
+        status, out, err = run_cli(["agreement", "--annotations", str(path)])
+        assert status == 1, reason
+        assert out == ""
+        assert err.startswith("error: line 4: %s: %s" % (path, reason)), err
+
+
 def _source_file(path, source, entry):
     path.write_text(
         '<?xml version="1.0" encoding="utf-8"?>\n'

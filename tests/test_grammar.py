@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -9,6 +10,7 @@ from fraseo.errors import CycleError, GrammarParseError, UndefinedSymbolError
 from fraseo.grammar import (
     TERMINAL_BITS,
     GrammarRule,
+    covers,
     derive,
     dfs_paths,
     enumerate_trees,
@@ -258,6 +260,46 @@ def test_lookahead_cuts_work_not_derivations():
         (("pronoun", 0), ("verb", 1), ("determiner", None), ("noun", 2)),
         3,
     )
+
+
+LEFT_RECURSIVE_GRAMMAR = """
+S -> NP PRED
+S -> PRED
+NP -> determiner noun
+NP -> noun
+PRED -> verb
+PRED -> PRED adverb
+PRED -> PRED NP
+"""
+
+
+def test_covers_agrees_with_match_leaf_sequence_on_left_recursion():
+    # Deep enough that the depth limit cuts no sequence of up to 4 leaves.
+    grammar = parse_grammar(LEFT_RECURSIVE_GRAMMAR, depth_limit=4)
+    fits = 0
+    for length in range(1, 5):
+        for cats in itertools.product(("determiner", "noun", "verb", "adverb"), repeat=length):
+            expected = bool(match_leaf_sequence(grammar, cats))
+            assert covers(grammar, [mask(cat) for cat in cats], frozenset()) is expected, cats
+            fits += expected
+    assert fits == 31
+    # An insertable terminal lets PRED reach itself with no token.
+    assert covers(grammar, [mask("verb")], frozenset({"adverb"}))
+    assert not covers(grammar, [mask("noun")], frozenset({"adverb"}))
+    # A token may read as several categories.
+    assert covers(grammar, [mask("noun", "verb"), mask("noun")], frozenset())
+
+
+def test_covers_relaxes_the_search_like_suffix_bounds(grammar):
+    too_deep = ("noun", "verb", "noun") + ("preposition", "noun") * 3
+    assert match_leaf_sequence(grammar, too_deep) == []
+    assert covers(grammar, [mask(cat) for cat in too_deep], frozenset())  # no depth limit
+    insertable = frozenset({"determiner", "conjunction", "preposition"})
+    nouns = [mask("noun"), mask("verb"), mask("noun"), mask("noun")]
+    assert covers(grammar, nouns, insertable)  # noun verb noun (preposition) noun
+    assert not covers(grammar, nouns, frozenset())
+    assert not covers(grammar, [mask("noun"), mask("noun")], insertable)  # no verb
+    assert grammar.cover_rules(insertable) is grammar.cover_rules(insertable)
 
 
 def test_dfs_paths_listed_order():

@@ -1,4 +1,5 @@
 import gc
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -10,7 +11,7 @@ from fraseo import planner
 from fraseo.errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
 from fraseo.evaluation import load_corpus
 from fraseo.features import FeatureBundle, LexicalCategory, Mood, Number, Person, Tense
-from fraseo.grammar import TERMINAL_BITS, derive, parse_grammar
+from fraseo.grammar import TERMINAL_BITS, covers, derive, parse_grammar
 from fraseo.lexicon import LexicalEntry, Lexicon, WordForm
 from fraseo.lm import NGramModel
 from fraseo.pipeline import generate, load_default_resources
@@ -231,7 +232,7 @@ def test_oov_subject_reads_as_proper_name(resources):
 # exact-match corpus and over the golden inputs. Deterministic work
 # counters: raise them only with a reason.
 CORPUS_FILL_CALLS = 448
-GOLDEN_FILL_CALLS = 7892
+GOLDEN_FILL_CALLS = 2152
 
 RESOURCES = load_default_resources()
 SURFACES = sorted(
@@ -351,6 +352,72 @@ def test_lookahead_keeps_every_derivation_on_golden_inputs(resources):
 @given(st.lists(st.sampled_from(SURFACES + ["no", "?", "Lucía"]), max_size=7))
 def test_lookahead_keeps_every_derivation(words):
     _pruning_checked(words, RESOURCES)
+
+
+def _cover_checked(words, resources, check=covers):
+    """Plan ``words`` with ``check`` in place of ``covers``; return its verdicts.
+
+    For every attempt ``check`` rejects, runs the unpruned search over that
+    attempt's tokens and asserts that no derivation ends at the last token.
+    """
+    searches = []
+    verdicts = []
+
+    class RecordedSearch(planner._Search):
+        def __post_init__(self):
+            super().__post_init__()
+            searches.append(self)
+
+    def checked_covers(grammar, masks, insertable):
+        search = searches[-1]
+        assert masks is search.masks and insertable == planner._INSERTABLE
+        verdicts.append(check(grammar, masks, insertable))
+        if not verdicts[-1]:
+            fill = partial(planner._fill_terminal, search)
+            ends = {state[0] for _tree, _fills, state in derive(grammar, fill, (0, None))}
+            assert len(search.tokens) not in ends, words
+        return verdicts[-1]
+
+    with mock.patch.object(planner, "_Search", RecordedSearch), mock.patch.object(
+        planner, "covers", checked_covers
+    ):
+        try:
+            plans_for(words, resources)
+        except (EmptyInputError, NoStructureError, NoVerbError):
+            pass
+    return verdicts
+
+
+# Lists that fit only with a preposition the verb's usage profile inserts:
+# no conjunction can stand in for it. No golden input is of this kind.
+PREPOSITION_ONLY = (("niñas", "ir", "contentas", "parque"), ("ir", "contento", "parque"))
+
+
+def test_cover_check_rejects_only_attempts_with_no_derivation(resources):
+    verdicts = []
+    for words in golden_inputs(resources.lexicon) + list(PREPOSITION_ONLY):
+        verdicts += _cover_checked(words, resources)
+    assert verdicts.count(True) > 0 and verdicts.count(False) > 0
+    for words in PREPOSITION_ONLY:
+        for plan in plans_for(words, resources):
+            assert planner.RATIONALE_PREPOSITION in [why for _, _, why in plan.inserted]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(SURFACES + ["no", "?", "Lucía"]), max_size=7))
+def test_cover_check_is_sound(words):
+    _cover_checked(words, RESOURCES)
+
+
+def test_cover_soundness_check_catches_a_planted_mutant(resources):
+    """A check that may not insert prepositions rejects attempts that do fit."""
+
+    def mutant(grammar, masks, insertable):
+        return covers(grammar, masks, insertable - {"preposition"})
+
+    for words in PREPOSITION_ONLY:
+        with pytest.raises(AssertionError, match="not in"):  # a derivation ends at the last token
+            _cover_checked(words, resources, mutant)
 
 
 def test_generate_rejects_negative_cap(resources):
