@@ -19,7 +19,6 @@ without loading either.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -39,6 +38,8 @@ FORMAT_JSON = "json"
 
 
 def _canonical_json(payload):
+    import json  # here, so plain ``generate`` output never loads it
+
     return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
 
 

@@ -5,8 +5,8 @@ describe invariable words (prepositions, many adverbs) and underdetermined
 forms (an adjective like "azul" that serves both genders).
 """
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 
 class Gender(Enum):
@@ -83,13 +83,64 @@ AXIS_UNSPECIFIED = tuple(
 )
 
 
-@dataclass(frozen=True)
-class FeatureBundle:
-    gender: Gender = Gender.unspecified
-    number: Number = Number.unspecified
-    person: Person = Person.unspecified
-    tense: Tense = Tense.unspecified
-    mood: Mood = Mood.unspecified
+class Value:
+    """Base of fraseo's small value classes, whose fields are their slots.
+
+    A subclass lists its fields in ``__slots__``, after those it inherits,
+    and assigns each in a hand-written ``__init__`` that takes them by name.
+    A class that also keeps state derived from its fields names the fields
+    alone in ``_fields``. From the fields this base gives equality (an
+    instance equals only an instance of its own class), a hash, a
+    ``Name(field=value, ...)`` repr and ``replaced(**changes)``. Instances
+    are frozen by convention: nothing assigns a field after ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+        cls._field_values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values(self) == other._field_values(other)
+
+    def __hash__(self):
+        return hash(self._field_values(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields),
+        )
+
+    def replaced(self, **changes):
+        """A copy with the named fields set to new values."""
+        values = {name: getattr(self, name) for name in self._fields}
+        values.update(changes)
+        return type(self)(**values)
+
+
+class FeatureBundle(Value):
+    __slots__ = AXES
+
+    def __init__(
+        self,
+        gender=Gender.unspecified,
+        number=Number.unspecified,
+        person=Person.unspecified,
+        tense=Tense.unspecified,
+        mood=Mood.unspecified,
+    ):
+        self.gender = gender
+        self.number = number
+        self.person = person
+        self.tense = tense
+        self.mood = mood
 
     def validate(self):
         """Check internal consistency; raises ValueError on violation.
@@ -146,11 +197,6 @@ class FeatureBundle:
             mine = getattr(self, axis)
             kwargs[axis] = mine if mine is not unspecified else getattr(other, axis)
         return FeatureBundle(**kwargs)
-
-    def replaced(self, **kwargs):
-        current = {axis: getattr(self, axis) for axis in AXES}
-        current.update(kwargs)
-        return FeatureBundle(**current)
 
     def __str__(self):
         parts = ["%s=%s" % (axis, getattr(self, axis).value) for axis in self.specified_axes()]

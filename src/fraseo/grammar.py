@@ -42,10 +42,9 @@ find nothing, and the planner skips it.
 
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import CycleError, GrammarParseError, UndefinedSymbolError
-from .features import LexicalCategory
+from .features import LexicalCategory, Value
 
 TERMINALS = frozenset(cat.value for cat in LexicalCategory)
 # One bit per terminal: FIRST sets and lookahead category sets are masks.
@@ -57,20 +56,21 @@ _VARIABLE_PREFIXES = "pngtm"
 _SYMBOL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\(([^()]*)\))?$")
 
 
-@dataclass(frozen=True)
-class GrammarRule:
+class GrammarRule(Value):
     """One production: head name, body names and the line it was read from."""
 
-    head: str
-    body: tuple
-    line: int
+    __slots__ = ("head", "body", "line")
+
+    def __init__(self, head, body, line):
+        self.head = head
+        self.body = body
+        self.line = line
 
     def __str__(self):
         return "%s -> %s" % (self.head, " ".join(self.body))
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(Value):
     """Derivation tree node; terminal leaves have no children.
 
     ``symbol`` is always the plain ``str`` name of the nonterminal or
@@ -79,8 +79,11 @@ class TreeNode:
     object identity.
     """
 
-    symbol: str
-    children: tuple = ()
+    __slots__ = ("symbol", "children")
+
+    def __init__(self, symbol, children=()):
+        self.symbol = symbol
+        self.children = children
 
     @property
     def is_leaf(self):
@@ -105,15 +108,16 @@ class TreeNode:
         return "%s(%s)" % (self.symbol, " ".join(str(child) for child in self.children))
 
 
-@dataclass
-class Grammar:
-    rules: tuple
-    start: str
-    depth_limit: int = 2
+class Grammar(Value):
+    _fields = ("rules", "start", "depth_limit")
+    __slots__ = _fields + ("rules_for", "_bounds", "_cover_rules")
 
-    def __post_init__(self):
+    def __init__(self, rules, start, depth_limit=2):
+        self.rules = rules
+        self.start = start
+        self.depth_limit = depth_limit
         by_head = {}
-        for rule in self.rules:
+        for rule in rules:
             by_head.setdefault(rule.head, []).append(rule)
         self.rules_for = by_head
         self._bounds = {}

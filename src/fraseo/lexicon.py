@@ -23,11 +23,11 @@ it a per-entry callback built on ``parse_forms`` and ``parse_extras``.
 """
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
 from xml.parsers import expat
 
 from .errors import InflectionMiss, LexiconConflictError, LexiconParseError
 from .features import (
+    EMPTY_BUNDLE,
     INVARIABLE_CATEGORIES,
     AdverbClass,
     FeatureBundle,
@@ -37,6 +37,7 @@ from .features import (
     Number,
     Person,
     Tense,
+    Value,
 )
 from .fileio import write_text_atomic
 
@@ -64,20 +65,32 @@ FORM_CODES = {
 _CODE_FOR = {value: code for codes in FORM_CODES.values() for code, value in codes.items()}
 
 
-@dataclass(frozen=True)
-class WordForm:
-    surface: str
-    features: FeatureBundle = FeatureBundle()
+class WordForm(Value):
+    __slots__ = ("surface", "features")
+
+    def __init__(self, surface, features=EMPTY_BUNDLE):
+        self.surface = surface
+        self.features = features
 
 
-@dataclass(frozen=True)
-class LexicalEntry:
-    lemma: str
-    category: LexicalCategory
-    forms: tuple
-    adverb_class: AdverbClass = None
-    reflexive_capable: bool = False
-    extras: tuple = ()  # ((key, value), ...) carried through merges
+class LexicalEntry(Value):
+    __slots__ = ("lemma", "category", "forms", "adverb_class", "reflexive_capable", "extras")
+
+    def __init__(
+        self,
+        lemma,
+        category,
+        forms,
+        adverb_class=None,  # an AdverbClass, adverbs only
+        reflexive_capable=False,
+        extras=(),  # ((key, value), ...) carried through merges
+    ):
+        self.lemma = lemma
+        self.category = category
+        self.forms = forms
+        self.adverb_class = adverb_class
+        self.reflexive_capable = reflexive_capable
+        self.extras = extras
 
     def validate(self):
         if not self.lemma:
@@ -104,11 +117,14 @@ class LexicalEntry:
         return dict(self.extras)
 
 
-@dataclass
-class Lexicon:
-    entries: tuple = ()
-    lemma_index: dict = field(default_factory=dict)  # lemma -> entries in file order
-    form_index: dict = field(default_factory=dict)
+class Lexicon(Value):
+    __slots__ = ("entries", "lemma_index", "form_index")
+
+    def __init__(self, entries=(), lemma_index=None, form_index=None):
+        self.entries = entries
+        # lemma -> entries in file order; surface -> (entry, form) pairs
+        self.lemma_index = {} if lemma_index is None else lemma_index
+        self.form_index = {} if form_index is None else form_index
 
     @classmethod
     def from_entries(cls, entries):

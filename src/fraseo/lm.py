@@ -16,10 +16,8 @@ Queries normalize the preposition weights into a distribution and turn the
 reflexive tally into a relative frequency.
 """
 
-from dataclasses import dataclass, field
-
 from .errors import ModelError
-from .features import LexicalCategory
+from .features import LexicalCategory, Value
 from .fileio import write_text_atomic
 
 ADJACENT_WEIGHT = 1.0
@@ -29,11 +27,13 @@ REFLEXIVE_LEMMA = "se"
 _CATEGORY_VALUES = frozenset(cat.value for cat in LexicalCategory)
 
 
-@dataclass(frozen=True)
-class TaggedToken:
-    surface: str
-    lemma: str
-    category: str
+class TaggedToken(Value):
+    __slots__ = ("surface", "lemma", "category")
+
+    def __init__(self, surface, lemma, category):
+        self.surface = surface
+        self.lemma = lemma
+        self.category = category
 
 
 def parse_tagged_line(line):
@@ -50,11 +50,13 @@ def parse_tagged_line(line):
     return tokens
 
 
-@dataclass
-class VerbStats:
-    total: int = 0
-    reflexive: int = 0
-    preps: dict = field(default_factory=dict)
+class VerbStats(Value):
+    __slots__ = ("total", "reflexive", "preps")
+
+    def __init__(self, total=0, reflexive=0, preps=None):
+        self.total = total
+        self.reflexive = reflexive
+        self.preps = {} if preps is None else preps
 
 
 class NGramModel:

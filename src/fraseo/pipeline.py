@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
 
 from .errors import EmptyInputError, NoStructureError, NoVerbError
+from .features import Value
 from .grammar import load_grammar
 from .lexicon import load_lexicon
 from .lm import NGramModel
@@ -17,20 +17,24 @@ _BUNDLED_GRAMMAR = "spanish.grammar"
 _BUNDLED_LM = "toy.lm"
 
 
-@dataclass(frozen=True)
-class Resources:
-    lexicon: object
-    grammar: object
-    lm: object
-    polarity_pairs: dict
+class Resources(Value):
+    __slots__ = ("lexicon", "grammar", "lm", "polarity_pairs")
+
+    def __init__(self, lexicon, grammar, lm, polarity_pairs):
+        self.lexicon = lexicon
+        self.grammar = grammar
+        self.lm = lm
+        self.polarity_pairs = polarity_pairs
 
 
-@dataclass(frozen=True)
-class GenerationResult:
-    input_words: tuple
-    mode: object  # SentenceMode, None when echoing
-    candidates: tuple  # RealizedSentence, best first, deduplicated
-    echo: bool
+class GenerationResult(Value):
+    __slots__ = ("input_words", "mode", "candidates", "echo")
+
+    def __init__(self, input_words, mode, candidates, echo):
+        self.input_words = input_words
+        self.mode = mode  # SentenceMode, None when echoing
+        self.candidates = candidates  # RealizedSentence, best first, deduplicated
+        self.echo = echo
 
     @property
     def echo_text(self):

@@ -26,13 +26,12 @@ the realizer never reads the tree.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
-from .features import AdverbClass, LexicalCategory, Number, Tense
+from .features import AdverbClass, LexicalCategory, Number, Tense, Value
 from .grammar import TERMINAL_BITS, covers, derive
-from .lexicon import Lexicon, LexicalEntry, WordForm, lookup_form, lookup_lemma
+from .lexicon import lookup_form, lookup_lemma
 
 NEGATION_WORD = "no"
 QUESTION_WORD = "?"
@@ -93,20 +92,26 @@ class SentenceMode(enum.Enum):
         return self in (SentenceMode.interrogative, SentenceMode.negative_interrogative)
 
 
-@dataclass(frozen=True)
-class InputToken:
+class InputToken(Value):
     """One user keyword, resolved against the lexicon.
 
     ``readings`` maps each LexicalCategory the token reads as to its
     (LexicalEntry, WordForm) pairs, both in lexicon order. An
     out-of-vocabulary word reads only as a proper name with no entry,
-    ``((None, None),)``; a marker reads as nothing.
+    ``((None, None),)``; a marker reads as nothing. Equality compares the
+    readings; the hash leaves them out, since a dict has no hash.
     """
 
-    raw: str
-    readings: dict = field(default_factory=dict, hash=False)  # a dict has no hash
-    marker: str | None = None
-    is_default_subject: bool = False
+    __slots__ = ("raw", "readings", "marker", "is_default_subject")
+
+    def __init__(self, raw, readings=None, marker=None, is_default_subject=False):
+        self.raw = raw
+        self.readings = {} if readings is None else readings
+        self.marker = marker
+        self.is_default_subject = is_default_subject
+
+    def __hash__(self):
+        return hash((self.raw, self.marker, self.is_default_subject))
 
 
 def _readings(pairs):
@@ -119,37 +124,67 @@ def _readings(pairs):
     return readings
 
 
-@dataclass(frozen=True)
-class SlotFill:
-    """Assignment of one grammar leaf: a user token or an inserted word."""
+class SlotFill(Value):
+    """Assignment of one grammar leaf: a user token or an inserted word.
 
-    category: LexicalCategory
-    surface: str
-    token: InputToken | None = None
-    entry: LexicalEntry | None = None
-    form: WordForm | None = None
-    rationale: str | None = None
+    ``token`` is the InputToken it takes, None for an inserted word;
+    ``entry`` and ``form`` the LexicalEntry and WordForm, None when the
+    lexicon has none.
+    """
+
+    __slots__ = ("category", "surface", "token", "entry", "form", "rationale")
+
+    def __init__(self, category, surface, token=None, entry=None, form=None, rationale=None):
+        self.category = category
+        self.surface = surface
+        self.token = token
+        self.entry = entry
+        self.form = form
+        self.rationale = rationale
 
     @property
     def is_inserted(self):
         return self.token is None
 
 
-@dataclass(frozen=True)
-class SentencePlan:
+class SentencePlan(Value):
     """A fully lexicalized structure candidate, ready for realization."""
 
-    mode: SentenceMode
-    tree: object  # grammar.TreeNode
-    slot_assignment: tuple  # SlotFill per leaf, in leaf order
-    deviations: int
-    discovery_index: int
-    tense: Tense
-    reflexive: bool  # the finite verb takes a reflexive clitic
-    subject_leaf_count: int = 0
-    # Per leaf: the leaf position of the noun a determiner or adjective
-    # agrees with, SUBJECT_AGREEMENT or NO_AGREEMENT.
-    agreement_targets: tuple = ()
+    __slots__ = (
+        "mode",
+        "tree",
+        "slot_assignment",
+        "deviations",
+        "discovery_index",
+        "tense",
+        "reflexive",
+        "subject_leaf_count",
+        "agreement_targets",
+    )
+
+    def __init__(
+        self,
+        mode,
+        tree,
+        slot_assignment,
+        deviations,
+        discovery_index,
+        tense,
+        reflexive,
+        subject_leaf_count=0,
+        agreement_targets=(),
+    ):
+        self.mode = mode
+        self.tree = tree  # grammar.TreeNode
+        self.slot_assignment = slot_assignment  # SlotFill per leaf, in leaf order
+        self.deviations = deviations
+        self.discovery_index = discovery_index
+        self.tense = tense
+        self.reflexive = reflexive  # the finite verb takes a reflexive clitic
+        self.subject_leaf_count = subject_leaf_count
+        # Per leaf: the leaf position of the noun a determiner or adjective
+        # agrees with, SUBJECT_AGREEMENT or NO_AGREEMENT.
+        self.agreement_targets = agreement_targets
 
     @property
     def inserted(self):
@@ -265,17 +300,18 @@ def insert_default_subject(subject_tokens, lexicon):
     return [token]
 
 
-@dataclass
-class _Search:
-    lexicon: Lexicon
-    lm: object
-    tokens: list
+class _Search(Value):
+    _fields = ("lexicon", "lm", "tokens")
+    __slots__ = _fields + ("masks",)
 
-    def __post_init__(self):
+    def __init__(self, lexicon, lm, tokens):
+        self.lexicon = lexicon
+        self.lm = lm
+        self.tokens = tokens
         # Per token, the TERMINAL_BITS mask of the categories it reads as.
         self.masks = [
             sum(TERMINAL_BITS[category.value] for category in token.readings)
-            for token in self.tokens
+            for token in tokens
         ]
 
 

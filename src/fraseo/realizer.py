@@ -14,10 +14,9 @@ before the verb inflected here.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
 
 from .errors import InflectionMiss
-from .features import FeatureBundle, Gender, LexicalCategory, Mood, Number, Person
+from .features import FeatureBundle, Gender, LexicalCategory, Mood, Number, Person, Value
 from .lexicon import inflect
 from .planner import NEGATION_WORD, NO_AGREEMENT, SUBJECT_AGREEMENT
 
@@ -51,12 +50,14 @@ _HEAD_CATEGORIES = (
 )
 
 
-@dataclass(frozen=True)
-class AgreementResult:
-    person: Person
-    number: Number
-    gender: Gender
-    provenance: dict
+class AgreementResult(Value):
+    __slots__ = ("person", "number", "gender", "provenance")
+
+    def __init__(self, person, number, gender, provenance):
+        self.person = person
+        self.number = number
+        self.gender = gender
+        self.provenance = provenance
 
     def __str__(self):
         return "person=%s number=%s gender=%s" % (
@@ -66,11 +67,13 @@ class AgreementResult:
         )
 
 
-@dataclass(frozen=True)
-class RealizedSentence:
-    text: str
-    plan: object
-    trace: tuple
+class RealizedSentence(Value):
+    __slots__ = ("text", "plan", "trace")
+
+    def __init__(self, text, plan, trace):
+        self.text = text
+        self.plan = plan
+        self.trace = trace
 
 
 def infer_agreement(subject_slots):

@@ -55,6 +55,44 @@ def test_generate_loads_no_tool_modules():
     assert lines[-1] == "0 False False"
 
 
+# Standard-library modules a generate process leaves unloaded, each costing
+# milliseconds of cold start: ``dataclasses`` brings ``inspect`` with it.
+COLD_START_MODULES = ("dataclasses", "inspect", "json")
+
+
+def modules_loaded_by(statements):
+    """The COLD_START_MODULES that ``statements`` loads in a fresh interpreter.
+
+    Modules the interpreter had loaded before the statements ran (by a site
+    hook, say) do not count.
+    """
+    lines = run_python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        + statements
+        + "\nprint(sorted(set(%r) & (set(sys.modules) - before)))\n" % (COLD_START_MODULES,)
+    )
+    return lines[-1]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["generate", "dibujar", "animales"], "[]"),
+        (["generate", "--format", "json", "dibujar", "animales"], "['json']"),
+        (["generate", "perro", "azul"], "[]"),  # no verb: echoed
+    ],
+    ids=["plain", "json", "echo"],
+)
+def test_generate_loads_no_dataclasses(argv, loaded):
+    assert modules_loaded_by("import fraseo.cli\nfraseo.cli.main(%r)" % (argv,)) == loaded
+
+
+def test_default_resources_load_no_dataclasses():
+    statements = "import fraseo\nfraseo.load_default_resources()"
+    assert modules_loaded_by(statements) == "[]"
+
+
 def test_submodules_resolve_after_bare_import():
     lines = run_python(
         "import fraseo\n"

@@ -364,8 +364,8 @@ def _cover_checked(words, resources, check=covers):
     verdicts = []
 
     class RecordedSearch(planner._Search):
-        def __post_init__(self):
-            super().__post_init__()
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             searches.append(self)
 
     def checked_covers(grammar, masks, insertable):

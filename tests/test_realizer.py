@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -159,7 +158,7 @@ def test_negation_noop_for_affirmative(resources):
     plan = top_plan(resources, ["yo", "ir", "siempre", "teatro"])
     texts = {}
     for mode in SentenceMode:
-        result = realize(replace(plan, mode=mode), resources.polarity_pairs)
+        result = realize(plan.replaced(mode=mode), resources.polarity_pairs)
         texts[mode] = result.text
         if not mode.is_negative:
             assert not any(line.startswith(("negation", "polarity")) for line in result.trace)
