@@ -1,7 +1,6 @@
 """Atomic text-file writes shared by every file the package saves."""
 
 import os
-import tempfile
 
 
 def write_text_atomic(path, text):
@@ -11,6 +10,8 @@ def write_text_atomic(path, text):
     replaces ``path`` in one rename. On any failure the temp file is removed
     and a previous ``path`` is left as it was.
     """
+    import tempfile  # only writes need it; kept off the generate path
+
     directory = os.path.dirname(os.path.abspath(path))
     handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

@@ -24,20 +24,25 @@ fills terminals with keywords and inserted function words.
 
 A search over an input can prune with lookahead (FIRST sets as in Aho,
 Sethi & Ullman; bounding generation by the input as in Kay 1996, "Chart
-Generation"). ``Grammar.suffix_bounds`` gives, for every rule body suffix,
-the fewest input tokens it must consume and the FIRST set of categories
-that can consume its first token, as a mask of ``TERMINAL_BITS``. Terminals
-the caller may insert without input count as consuming none and are
-transparent for FIRST. Both tables are computed over the grammar without
-the depth limit, which only removes derivations, so the first is a lower
-bound and the second a superset: a suffix they rule out has no derivation,
-and cutting it changes no result. A search without a lookahead cuts
-nothing, which makes it the unpruned reference the pruned one must equal.
+Generation"). ``Grammar.table`` compiles the rules once per set of
+insertable terminals into one table that both searches read: per rule
+body symbol, its usage slot, and for the symbol and for the body suffix
+that starts at it the fewest input tokens it must consume and the FIRST
+set of categories that can consume its first token, as a mask of
+``TERMINAL_BITS``. Terminals the caller may insert without input count as
+consuming none and are transparent for FIRST. The values are computed
+over the grammar without the depth limit, which only removes derivations,
+so the counts are lower bounds and the FIRST sets supersets: a suffix they
+rule out has no derivation, and cutting it changes no result. A search
+without a lookahead cuts nothing, which makes it the unpruned reference
+the pruned one must equal.
 
 Before a search the planner asks ``covers`` whether the whole input can be
 consumed at all, under the same relaxation: insertable terminals may take
-no token and the depth limit is ignored. When it cannot, the search would
-find nothing, and the planner skips it.
+no token and the depth limit is ignored. It tries a nonterminal that must
+consume a token only at positions whose token reads as a category in its
+FIRST set, for the same reason. When the input cannot be consumed, the
+search would find nothing, and the planner skips it.
 """
 
 import math
@@ -110,7 +115,7 @@ class TreeNode(Value):
 
 class Grammar(Value):
     _fields = ("rules", "start", "depth_limit")
-    __slots__ = _fields + ("rules_for", "_bounds", "_cover_rules")
+    __slots__ = _fields + ("rules_for", "_tables")
 
     def __init__(self, rules, start, depth_limit=2):
         self.rules = rules
@@ -120,61 +125,58 @@ class Grammar(Value):
         for rule in rules:
             by_head.setdefault(rule.head, []).append(rule)
         self.rules_for = by_head
-        self._bounds = {}
-        self._cover_rules = {}
+        self._tables = {}
 
-    def suffix_bounds(self, insertable):
-        """``{body: ((min_tokens, first), ...)}``, one pair per body index.
+    def table(self, insertable):
+        """The ``GrammarTable`` for ``insertable``, built once and kept.
 
-        For the suffix ``body[index:]`` of every rule body, ``min_tokens``
-        is the fewest input tokens any derivation of it consumes and
-        ``first`` the ``TERMINAL_BITS`` mask of the terminals that can
-        consume its first token. Terminals in ``insertable`` (a frozenset of
-        names) may take no token: they count as 0 and FIRST looks past
-        them. The tables ignore ``depth_limit``, so they bound every
-        derivation the search can make. Built once per ``insertable`` and
-        kept.
+        ``insertable`` is the frozenset of terminal names a search may fill
+        without consuming a token.
         """
-        bounds = self._bounds.get(insertable)
-        if bounds is None:
-            bounds = self._bounds[insertable] = _suffix_bounds(self, insertable)
-        return bounds
-
-    def cover_rules(self, insertable):
-        """``{head: bodies}`` for ``covers``, built once per ``insertable`` and kept.
-
-        Each body symbol becomes ``(name, 0, False)`` for a nonterminal and
-        ``(None, bit, skip)`` for a terminal, ``bit`` its ``TERMINAL_BITS``
-        entry and ``skip`` whether it is in ``insertable``.
-        """
-        rules = self._cover_rules.get(insertable)
-        if rules is None:
-            rules = self._cover_rules[insertable] = {
-                head: tuple(
-                    tuple(
-                        (None, TERMINAL_BITS[name], name in insertable)
-                        if name in TERMINALS else (name, 0, False)
-                        for name in rule.body
-                    )
-                    for rule in rules
-                )
-                for head, rules in self.rules_for.items()
-            }
-        return rules
+        table = self._tables.get(insertable)
+        if table is None:
+            table = self._tables[insertable] = _compile(self, insertable)
+        return table
 
 
-def _suffix_bounds(grammar, insertable):
-    """The ``Grammar.suffix_bounds`` tables, by fixpoint over the rules."""
+class GrammarTable:
+    """The rules compiled for one set of insertable terminals.
+
+    ``rows[head]`` holds one row per rule of ``head``, in file order, and a
+    row one cell per body symbol: ``(name, slot, need, first, rest_need,
+    rest_first)``. ``slot`` is the nonterminal's index in the usage tuple of
+    ``derive``, None for a terminal. ``need`` is the fewest input tokens any
+    derivation of the symbol consumes and ``first`` the ``TERMINAL_BITS``
+    mask of the terminals that can consume its first token; ``rest_need``
+    and ``rest_first`` are the same for the body suffix that starts at the
+    symbol. A terminal in the insertable set may take no token: it counts
+    as 0 and FIRST looks past it. The values ignore ``depth_limit``, so
+    they bound every derivation the search can make. ``unions`` pairs each
+    distinct ``first`` of the cells that is not a single terminal bit with
+    the bits it holds.
+    """
+
+    __slots__ = ("rows", "unions")
+
+    def __init__(self, rows, unions):
+        self.rows = rows
+        self.unions = unions
+
+
+def _compile(grammar, insertable):
+    """The ``GrammarTable`` of ``insertable``, by fixpoint over the rules."""
     least = dict.fromkeys(grammar.rules_for, math.inf)
     first = dict.fromkeys(grammar.rules_for, 0)
+
+    def bound(name):
+        if name in TERMINALS:
+            return (0 if name in insertable else 1), TERMINAL_BITS[name]
+        return least[name], first[name]
 
     def suffixes(body):
         out = [(0, 0)]
         for name in reversed(body):
-            if name in TERMINALS:
-                need, cats = (0 if name in insertable else 1), TERMINAL_BITS[name]
-            else:
-                need, cats = least[name], first[name]
+            need, cats = bound(name)
             after_need, after_cats = out[-1]
             out.append((need + after_need, cats | after_cats if need == 0 else cats))
         return tuple(reversed(out[1:]))
@@ -188,7 +190,23 @@ def _suffix_bounds(grammar, insertable):
                 least[rule.head] = min(need, least[rule.head])
                 first[rule.head] |= cats
                 changed = True
-    return {rule.body: suffixes(rule.body) for rule in grammar.rules}
+    slots = {name: index for index, name in enumerate(grammar.rules_for)}
+    rows = {
+        head: tuple(
+            tuple(
+                (name, slots.get(name)) + bound(name) + rest
+                for name, rest in zip(rule.body, suffixes(rule.body))
+            )
+            for rule in rules
+        )
+        for head, rules in grammar.rules_for.items()
+    }
+    bits = TERMINAL_BITS.values()
+    firsts = {cell[3] for head_rows in rows.values() for row in head_rows for cell in row}
+    unions = tuple(
+        (mask, tuple(bit for bit in bits if mask & bit)) for mask in sorted(firsts - set(bits))
+    )
+    return GrammarTable(rows, unions)
 
 
 def _parse_symbol(token, line_number):
@@ -276,14 +294,13 @@ def derive(grammar, fill, state=None, lookahead=None, insertable=frozenset()):
     token reads as, 0 when no token is left), with ``insertable``, the
     frozenset of terminal names its fill can choose without consuming a
     token; every other terminal must consume exactly one. Before expanding
-    a rule body suffix the search reads its
-    ``grammar.suffix_bounds(insertable)`` entry and cuts the suffix when it
-    needs more tokens than are left, or needs at least one and the pending
-    token reads as no category in its FIRST set. Such a
-    suffix has no derivation, so the stream is the same as without
-    lookahead, in the same order, and the memo stays exact because a cut
-    depends only on the suffix and the state. With ``lookahead`` None
-    nothing is cut.
+    a rule body suffix the search reads its bounds in
+    ``grammar.table(insertable)`` and cuts the suffix when it needs more
+    tokens than are left, or needs at least one and the pending token reads
+    as no category in its FIRST set. Such a suffix has no derivation, so
+    the stream is the same as without lookahead, in the same order, and the
+    memo stays exact because a cut depends only on the suffix and the
+    state. With ``lookahead`` None nothing is cut.
     """
     start_usage = tuple(int(name == grammar.start) for name in grammar.rules_for)
     search = _Derivation(grammar, fill, lookahead, insertable)
@@ -298,57 +315,53 @@ class _Derivation:
     """
 
     def __init__(self, grammar, fill, lookahead, insertable):
-        self.grammar = grammar
+        self.depth_limit = grammar.depth_limit
         self.fill = fill
         self.lookahead = lookahead
-        self.bounds = grammar.suffix_bounds(insertable)
-        self.slots = {name: index for index, name in enumerate(grammar.rules_for)}
+        self.rows = grammar.table(insertable).rows
         self.memo = {}
 
-    def expand(self, symbol, parent, grandparent, state, usage):
+    def expand(self, name, slot, parent, grandparent, state, usage):
         """(node, payloads, end_state) choices for one body symbol."""
-        if symbol in TERMINALS:
-            leaf = _LEAF_CACHE[symbol]
+        if slot is None:
+            leaf = _LEAF_CACHE[name]
             return [
                 (leaf, payloads, end)
-                for payloads, end in self.fill(symbol, parent, grandparent, state)
+                for payloads, end in self.fill(name, parent, grandparent, state)
             ]
-        slot = self.slots[symbol]
         count = usage[slot] + 1
-        if count > self.grammar.depth_limit:
+        if count > self.depth_limit:
             return ()
         usage = usage[:slot] + (count,) + usage[slot + 1 :]
-        key = (symbol, parent, state, usage)
+        key = (name, parent, state, usage)
         found = self.memo.get(key)
         if found is None:
-            found = self.memo[key] = list(self.derivations(symbol, parent, state, usage))
+            found = self.memo[key] = list(self.derivations(name, parent, state, usage))
         return found
 
     def derivations(self, symbol, parent, state, usage):
-        for rule in self.grammar.rules_for[symbol]:
-            for children, payloads, end in self.body(
-                rule.body, 0, symbol, parent, state, usage, (), ()
-            ):
+        for row in self.rows[symbol]:
+            for children, payloads, end in self.body(row, 0, symbol, parent, state, usage, (), ()):
                 yield TreeNode(symbol, children), payloads, end
 
-    def body(self, names, index, head, parent, state, usage, children, payloads):
+    def body(self, row, index, head, parent, state, usage, children, payloads):
         """Complete a rule body whose first ``index`` symbols are built.
 
         With a lookahead, a suffix the input left cannot fill yields nothing.
         """
-        need, first = self.bounds[names][index]
+        name, slot, _need, _first, need, first = row[index]
         if need and self.lookahead:
             left, pending = self.lookahead(state)
             if need > left or not pending & first:
                 return
-        choices = self.expand(names[index], head, parent, state, usage)
-        if index + 1 == len(names):
+        choices = self.expand(name, slot, head, parent, state, usage)
+        if index + 1 == len(row):
             for node, more, end in choices:
                 yield children + (node,), payloads + more, end
             return
         for node, more, middle in choices:
             yield from self.body(
-                names, index + 1, head, parent, middle, usage, children + (node,), payloads + more
+                row, index + 1, head, parent, middle, usage, children + (node,), payloads + more
             )
 
 
@@ -394,22 +407,37 @@ def covers(grammar, masks, insertable):
     """Whether a derivation of the start symbol can consume every input token.
 
     ``masks`` holds, per token, the ``TERMINAL_BITS`` mask of the categories
-    it reads as. The check relaxes the search as ``suffix_bounds`` does: a
+    it reads as. The check relaxes the search as ``Grammar.table`` does: a
     terminal consumes one token that reads as it or, when it is in
     ``insertable``, no token, and ``depth_limit`` is ignored. So ``False``
     proves that no ``derive`` run over these tokens, with a fill that
     inserts only ``insertable`` terminals, ends at the last token.
 
     A memoized recognizer over (symbol, start position) pairs, each holding
-    the end positions it reaches as an int bitset. A pair read while it is
-    being computed (left recursion) gives the previous pass's ends, none at
-    first, and passes repeat until no pair changes: the least fixpoint, so
-    the answer is exact for the relaxed grammar.
+    the end positions it reaches as an int bitset. A nonterminal that must
+    consume a token is tried only at positions whose token reads as a
+    terminal in its FIRST set: from any other it reaches no end. A pair
+    read while it is being computed (left recursion) gives the previous
+    pass's ends, none at first, and passes repeat until no pair changes:
+    the least fixpoint, so the answer is exact for the relaxed grammar.
     """
-    rules = grammar.cover_rules(insertable)
+    table = grammar.table(insertable)
+    # Per FIRST mask, the positions of the tokens that read as a terminal in
+    # it: for a terminal's own bit, the tokens that read as that terminal.
+    admit = dict.fromkeys(TERMINAL_BITS.values(), 0)
+    for pos, mask in enumerate(masks):
+        while mask:
+            bit = mask & -mask
+            admit[bit] |= 1 << pos
+            mask ^= bit
+    for first, bits in table.unions:
+        positions = 0
+        for bit in bits:
+            positions |= admit[bit]
+        admit[first] = positions
     seeds = {}
     while True:
-        chart = _Cover(rules, masks, seeds)
+        chart = _Cover(table.rows, admit, seeds)
         reached = chart.ends(grammar.start, 0)
         if not chart.looped or chart.memo == seeds:
             return bool(reached >> len(masks) & 1)
@@ -419,15 +447,9 @@ def covers(grammar, masks, insertable):
 class _Cover:
     """One ``covers`` pass: plain methods, so the chart leaves no reference cycle."""
 
-    def __init__(self, rules, masks, seeds):
-        self.rules = rules
-        # Per terminal bit, the positions of the tokens that read as it.
-        self.fits = dict.fromkeys(TERMINAL_BITS.values(), 0)
-        for pos, mask in enumerate(masks):
-            while mask:
-                bit = mask & -mask
-                self.fits[bit] |= 1 << pos
-                mask ^= bit
+    def __init__(self, rows, admit, seeds):
+        self.rows = rows
+        self.admit = admit
         self.seeds = seeds
         self.memo = {}
         self.looped = False
@@ -439,13 +461,14 @@ class _Cover:
         if found is None:
             self.memo[key] = -1  # being computed
             found = 0
-            for body in self.rules[symbol]:
+            admit = self.admit
+            for row in self.rows[symbol]:
                 reached = 1 << start
-                for name, bit, skip in body:
-                    if name is None:
-                        reached = (reached if skip else 0) | (reached & self.fits[bit]) << 1
+                for name, slot, need, first, _rest_need, _rest_first in row:
+                    if slot is None:
+                        reached = (0 if need else reached) | (reached & admit[first]) << 1
                     else:
-                        starts, reached = reached, 0
+                        starts, reached = reached & admit[first] if need else reached, 0
                         while starts:
                             low = starts & -starts
                             reached |= self.ends(name, low.bit_length() - 1)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import importlib.resources
+import os
 
 from .errors import EmptyInputError, NoStructureError, NoVerbError
 from .features import Value
@@ -45,8 +45,15 @@ class GenerationResult(Value):
         return [candidate.text for candidate in self.candidates]
 
 
-def _bundled(name):
-    return importlib.resources.files("fraseo.data") / name
+def _bundled(path, name):
+    """``path``, or when it is None the bundled data file ``name``.
+
+    The data files ship inside the package directory (package-data), so a
+    plain path reaches them without importing ``importlib.resources``.
+    """
+    if path is None:
+        return os.path.join(os.path.dirname(__file__), "data", name)
+    return path
 
 
 def load_resources(lexicon_path=None, grammar_path=None, lm_path=None):
@@ -54,22 +61,10 @@ def load_resources(lexicon_path=None, grammar_path=None, lm_path=None):
 
     A grammar the planner cannot interpret raises GrammarError.
     """
-    if lexicon_path is None:
-        with importlib.resources.as_file(_bundled(_BUNDLED_LEXICON)) as path:
-            lexicon = load_lexicon(path)
-    else:
-        lexicon = load_lexicon(lexicon_path)
-    if grammar_path is None:
-        with importlib.resources.as_file(_bundled(_BUNDLED_GRAMMAR)) as path:
-            grammar = load_grammar(path)
-    else:
-        grammar = load_grammar(grammar_path)
+    lexicon = load_lexicon(_bundled(lexicon_path, _BUNDLED_LEXICON))
+    grammar = load_grammar(_bundled(grammar_path, _BUNDLED_GRAMMAR))
     check_grammar(grammar, grammar_path or _BUNDLED_GRAMMAR)
-    if lm_path is None:
-        with importlib.resources.as_file(_bundled(_BUNDLED_LM)) as path:
-            lm = NGramModel.load(path)
-    else:
-        lm = NGramModel.load(lm_path)
+    lm = NGramModel.load(_bundled(lm_path, _BUNDLED_LM))
     return Resources(
         lexicon=lexicon,
         grammar=grammar,

@@ -99,16 +99,20 @@ class InputToken(Value):
     (LexicalEntry, WordForm) pairs, both in lexicon order. An
     out-of-vocabulary word reads only as a proper name with no entry,
     ``((None, None),)``; a marker reads as nothing. Equality compares the
-    readings; the hash leaves them out, since a dict has no hash.
+    readings; the hash leaves them out, since a dict has no hash. ``mask``,
+    derived from the readings, is the ``TERMINAL_BITS`` mask of their
+    categories.
     """
 
-    __slots__ = ("raw", "readings", "marker", "is_default_subject")
+    _fields = ("raw", "readings", "marker", "is_default_subject")
+    __slots__ = _fields + ("mask",)
 
     def __init__(self, raw, readings=None, marker=None, is_default_subject=False):
         self.raw = raw
         self.readings = {} if readings is None else readings
         self.marker = marker
         self.is_default_subject = is_default_subject
+        self.mask = sum(TERMINAL_BITS[category.value] for category in self.readings)
 
     def __hash__(self):
         return hash((self.raw, self.marker, self.is_default_subject))
@@ -309,10 +313,7 @@ class _Search(Value):
         self.lm = lm
         self.tokens = tokens
         # Per token, the TERMINAL_BITS mask of the categories it reads as.
-        self.masks = [
-            sum(TERMINAL_BITS[category.value] for category in token.readings)
-            for token in tokens
-        ]
+        self.masks = [token.mask for token in tokens]
 
 
 def _lookahead(search, state):

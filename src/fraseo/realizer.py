@@ -13,7 +13,7 @@ before the verb inflected here.
 
 from __future__ import annotations
 
-import importlib.resources
+import os
 
 from .errors import InflectionMiss
 from .features import FeatureBundle, Gender, LexicalCategory, Mood, Number, Person, Value
@@ -141,12 +141,10 @@ def infer_agreement(subject_slots):
 
 def load_polarity_pairs(path=None):
     """Read the positive -> negative adverb table (tab separated)."""
-    if path is None:
-        resource = importlib.resources.files("fraseo.data") / "polarity_pairs.txt"
-        text = resource.read_text(encoding="utf-8")
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    if path is None:  # the bundled table, shipped in the package directory
+        path = os.path.join(os.path.dirname(__file__), "data", "polarity_pairs.txt")
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
     pairs = {}
     for line in text.splitlines():
         line = line.strip()

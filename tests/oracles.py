@@ -3,11 +3,14 @@
 The agreement routines deliberately avoid the package's coincidence-matrix
 code path: agreement is computed by enumerating every ordered pair of labels
 inside each unit. ``reference_unify_entries`` is the two-entry unification
-as it stood before it was folded into the builder's merge path. Tests
-compare package output against these routines.
+as it stood before it was folded into the builder's merge path.
+``reference_covers`` is the whole-input cover check without the FIRST-set
+filter on start positions. Tests compare package output against these
+routines.
 """
 
 from fraseo.features import AXES, INVARIABLE_CATEGORIES
+from fraseo.grammar import TERMINAL_BITS, TERMINALS
 from fraseo.lexicon import LexicalEntry, WordForm
 
 
@@ -135,3 +138,61 @@ def reference_unify_entries(a, b):
         reflexive_capable=a.reflexive_capable or b.reflexive_capable,
         extras=extras,
     ).validate()
+
+
+def reference_covers(grammar, masks, insertable):
+    """``grammar.covers`` as a recognizer that tries every start position.
+
+    A memoized chart over (symbol, start position) pairs whose end
+    positions are int bitsets; a pair read while it is being computed (left
+    recursion) gives the previous pass's ends, none at first, and passes
+    repeat until no pair changes.
+    """
+    rules = {
+        head: [
+            [
+                (None, TERMINAL_BITS[name], name in insertable)
+                if name in TERMINALS else (name, 0, False)
+                for name in rule.body
+            ]
+            for rule in head_rules
+        ]
+        for head, head_rules in grammar.rules_for.items()
+    }
+    fits = dict.fromkeys(TERMINAL_BITS.values(), 0)
+    for pos, mask in enumerate(masks):
+        for bit in fits:
+            if mask & bit:
+                fits[bit] |= 1 << pos
+    seeds = {}
+    while True:
+        memo = {}
+        looped = []
+
+        def ends(symbol, start):
+            key = (symbol, start)
+            if key in memo:
+                if memo[key] is None:  # being computed
+                    looped.append(key)
+                    return seeds.get(key, 0)
+                return memo[key]
+            memo[key] = None
+            found = 0
+            for body in rules[symbol]:
+                reached = 1 << start
+                for name, bit, skip in body:
+                    if name is None:
+                        reached = (reached if skip else 0) | (reached & fits[bit]) << 1
+                    else:
+                        starts, reached = reached, 0
+                        for pos in range(len(masks) + 1):
+                            if starts >> pos & 1:
+                                reached |= ends(name, pos)
+                found |= reached
+            memo[key] = found
+            return found
+
+        reached = ends(grammar.start, 0)
+        if not looped or memo == seeds:
+            return bool(reached >> len(masks) & 1)
+        seeds = memo

@@ -4,6 +4,7 @@ import re
 
 import pytest
 from make_golden import golden_inputs, golden_record
+from oracles import reference_covers
 
 import fraseo.grammar as grammar_module
 from fraseo.errors import CycleError, GrammarParseError, UndefinedSymbolError
@@ -200,7 +201,12 @@ NOMINAL_FIRST = mask("determiner", "noun", "adjective", "pronoun")
 def test_suffix_bounds_min_tokens_and_first_sets():
     grammar = parse_grammar(LOOKAHEAD_GRAMMAR)
     insertable = frozenset({"determiner", "conjunction"})
-    bounds = grammar.suffix_bounds(insertable)
+    table = grammar.table(insertable)
+    bounds = {
+        tuple(cell[0] for cell in row): tuple(cell[4:] for cell in row)
+        for rows in table.rows.values()
+        for row in rows
+    }
     assert bounds == {
         ("NP", "verb", "NP"): ((3, NOMINAL_FIRST), (2, mask("verb")), (1, NOMINAL_FIRST)),
         ("LINK", "NP", "verb"): (
@@ -216,12 +222,23 @@ def test_suffix_bounds_min_tokens_and_first_sets():
         ("conjunction", "LINK"): ((0, mask("conjunction")), (0, mask("conjunction"))),
         ("noun", "LOOP"): ((math.inf, mask("noun")), (math.inf, mask("noun"))),
     }
+    # Each cell also holds the symbol's own bound and its usage slot (None
+    # for a terminal); LINK derives no token, so it has FIRST but needs 0.
+    assert table.rows["S"][1] == (
+        ("LINK", 2, 0, mask("conjunction"), 2, NOMINAL_FIRST | mask("conjunction")),
+        ("NP", 1, 1, NOMINAL_FIRST, 2, NOMINAL_FIRST),
+        ("verb", None, 1, mask("verb"), 1, mask("verb")),
+    )
+    # FIRST masks beyond a single terminal bit, with their bits; LINK and
+    # LOOP each start with one terminal.
+    nominal_bits = sorted(mask(cat) for cat in ("determiner", "noun", "adjective", "pronoun"))
+    assert table.unions == ((NOMINAL_FIRST, tuple(nominal_bits)),)
     # Built once per insertable set; without insertables every terminal
     # consumes a token and FIRST stops at the first symbol.
-    assert grammar.suffix_bounds(insertable) is bounds
-    plain = grammar.suffix_bounds(frozenset())
-    assert plain[("LINK", "NP", "verb")][0] == (3, mask("conjunction"))
-    assert plain[("NP", "verb", "NP")][0] == (3, mask("determiner", "pronoun"))
+    assert grammar.table(insertable) is table
+    plain = grammar.table(frozenset()).rows
+    assert plain["S"][1][0][4:] == (3, mask("conjunction"))
+    assert plain["S"][0][0][4:] == (3, mask("determiner", "pronoun"))
 
 
 def test_lookahead_cuts_work_not_derivations():
@@ -290,6 +307,32 @@ def test_covers_agrees_with_match_leaf_sequence_on_left_recursion():
     assert covers(grammar, [mask("noun", "verb"), mask("noun")], frozenset())
 
 
+def test_covers_agrees_with_reference_covers():
+    """The FIRST filter on start positions changes no verdict.
+
+    The left-recursive grammar exercises the fixpoint passes and the
+    lookahead grammar a nonterminal that derives no token (LINK, unfiltered)
+    and one with no derivation at all (LOOP).
+    """
+    cases = (
+        (LEFT_RECURSIVE_GRAMMAR, ("determiner", "noun", "verb", "adverb"),
+         (frozenset(), frozenset({"adverb"}), frozenset({"determiner", "adverb"}))),
+        (LOOKAHEAD_GRAMMAR, ("determiner", "noun", "verb", "pronoun", "conjunction"),
+         (frozenset(), frozenset({"determiner", "conjunction"}))),
+    )
+    checked = 0
+    for text, categories, insertables in cases:
+        grammar = parse_grammar(text, depth_limit=4)
+        for length in range(1, 5):
+            for cats in itertools.product(categories, repeat=length):
+                masks = [mask(cat) for cat in cats]
+                for insertable in insertables:
+                    expected = reference_covers(grammar, masks, insertable)
+                    assert covers(grammar, masks, insertable) is expected, (cats, insertable)
+                    checked += 1
+    assert checked == 340 * 3 + 780 * 2
+
+
 def test_covers_relaxes_the_search_like_suffix_bounds(grammar):
     too_deep = ("noun", "verb", "noun") + ("preposition", "noun") * 3
     assert match_leaf_sequence(grammar, too_deep) == []
@@ -299,7 +342,7 @@ def test_covers_relaxes_the_search_like_suffix_bounds(grammar):
     assert covers(grammar, nouns, insertable)  # noun verb noun (preposition) noun
     assert not covers(grammar, nouns, frozenset())
     assert not covers(grammar, [mask("noun"), mask("noun")], insertable)  # no verb
-    assert grammar.cover_rules(insertable) is grammar.cover_rules(insertable)
+    assert grammar.table(insertable) is grammar.table(insertable)
 
 
 def test_dfs_paths_listed_order():

@@ -1,5 +1,6 @@
 """The package's import surface: lazy exports, and what a CLI process loads."""
 
+import os
 import subprocess
 import sys
 
@@ -32,10 +33,10 @@ EXPORTED = (
 )
 
 
-def run_python(script):
-    """Run ``script`` in a fresh interpreter; its stdout lines."""
+def run_python(script, *flags):
+    """Run ``script`` in a fresh interpreter started with ``flags``; its stdout lines."""
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
@@ -60,8 +61,8 @@ def test_generate_loads_no_tool_modules():
 COLD_START_MODULES = ("dataclasses", "inspect", "json")
 
 
-def modules_loaded_by(statements):
-    """The COLD_START_MODULES that ``statements`` loads in a fresh interpreter.
+def modules_loaded_by(statements, modules=COLD_START_MODULES, *flags):
+    """The ``modules`` that ``statements`` loads in a fresh interpreter.
 
     Modules the interpreter had loaded before the statements ran (by a site
     hook, say) do not count.
@@ -70,7 +71,8 @@ def modules_loaded_by(statements):
         "import sys\n"
         "before = set(sys.modules)\n"
         + statements
-        + "\nprint(sorted(set(%r) & (set(sys.modules) - before)))\n" % (COLD_START_MODULES,)
+        + "\nprint(sorted(set(%r) & (set(sys.modules) - before)))\n" % (modules,),
+        *flags,
     )
     return lines[-1]
 
@@ -91,6 +93,23 @@ def test_generate_loads_no_dataclasses(argv, loaded):
 def test_default_resources_load_no_dataclasses():
     statements = "import fraseo\nfraseo.load_default_resources()"
     assert modules_loaded_by(statements) == "[]"
+
+
+# Modules a generate process leaves unloaded that a site hook may preload
+# (a ``.pth`` file importing them), so only an interpreter started without
+# ``site`` shows whether fraseo loads them: ``tempfile`` is needed only to
+# write files, ``importlib.resources`` not at all.
+SITE_PRELOADED_MODULES = ("tempfile", "importlib.resources")
+
+
+def test_generate_without_site_loads_no_tempfile_or_resources():
+    package_root = os.path.dirname(os.path.dirname(fraseo.__file__))
+    statements = (
+        "sys.path.insert(0, %r)\n"
+        "import fraseo.cli\n"
+        "fraseo.cli.main(['generate', 'dibujar', 'animales'])" % package_root
+    )
+    assert modules_loaded_by(statements, SITE_PRELOADED_MODULES, "-S") == "[]"
 
 
 def test_submodules_resolve_after_bare_import():

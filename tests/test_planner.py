@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from make_golden import golden_inputs
+from oracles import reference_covers
 
 from fraseo import planner
 from fraseo.errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
 from fraseo.evaluation import load_corpus
 from fraseo.features import FeatureBundle, LexicalCategory, Mood, Number, Person, Tense
-from fraseo.grammar import TERMINAL_BITS, covers, derive, parse_grammar
+from fraseo.grammar import TERMINAL_BITS, _Cover, covers, derive, parse_grammar
 from fraseo.lexicon import LexicalEntry, Lexicon, WordForm
 from fraseo.lm import NGramModel
 from fraseo.pipeline import generate, load_default_resources
@@ -418,6 +419,56 @@ def test_cover_soundness_check_catches_a_planted_mutant(resources):
     for words in PREPOSITION_ONLY:
         with pytest.raises(AssertionError, match="not in"):  # a derivation ends at the last token
             _cover_checked(words, resources, mutant)
+
+
+# ``_Cover.ends`` calls ``covers`` makes over the golden inputs: a
+# deterministic work counter, like the fill calls above.
+GOLDEN_COVER_ENDS = 2776
+
+
+def test_cover_work_on_golden_inputs_is_pinned(resources, monkeypatch):
+    calls = []
+    ends = _Cover.ends
+
+    def counting_ends(self, symbol, start):
+        calls.append(symbol)
+        return ends(self, symbol, start)
+
+    monkeypatch.setattr(_Cover, "ends", counting_ends)
+    for words in golden_inputs(resources.lexicon):
+        generate(words, resources, max_candidates=0)
+    monkeypatch.undo()
+    assert len(calls) == GOLDEN_COVER_ENDS
+
+
+def _reference_checked(words, resources):
+    """Plan ``words``; assert ``covers`` and ``reference_covers`` agree on every attempt."""
+    verdicts = []
+
+    def checked_covers(grammar, masks, insertable):
+        verdicts.append(covers(grammar, masks, insertable))
+        assert verdicts[-1] is reference_covers(grammar, masks, insertable), words
+        return verdicts[-1]
+
+    with mock.patch.object(planner, "covers", checked_covers):
+        try:
+            plans_for(words, resources)
+        except (EmptyInputError, NoStructureError, NoVerbError):
+            pass
+    return verdicts
+
+
+def test_covers_agrees_with_reference_on_golden_inputs(resources):
+    verdicts = []
+    for words in golden_inputs(resources.lexicon):
+        verdicts += _reference_checked(words, resources)
+    assert (verdicts.count(True), len(verdicts)) == (131, 367)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(SURFACES + ["no", "?", "Lucía"]), max_size=7))
+def test_covers_agrees_with_reference(words):
+    _reference_checked(words, RESOURCES)
 
 
 def test_generate_rejects_negative_cap(resources):

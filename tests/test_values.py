@@ -6,7 +6,9 @@ two instances from separately constructed but equal field values.
 """
 
 import pytest
+from make_golden import golden_inputs
 
+from fraseo.errors import EmptyInputError
 from fraseo.features import (
     AdverbClass,
     FeatureBundle,
@@ -18,11 +20,19 @@ from fraseo.features import (
     Tense,
     Value,
 )
-from fraseo.grammar import Grammar, GrammarRule, TreeNode
+from fraseo.grammar import TERMINAL_BITS, Grammar, GrammarRule, TreeNode
 from fraseo.lexicon import LexicalEntry, Lexicon, WordForm
 from fraseo.lm import TaggedToken, VerbStats
-from fraseo.pipeline import GenerationResult, Resources
-from fraseo.planner import InputToken, SentenceMode, SentencePlan, SlotFill, _Search
+from fraseo.pipeline import GenerationResult, Resources, load_default_resources
+from fraseo.planner import (
+    InputToken,
+    SentenceMode,
+    SentencePlan,
+    SlotFill,
+    _Search,
+    insert_default_subject,
+    tokenize_and_resolve,
+)
 from fraseo.realizer import AgreementResult, RealizedSentence
 
 
@@ -168,6 +178,34 @@ def test_input_token_hash_leaves_out_readings():
     assert token() in {verb}
 
 
+def test_input_token_mask_is_derived_state():
+    verb = token()
+    assert InputToken._fields == ("raw", "readings", "marker", "is_default_subject")
+    assert verb.mask == TERMINAL_BITS["verb"]
+    assert InputToken(raw="no", marker="negation").mask == 0
+    tampered = token()
+    tampered.mask = 0
+    assert tampered == verb and hash(tampered) == hash(verb)
+    assert repr(tampered) == repr(verb) and "mask" not in repr(verb)
+    both = verb.replaced(readings={LexicalCategory.noun: ((None, None),),
+                                   LexicalCategory.verb: ((entry(), form()),)})
+    assert both.mask == TERMINAL_BITS["noun"] | TERMINAL_BITS["verb"]
+    assert tampered.replaced().mask == verb.mask
+
+
+def test_input_token_mask_sums_its_categories_on_golden_tokens():
+    lexicon = load_default_resources().lexicon
+    tokens = insert_default_subject([], lexicon)
+    for words in golden_inputs(lexicon):
+        try:
+            tokens += tokenize_and_resolve(words, lexicon)
+        except EmptyInputError:
+            continue
+    assert len(tokens) > 900
+    for item in tokens:
+        assert item.mask == sum(TERMINAL_BITS[category.value] for category in item.readings)
+
+
 def test_fields_change_equality():
     assert bundle() != bundle().replaced(number=Number.singular)
     assert entry() != entry().replaced(adverb_class=AdverbClass.other)
@@ -180,7 +218,7 @@ def test_derived_state_is_not_a_field():
     grammar = Grammar(rules(), "S")
     assert Grammar._fields == ("rules", "start", "depth_limit")
     assert "rules_for" not in repr(grammar)
-    grammar.suffix_bounds(frozenset())  # fills a cache the other grammar lacks
+    grammar.table(frozenset())  # fills a cache the other grammar lacks
     assert grammar == Grammar(rules(), "S")
     shallow = grammar.replaced(depth_limit=1)
     assert shallow.depth_limit == 1 and shallow.rules_for == grammar.rules_for
