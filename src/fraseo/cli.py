@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from . import lm
 from .errors import FraseoError
@@ -195,6 +196,32 @@ def _candidate_cap(text):
     return int(text)
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """``argparse.HelpFormatter`` that finds the terminal width without ``shutil``.
+
+    The default formatter imports ``shutil`` (and with it ``bz2``, ``lzma``
+    and ``fnmatch``) for ``shutil.get_terminal_size``, and argparse builds a
+    formatter for every ``add_argument``. The width here is computed the
+    same way: ``COLUMNS`` when it is a positive integer, else the width of
+    the terminal on ``sys.__stdout__``, else 80, less 2.
+    """
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        if width is None:
+            try:
+                width = int(os.environ["COLUMNS"])
+            except (KeyError, ValueError):
+                width = 0
+            if width <= 0:
+                try:
+                    width = os.get_terminal_size(sys.__stdout__.fileno()).columns
+                except (AttributeError, ValueError, OSError):
+                    width = 0
+                width = width or 80
+            width -= 2
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
 def _add_resource_flags(parser, max_candidates_default):
     parser.add_argument("--lexicon", help="path to a lexicon XML file")
     parser.add_argument("--grammar", help="path to a grammar file")
@@ -211,8 +238,13 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="fraseo",
         description="Keyword-to-sentence generation for Spanish.",
+        formatter_class=_HelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=partial(argparse.ArgumentParser, formatter_class=_HelpFormatter),
+    )
 
     p_generate = sub.add_parser("generate", help="realize sentences from keywords")
     _add_resource_flags(p_generate, max_candidates_default=3)

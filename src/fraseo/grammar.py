@@ -20,7 +20,12 @@ All searches over the grammar go through one function, ``derive``: a
 memoized top-down search that asks a caller-supplied fill for each
 terminal's choices. ``enumerate_trees`` accepts every terminal,
 ``match_leaf_sequence`` matches one category per position, and the planner
-fills terminals with keywords and inserted function words.
+fills terminals with keywords and inserted function words. Every step of
+the search is memoized (Norvig 1991, "Techniques for Automatic Memoization
+with Applications to Context-Free Parsing"), for one run: a nonterminal's
+derivations on (symbol, parent, state, path usage), and a terminal's fill
+on its own arguments, (name, parent, grandparent, state). So a fill must
+return the same choices whenever it is called with the same arguments.
 
 A search over an input can prune with lookahead (FIRST sets as in Aho,
 Sethi & Ullman; bounding generation by the input as in Kay 1996, "Chart
@@ -33,9 +38,10 @@ set of categories that can consume its first token, as a mask of
 consuming none and are transparent for FIRST. The values are computed
 over the grammar without the depth limit, which only removes derivations,
 so the counts are lower bounds and the FIRST sets supersets: a suffix they
-rule out has no derivation, and cutting it changes no result. A search
-without a lookahead cuts nothing, which makes it the unpruned reference
-the pruned one must equal.
+rule out has no derivation, and cutting it changes no result. The search
+tests a suffix before it opens a generator for it: a rule's whole body
+once per state, before the rule is tried, and the rest of the body after
+each choice for the symbol before it. Without a lookahead it cuts nothing.
 
 Before a search the planner asks ``covers`` whether the whole input can be
 consumed at all, under the same relaxation: insertable terminals may take
@@ -285,22 +291,27 @@ def derive(grammar, fill, state=None, lookahead=None, insertable=frozenset()):
     derivations of each nonterminal below the start symbol are memoized on
     (symbol, parent head, state, path usage), the usage counting each
     nonterminal's occurrences on the path from the root; none may exceed
-    ``grammar.depth_limit``. Memoized subtrees and leaves are shared between
-    trees. The start symbol's derivations are streamed, never all held at
-    once.
+    ``grammar.depth_limit``. A terminal's choices are memoized on the
+    fill's own arguments, (name, parent head, grandparent head, state), so
+    ``fill`` is called at most once per distinct arguments in a run and
+    must return the same choices for the same arguments. Memoized
+    subtrees, leaves and payloads are shared between trees. The start
+    symbol's derivations are streamed, never all held at once.
 
     A fill that consumes input may pass ``lookahead(state)``, returning
     (tokens left, ``TERMINAL_BITS`` mask of the categories the pending
     token reads as, 0 when no token is left), with ``insertable``, the
     frozenset of terminal names its fill can choose without consuming a
-    token; every other terminal must consume exactly one. Before expanding
-    a rule body suffix the search reads its bounds in
-    ``grammar.table(insertable)`` and cuts the suffix when it needs more
-    tokens than are left, or needs at least one and the pending token reads
-    as no category in its FIRST set. Such a suffix has no derivation, so
-    the stream is the same as without lookahead, in the same order, and the
-    memo stays exact because a cut depends only on the suffix and the
-    state. With ``lookahead`` None nothing is cut.
+    token; every other terminal must consume exactly one. The search reads
+    each rule body suffix's bounds in ``grammar.table(insertable)`` and cuts
+    the suffix when it needs more tokens than are left, or needs at least
+    one and the pending token reads as no category in its FIRST set. It
+    tests a rule's whole body before trying the rule, and the suffix after
+    a symbol for each of that symbol's choices, so it opens no generator
+    for a suffix it cuts. Such a suffix has no derivation, so the stream is
+    the same as without lookahead, in the same order, and the memo stays
+    exact because a cut depends only on the suffix and the state. With
+    ``lookahead`` None nothing is cut.
     """
     start_usage = tuple(int(name == grammar.start) for name in grammar.rules_for)
     search = _Derivation(grammar, fill, lookahead, insertable)
@@ -322,13 +333,22 @@ class _Derivation:
         self.memo = {}
 
     def expand(self, name, slot, parent, grandparent, state, usage):
-        """(node, payloads, end_state) choices for one body symbol."""
+        """(node, payloads, end_state) choices for one body symbol, memoized.
+
+        A terminal's key is (name, parent, grandparent, state), the fill's
+        arguments; a nonterminal's is (name, parent, state, usage). The two
+        cannot collide, because no terminal heads a rule.
+        """
         if slot is None:
-            leaf = _LEAF_CACHE[name]
-            return [
-                (leaf, payloads, end)
-                for payloads, end in self.fill(name, parent, grandparent, state)
-            ]
+            key = (name, parent, grandparent, state)
+            found = self.memo.get(key)
+            if found is None:
+                leaf = _LEAF_CACHE[name]
+                found = self.memo[key] = [
+                    (leaf, payloads, end)
+                    for payloads, end in self.fill(name, parent, grandparent, state)
+                ]
+            return found
         count = usage[slot] + 1
         if count > self.depth_limit:
             return ()
@@ -340,28 +360,41 @@ class _Derivation:
         return found
 
     def derivations(self, symbol, parent, state, usage):
-        for row in self.rows[symbol]:
+        rows = self.rows[symbol]
+        if self.lookahead:  # one lookahead for every row's first suffix
+            left, pending = self.lookahead(state)
+            rows = [
+                row for row in rows
+                if not row[0][4] or row[0][4] <= left and pending & row[0][5]
+            ]
+        for row in rows:
             for children, payloads, end in self.body(row, 0, symbol, parent, state, usage, (), ()):
                 yield TreeNode(symbol, children), payloads, end
 
     def body(self, row, index, head, parent, state, usage, children, payloads):
         """Complete a rule body whose first ``index`` symbols are built.
 
-        With a lookahead, a suffix the input left cannot fill yields nothing.
+        The caller has checked that the input left at ``state`` can fill the
+        suffix at ``index``. Each choice for that symbol is checked the same
+        way against the suffix after it before the body recurses, so no
+        generator is opened for a suffix the input cannot fill.
         """
-        name, slot, _need, _first, need, first = row[index]
-        if need and self.lookahead:
-            left, pending = self.lookahead(state)
-            if need > left or not pending & first:
-                return
+        name, slot = row[index][:2]
         choices = self.expand(name, slot, head, parent, state, usage)
-        if index + 1 == len(row):
+        index += 1
+        if index == len(row):
             for node, more, end in choices:
                 yield children + (node,), payloads + more, end
             return
+        need, first = row[index][4:]
+        lookahead = self.lookahead if need else None
         for node, more, middle in choices:
+            if lookahead:
+                left, pending = lookahead(middle)
+                if need > left or not pending & first:
+                    continue
             yield from self.body(
-                row, index + 1, head, parent, middle, usage, children + (node,), payloads + more
+                row, index, head, parent, middle, usage, children + (node,), payloads + more
             )
 
 

@@ -5,12 +5,13 @@ code path: agreement is computed by enumerating every ordered pair of labels
 inside each unit. ``reference_unify_entries`` is the two-entry unification
 as it stood before it was folded into the builder's merge path.
 ``reference_covers`` is the whole-input cover check without the FIRST-set
-filter on start positions. Tests compare package output against these
+filter on start positions. ``reference_derive`` is the grammar search with
+no memo and no lookahead. Tests compare package output against these
 routines.
 """
 
 from fraseo.features import AXES, INVARIABLE_CATEGORIES
-from fraseo.grammar import TERMINAL_BITS, TERMINALS
+from fraseo.grammar import TERMINAL_BITS, TERMINALS, TreeNode
 from fraseo.lexicon import LexicalEntry, WordForm
 
 
@@ -196,3 +197,36 @@ def reference_covers(grammar, masks, insertable):
         if not looped or memo == seeds:
             return bool(reached >> len(masks) & 1)
         seeds = memo
+
+
+def reference_derive(grammar, fill, state=None):
+    """Every ``(tree, payloads, end_state)`` of ``grammar.derive``, as a list.
+
+    A plain recursive enumerator: rules in file order, bodies expanded
+    leftmost first, ``fill(name, parent, grandparent, state)`` called at
+    every terminal it reaches, and a nonterminal cut when it would occur
+    more than ``grammar.depth_limit`` times on its path from the root. It
+    keeps no memo and cuts nothing by lookahead.
+    """
+
+    def symbol(name, parent, grandparent, state, path):
+        if name in TERMINALS:
+            for payloads, end in fill(name, parent, grandparent, state):
+                yield TreeNode(name), payloads, end
+            return
+        path = path + (name,)
+        if path.count(name) > grammar.depth_limit:
+            return
+        for rule in grammar.rules_for[name]:
+            for children, payloads, end in sequence(rule.body, name, parent, state, path):
+                yield TreeNode(name, children), payloads, end
+
+    def sequence(body, head, parent, state, path):
+        if not body:
+            yield (), (), state
+            return
+        for node, payloads, middle in symbol(body[0], head, parent, state, path):
+            for rest, more, end in sequence(body[1:], head, parent, middle, path):
+                yield (node,) + rest, payloads + more, end
+
+    return list(symbol(grammar.start, None, None, state, ()))

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import re
@@ -41,6 +42,30 @@ def test_generate_json_is_canonical():
     assert top["tree"].startswith("(S ")
     assert {"position", "category", "rationale"} <= set(top["insertions"][0])
     assert any(line.startswith("mode ") for line in top["trace"])
+
+
+def _help_texts(formatter_class):
+    """``--help`` text of the parser and of every subcommand, built with ``formatter_class``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_HelpFormatter", formatter_class)
+        parser = cli.build_parser()
+    (commands,) = [
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    ]
+    return [parser.format_help()] + [sub.format_help() for sub in commands.choices.values()]
+
+
+@pytest.mark.parametrize("columns", ["60", "120", None])
+def test_help_matches_the_default_formatter(columns, monkeypatch):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    texts = _help_texts(cli._HelpFormatter)
+    assert len(texts) == 7
+    assert texts == _help_texts(argparse.HelpFormatter)
+    if columns is not None:
+        assert cli._HelpFormatter("fraseo")._width == int(columns) - 2
 
 
 def test_generate_echo_exit_2():

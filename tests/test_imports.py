@@ -112,6 +112,17 @@ def test_generate_without_site_loads_no_tempfile_or_resources():
     assert modules_loaded_by(statements, SITE_PRELOADED_MODULES, "-S") == "[]"
 
 
+def test_generate_without_site_loads_no_shutil():
+    """argparse's default help formatter would import ``shutil``, with ``bz2`` and ``lzma``."""
+    package_root = os.path.dirname(os.path.dirname(fraseo.__file__))
+    statements = (
+        "sys.path.insert(0, %r)\n"
+        "import fraseo.cli\n"
+        "fraseo.cli.main(['generate', 'dibujar', 'animales'])" % package_root
+    )
+    assert modules_loaded_by(statements, ("shutil", "bz2", "lzma"), "-S") == "[]"
+
+
 def test_submodules_resolve_after_bare_import():
     lines = run_python(
         "import fraseo\n"

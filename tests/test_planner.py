@@ -1,4 +1,5 @@
 import gc
+import random
 from functools import partial
 from unittest import mock
 
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from make_golden import golden_inputs
-from oracles import reference_covers
+from oracles import reference_covers, reference_derive
 
 from fraseo import planner
 from fraseo.errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
 from fraseo.evaluation import load_corpus
 from fraseo.features import FeatureBundle, LexicalCategory, Mood, Number, Person, Tense
-from fraseo.grammar import TERMINAL_BITS, _Cover, covers, derive, parse_grammar
+from fraseo.grammar import TERMINAL_BITS, _Cover, _Derivation, covers, derive, parse_grammar
 from fraseo.lexicon import LexicalEntry, Lexicon, WordForm
 from fraseo.lm import NGramModel
 from fraseo.pipeline import generate, load_default_resources
@@ -230,14 +231,41 @@ def test_oov_subject_reads_as_proper_name(resources):
 
 
 # Terminal fills the memoized, lookahead-pruned search makes over the
-# exact-match corpus and over the golden inputs. Deterministic work
-# counters: raise them only with a reason.
-CORPUS_FILL_CALLS = 448
-GOLDEN_FILL_CALLS = 2152
+# exact-match corpus and over the golden inputs, and the rule body
+# generators it opens over the golden inputs. Deterministic work counters:
+# change them only with a reason.
+CORPUS_FILL_CALLS = 129
+GOLDEN_FILL_CALLS = 741
+GOLDEN_BODY_GENERATORS = 2971
 
 RESOURCES = load_default_resources()
 SURFACES = sorted(
     {form.surface for entry in RESOURCES.lexicon.entries for form in entry.forms}
+)
+
+
+def _oov_words(count, seed=5):
+    """``count`` seeded pseudo-words that resolve to nothing, every other one capitalised.
+
+    An out-of-vocabulary word reads only as a proper name, so lists that
+    draw them have proper-name subjects.
+    """
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        word = "".join(rng.choice("bcdfglmnprstvz") + rng.choice("aeiou") for _ in range(3))
+        if len(words) % 2:
+            word = word.capitalize()
+        (token,) = tokenize_and_resolve([word], RESOURCES.lexicon)
+        if list(token.readings) == [LexicalCategory.proper_name] and word not in words:
+            words.append(word)
+    return words
+
+
+# Keyword lists for the property tests: lexicon surfaces, the markers, and
+# out-of-vocabulary words.
+KEYWORD_LISTS = st.lists(
+    st.sampled_from(SURFACES + ["no", "?", "Lucía"] + _oov_words(60)), max_size=7
 )
 
 
@@ -283,13 +311,28 @@ def test_search_work_on_corpus_is_bounded(resources, bundled_fixtures, monkeypat
     items = load_corpus(bundled_fixtures / "exact_match_corpus.tsv")
     assert len(items) == 9
     keywords = [item.keywords for item in items]
-    assert 0 < _fill_calls(keywords, resources, monkeypatch) <= CORPUS_FILL_CALLS
+    assert _fill_calls(keywords, resources, monkeypatch) == CORPUS_FILL_CALLS
 
 
 def test_search_work_on_golden_inputs_is_bounded(resources, monkeypatch):
     inputs = golden_inputs(resources.lexicon)
     assert len(inputs) == 320
-    assert 0 < _fill_calls(inputs, resources, monkeypatch) <= GOLDEN_FILL_CALLS
+    assert _fill_calls(inputs, resources, monkeypatch) == GOLDEN_FILL_CALLS
+
+
+def test_body_generators_on_golden_inputs_are_pinned(resources, monkeypatch):
+    calls = []
+    body = _Derivation.body
+
+    def counting_body(self, row, index, *args):
+        calls.append(index)
+        return body(self, row, index, *args)
+
+    monkeypatch.setattr(_Derivation, "body", counting_body)
+    for words in golden_inputs(resources.lexicon):
+        generate(words, resources, max_candidates=0)
+    monkeypatch.undo()
+    assert len(calls) == GOLDEN_BODY_GENERATORS
 
 
 def test_generation_leaves_no_garbage_cycles(resources, bundled_fixtures):
@@ -350,7 +393,7 @@ def test_lookahead_keeps_every_derivation_on_golden_inputs(resources):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(st.lists(st.sampled_from(SURFACES + ["no", "?", "Lucía"]), max_size=7))
+@given(KEYWORD_LISTS)
 def test_lookahead_keeps_every_derivation(words):
     _pruning_checked(words, RESOURCES)
 
@@ -405,7 +448,7 @@ def test_cover_check_rejects_only_attempts_with_no_derivation(resources):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(st.lists(st.sampled_from(SURFACES + ["no", "?", "Lucía"]), max_size=7))
+@given(KEYWORD_LISTS)
 def test_cover_check_is_sound(words):
     _cover_checked(words, RESOURCES)
 
@@ -466,9 +509,56 @@ def test_covers_agrees_with_reference_on_golden_inputs(resources):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.lists(st.sampled_from(SURFACES + ["no", "?", "Lucía"]), max_size=7))
+@given(KEYWORD_LISTS)
 def test_covers_agrees_with_reference(words):
     _reference_checked(words, RESOURCES)
+
+
+def _oracle_checked(words, resources):
+    """Plan ``words``, searching every subject attempt; check each search.
+
+    With ``covers`` accepting every attempt, each search ``derive`` runs
+    must give the stream of ``reference_derive``: the same trees, payloads
+    and end states in the same order. Within one run the fill must be
+    called at most once per argument tuple. Returns each checked search's
+    derivation count.
+    """
+    searches = []
+
+    def checked_derive(grammar, fill, state, lookahead, insertable):
+        calls = []
+
+        def counting_fill(*args):
+            calls.append(args)
+            return fill(*args)
+
+        found = list(derive(grammar, counting_fill, state, lookahead, insertable))
+        assert found == reference_derive(grammar, fill, state), words
+        assert len(calls) == len(set(calls)), words
+        searches.append(len(found))
+        return iter(found)
+
+    with mock.patch.object(planner, "derive", checked_derive), mock.patch.object(
+        planner, "covers", lambda grammar, masks, insertable: True
+    ):
+        try:
+            plans_for(words, resources)
+        except (EmptyInputError, NoStructureError, NoVerbError):
+            pass
+    return searches
+
+
+def test_derive_agrees_with_reference_on_golden_inputs(resources):
+    searches = []
+    for words in golden_inputs(resources.lexicon) + list(PREPOSITION_ONLY):
+        searches += _oracle_checked(words, resources)
+    assert (len(searches), sum(searches)) == (370, 1360)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(KEYWORD_LISTS)
+def test_derive_agrees_with_reference(words):
+    _oracle_checked(words, RESOURCES)
 
 
 def test_generate_rejects_negative_cap(resources):
