@@ -27,28 +27,23 @@ derivations on (symbol, parent, state, path usage), and a terminal's fill
 on its own arguments, (name, parent, grandparent, state). So a fill must
 return the same choices whenever it is called with the same arguments.
 
-A search over an input can prune with lookahead (FIRST sets as in Aho,
-Sethi & Ullman; bounding generation by the input as in Kay 1996, "Chart
-Generation"). ``Grammar.table`` compiles the rules once per set of
-insertable terminals into one table that both searches read: per rule
-body symbol, its usage slot, and for the symbol and for the body suffix
-that starts at it the fewest input tokens it must consume and the FIRST
-set of categories that can consume its first token, as a mask of
-``TERMINAL_BITS``. Terminals the caller may insert without input count as
-consuming none and are transparent for FIRST. The values are computed
-over the grammar without the depth limit, which only removes derivations,
-so the counts are lower bounds and the FIRST sets supersets: a suffix they
-rule out has no derivation, and cutting it changes no result. The search
-tests a suffix before it opens a generator for it: a rule's whole body
-once per state, before the rule is tried, and the rest of the body after
-each choice for the symbol before it. Without a lookahead it cuts nothing.
-
-Before a search the planner asks ``covers`` whether the whole input can be
-consumed at all, under the same relaxation: insertable terminals may take
-no token and the depth limit is ignored. It tries a nonterminal that must
-consume a token only at positions whose token reads as a category in its
-FIRST set, for the same reason. When the input cannot be consumed, the
-search would find nothing, and the planner skips it.
+A search over an input takes it as masks, per token the categories it
+reads as, and is bounded by it (Kay 1996, "Chart Generation"): it yields
+only the derivations that consume every token, and ``covers`` first
+checks that some can. ``Grammar.table`` compiles the rules once per set
+of insertable terminals into one table that the search and ``covers``
+both read: per rule body symbol, its usage slot, and for the symbol and
+for the body suffix that starts at it the fewest input tokens it must
+consume and the FIRST set (Aho, Sethi & Ullman) of categories that can
+consume its first token, as a mask of ``TERMINAL_BITS``. Terminals the
+caller may insert without input count as consuming none and are
+transparent for FIRST. The values are computed over the grammar without
+the depth limit, which only removes derivations, so the counts are lower
+bounds and the FIRST sets supersets: a suffix they rule out has no
+derivation, and cutting it changes no result. The search tests a suffix
+before it opens a generator for it, and ``covers`` tries a nonterminal
+that must consume a token only at positions whose token reads as a
+category in its FIRST set. Without an input the search cuts nothing.
 """
 
 import math
@@ -58,7 +53,7 @@ from .errors import CycleError, GrammarParseError, UndefinedSymbolError
 from .features import LexicalCategory, Value
 
 TERMINALS = frozenset(cat.value for cat in LexicalCategory)
-# One bit per terminal: FIRST sets and lookahead category sets are masks.
+# One bit per terminal: FIRST sets and token category sets are masks.
 TERMINAL_BITS = {cat.value: 1 << index for index, cat in enumerate(LexicalCategory)}
 
 # Leading letters an agreement variable may start with; checked, never read.
@@ -275,7 +270,7 @@ def load_grammar(path, depth_limit=2):
 _LEAF_CACHE = {name: TreeNode(symbol=name) for name in TERMINALS}
 
 
-def derive(grammar, fill, state=None, lookahead=None, insertable=frozenset()):
+def derive(grammar, fill, state=None, masks=None, insertable=frozenset()):
     """Derivations of the start symbol, lazily, in deterministic DFS order.
 
     The package's one grammar search. Rules are tried in file order and
@@ -298,37 +293,43 @@ def derive(grammar, fill, state=None, lookahead=None, insertable=frozenset()):
     subtrees, leaves and payloads are shared between trees. The start
     symbol's derivations are streamed, never all held at once.
 
-    A fill that consumes input may pass ``lookahead(state)``, returning
-    (tokens left, ``TERMINAL_BITS`` mask of the categories the pending
-    token reads as, 0 when no token is left), with ``insertable``, the
-    frozenset of terminal names its fill can choose without consuming a
-    token; every other terminal must consume exactly one. The search reads
-    each rule body suffix's bounds in ``grammar.table(insertable)`` and cuts
-    the suffix when it needs more tokens than are left, or needs at least
-    one and the pending token reads as no category in its FIRST set. It
-    tests a rule's whole body before trying the rule, and the suffix after
-    a symbol for each of that symbol's choices, so it opens no generator
-    for a suffix it cuts. Such a suffix has no derivation, so the stream is
-    the same as without lookahead, in the same order, and the memo stays
-    exact because a cut depends only on the suffix and the state. With
-    ``lookahead`` None nothing is cut.
+    A search over an input passes ``masks``, per token the ``TERMINAL_BITS``
+    mask of the categories it reads as, and ``insertable``, the terminals
+    its fill may choose without consuming a token; every other terminal
+    consumes one. ``state[0]`` is then the token position, and only the
+    derivations that end at ``len(masks)`` are yielded. When ``covers``
+    rejects the masks, the search returns before any other work. Otherwise
+    it cuts each rule body suffix that needs more tokens than are left, or
+    needs one and cannot start with the pending token, by the bounds in
+    ``grammar.table(insertable)``: a rule's whole body before the rule is
+    tried, and the suffix after a symbol for each of that symbol's choices,
+    so no generator opens for a cut suffix. Such a suffix has no
+    derivation, so the order is that of the search without ``masks``, and
+    the memo stays exact because a cut depends only on the suffix and the
+    state. With ``masks`` None nothing is cut.
     """
+    if masks is not None and not covers(grammar, masks, insertable):
+        return iter(())
     start_usage = tuple(int(name == grammar.start) for name in grammar.rules_for)
-    search = _Derivation(grammar, fill, lookahead, insertable)
-    return search.derivations(grammar.start, None, state, start_usage)
+    search = _Derivation(grammar, fill, masks, insertable)
+    found = search.derivations(grammar.start, None, state, start_usage)
+    return found if masks is None else (item for item in found if item[2][0] == len(masks))
 
 
 class _Derivation:
-    """One ``derive`` run: the fill, the lookahead and the memo, with no reference cycle.
+    """One ``derive`` run: the fill, the input bounds and the memo, with no reference cycle.
 
     Plain methods instead of nested closures let the memo go as soon as the
     returned iterator does, without waiting for the cyclic garbage collector.
+    ``pending[pos]`` is (tokens left, mask of token ``pos`` or 0), None without input.
     """
 
-    def __init__(self, grammar, fill, lookahead, insertable):
+    def __init__(self, grammar, fill, masks, insertable):
         self.depth_limit = grammar.depth_limit
         self.fill = fill
-        self.lookahead = lookahead
+        self.pending = None
+        if masks is not None:
+            self.pending = [(len(masks) - pos, mask) for pos, mask in enumerate([*masks, 0])]
         self.rows = grammar.table(insertable).rows
         self.memo = {}
 
@@ -361,11 +362,11 @@ class _Derivation:
 
     def derivations(self, symbol, parent, state, usage):
         rows = self.rows[symbol]
-        if self.lookahead:  # one lookahead for every row's first suffix
-            left, pending = self.lookahead(state)
+        if self.pending:  # one lookup for every row's first suffix
+            left, cats = self.pending[state[0]]
             rows = [
                 row for row in rows
-                if not row[0][4] or row[0][4] <= left and pending & row[0][5]
+                if not row[0][4] or row[0][4] <= left and cats & row[0][5]
             ]
         for row in rows:
             for children, payloads, end in self.body(row, 0, symbol, parent, state, usage, (), ()):
@@ -387,11 +388,11 @@ class _Derivation:
                 yield children + (node,), payloads + more, end
             return
         need, first = row[index][4:]
-        lookahead = self.lookahead if need else None
+        pending = self.pending if need else None
         for node, more, middle in choices:
-            if lookahead:
-                left, pending = lookahead(middle)
-                if need > left or not pending & first:
+            if pending:
+                left, cats = pending[middle[0]]
+                if need > left or not cats & first:
                     continue
             yield from self.body(
                 row, index, head, parent, middle, usage, children + (node,), payloads + more
@@ -416,24 +417,22 @@ def match_leaf_sequence(grammar, cats):
     """Trees whose leaf sequence equals ``cats`` exactly, in DFS order.
 
     Equivalent to filtering enumerate_trees() on the leaf sequence; the
-    search state is the position in ``cats``. Every leaf consumes exactly
-    one category, so the search prunes with a lookahead and no insertables.
+    search state is ``(position,)`` in ``cats``, and every leaf consumes
+    exactly one category, so the search runs over their masks with no
+    insertables.
     """
     if not cats:
         raise ValueError("empty category sequence")
     cats = tuple(cat.value if isinstance(cat, LexicalCategory) else cat for cat in cats)
-    masks = tuple(TERMINAL_BITS.get(cat, 0) for cat in cats) + (0,)
 
-    def fill(name, parent, grandparent, position):
+    def fill(name, parent, grandparent, state):
+        (position,) = state
         if position < len(cats) and cats[position] == name:
-            return (((), position + 1),)
+            return (((), (position + 1,)),)
         return ()
 
-    def lookahead(position):
-        return len(cats) - position, masks[position]
-
-    found = derive(grammar, fill, 0, lookahead)
-    return [tree for tree, _payloads, end in found if end == len(cats)]
+    masks = [TERMINAL_BITS.get(cat, 0) for cat in cats]
+    return [tree for tree, _payloads, _end in derive(grammar, fill, (0,), masks)]
 
 
 def covers(grammar, masks, insertable):

@@ -6,8 +6,8 @@ subject and predicate around the main verb, then search the grammar for
 every structure that fits the keyword sequence once function words
 (determiners, prepositions, conjunctions) are interleaved where the
 grammar demands them. The search is the shared ``grammar.derive``; the
-planner only fills its terminals, threading (token position, main verb
-lemma) as the search state.
+planner hands it the keywords' category masks and fills its terminals,
+threading (token position, main verb lemma) as the search state.
 
 Candidate plans are ranked by how far their insertions stray from the
 house realization policy (fewer deviations first), with grammar search
@@ -30,7 +30,7 @@ from functools import partial
 
 from .errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
 from .features import AdverbClass, LexicalCategory, Number, Tense, Value
-from .grammar import TERMINAL_BITS, covers, derive
+from .grammar import TERMINAL_BITS, derive
 from .lexicon import lookup_form, lookup_lemma
 
 NEGATION_WORD = "no"
@@ -54,7 +54,7 @@ _DETERMINER = LexicalCategory.determiner.value
 _ADJECTIVE = LexicalCategory.adjective.value
 _CATEGORIES = {category.value: category for category in LexicalCategory}
 # The terminals _fill_terminal may fill with an inserted function word; the
-# grammar search's lookahead looks past them.
+# grammar search lets them consume no token.
 _INSERTABLE = frozenset(
     (_DETERMINER, LexicalCategory.conjunction.value, LexicalCategory.preposition.value)
 )
@@ -316,12 +316,6 @@ class _Search(Value):
         self.masks = [token.mask for token in tokens]
 
 
-def _lookahead(search, state):
-    """(tokens left, category mask of the pending token or 0) at ``state``."""
-    left = len(search.tokens) - state[0]
-    return left, search.masks[state[0]] if left else 0
-
-
 def _fill_terminal(search, name, parent, grandparent, state):
     """(payloads, new_state) choices for a terminal slot of the grammar search.
 
@@ -569,15 +563,10 @@ def plan_structures(tokens, grammar, lexicon, lm):
             lm=lm,
             tokens=list(subject_tokens) + list(predicate),
         )
-        if not covers(grammar, search.masks, _INSERTABLE):
-            continue  # the search could not consume every token
         fill = partial(_fill_terminal, search)
-        lookahead = partial(_lookahead, search)
-        for tree, fills, (pos, verb_lemma) in derive(
-            grammar, fill, (0, None), lookahead, _INSERTABLE
+        for tree, fills, (_pos, verb_lemma) in derive(
+            grammar, fill, (0, None), search.masks, _INSERTABLE
         ):
-            if pos != len(search.tokens):
-                continue
             if elided_default and len(tree.children) == 2:
                 continue
             if not elided_default and subject_tokens and len(tree.children) != 2:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import InflectionMiss
+from .errors import InflectionMiss, LexiconParseError
 from .features import FeatureBundle, Gender, LexicalCategory, Mood, Number, Person, Value
 from .lexicon import inflect
 from .planner import NEGATION_WORD, NO_AGREEMENT, SUBJECT_AGREEMENT
@@ -140,21 +140,22 @@ def infer_agreement(subject_slots):
 
 
 def load_polarity_pairs(path=None):
-    """Read the positive -> negative adverb table (tab separated)."""
+    """Read the positive<TAB>negative adverb table; LexiconParseError names a bad line."""
     if path is None:  # the bundled table, shipped in the package directory
         path = os.path.join(os.path.dirname(__file__), "data", "polarity_pairs.txt")
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     pairs = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         positive, _, negative = line.partition("\t")
         positive = positive.strip()
         negative = negative.strip()
-        if positive and negative:
-            pairs[positive] = negative
+        if not positive or not negative:
+            raise LexiconParseError("%s: bad polarity pair line" % path, number)
+        pairs[positive] = negative
     return pairs
 
 

@@ -124,6 +124,9 @@ def golden_lines(resources):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) > 1 or any(arg.startswith("-") for arg in argv):
+        print("usage: make_golden.py [OUT]", file=sys.stderr)
+        return 2
     out = pathlib.Path(argv[0]) if argv else FIXTURE
     resources = load_default_resources()
     text = "".join(line + "\n" for line in golden_lines(resources))

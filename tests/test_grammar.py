@@ -124,22 +124,23 @@ def test_match_leaf_sequence_agrees_with_enumeration(grammar, data_dir):
 
 
 def test_match_leaf_sequence_lookahead_keeps_every_derivation(grammar, monkeypatch):
-    """The pruned match yields the unpruned derivation stream, in order."""
+    """The pruned match yields the unpruned derivations that reach the end, in order."""
     work = {"pruned": 0, "full": 0}
 
-    def run(grammar, fill, state, lookahead, side):
+    def run(grammar, fill, state, masks, side):
         def counting(*args):
             work[side] += 1
             return fill(*args)
 
-        found = derive(grammar, counting, state, lookahead)
+        found = derive(grammar, counting, state, masks)
         return [(str(tree), payloads, end) for tree, payloads, end in found]
 
-    def both(grammar, fill, state=None, lookahead=None, insertable=frozenset()):
-        assert lookahead is not None and insertable == frozenset()
-        pruned = run(grammar, fill, state, lookahead, "pruned")
-        assert pruned == run(grammar, fill, state, None, "full")
-        return iter(derive(grammar, fill, state, lookahead))
+    def both(grammar, fill, state=None, masks=None, insertable=frozenset()):
+        assert masks is not None and insertable == frozenset()
+        pruned = run(grammar, fill, state, masks, "pruned")
+        full = run(grammar, fill, state, None, "full")
+        assert pruned == [found for found in full if found[2][0] == len(masks)]
+        return iter(derive(grammar, fill, state, masks))
 
     monkeypatch.setattr(grammar_module, "derive", both)
     cases = [
@@ -245,21 +246,20 @@ def test_lookahead_cuts_work_not_derivations():
     grammar = parse_grammar(LOOKAHEAD_GRAMMAR, depth_limit=3)
     insertable = frozenset({"determiner", "conjunction"})
 
-    def search(cats, lookahead):
+    def search(cats, pruned):
         calls = []
 
-        def fill(name, parent, grandparent, position):
+        def fill(name, parent, grandparent, state):
             calls.append(name)
+            (position,) = state
             if position < len(cats) and cats[position] == name:
-                return ((((name, position),), position + 1),)
-            return ((((name, None),), position),) if name in insertable else ()
+                return ((((name, position),), (position + 1,)),)
+            return ((((name, None),), state),) if name in insertable else ()
 
-        def pending(position):
-            left = len(cats) - position
-            return left, mask(cats[position]) if left else 0
-
-        found = derive(grammar, fill, 0, pending if lookahead else None, insertable)
-        return [(str(tree), payloads, end) for tree, payloads, end in found], len(calls)
+        masks = [mask(cat) for cat in cats] if pruned else None
+        found = derive(grammar, fill, (0,), masks, insertable)
+        found = [(str(tree), payloads, end) for tree, payloads, end in found]
+        return [item for item in found if item[2][0] == len(cats)], len(calls)
 
     for cats in (
         ("pronoun", "verb", "noun"),
@@ -275,8 +275,44 @@ def test_lookahead_cuts_work_not_derivations():
     assert search(("pronoun", "verb", "noun"), True)[0][0] == (
         "S(NP(pronoun) verb NP(determiner noun))",
         (("pronoun", 0), ("verb", 1), ("determiner", None), ("noun", 2)),
-        3,
+        (3,),
     )
+
+
+def test_derive_checks_cover_before_any_search_setup(monkeypatch):
+    """A rejected input costs no fill call and no search; none ends short."""
+    grammar = parse_grammar(LOOKAHEAD_GRAMMAR, depth_limit=3)
+    insertable = frozenset({"determiner", "conjunction"})
+    calls = []
+    searches = []
+
+    class CountedDerivation(grammar_module._Derivation):
+        def __init__(self, *args):
+            searches.append(args)
+            super().__init__(*args)
+
+    def fill(name, parent, grandparent, state):
+        calls.append(name)
+        (position,) = state
+        if position < len(cats) and cats[position] == name:
+            return (((), (position + 1,)),)
+        return (((), state),) if name in insertable else ()
+
+    monkeypatch.setattr(grammar_module, "_Derivation", CountedDerivation)
+    cats = ("verb", "noun", "noun")
+    masks = [mask(cat) for cat in cats]
+    assert not covers(grammar, masks, insertable)
+    assert list(derive(grammar, fill, (0,), masks, insertable)) == []
+    assert (calls, searches) == ([], [])
+    # The unpruned search ends short of the last token; the bounded one
+    # yields only the derivations that consume all three.
+    cats = ("pronoun", "verb", "noun")
+    masks = [mask(cat) for cat in cats]
+    full = {end for _tree, _payloads, end in derive(grammar, fill, (0,), None, insertable)}
+    assert {(2,), (3,)} <= full
+    bounded = [end for _tree, _payloads, end in derive(grammar, fill, (0,), masks, insertable)]
+    assert bounded and set(bounded) == {(3,)}
+    assert len(searches) == 2
 
 
 LEFT_RECURSIVE_GRAMMAR = """
@@ -291,12 +327,18 @@ PRED -> PRED NP
 
 
 def test_covers_agrees_with_match_leaf_sequence_on_left_recursion():
+    """``covers`` accepts exactly the leaf sequences the grammar derives.
+
+    The expected verdicts come from the unpruned enumeration, since
+    ``match_leaf_sequence`` runs ``covers`` itself.
+    """
     # Deep enough that the depth limit cuts no sequence of up to 4 leaves.
     grammar = parse_grammar(LEFT_RECURSIVE_GRAMMAR, depth_limit=4)
+    sequences = {tree.leaf_sequence() for tree in enumerate_trees(grammar)}
     fits = 0
     for length in range(1, 5):
         for cats in itertools.product(("determiner", "noun", "verb", "adverb"), repeat=length):
-            expected = bool(match_leaf_sequence(grammar, cats))
+            expected = cats in sequences
             assert covers(grammar, [mask(cat) for cat in cats], frozenset()) is expected, cats
             fits += expected
     assert fits == 31

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from make_golden import golden_inputs
 from oracles import reference_covers, reference_derive
 
+from fraseo import grammar as grammar_module
 from fraseo import planner
 from fraseo.errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
 from fraseo.evaluation import load_corpus
@@ -96,7 +97,9 @@ def test_readings_keep_every_category_of_a_surface():
     assert token.readings[LexicalCategory.noun] == ((song, song.forms[0]),)
     search = planner._Search(lexicon=None, lm=None, tokens=[token])
     both = TERMINAL_BITS["verb"] | TERMINAL_BITS["noun"]
-    assert planner._lookahead(search, (0, None)) == (1, both)
+    grammar = parse_grammar("S -> PRED\nPRED -> verb\n")
+    # What the grammar search reads at the start: one token left, both categories.
+    assert _Derivation(grammar, None, search.masks, frozenset()).pending[0] == (1, both)
 
 
 def test_tokenize_requires_content(lexicon):
@@ -355,24 +358,35 @@ def test_generation_leaves_no_garbage_cycles(resources, bundled_fixtures):
 
 
 def _pruning_checked(words, resources):
-    """Plan ``words`` with every search run with and without lookahead.
+    """Plan ``words`` with every search run with and without its input masks.
 
-    Asserts that both give the same (tree, payloads, end_state) stream in
-    the same order, and returns the fill calls made (pruned, unpruned).
+    Asserts that the search over the masks gives the (tree, payloads,
+    end_state) stream of the unbounded search with the derivations that
+    end short of the last token left out, in the same order, and that it
+    calls no fill when ``covers`` rejects the masks. Returns the fill calls
+    made (pruned, unpruned) over the searches ``covers`` accepts.
     """
     calls = [0, 0]
 
-    def counted(fill, side):
-        def counting_fill(*args):
-            calls[side] += 1
-            return fill(*args)
+    def checked_derive(grammar, fill, state, masks, insertable):
+        assert masks is not None
+        made = [0, 0]
 
-        return counting_fill
+        def counted(side):
+            def counting_fill(*args):
+                made[side] += 1
+                return fill(*args)
 
-    def checked_derive(grammar, fill, state, lookahead, insertable):
-        assert lookahead is not None
-        pruned = list(derive(grammar, counted(fill, 0), state, lookahead, insertable))
-        assert pruned == list(derive(grammar, counted(fill, 1), state)), words
+            return counting_fill
+
+        pruned = list(derive(grammar, counted(0), state, masks, insertable))
+        full = derive(grammar, counted(1), state)
+        assert pruned == [found for found in full if found[2][0] == len(masks)], words
+        if covers(grammar, masks, insertable):
+            calls[0] += made[0]
+            calls[1] += made[1]
+        else:
+            assert made[0] == 0, words
         return iter(pruned)
 
     with mock.patch.object(planner, "derive", checked_derive):
@@ -423,7 +437,7 @@ def _cover_checked(words, resources, check=covers):
         return verdicts[-1]
 
     with mock.patch.object(planner, "_Search", RecordedSearch), mock.patch.object(
-        planner, "covers", checked_covers
+        grammar_module, "covers", checked_covers
     ):
         try:
             plans_for(words, resources)
@@ -493,7 +507,7 @@ def _reference_checked(words, resources):
         assert verdicts[-1] is reference_covers(grammar, masks, insertable), words
         return verdicts[-1]
 
-    with mock.patch.object(planner, "covers", checked_covers):
+    with mock.patch.object(grammar_module, "covers", checked_covers):
         try:
             plans_for(words, resources)
         except (EmptyInputError, NoStructureError, NoVerbError):
@@ -518,28 +532,30 @@ def _oracle_checked(words, resources):
     """Plan ``words``, searching every subject attempt; check each search.
 
     With ``covers`` accepting every attempt, each search ``derive`` runs
-    must give the stream of ``reference_derive``: the same trees, payloads
-    and end states in the same order. Within one run the fill must be
-    called at most once per argument tuple. Returns each checked search's
-    derivation count.
+    must give the stream of ``reference_derive`` with the derivations that
+    end short of the last token left out: the same trees, payloads and end
+    states in the same order. Within one run the fill must be called at
+    most once per argument tuple. Returns, per checked search, the count
+    of ``reference_derive`` derivations and of those that ``derive`` yields.
     """
     searches = []
 
-    def checked_derive(grammar, fill, state, lookahead, insertable):
+    def checked_derive(grammar, fill, state, masks, insertable):
         calls = []
 
         def counting_fill(*args):
             calls.append(args)
             return fill(*args)
 
-        found = list(derive(grammar, counting_fill, state, lookahead, insertable))
-        assert found == reference_derive(grammar, fill, state), words
+        found = list(derive(grammar, counting_fill, state, masks, insertable))
+        reference = reference_derive(grammar, fill, state)
+        assert found == [item for item in reference if item[2][0] == len(masks)], words
         assert len(calls) == len(set(calls)), words
-        searches.append(len(found))
+        searches.append((len(reference), len(found)))
         return iter(found)
 
     with mock.patch.object(planner, "derive", checked_derive), mock.patch.object(
-        planner, "covers", lambda grammar, masks, insertable: True
+        grammar_module, "covers", lambda grammar, masks, insertable: True
     ):
         try:
             plans_for(words, resources)
@@ -552,7 +568,8 @@ def test_derive_agrees_with_reference_on_golden_inputs(resources):
     searches = []
     for words in golden_inputs(resources.lexicon) + list(PREPOSITION_ONLY):
         searches += _oracle_checked(words, resources)
-    assert (len(searches), sum(searches)) == (370, 1360)
+    reference, found = (sum(counts) for counts in zip(*searches))
+    assert (len(searches), reference, found) == (370, 1360, 370)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

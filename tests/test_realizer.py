@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraseo.errors import LexiconParseError
 from fraseo.features import (
     FeatureBundle,
     Gender,
@@ -103,6 +104,14 @@ def test_polarity_pairs_load():
     assert pairs["también"] == "tampoco"
     assert pairs["algo"] == "nada"
     assert pairs["alguien"] == "nadie"
+
+
+@pytest.mark.parametrize("line", ["alguien nadie", "algo\t", "\tnada"])
+def test_polarity_pairs_reject_a_line_without_both_words(tmp_path, line):
+    path = tmp_path / "pairs.txt"
+    path.write_text("# positive<TAB>negative\nsiempre\tnunca\n%s\n" % line, encoding="utf-8")
+    with pytest.raises(LexiconParseError, match=r"line 3: .*pairs\.txt: bad polarity pair line"):
+        load_polarity_pairs(path)
 
 
 def test_contractions_fuse_pinned_pairs():
