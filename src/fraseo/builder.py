@@ -6,9 +6,10 @@ fixed point), verify every record against a pluggable oracle, then merge
 per (lemma, category) by unifying compatible feature bundles. A
 MergeReport tallies every stage.
 
-Source files use the lexicon format, read by ``lexicon.read_lexicon_file``,
+Source files use the lexicon format, read by ``fileio.read_elements``,
 plus a ``source`` attribute on the root or on an entry; ``x-`` prefixed
-entry attributes become extras.
+entry attributes become extras. The allowlist is a line file read by
+``fileio.data_lines``.
 """
 
 from __future__ import annotations
@@ -17,14 +18,8 @@ from dataclasses import dataclass, field, replace
 
 from .errors import LexiconError, LexiconParseError
 from .features import AXES, INVARIABLE_CATEGORIES, AdverbClass, LexicalCategory
-from .lexicon import (
-    LexicalEntry,
-    Lexicon,
-    WordForm,
-    parse_extras,
-    parse_forms,
-    read_lexicon_file,
-)
+from .fileio import data_lines, read_elements
+from .lexicon import LexicalEntry, Lexicon, WordForm, parse_extras, parse_forms
 
 # Source tags never admitted into the merged lexicon.
 DROPPED_CATEGORIES = frozenset({"interjection", "numeral", "proper_name"})
@@ -135,7 +130,7 @@ def load_source_records(path):
         )
 
     try:
-        return read_lexicon_file(path, read_record)
+        return read_elements(path, "lexicon", "entry", read_record, LexiconParseError)
     except OSError as exc:
         raise LexiconParseError("cannot read source file %s: %s" % (path, exc))
 
@@ -243,27 +238,21 @@ class AllowlistOracle:
     @classmethod
     def load(cls, path):
         table = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                lemma, _, cats = line.partition("\t")
-                lemma = lemma.strip()
-                if not lemma or not cats.strip():
-                    raise LexiconParseError("%s: bad allowlist line" % path, number)
-                categories = set()
-                for name in cats.split(","):
-                    name = normalize_category(name)
-                    if not name:
-                        continue
-                    try:
-                        categories.add(LexicalCategory(name))
-                    except ValueError:
-                        raise LexiconParseError(
-                            "%s: unknown category %r in allowlist" % (path, name), number
-                        )
-                table[lemma] = categories
+        for number, line in data_lines(path):
+            lemma, _, cats = line.partition("\t")
+            lemma = lemma.strip()
+            names = [name for name in map(normalize_category, cats.split(",")) if name]
+            if not lemma or not names:
+                raise LexiconParseError("bad allowlist line", number, path)
+            categories = set()
+            for name in names:
+                try:
+                    categories.add(LexicalCategory(name))
+                except ValueError:
+                    raise LexiconParseError(
+                        "unknown category %r in allowlist" % name, number, path
+                    )
+            table[lemma] = categories
         return cls(table)
 
     def contains(self, lemma):

@@ -2,7 +2,20 @@
 
 
 class FraseoError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    The message reads ``line N: path: reason``, leaving out the line or the
+    path when it is None; ``.reason``, ``.line`` and ``.path`` keep the parts.
+    """
+
+    def __init__(self, reason, line=None, path=None):
+        message = reason if path is None else "%s: %s" % (path, reason)
+        if line is not None:
+            message = "line %d: %s" % (line, message)
+        super().__init__(message)
+        self.reason = reason
+        self.line = line
+        self.path = path
 
 
 class LexiconError(FraseoError):
@@ -10,13 +23,7 @@ class LexiconError(FraseoError):
 
 
 class LexiconParseError(LexiconError):
-    """Raised when a lexicon file is malformed; message names the line."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = "line %d: %s" % (line, message)
-        super().__init__(message)
-        self.line = line
+    """Raised when a lexicon, source, allowlist or polarity file is malformed."""
 
 
 class LexiconConflictError(LexiconParseError):
@@ -35,13 +42,7 @@ class InflectionMiss(LexiconError):
 
 
 class GrammarError(FraseoError):
-    """A grammar is unusable; the message names the line when one is at fault."""
-
-    def __init__(self, reason, line=None):
-        message = reason if line is None else "line %d: %s" % (line, reason)
-        super().__init__(message)
-        self.reason = reason
-        self.line = line
+    """A grammar is unusable."""
 
 
 class GrammarParseError(GrammarError):

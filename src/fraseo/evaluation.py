@@ -8,10 +8,10 @@ records.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 from .errors import EvaluationError
+from .fileio import data_lines, read_elements
 
 ERROR_TYPES = ("a", "b", "c", "d", "e", "f")
 RATING_RANGE = range(0, 6)
@@ -35,24 +35,19 @@ class CorpusItem:
 def load_corpus(path):
     """Read a TSV evaluation corpus: ``target<TAB>kw1,kw2,...`` per line.
 
-    Errors name the line and ``path``.
+    Blank lines and ``#`` comment lines are skipped. Errors name the line
+    and ``path``.
     """
     items = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            target, sep, keywords = line.partition("\t")
-            if not sep:
-                raise EvaluationError("line %d: %s: missing tab separator" % (number, path))
-            target = target.strip()
-            words = tuple(word.strip() for word in keywords.split(",") if word.strip())
-            if not target or not words:
-                raise EvaluationError(
-                    "line %d: %s: empty target or keyword list" % (number, path)
-                )
-            items.append(CorpusItem(target=target, keywords=words))
+    for number, line in data_lines(path):
+        target, sep, keywords = line.partition("\t")
+        if not sep:
+            raise EvaluationError("missing tab separator", number, path)
+        target = target.strip()
+        words = tuple(word.strip() for word in keywords.split(",") if word.strip())
+        if not target or not words:
+            raise EvaluationError("empty target or keyword list", number, path)
+        items.append(CorpusItem(target=target, keywords=words))
     return items
 
 
@@ -179,33 +174,19 @@ def load_annotations(path):
     element's line and ``path``.
     """
     try:
-        tree = ET.parse(path)
-    except ET.ParseError as exc:
-        raise EvaluationError("unparseable annotation file %s: %s" % (path, exc))
+        return read_elements(
+            path,
+            "annotations",
+            "annotation",
+            lambda element, root: _annotation_record(element),
+            EvaluationError,
+        )
     except OSError as exc:
         raise EvaluationError("cannot read annotation file %s: %s" % (path, exc))
-    root = tree.getroot()
-    records = []
-    index = -1  # the root: its line comes first in _element_lines
-    try:
-        if root.tag != "annotations":
-            raise EvaluationError(
-                "annotation root must be <annotations>, got <%s>" % root.tag
-            )
-        for index, element in enumerate(root):
-            records.append(_annotation_record(element))
-    except EvaluationError as exc:
-        from .lexicon import _element_lines  # only a failed file is read twice
-
-        line = _element_lines(path)[index + 1]
-        raise EvaluationError("line %d: %s: %s" % (line, path, exc)) from None
-    return records
 
 
 def _annotation_record(element):
     """The AnnotationRecord of one ``<annotation>`` element."""
-    if element.tag != "annotation":
-        raise EvaluationError("unexpected element <%s>" % element.tag)
     sentence = element.get("sentence")
     annotator = element.get("annotator")
     if not sentence or not annotator:

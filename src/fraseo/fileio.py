@@ -1,6 +1,93 @@
-"""Atomic text-file writes shared by every file the package saves."""
+"""The package's resource-file readers and its one atomic writer.
+
+Every reader raises the caller's ``FraseoError`` subclass naming the path
+and the line at fault. ``data_lines`` reads the line files (polarity
+table, allowlist, usage model, evaluation corpus); ``read_elements`` reads
+the XML files (lexicon, source lexica, annotations).
+"""
 
 import os
+import xml.etree.ElementTree as ET
+from xml.parsers import expat
+
+
+def bundled(name, path=None):
+    """``path``, or when it is None the bundled data file ``name``.
+
+    The data files ship inside the package directory (package-data), so a
+    plain path reaches them without importing ``importlib.resources``.
+    """
+    if path is None:
+        return os.path.join(os.path.dirname(__file__), "data", name)
+    return path
+
+
+def data_lines(path):
+    """(line number, line) for each line of ``path`` that holds data.
+
+    Blank lines and lines whose first non-blank character is ``#`` are
+    skipped. A line keeps its whitespace and loses only its line end. The
+    file is closed before the list is returned.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    return [
+        (number, line)
+        for number, line in enumerate(text.split("\n"), start=1)
+        if line.strip()[:1] not in ("", "#")
+    ]
+
+
+def element_lines(path):
+    """Opening lines of the root element and then of each of its children.
+
+    Called only once a file has failed, so a good file is parsed once.
+    """
+    parser = expat.ParserCreate()
+    lines = []
+    depth = 0
+
+    def start(name, attrs):
+        nonlocal depth
+        if depth <= 1:
+            lines.append(parser.CurrentLineNumber)
+        depth += 1
+
+    def end(name):
+        nonlocal depth
+        depth -= 1
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    with open(path, "rb") as handle:
+        parser.ParseFile(handle)
+    return lines
+
+
+def read_elements(path, root_tag, child_tag, read, error):
+    """``read(element, root)`` for each child of the XML file's root, in file order.
+
+    The root must be a ``<root_tag>`` and every child a ``<child_tag>``.
+    Malformed XML or a wrong tag raises ``error``, and an ``error`` that
+    ``read`` raises is raised again as its own class; either names ``path``
+    and the line of the element at fault.
+    """
+    try:
+        root = ET.parse(path).getroot()
+    except ET.ParseError as exc:
+        raise error("malformed XML: %s" % exc, exc.position[0], path) from None
+    results = []
+    index = -1  # the root: its line comes first in element_lines
+    try:
+        if root.tag != root_tag:
+            raise error("root element must be <%s>, got <%s>" % (root_tag, root.tag))
+        for index, element in enumerate(root):
+            if element.tag != child_tag:
+                raise error("unexpected element <%s>" % element.tag)
+            results.append(read(element, root))
+    except error as exc:
+        raise type(exc)(exc.reason, element_lines(path)[index + 1], path) from None
+    return results
 
 
 def write_text_atomic(path, text):

@@ -264,7 +264,7 @@ def load_grammar(path, depth_limit=2):
     try:
         return parse_grammar(text, depth_limit=depth_limit)
     except GrammarParseError as exc:
-        raise type(exc)("%s: %s" % (path, exc.reason), exc.line) from None
+        raise type(exc)(exc.reason, exc.line, path) from None
 
 
 _LEAF_CACHE = {name: TreeNode(symbol=name) for name in TERMINALS}

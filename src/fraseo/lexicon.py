@@ -17,13 +17,12 @@ File format::
     </lexicon>
 
 Absent attributes mean the axis is unspecified; ``x-`` prefixed entry
-attributes are carried as extras. ``read_lexicon_file`` is the one reader
-of this format: ``load_lexicon`` and the builder's source loader each hand
-it a per-entry callback built on ``parse_forms`` and ``parse_extras``.
+attributes are carried as extras. ``fileio.read_elements`` reads this
+format: ``load_lexicon`` and the builder's source loader each hand it a
+per-entry callback built on ``parse_forms`` and ``parse_extras``.
 """
 
 import xml.etree.ElementTree as ET
-from xml.parsers import expat
 
 from .errors import InflectionMiss, LexiconConflictError, LexiconParseError
 from .features import (
@@ -39,7 +38,7 @@ from .features import (
     Tense,
     Value,
 )
-from .fileio import write_text_atomic
+from .fileio import element_lines, read_elements, write_text_atomic
 
 # <form> attribute codes per feature axis; the attribute names are the axes.
 FORM_CODES = {
@@ -232,72 +231,25 @@ def parse_entry_element(element):
         raise LexiconParseError(str(exc))
 
 
-def _element_lines(path):
-    """Opening lines of the root element and then of each of its children.
-
-    Called only once a file has failed, so a good file is parsed once.
-    """
-    parser = expat.ParserCreate()
-    lines = []
-    depth = 0
-
-    def start(name, attrs):
-        nonlocal depth
-        if depth <= 1:
-            lines.append(parser.CurrentLineNumber)
-        depth += 1
-
-    def end(name):
-        nonlocal depth
-        depth -= 1
-
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
-    with open(path, "rb") as handle:
-        parser.ParseFile(handle)
-    return lines
-
-
-def read_lexicon_file(path, read_entry):
-    """Parse a lexicon-format XML file; ``read_entry(element, root)`` per entry.
-
-    Checks the <lexicon> root and that every child is an <entry>, and
-    returns the callback results in file order. A LexiconParseError from
-    the callback is raised again naming ``path`` and the entry's line.
-    """
-    try:
-        root = ET.parse(path).getroot()
-    except ET.ParseError as exc:
-        raise LexiconParseError("%s: malformed XML: %s" % (path, exc), exc.position[0])
-    if root.tag != "lexicon":
-        raise LexiconParseError(
-            "%s: root element must be <lexicon>, got <%s>" % (path, root.tag),
-            _element_lines(path)[0],
-        )
-    results = []
-    for index, element in enumerate(root):
-        try:
-            if element.tag != "entry":
-                raise LexiconParseError("unexpected element <%s>" % element.tag)
-            results.append(read_entry(element, root))
-        except LexiconParseError as exc:
-            line = _element_lines(path)[index + 1]
-            raise LexiconParseError("%s: %s" % (path, exc), line) from None
-    return results
-
-
 def load_lexicon(path):
     """Parse a lexicon XML file; duplicate (lemma, category) pairs are errors."""
-    entries = read_lexicon_file(path, lambda element, root: parse_entry_element(element))
+    entries = read_elements(
+        path,
+        "lexicon",
+        "entry",
+        lambda element, root: parse_entry_element(element),
+        LexiconParseError,
+    )
     first_index = {}
     for index, entry in enumerate(entries):
         key = (entry.lemma, entry.category)
         if key in first_index:
-            lines = _element_lines(path)
+            lines = element_lines(path)
             raise LexiconConflictError(
-                "%s: duplicate entry for lemma %r category %s (first seen on line %d)"
-                % (path, entry.lemma, entry.category.value, lines[first_index[key] + 1]),
+                "duplicate entry for lemma %r category %s (first seen on line %d)"
+                % (entry.lemma, entry.category.value, lines[first_index[key] + 1]),
                 lines[index + 1],
+                path,
             )
         first_index[key] = index
     return Lexicon.from_entries(entries)
@@ -308,14 +260,12 @@ def bundle_attrs(features):
     return {axis: _CODE_FOR[getattr(features, axis)] for axis in features.specified_axes()}
 
 
-def entry_element(entry, source=None):
+def entry_element(entry):
     attrs = {"lemma": entry.lemma, "cat": entry.category.value}
     if entry.adverb_class is not None:
         attrs["adverb-class"] = entry.adverb_class.value
     if entry.reflexive_capable:
         attrs["reflexive"] = "true"
-    if source is not None:
-        attrs["source"] = source
     for key, value in entry.extras:
         attrs["x-%s" % key] = value
     element = ET.Element("entry", attrs)

@@ -18,7 +18,7 @@ reflexive tally into a relative frequency.
 
 from .errors import ModelError
 from .features import LexicalCategory, Value
-from .fileio import write_text_atomic
+from .fileio import data_lines, write_text_atomic
 
 ADJACENT_WEIGHT = 1.0
 SKIP_ONE_WEIGHT = 0.5
@@ -135,14 +135,10 @@ class NGramModel:
     def load(cls, path):
         model = cls()
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                raw_lines = handle.read().splitlines()
+            lines = data_lines(path)
         except OSError as exc:
             raise ModelError("cannot read model file %s: %s" % (path, exc)) from exc
-        for number, raw in enumerate(raw_lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for number, line in lines:
             parts = line.split()
             try:
                 if parts[0] == "V" and len(parts) == 4:
@@ -156,8 +152,8 @@ class NGramModel:
                     stats.preps[prep] = weight
                 else:
                     raise ValueError("unrecognized record")
-            except (ValueError, IndexError) as exc:
-                raise ModelError("line %d: %s: bad model record %r" % (number, path, raw)) from exc
+            except ValueError as exc:
+                raise ModelError("bad model record %r" % line, number, path) from exc
         return model
 
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import os
-
 from .errors import EmptyInputError, NoStructureError, NoVerbError
 from .features import Value
+from .fileio import bundled
 from .grammar import load_grammar
 from .lexicon import load_lexicon
 from .lm import NGramModel
@@ -45,26 +44,15 @@ class GenerationResult(Value):
         return [candidate.text for candidate in self.candidates]
 
 
-def _bundled(path, name):
-    """``path``, or when it is None the bundled data file ``name``.
-
-    The data files ship inside the package directory (package-data), so a
-    plain path reaches them without importing ``importlib.resources``.
-    """
-    if path is None:
-        return os.path.join(os.path.dirname(__file__), "data", name)
-    return path
-
-
 def load_resources(lexicon_path=None, grammar_path=None, lm_path=None):
     """Load generation resources, falling back to the bundled ones.
 
     A grammar the planner cannot interpret raises GrammarError.
     """
-    lexicon = load_lexicon(_bundled(lexicon_path, _BUNDLED_LEXICON))
-    grammar = load_grammar(_bundled(grammar_path, _BUNDLED_GRAMMAR))
+    lexicon = load_lexicon(bundled(_BUNDLED_LEXICON, lexicon_path))
+    grammar = load_grammar(bundled(_BUNDLED_GRAMMAR, grammar_path))
     check_grammar(grammar, grammar_path or _BUNDLED_GRAMMAR)
-    lm = NGramModel.load(_bundled(lm_path, _BUNDLED_LM))
+    lm = NGramModel.load(bundled(_BUNDLED_LM, lm_path))
     return Resources(
         lexicon=lexicon,
         grammar=grammar,

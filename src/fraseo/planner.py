@@ -213,14 +213,15 @@ def check_grammar(grammar, source):
     """
     if grammar.start != "S":
         raise GrammarError(
-            "%s: start symbol %r is not 'S'" % (source, grammar.start), grammar.rules[0].line
+            "start symbol %r is not 'S'" % grammar.start, grammar.rules[0].line, source
         )
     for rule in grammar.rules:
         if rule.head not in PHRASE_NAMES:
             raise GrammarError(
-                "%s: unknown nonterminal %r in rule %s (known: %s)"
-                % (source, rule.head, rule, " ".join(sorted(PHRASE_NAMES))),
+                "unknown nonterminal %r in rule %s (known: %s)"
+                % (rule.head, rule, " ".join(sorted(PHRASE_NAMES))),
                 rule.line,
+                source,
             )
 
 

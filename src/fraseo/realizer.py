@@ -13,10 +13,9 @@ before the verb inflected here.
 
 from __future__ import annotations
 
-import os
-
 from .errors import InflectionMiss, LexiconParseError
 from .features import FeatureBundle, Gender, LexicalCategory, Mood, Number, Person, Value
+from .fileio import bundled, data_lines
 from .lexicon import inflect
 from .planner import NEGATION_WORD, NO_AGREEMENT, SUBJECT_AGREEMENT
 
@@ -141,20 +140,14 @@ def infer_agreement(subject_slots):
 
 def load_polarity_pairs(path=None):
     """Read the positive<TAB>negative adverb table; LexiconParseError names a bad line."""
-    if path is None:  # the bundled table, shipped in the package directory
-        path = os.path.join(os.path.dirname(__file__), "data", "polarity_pairs.txt")
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    path = bundled("polarity_pairs.txt", path)
     pairs = {}
-    for number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in data_lines(path):
         positive, _, negative = line.partition("\t")
         positive = positive.strip()
         negative = negative.strip()
         if not positive or not negative:
-            raise LexiconParseError("%s: bad polarity pair line" % path, number)
+            raise LexiconParseError("bad polarity pair line", number, path)
         pairs[positive] = negative
     return pairs
 

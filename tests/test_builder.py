@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraseo import builder
+from fraseo.errors import LexiconParseError
 from fraseo.features import AdverbClass, FeatureBundle, Gender, LexicalCategory, Number
 from fraseo.lexicon import (
     LexicalEntry,
@@ -115,6 +116,15 @@ def test_verify_filters_on_lemma_and_category(source_a, oracle, bundled_fixtures
     # Idempotent: a second pass keeps everything it already accepted.
     again = builder.verify(kept, oracle)
     assert again == kept
+
+
+@pytest.mark.parametrize("line", ["casa", "casa\t", "casa\t,", "casa\t , ", "\tnoun"])
+def test_allowlist_rejects_a_line_without_lemma_or_category(tmp_path, line):
+    path = tmp_path / "allowlist.tsv"
+    path.write_text("# lemma<TAB>categories\nperro\tnoun\n%s\n" % line, encoding="utf-8")
+    with pytest.raises(LexiconParseError) as raised:
+        builder.AllowlistOracle.load(path)
+    assert str(raised.value) == "line 3: %s: bad allowlist line" % path
 
 
 def test_full_build_report(built):

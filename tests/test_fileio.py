@@ -1,9 +1,14 @@
 import pytest
 
+from fraseo.builder import AllowlistOracle, load_source_records
+from fraseo.errors import EvaluationError, GrammarParseError, LexiconParseError, ModelError
+from fraseo.evaluation import load_annotations, load_corpus
 from fraseo.features import LexicalCategory
 from fraseo.fileio import write_text_atomic
-from fraseo.lexicon import LexicalEntry, Lexicon, WordForm, save_lexicon
+from fraseo.grammar import load_grammar
+from fraseo.lexicon import LexicalEntry, Lexicon, WordForm, load_lexicon, save_lexicon
 from fraseo.lm import NGramModel, parse_tagged_line
+from fraseo.realizer import load_polarity_pairs
 
 LONE_SURROGATE = "\ud800"  # fails the UTF-8 encode half-way through a write
 
@@ -31,3 +36,85 @@ def test_failed_write_keeps_previous_file(tmp_path):
     write_text_atomic(path, "new\n")
     assert path.read_bytes() == b"new\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+# Per reader: one bad file, the error class it raises, and the line and
+# reason the error names.
+BAD_FILES = {
+    "lexicon": (
+        load_lexicon,
+        '<lexicon>\n  <entry lemma="x" cat="noun"><form surface="x"/></entry>\n'
+        '  <entry lemma="y" cat="widget"><form surface="y"/></entry>\n</lexicon>\n',
+        LexiconParseError,
+        3,
+        "unknown category 'widget' for lemma 'y'",
+    ),
+    "source": (
+        load_source_records,
+        '<lexicon source="alpha">\n  <entry cat="noun"/>\n</lexicon>\n',
+        LexiconParseError,
+        2,
+        "source entry without lemma",
+    ),
+    "annotations": (
+        load_annotations,
+        '<annotations>\n  <annotation sentence="s1" annotator="a1">\n</annotations>\n',
+        EvaluationError,
+        3,
+        "malformed XML: mismatched tag: line 3, column 2",
+    ),
+    "grammar": (
+        load_grammar,
+        "S -> PRED\n# comment\nPRED verb\n",
+        GrammarParseError,
+        3,
+        "missing '->'",
+    ),
+    "model": (
+        NGramModel.load,
+        "# verb usage model v1\nV ir 3 0\nP ir a lots\n",
+        ModelError,
+        3,
+        "bad model record 'P ir a lots'",
+    ),
+    "polarity": (
+        load_polarity_pairs,
+        "siempre\tnunca\nalgo\n",
+        LexiconParseError,
+        2,
+        "bad polarity pair line",
+    ),
+    "allowlist": (
+        AllowlistOracle.load,
+        "casa\tnoun\n\nperro\tbogus\n",
+        LexiconParseError,
+        3,
+        "unknown category 'bogus' in allowlist",
+    ),
+    "corpus": (
+        load_corpus,
+        "# target<TAB>keywords\nUno.\tuno\nno tab here\n",
+        EvaluationError,
+        3,
+        "missing tab separator",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FILES))
+def test_every_reader_names_path_line_and_reason(tmp_path, name):
+    read, text, error, line, reason = BAD_FILES[name]
+    path = tmp_path / ("bad_" + name)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as raised:
+        read(path)
+    err = raised.value
+    assert type(err) is error
+    assert (err.path, err.line, err.reason) == (path, line, reason)
+    assert str(err) == "line %d: %s: %s" % (line, path, reason)
+
+
+def test_corpus_skips_comment_lines(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    path.write_text("# target<TAB>keywords\nUno.\tuno\n  # Dos.\tdos\n", encoding="utf-8")
+    assert [item.target for item in load_corpus(path)] == ["Uno."]

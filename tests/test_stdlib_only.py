@@ -23,3 +23,18 @@ def test_package_imports_only_stdlib():
                 if top != "fraseo" and top not in sys.stdlib_module_names:
                     foreign.append("%s: %s" % (path.name, name))
     assert foreign == []
+
+
+def test_package_imports_no_private_name_of_another_module():
+    package = pathlib.Path(fraseo.__file__).parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "fraseo":
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append("%s: %s" % (path.name, alias.name))
+    assert private == []
