@@ -227,7 +227,8 @@ def extract_and_map(primary_records, expansion_source, report=None):
 class AllowlistOracle:
     """Verification oracle backed by a lemma allowlist file.
 
-    One line per lemma: ``lemma<TAB>cat1,cat2``. Queries are pure.
+    Each line reads ``lemma<TAB>cat1,cat2``. A lemma listed on several
+    lines takes the categories of all of them. Queries are pure.
     """
 
     def __init__(self, table):
@@ -244,7 +245,7 @@ class AllowlistOracle:
             names = [name for name in map(normalize_category, cats.split(",")) if name]
             if not lemma or not names:
                 raise LexiconParseError("bad allowlist line", number, path)
-            categories = set()
+            categories = table.setdefault(lemma, set())
             for name in names:
                 try:
                     categories.add(LexicalCategory(name))
@@ -252,7 +253,6 @@ class AllowlistOracle:
                     raise LexiconParseError(
                         "unknown category %r in allowlist" % name, number, path
                     )
-            table[lemma] = categories
         return cls(table)
 
     def contains(self, lemma):

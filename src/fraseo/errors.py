@@ -27,7 +27,11 @@ class LexiconParseError(LexiconError):
 
 
 class LexiconConflictError(LexiconParseError):
-    """Duplicate (lemma, category) pair in one lexicon file."""
+    """Duplicate (lemma, category) pair in one lexicon.
+
+    ``Lexicon.from_entries`` sets ``.positions`` to the indices of the two
+    entries.
+    """
 
 
 class InflectionMiss(LexiconError):

@@ -87,22 +87,29 @@ class Value:
     """Base of fraseo's small value classes, whose fields are their slots.
 
     A subclass lists its fields in ``__slots__``, after those it inherits,
-    and assigns each in a hand-written ``__init__`` that takes them by name.
-    A class that also keeps state derived from its fields names the fields
-    alone in ``_fields``. From the fields this base gives equality (an
-    instance equals only an instance of its own class), a hash, a
-    ``Name(field=value, ...)`` repr and ``replaced(**changes)``. Instances
-    are frozen by convention: nothing assigns a field after ``__init__``.
+    and the defaults of its last fields in ``_defaults``, a dict from field
+    name to default. This base then writes the class's ``__init__``, which
+    takes the fields in order and stores each. A class whose body defines
+    its own ``__init__``, because it keeps state derived from its fields,
+    names the fields alone in ``_fields``. From the fields this base gives
+    equality (an instance equals only an instance of its own class), a
+    hash, a ``Name(field=value, ...)`` repr and ``replaced(**changes)``.
+    Instances are frozen by convention: nothing assigns a field after
+    ``__init__``.
     """
 
     __slots__ = ()
     _fields = ()
+    _defaults = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__slots__", ())
         if "_fields" not in cls.__dict__:
-            cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+            cls._fields = cls._fields + own
         cls._field_values = attrgetter(*cls._fields)
+        if own and "__init__" not in cls.__dict__:
+            cls.__init__ = _field_init(cls)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -125,22 +132,25 @@ class Value:
         return type(self)(**values)
 
 
+def _field_init(cls):
+    """An ``__init__`` for ``cls`` that stores each field, compiled as namedtuple does."""
+    fields = cls._fields
+    namespace = {"__name__": cls.__module__}
+    exec(
+        "def __init__(self, %s):\n%s"
+        % (", ".join(fields), "".join("    self.%s = %s\n" % (name, name) for name in fields)),
+        namespace,
+    )
+    init = namespace["__init__"]
+    init.__qualname__ = cls.__qualname__ + ".__init__"
+    defaulted = fields[len(fields) - len(cls._defaults):]
+    init.__defaults__ = tuple(cls._defaults[name] for name in defaulted) or None
+    return init
+
+
 class FeatureBundle(Value):
     __slots__ = AXES
-
-    def __init__(
-        self,
-        gender=Gender.unspecified,
-        number=Number.unspecified,
-        person=Person.unspecified,
-        tense=Tense.unspecified,
-        mood=Mood.unspecified,
-    ):
-        self.gender = gender
-        self.number = number
-        self.person = person
-        self.tense = tense
-        self.mood = mood
+    _defaults = dict(AXIS_UNSPECIFIED)
 
     def validate(self):
         """Check internal consistency; raises ValueError on violation.

@@ -67,11 +67,6 @@ class GrammarRule(Value):
 
     __slots__ = ("head", "body", "line")
 
-    def __init__(self, head, body, line):
-        self.head = head
-        self.body = body
-        self.line = line
-
     def __str__(self):
         return "%s -> %s" % (self.head, " ".join(self.body))
 
@@ -86,10 +81,7 @@ class TreeNode(Value):
     """
 
     __slots__ = ("symbol", "children")
-
-    def __init__(self, symbol, children=()):
-        self.symbol = symbol
-        self.children = children
+    _defaults = {"children": ()}
 
     @property
     def is_leaf(self):

@@ -66,30 +66,18 @@ _CODE_FOR = {value: code for codes in FORM_CODES.values() for code, value in cod
 
 class WordForm(Value):
     __slots__ = ("surface", "features")
-
-    def __init__(self, surface, features=EMPTY_BUNDLE):
-        self.surface = surface
-        self.features = features
+    _defaults = {"features": EMPTY_BUNDLE}
 
 
 class LexicalEntry(Value):
-    __slots__ = ("lemma", "category", "forms", "adverb_class", "reflexive_capable", "extras")
+    """One lemma of one category with its forms.
 
-    def __init__(
-        self,
-        lemma,
-        category,
-        forms,
-        adverb_class=None,  # an AdverbClass, adverbs only
-        reflexive_capable=False,
-        extras=(),  # ((key, value), ...) carried through merges
-    ):
-        self.lemma = lemma
-        self.category = category
-        self.forms = forms
-        self.adverb_class = adverb_class
-        self.reflexive_capable = reflexive_capable
-        self.extras = extras
+    ``adverb_class`` is an AdverbClass, adverbs only; ``extras`` holds the
+    ``((key, value), ...)`` pairs carried through merges.
+    """
+
+    __slots__ = ("lemma", "category", "forms", "adverb_class", "reflexive_capable", "extras")
+    _defaults = {"adverb_class": None, "reflexive_capable": False, "extras": ()}
 
     def validate(self):
         if not self.lemma:
@@ -117,27 +105,31 @@ class LexicalEntry(Value):
 
 
 class Lexicon(Value):
-    __slots__ = ("entries", "lemma_index", "form_index")
+    """Entries in file order, indexed by lemma and by surface.
 
-    def __init__(self, entries=(), lemma_index=None, form_index=None):
-        self.entries = entries
-        # lemma -> entries in file order; surface -> (entry, form) pairs
-        self.lemma_index = {} if lemma_index is None else lemma_index
-        self.form_index = {} if form_index is None else form_index
+    ``lemma_index`` maps a lemma to its entries in file order and
+    ``form_index`` a surface to its (entry, form) pairs.
+    """
+
+    __slots__ = ("entries", "lemma_index", "form_index")
 
     @classmethod
     def from_entries(cls, entries):
         entries = tuple(entries)
+        first_index = {}
         lemma_index = {}
         form_index = {}
-        for entry in entries:
-            same_lemma = lemma_index.setdefault(entry.lemma, [])
-            if any(other.category is entry.category for other in same_lemma):
-                raise LexiconConflictError(
+        for index, entry in enumerate(entries):
+            key = (entry.lemma, entry.category)
+            if key in first_index:
+                error = LexiconConflictError(
                     "duplicate entry for lemma %r category %s"
                     % (entry.lemma, entry.category.value)
                 )
-            same_lemma.append(entry)
+                error.positions = (first_index[key], index)
+                raise error
+            first_index[key] = index
+            lemma_index.setdefault(entry.lemma, []).append(entry)
             for form in entry.forms:
                 form_index.setdefault(form.surface, []).append((entry, form))
         return cls(entries=entries, lemma_index=lemma_index, form_index=form_index)
@@ -240,19 +232,14 @@ def load_lexicon(path):
         lambda element, root: parse_entry_element(element),
         LexiconParseError,
     )
-    first_index = {}
-    for index, entry in enumerate(entries):
-        key = (entry.lemma, entry.category)
-        if key in first_index:
-            lines = element_lines(path)
-            raise LexiconConflictError(
-                "duplicate entry for lemma %r category %s (first seen on line %d)"
-                % (entry.lemma, entry.category.value, lines[first_index[key] + 1]),
-                lines[index + 1],
-                path,
-            )
-        first_index[key] = index
-    return Lexicon.from_entries(entries)
+    try:
+        return Lexicon.from_entries(entries)
+    except LexiconConflictError as exc:
+        first, second = exc.positions
+        lines = element_lines(path)
+        raise LexiconConflictError(
+            "%s (first seen on line %d)" % (exc.reason, lines[first + 1]), lines[second + 1], path
+        ) from None
 
 
 def bundle_attrs(features):

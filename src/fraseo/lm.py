@@ -16,6 +16,8 @@ Queries normalize the preposition weights into a distribution and turn the
 reflexive tally into a relative frequency.
 """
 
+import math
+
 from .errors import ModelError
 from .features import LexicalCategory, Value
 from .fileio import data_lines, write_text_atomic
@@ -29,11 +31,6 @@ _CATEGORY_VALUES = frozenset(cat.value for cat in LexicalCategory)
 
 class TaggedToken(Value):
     __slots__ = ("surface", "lemma", "category")
-
-    def __init__(self, surface, lemma, category):
-        self.surface = surface
-        self.lemma = lemma
-        self.category = category
 
 
 def parse_tagged_line(line):
@@ -52,11 +49,6 @@ def parse_tagged_line(line):
 
 class VerbStats(Value):
     __slots__ = ("total", "reflexive", "preps")
-
-    def __init__(self, total=0, reflexive=0, preps=None):
-        self.total = total
-        self.reflexive = reflexive
-        self.preps = {} if preps is None else preps
 
 
 class NGramModel:
@@ -78,7 +70,7 @@ class NGramModel:
         for index, token in enumerate(tokens):
             if token.category != LexicalCategory.verb.value:
                 continue
-            stats = self._verbs.setdefault(token.lemma, VerbStats())
+            stats = self._verbs.setdefault(token.lemma, VerbStats(0, 0, {}))
             stats.total += 1
             for neighbor in (index - 1, index + 1):
                 if 0 <= neighbor < len(tokens) and tokens[neighbor].lemma == REFLEXIVE_LEMMA:
@@ -143,12 +135,16 @@ class NGramModel:
             try:
                 if parts[0] == "V" and len(parts) == 4:
                     verb, total, reflexive = parts[1], int(parts[2]), int(parts[3])
-                    stats = model._verbs.setdefault(verb, VerbStats())
+                    if not 0 <= reflexive <= total:
+                        raise ValueError("counts out of range")
+                    stats = model._verbs.setdefault(verb, VerbStats(0, 0, {}))
                     stats.total = total
                     stats.reflexive = reflexive
                 elif parts[0] == "P" and len(parts) == 4:
                     verb, prep, weight = parts[1], parts[2], float(parts[3])
-                    stats = model._verbs.setdefault(verb, VerbStats())
+                    if not 0 <= weight < math.inf:
+                        raise ValueError("weight out of range")
+                    stats = model._verbs.setdefault(verb, VerbStats(0, 0, {}))
                     stats.preps[prep] = weight
                 else:
                     raise ValueError("unrecognized record")

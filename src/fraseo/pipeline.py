@@ -19,21 +19,15 @@ _BUNDLED_LM = "toy.lm"
 class Resources(Value):
     __slots__ = ("lexicon", "grammar", "lm", "polarity_pairs")
 
-    def __init__(self, lexicon, grammar, lm, polarity_pairs):
-        self.lexicon = lexicon
-        self.grammar = grammar
-        self.lm = lm
-        self.polarity_pairs = polarity_pairs
-
 
 class GenerationResult(Value):
-    __slots__ = ("input_words", "mode", "candidates", "echo")
+    """The answer to one ``generate()`` call.
 
-    def __init__(self, input_words, mode, candidates, echo):
-        self.input_words = input_words
-        self.mode = mode  # SentenceMode, None when echoing
-        self.candidates = candidates  # RealizedSentence, best first, deduplicated
-        self.echo = echo
+    ``mode`` is the SentenceMode, None when echoing; ``candidates`` holds
+    RealizedSentences, best first, deduplicated.
+    """
+
+    __slots__ = ("input_words", "mode", "candidates", "echo")
 
     @property
     def echo_text(self):

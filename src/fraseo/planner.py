@@ -137,14 +137,7 @@ class SlotFill(Value):
     """
 
     __slots__ = ("category", "surface", "token", "entry", "form", "rationale")
-
-    def __init__(self, category, surface, token=None, entry=None, form=None, rationale=None):
-        self.category = category
-        self.surface = surface
-        self.token = token
-        self.entry = entry
-        self.form = form
-        self.rationale = rationale
+    _defaults = {"token": None, "entry": None, "form": None, "rationale": None}
 
     @property
     def is_inserted(self):
@@ -152,7 +145,14 @@ class SlotFill(Value):
 
 
 class SentencePlan(Value):
-    """A fully lexicalized structure candidate, ready for realization."""
+    """A fully lexicalized structure candidate, ready for realization.
+
+    ``tree`` is a grammar.TreeNode and ``slot_assignment`` holds a SlotFill
+    per leaf, in leaf order. ``reflexive`` says the finite verb takes a
+    reflexive clitic. ``agreement_targets`` gives per leaf the leaf position
+    of the noun a determiner or adjective agrees with, SUBJECT_AGREEMENT or
+    NO_AGREEMENT.
+    """
 
     __slots__ = (
         "mode",
@@ -165,30 +165,7 @@ class SentencePlan(Value):
         "subject_leaf_count",
         "agreement_targets",
     )
-
-    def __init__(
-        self,
-        mode,
-        tree,
-        slot_assignment,
-        deviations,
-        discovery_index,
-        tense,
-        reflexive,
-        subject_leaf_count=0,
-        agreement_targets=(),
-    ):
-        self.mode = mode
-        self.tree = tree  # grammar.TreeNode
-        self.slot_assignment = slot_assignment  # SlotFill per leaf, in leaf order
-        self.deviations = deviations
-        self.discovery_index = discovery_index
-        self.tense = tense
-        self.reflexive = reflexive  # the finite verb takes a reflexive clitic
-        self.subject_leaf_count = subject_leaf_count
-        # Per leaf: the leaf position of the noun a determiner or adjective
-        # agrees with, SUBJECT_AGREEMENT or NO_AGREEMENT.
-        self.agreement_targets = agreement_targets
+    _defaults = {"subject_leaf_count": 0, "agreement_targets": ()}
 
     @property
     def inserted(self):

@@ -52,12 +52,6 @@ _HEAD_CATEGORIES = (
 class AgreementResult(Value):
     __slots__ = ("person", "number", "gender", "provenance")
 
-    def __init__(self, person, number, gender, provenance):
-        self.person = person
-        self.number = number
-        self.gender = gender
-        self.provenance = provenance
-
     def __str__(self):
         return "person=%s number=%s gender=%s" % (
             self.person.value,
@@ -68,11 +62,6 @@ class AgreementResult(Value):
 
 class RealizedSentence(Value):
     __slots__ = ("text", "plan", "trace")
-
-    def __init__(self, text, plan, trace):
-        self.text = text
-        self.plan = plan
-        self.trace = trace
 
 
 def infer_agreement(subject_slots):

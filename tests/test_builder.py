@@ -127,6 +127,14 @@ def test_allowlist_rejects_a_line_without_lemma_or_category(tmp_path, line):
     assert str(raised.value) == "line 3: %s: bad allowlist line" % path
 
 
+def test_allowlist_keeps_every_line_of_a_repeated_lemma(tmp_path):
+    path = tmp_path / "allowlist.tsv"
+    path.write_text("casa\tnoun\nperro\tnoun\ncasa\tverb\ncasa\tnoun\n", encoding="utf-8")
+    oracle = builder.AllowlistOracle.load(path)
+    assert oracle.categories("casa") == {LexicalCategory.noun, LexicalCategory.verb}
+    assert oracle.categories("perro") == {LexicalCategory.noun}
+
+
 def test_full_build_report(built):
     _, report = built
     flat = report.to_flat_dict()

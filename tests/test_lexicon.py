@@ -184,6 +184,37 @@ def test_duplicate_lemma_category_in_file_rejected(tmp_path):
     assert "first seen on line 2" in str(err.value)
 
 
+def test_duplicate_names_both_entries(tmp_path):
+    def entry(lemma, category):
+        return LexicalEntry(lemma=lemma, category=category, forms=(WordForm(lemma),))
+
+    noun = entry("casa", LexicalCategory.noun)
+    entries = [noun, entry("casa", LexicalCategory.verb), entry("perro", LexicalCategory.noun)]
+    with pytest.raises(LexiconConflictError) as err:
+        Lexicon.from_entries(entries + [noun])
+    assert str(err.value) == "duplicate entry for lemma 'casa' category noun"
+    assert err.value.positions == (0, 3)
+
+    path = tmp_path / "dup.xml"
+    path.write_text(
+        "<lexicon>\n"
+        '<entry lemma="casa" cat="noun"><form surface="casa"/></entry>\n'
+        '<entry lemma="casa" cat="verb"><form surface="casa"/></entry>\n'
+        '<entry lemma="perro" cat="noun">\n'
+        '  <form surface="perro"/>\n'
+        "</entry>\n"
+        '<entry lemma="casa" cat="noun"><form surface="casas"/></entry>\n'
+        "</lexicon>\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(LexiconConflictError) as err:
+        load_lexicon(path)
+    assert str(err.value) == (
+        "line 7: %s: duplicate entry for lemma 'casa' category noun (first seen on line 2)"
+        % path
+    )
+
+
 def test_save_load_round_trip_preserves_queries(lexicon, tmp_path):
     path = tmp_path / "copy.xml"
     save_lexicon(lexicon, path)

@@ -119,3 +119,33 @@ def test_load_rejects_malformed_model(tmp_path):
         NGramModel.load(path)
     with pytest.raises(ModelError):
         NGramModel.load(tmp_path / "missing.lm")
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        "V ir -3 7",
+        "V ir 7 -3",
+        "V ir -3 -3",
+        "V ir 2 3",
+        "P ir a -0.5",
+        "P ir a nan",
+        "P ir a inf",
+        "P ir a -inf",
+    ],
+)
+def test_load_rejects_counts_and_weights_no_model_holds(tmp_path, record):
+    path = tmp_path / "bad.lm"
+    path.write_text("# verb usage model v1\nV ir 4 1\nP ir a 1.0\n%s\n" % record, encoding="utf-8")
+    with pytest.raises(ModelError) as raised:
+        NGramModel.load(path)
+    assert str(raised.value) == "line 4: %s: bad model record %r" % (path, record)
+
+
+def test_load_accepts_boundary_counts_and_weights(tmp_path):
+    path = tmp_path / "edge.lm"
+    path.write_text("V ir 0 0\nV ser 3 3\nP ser de 0.0\nP ser a 2.5\n", encoding="utf-8")
+    model = NGramModel.load(path)
+    assert model.reflexive_probability("ir") == 0.0
+    assert model.reflexive_probability("ser") == 1.0
+    assert model.preposition_after("ser") == [("a", 1.0), ("de", 0.0)]

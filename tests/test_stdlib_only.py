@@ -38,3 +38,13 @@ def test_package_imports_no_private_name_of_another_module():
                 if alias.name.startswith("_"):
                     private.append("%s: %s" % (path.name, alias.name))
     assert private == []
+
+
+def test_only_features_compiles_code_from_a_string():
+    package = pathlib.Path(fraseo.__file__).parent
+    users = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and node.id == "exec":
+                users.append(path.name)
+    assert users == ["features.py"]

@@ -5,11 +5,17 @@ repr and ``replaced`` from ``fraseo.features.Value``. Every case below builds
 two instances from separately constructed but equal field values.
 """
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 from make_golden import golden_inputs
 
+import fraseo
 from fraseo.errors import EmptyInputError
 from fraseo.features import (
+    AXIS_UNSPECIFIED,
     AdverbClass,
     FeatureBundle,
     Gender,
@@ -111,6 +117,22 @@ CASES = {
                                               provenance={"person": "default"}), False),
     RealizedSentence: (sentence, True),
 }
+
+
+# The defaults of each class's ``__init__``; a class not named has none.
+DEFAULTS = {
+    FeatureBundle: dict(AXIS_UNSPECIFIED),
+    TreeNode: {"children": ()},
+    Grammar: {"depth_limit": 2},
+    WordForm: {"features": FeatureBundle()},
+    LexicalEntry: {"adverb_class": None, "reflexive_capable": False, "extras": ()},
+    InputToken: {"readings": None, "marker": None, "is_default_subject": False},
+    SlotFill: {"token": None, "entry": None, "form": None, "rationale": None},
+    SentencePlan: {"subject_leaf_count": 0, "agreement_targets": ()},
+}
+
+# The only classes that write their own ``__init__``: each derives state.
+HAND_WRITTEN_INIT = {"Grammar", "InputToken", "_Search"}
 
 
 def test_every_generate_path_class_is_covered():
@@ -235,3 +257,51 @@ def test_replaced_rejects_unknown_fields():
     negative = original.replaced(mode=SentenceMode.negative)
     assert negative.mode is SentenceMode.negative and original.mode is SentenceMode.affirmative
     assert negative.replaced(mode=SentenceMode.affirmative) == original
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_init_takes_the_fields_in_order_with_their_defaults(cls):
+    parameters = inspect.signature(cls).parameters.values()
+    assert tuple(parameter.name for parameter in parameters) == cls._fields
+    assert {parameter.kind for parameter in parameters} == {
+        inspect.Parameter.POSITIONAL_OR_KEYWORD
+    }
+    defaults = {
+        parameter.name: parameter.default
+        for parameter in parameters
+        if parameter.default is not inspect.Parameter.empty
+    }
+    assert defaults == DEFAULTS.get(cls, {})
+    assert set(cls._defaults) <= set(cls._fields)
+    if cls.__name__ in HAND_WRITTEN_INIT:
+        return
+    assert cls._defaults == defaults
+    assert cls.__init__.__qualname__ == cls.__qualname__ + ".__init__"
+    assert cls.__init__.__module__ == cls.__module__
+    values = [object() for _ in cls._fields]
+    made = cls(*values)
+    assert all(getattr(made, name) is value for name, value in zip(cls._fields, values))
+
+
+def test_required_field_error_names_the_class():
+    with pytest.raises(TypeError) as raised:
+        TreeNode()
+    assert str(raised.value) == (
+        "TreeNode.__init__() missing 1 required positional argument: 'symbol'"
+    )
+
+
+def test_only_classes_with_derived_state_write_their_own_init():
+    for module in pkgutil.iter_modules(fraseo.__path__):
+        importlib.import_module("fraseo." + module.name)
+    classes, pending = [], [Value]
+    while pending:
+        subclasses = pending.pop().__subclasses__()
+        pending += subclasses
+        classes += [cls for cls in subclasses if cls.__module__.startswith("fraseo.")]
+    assert set(CASES) <= set(classes)
+    # A generated ``__init__`` was compiled from a string, not from the module.
+    written = [cls for cls in classes if cls.__init__.__code__.co_filename == inspect.getfile(cls)]
+    assert {cls.__qualname__ for cls in written} == HAND_WRITTEN_INIT
+    for cls in written:
+        assert "_fields" in cls.__dict__, cls
