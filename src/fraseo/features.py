@@ -9,26 +9,38 @@ from enum import Enum
 from operator import attrgetter
 
 
-class Gender(Enum):
+class _Feature(Enum):
+    """Base of the feature enums: a member hashes by identity.
+
+    Enum members are singletons and compare by identity already, so the
+    identity hash agrees with equality and costs a C slot instead of
+    ``Enum.__hash__``'s hash of the member name. It differs between
+    processes, so nothing may order output by it.
+    """
+
+    __hash__ = object.__hash__
+
+
+class Gender(_Feature):
     unspecified = "unspecified"
     masculine = "masculine"
     feminine = "feminine"
 
 
-class Number(Enum):
+class Number(_Feature):
     unspecified = "unspecified"
     singular = "singular"
     plural = "plural"
 
 
-class Person(Enum):
+class Person(_Feature):
     unspecified = "unspecified"
     first = "first"
     second = "second"
     third = "third"
 
 
-class Tense(Enum):
+class Tense(_Feature):
     unspecified = "unspecified"
     present = "present"
     past = "past"
@@ -36,7 +48,7 @@ class Tense(Enum):
     conditional = "conditional"
 
 
-class Mood(Enum):
+class Mood(_Feature):
     unspecified = "unspecified"
     indicative = "indicative"
     subjunctive = "subjunctive"
@@ -49,7 +61,7 @@ class Mood(Enum):
 NON_FINITE_MOODS = frozenset({Mood.infinitive, Mood.gerund, Mood.participle})
 
 
-class LexicalCategory(Enum):
+class LexicalCategory(_Feature):
     noun = "noun"
     verb = "verb"
     adjective = "adjective"
@@ -68,7 +80,7 @@ INVARIABLE_CATEGORIES = frozenset(
 )
 
 
-class AdverbClass(Enum):
+class AdverbClass(_Feature):
     time_past = "time_past"
     time_future = "time_future"
     negation_polarity = "negation_polarity"

@@ -304,8 +304,7 @@ def derive(grammar, fill, state=None, masks=None, insertable=frozenset()):
         return iter(())
     start_usage = tuple(int(name == grammar.start) for name in grammar.rules_for)
     search = _Derivation(grammar, fill, masks, insertable)
-    found = search.derivations(grammar.start, None, state, start_usage)
-    return found if masks is None else (item for item in found if item[2][0] == len(masks))
+    return search.derivations(grammar.start, None, state, start_usage)
 
 
 class _Derivation:
@@ -313,15 +312,19 @@ class _Derivation:
 
     Plain methods instead of nested closures let the memo go as soon as the
     returned iterator does, without waiting for the cyclic garbage collector.
-    ``pending[pos]`` is (tokens left, mask of token ``pos`` or 0), None without input.
+    ``pending[pos]`` is (tokens left, mask of token ``pos`` or 0) and ``last``
+    the input's length, both None without input. The start symbol's last body
+    symbol keeps only the choices that end at ``last``, so no root derivation
+    that leaves a token unconsumed is built.
     """
 
     def __init__(self, grammar, fill, masks, insertable):
         self.depth_limit = grammar.depth_limit
         self.fill = fill
-        self.pending = None
+        self.pending = self.last = None
         if masks is not None:
             self.pending = [(len(masks) - pos, mask) for pos, mask in enumerate([*masks, 0])]
+            self.last = len(masks)
         self.rows = grammar.table(insertable).rows
         self.memo = {}
 
@@ -376,8 +379,10 @@ class _Derivation:
         choices = self.expand(name, slot, head, parent, state, usage)
         index += 1
         if index == len(row):
+            last = self.last if parent is None else None  # the root consumes every token
             for node, more, end in choices:
-                yield children + (node,), payloads + more, end
+                if last is None or end[0] == last:
+                    yield children + (node,), payloads + more, end
             return
         need, first = row[index][4:]
         pending = self.pending if need else None

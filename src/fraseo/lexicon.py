@@ -73,10 +73,13 @@ class LexicalEntry(Value):
     """One lemma of one category with its forms.
 
     ``adverb_class`` is an AdverbClass, adverbs only; ``extras`` holds the
-    ``((key, value), ...)`` pairs carried through merges.
+    ``((key, value), ...)`` pairs carried through merges. ``_surfaces``, not
+    a field, is ``inflect``'s memo for this entry: it is created on the
+    first inflection and maps each target FeatureBundle to its surface.
     """
 
-    __slots__ = ("lemma", "category", "forms", "adverb_class", "reflexive_capable", "extras")
+    _fields = ("lemma", "category", "forms", "adverb_class", "reflexive_capable", "extras")
+    __slots__ = _fields + ("_surfaces",)
     _defaults = {"adverb_class": None, "reflexive_capable": False, "extras": ()}
 
     def validate(self):
@@ -156,9 +159,18 @@ def inflect(entry, target):
 
     Axes left unspecified on either side match anything; ties resolve to the
     earliest form in entry order. Raises InflectionMiss when nothing fits.
+    A found surface is remembered on the entry, keyed by ``target``.
     """
+    try:
+        surfaces = entry._surfaces
+    except AttributeError:
+        surfaces = entry._surfaces = {}
+    surface = surfaces.get(target)
+    if surface is not None:
+        return surface
     for form in entry.forms:
         if form.features.matches(target):
+            surfaces[target] = form.surface
             return form.surface
     raise InflectionMiss(entry, target)
 

@@ -125,31 +125,51 @@ class NGramModel:
 
     @classmethod
     def load(cls, path):
+        """Read a model file in the shape ``save`` writes.
+
+        Each verb has one ``V`` line, before its ``P`` lines, and each (verb,
+        preposition) pair at most one ``P`` line. A line that breaks this, or
+        holds a count or weight no trained model can, raises ModelError with
+        its line number.
+        """
         model = cls()
         try:
             lines = data_lines(path)
         except OSError as exc:
             raise ModelError("cannot read model file %s: %s" % (path, exc)) from exc
+        verbs = model._verbs
+        first_lines = {}  # the line of each V record and of each (verb, prep) P record
         for number, line in lines:
             parts = line.split()
             try:
                 if parts[0] == "V" and len(parts) == 4:
-                    verb, total, reflexive = parts[1], int(parts[2]), int(parts[3])
+                    key, total, reflexive = parts[1], int(parts[2]), int(parts[3])
                     if not 0 <= reflexive <= total:
                         raise ValueError("counts out of range")
-                    stats = model._verbs.setdefault(verb, VerbStats(0, 0, {}))
-                    stats.total = total
-                    stats.reflexive = reflexive
                 elif parts[0] == "P" and len(parts) == 4:
-                    verb, prep, weight = parts[1], parts[2], float(parts[3])
+                    key, weight = (parts[1], parts[2]), float(parts[3])
                     if not 0 <= weight < math.inf:
                         raise ValueError("weight out of range")
-                    stats = model._verbs.setdefault(verb, VerbStats(0, 0, {}))
-                    stats.preps[prep] = weight
                 else:
                     raise ValueError("unrecognized record")
             except ValueError as exc:
                 raise ModelError("bad model record %r" % line, number, path) from exc
+            if key in first_lines:
+                raise ModelError(
+                    "repeated %s record %r (first on line %d)"
+                    % (parts[0], line, first_lines[key]),
+                    number,
+                    path,
+                )
+            first_lines[key] = number
+            if parts[0] == "V":
+                verbs[key] = VerbStats(total, reflexive, {})
+            elif key[0] in verbs:
+                verbs[key[0]].preps[key[1]] = weight
+            else:
+                raise ModelError(
+                    "P record %r before the V record of its verb" % line, number, path
+                )
         return model
 
 

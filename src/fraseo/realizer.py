@@ -9,12 +9,32 @@ The planner makes every decision, so this module renders the plan alone and
 reads no tree, no lexicon, no usage model and no keywords: determiners and
 adjectives agree as the plan's ``agreement_targets`` say, and ``no`` goes
 before the verb inflected here.
+
+A realization builds no value an earlier one already built. Agreement is a
+function of a few features of the subject, so ``infer_agreement`` reduces
+the subject to that key and interns its result with the result's trace
+line (hash-consing; Goto 1974, "Monocopy and Associative Algorithms in an
+Extended Lisp"). The inflection targets come from tables keyed the same
+way, filled as keys first occur, and ``lexicon.inflect`` remembers each
+entry's surface per target. The feature enums hash by identity, so these
+keys cost little to look up.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import InflectionMiss, LexiconParseError
-from .features import FeatureBundle, Gender, LexicalCategory, Mood, Number, Person, Value
+from .features import (
+    EMPTY_BUNDLE,
+    FeatureBundle,
+    Gender,
+    LexicalCategory,
+    Mood,
+    Number,
+    Person,
+    Value,
+)
 from .fileio import bundled, data_lines
 from .lexicon import inflect
 from .planner import NEGATION_WORD, NO_AGREEMENT, SUBJECT_AGREEMENT
@@ -48,6 +68,16 @@ _HEAD_CATEGORIES = (
     LexicalCategory.proper_name,
 )
 
+# What a realization decides from a few features, each value built the first
+# time its key occurs and shared after: _agreement's results by subject key,
+# and the inflection targets by their leading axes in AXES order, (gender,
+# number) for a determiner or adjective and (unspecified gender, number,
+# person, tense, indicative) for a finite verb. The keys are tuples of
+# feature enum members, so each table stays under a hundred values.
+_AGREEMENTS = {}
+_TARGETS = {}
+_INFINITIVE = FeatureBundle(mood=Mood.infinitive)
+
 
 class AgreementResult(Value):
     __slots__ = ("person", "number", "gender", "provenance")
@@ -72,59 +102,72 @@ def infer_agreement(subject_slots):
     strict order first > second > third; number is plural for coordinated
     subjects or any plural constituent; gender is feminine only when at
     least one constituent carries gender and all that do are feminine.
-    An empty subject falls back to first person singular masculine.
+    An empty subject falls back to first person singular masculine. The
+    result is interned: equal subjects give the same object, whose
+    ``provenance`` is read-only.
     """
-    heads = [
-        fill
-        for fill in subject_slots
-        if fill.category in _HEAD_CATEGORIES
-    ]
-    coordinated = any(
-        fill.category is LexicalCategory.conjunction for fill in subject_slots
-    )
-    provenance = {}
+    return _agreement(subject_slots)[0]
 
+
+def _agreement(subject_slots):
+    """The interned (AgreementResult, trace line, (gender, number) target) of a subject.
+
+    One pass over the fills reduces the subject to its key, (person,
+    number, gender, gendered), where ``gendered`` is None without a head,
+    else whether some head carries gender.
+    """
+    person = Person.third
+    heads = plural = gendered = masculine = False
+    for fill in subject_slots:
+        category = fill.category
+        if category is LexicalCategory.conjunction:
+            plural = True
+        elif category in _HEAD_CATEGORIES:
+            heads = True
+            features = fill.form.features if fill.form is not None else EMPTY_BUNDLE
+            if features.person is Person.first:
+                person = Person.first
+            elif features.person is Person.second and person is not Person.first:
+                person = Person.second
+            if features.number is Number.plural:
+                plural = True
+            gender = features.gender
+            if gender is not Gender.unspecified:
+                gendered = True
+                masculine = masculine or gender is not Gender.feminine
     if not heads:
+        key = (Person.first, Number.singular, Gender.masculine, None)
+    else:
+        key = (
+            person,
+            Number.plural if plural else Number.singular,
+            Gender.masculine if masculine or not gendered else Gender.feminine,
+            gendered,
+        )
+    found = _AGREEMENTS.get(key)
+    if found is None:
+        person, number, gender, gendered = key
+        derived = PROVENANCE_DEFAULT if gendered is None else PROVENANCE_SUBJECT
         provenance = {
-            "person": PROVENANCE_DEFAULT,
-            "number": PROVENANCE_DEFAULT,
-            "gender": PROVENANCE_DEFAULT,
+            "person": derived,
+            "number": derived,
+            "gender": PROVENANCE_SUBJECT if gendered else PROVENANCE_DEFAULT,
         }
-        return AgreementResult(Person.first, Number.singular, Gender.masculine, provenance)
+        agreement = AgreementResult(person, number, gender, MappingProxyType(provenance))
+        found = _AGREEMENTS[key] = (
+            agreement,
+            "agreement %s" % agreement,
+            _target(gender, number),
+        )
+    return found
 
-    persons = set()
-    numbers = set()
-    genders = set()
-    for fill in heads:
-        features = fill.form.features if fill.form is not None else FeatureBundle()
-        persons.add(features.person)
-        numbers.add(features.number)
-        if features.gender is not Gender.unspecified:
-            genders.add(features.gender)
 
-    if Person.first in persons:
-        person = Person.first
-    elif Person.second in persons:
-        person = Person.second
-    else:
-        person = Person.third
-
-    if coordinated or Number.plural in numbers:
-        number = Number.plural
-    else:
-        number = Number.singular
-
-    if genders and genders == {Gender.feminine}:
-        gender = Gender.feminine
-    else:
-        gender = Gender.masculine
-
-    provenance = {
-        "person": PROVENANCE_SUBJECT,
-        "number": PROVENANCE_SUBJECT,
-        "gender": PROVENANCE_SUBJECT if genders else PROVENANCE_DEFAULT,
-    }
-    return AgreementResult(person, number, gender, provenance)
+def _target(*axes):
+    """The interned FeatureBundle whose leading axes, in ``AXES`` order, are ``axes``."""
+    target = _TARGETS.get(axes)
+    if target is None:
+        target = _TARGETS[axes] = FeatureBundle(*axes)
+    return target
 
 
 def load_polarity_pairs(path=None):
@@ -194,19 +237,23 @@ def _capitalized(surface):
     return surface[0].upper() + surface[1:]
 
 
-def _agreement_target(plan, index, agreement):
-    """(gender, number) the determiner or adjective at leaf ``index`` takes."""
+def _agreement_target(plan, index, subject_target):
+    """The FeatureBundle the determiner or adjective at leaf ``index`` takes."""
     noun = plan.agreement_targets[index]
     if noun is SUBJECT_AGREEMENT:
-        return agreement.gender, agreement.number
+        return subject_target
     if noun == NO_AGREEMENT:
-        return Gender.unspecified, Number.unspecified
+        return EMPTY_BUNDLE
     features = plan.slot_assignment[noun].form.features
-    return features.gender, features.number
+    return _target(features.gender, features.number)
 
 
-def _inflect_slot(plan, index, agreement, verb_seen, trace):
-    """Surface for one slot. Returns (word, is_finite_verb)."""
+def _inflect_slot(plan, index, verb_target, subject_target, trace):
+    """Surface for one slot. Returns (word, is_finite_verb).
+
+    ``verb_target`` is the finite verb's target, None once a verb has been
+    inflected, and ``subject_target`` the subject's (gender, number) target.
+    """
     fill = plan.slot_assignment[index]
     category = fill.category
 
@@ -217,20 +264,11 @@ def _inflect_slot(plan, index, agreement, verb_seen, trace):
         return word, False
 
     if category is LexicalCategory.verb:
-        finite = not verb_seen
-        if finite:
-            target = FeatureBundle(
-                person=agreement.person,
-                number=agreement.number,
-                tense=plan.tense,
-                mood=Mood.indicative,
-            )
-        else:
-            target = FeatureBundle(mood=Mood.infinitive)
+        finite = verb_target is not None
+        target = verb_target if finite else _INFINITIVE
     elif category in (LexicalCategory.determiner, LexicalCategory.adjective):
         finite = False
-        gender, number = _agreement_target(plan, index, agreement)
-        target = FeatureBundle(gender=gender, number=number)
+        target = _agreement_target(plan, index, subject_target)
     else:
         # Nouns and pronouns keep their resolved form; invariable categories
         # surface their single form.
@@ -256,17 +294,19 @@ def realize(plan, polarity_pairs):
     """
     trace = ["mode %s" % plan.mode.value]
 
-    agreement = infer_agreement(plan.subject_fills)
-    trace.append("agreement %s" % agreement)
+    agreement, agreement_line, subject_target = _agreement(plan.subject_fills)
+    trace.append(agreement_line)
     trace.append("tense %s" % plan.tense.value)
 
     words = []
     finite_index = None
-    verb_seen = False
+    verb_target = _target(
+        Gender.unspecified, agreement.number, agreement.person, plan.tense, Mood.indicative
+    )
     for index, fill in enumerate(plan.slot_assignment):
-        word, is_finite = _inflect_slot(plan, index, agreement, verb_seen, trace)
+        word, is_finite = _inflect_slot(plan, index, verb_target, subject_target, trace)
         if fill.category is LexicalCategory.verb:
-            verb_seen = True
+            verb_target = None
         if is_finite:
             finite_index = len(words)
         if fill.rationale is not None:

@@ -78,6 +78,24 @@ def test_inflect_miss_raises_with_context(lexicon):
     assert "comer" in str(err.value)
 
 
+def test_remembered_surfaces_are_not_a_field():
+    forms = (
+        WordForm("gato", FeatureBundle(gender=Gender.masculine, number=Number.singular)),
+        WordForm("gatos", FeatureBundle(gender=Gender.masculine, number=Number.plural)),
+    )
+    used = LexicalEntry(lemma="gato", category=LexicalCategory.noun, forms=forms)
+    fresh = LexicalEntry(lemma="gato", category=LexicalCategory.noun, forms=forms)
+    plural = FeatureBundle(number=Number.plural)
+    assert inflect(used, plural) == inflect(used, FeatureBundle(number=Number.plural)) == "gatos"
+    assert LexicalEntry._fields == (
+        "lemma", "category", "forms", "adverb_class", "reflexive_capable", "extras"
+    )
+    assert (used, hash(used), repr(used)) == (fresh, hash(fresh), repr(fresh))
+    # A replaced copy starts with no remembered surfaces.
+    with pytest.raises(InflectionMiss):
+        inflect(used.replaced(forms=forms[:1]), plural)
+
+
 def test_unspecified_form_axes_match_any_request(lexicon):
     rosa = lookup_lemma(lexicon, "rosa", LexicalCategory.adjective)[0]
     assert inflect(rosa, FeatureBundle(gender=Gender.feminine, number=Number.plural)) == "rosa"

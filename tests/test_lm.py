@@ -149,3 +149,45 @@ def test_load_accepts_boundary_counts_and_weights(tmp_path):
     assert model.reflexive_probability("ir") == 0.0
     assert model.reflexive_probability("ser") == 1.0
     assert model.preposition_after("ser") == [("a", 1.0), ("de", 0.0)]
+
+
+@pytest.mark.parametrize(
+    "records, line, reason",
+    [
+        (
+            "V ir 4 1\nP ir a 1.0\nV ir 9 2\n",
+            4,
+            "repeated V record 'V ir 9 2' (first on line 2)",
+        ),
+        (
+            "V ir 4 1\nP ir a 1.0\nP ir de 0.5\nP ir a 3.0\n",
+            5,
+            "repeated P record 'P ir a 3.0' (first on line 3)",
+        ),
+        (
+            "V ser 3 0\nP ir a 1.0\nV ir 4 1\n",
+            3,
+            "P record 'P ir a 1.0' before the V record of its verb",
+        ),
+    ],
+    ids=["repeated-verb", "repeated-preposition", "preposition-before-verb"],
+)
+def test_load_rejects_records_save_never_writes(tmp_path, records, line, reason):
+    path = tmp_path / "bad.lm"
+    path.write_text("# verb usage model v1\n" + records, encoding="utf-8")
+    with pytest.raises(ModelError) as raised:
+        NGramModel.load(path)
+    assert str(raised.value) == "line %d: %s: %s" % (line, path, reason)
+
+
+def test_load_keeps_one_record_per_verb_and_preposition(data_dir):
+    path = data_dir / "toy.lm"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 21
+    records = lines[1:]
+    model = NGramModel.load(path)
+    verbs = [record.split()[1] for record in records if record.startswith("V ")]
+    assert model.verbs() == verbs
+    assert sum(len(model.preposition_after(verb)) for verb in verbs) == len(records) - len(verbs)
+    assert model.total_count("ir") == 4
+    assert model.raw_preposition_weight("ir", "a") == 3.5

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from make_golden import golden_inputs
+from make_golden import HAND_WRITTEN, golden_inputs
 from oracles import reference_covers, reference_derive
 
 from fraseo import grammar as grammar_module
@@ -240,6 +240,9 @@ def test_oov_subject_reads_as_proper_name(resources):
 CORPUS_FILL_CALLS = 129
 GOLDEN_FILL_CALLS = 741
 GOLDEN_BODY_GENERATORS = 2971
+# Root derivations the search builds over the 20 hand-written lists: one per
+# plan, since none that ends before the last token is built (255 were).
+CORPUS_ROOT_DERIVATIONS = 135
 
 RESOURCES = load_default_resources()
 SURFACES = sorted(
@@ -336,6 +339,27 @@ def test_body_generators_on_golden_inputs_are_pinned(resources, monkeypatch):
         generate(words, resources, max_candidates=0)
     monkeypatch.undo()
     assert len(calls) == GOLDEN_BODY_GENERATORS
+
+
+def test_root_derivations_on_corpus_are_pinned(resources, monkeypatch):
+    short = []
+    roots = []
+    derivations = _Derivation.derivations
+
+    def counting_derivations(self, symbol, parent, state, usage):
+        for item in derivations(self, symbol, parent, state, usage):
+            if parent is None:
+                roots.append(item)
+                if item[2][0] != self.last:
+                    short.append(item)
+            yield item
+
+    monkeypatch.setattr(_Derivation, "derivations", counting_derivations)
+    for words in HAND_WRITTEN:
+        generate(words, resources, max_candidates=0)
+    monkeypatch.undo()
+    assert len(roots) == CORPUS_ROOT_DERIVATIONS
+    assert short == []
 
 
 def test_generation_leaves_no_garbage_cycles(resources, bundled_fixtures):

@@ -2,8 +2,10 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from make_golden import HAND_WRITTEN
 
-from fraseo.errors import LexiconParseError
+from fraseo import realizer
+from fraseo.errors import LexiconParseError, PlanningError
 from fraseo.features import (
     FeatureBundle,
     Gender,
@@ -27,6 +29,7 @@ from fraseo.planner import (
 from fraseo.realizer import (
     PROVENANCE_DEFAULT,
     PROVENANCE_SUBJECT,
+    AgreementResult,
     apply_contractions,
     _negate,
     infer_agreement,
@@ -261,3 +264,74 @@ def test_realize_inflection_miss_keeps_surface():
     result = realize(plan, {})
     assert result.text == "Nadar la casas."
     assert "inflection miss la kept la" in result.trace
+
+
+def test_equal_subjects_share_one_read_only_agreement(lexicon):
+    first = infer_agreement(heads(lexicon, "niña"))
+    assert infer_agreement(heads(lexicon, "abuela")) is first
+    with pytest.raises(TypeError):
+        first.provenance["gender"] = PROVENANCE_DEFAULT
+    assert first.provenance["gender"] == PROVENANCE_SUBJECT
+    assert infer_agreement(heads(lexicon, "niña", "perro")) is not first
+
+
+def test_lexicons_sharing_an_entry_key_inflect_apart(resources):
+    """``inflect`` remembers surfaces on each entry, not per (lemma, category)."""
+
+    def shouted(entry):
+        if (entry.lemma, entry.category) != ("comer", LexicalCategory.verb):
+            return entry
+        return entry.replaced(
+            forms=tuple(form.replaced(surface=form.surface.upper()) for form in entry.forms)
+        )
+
+    other = resources.replaced(
+        lexicon=Lexicon.from_entries(map(shouted, resources.lexicon.entries))
+    )
+    for _ in range(2):
+        assert generate(["perro", "comer"], resources).candidates[0].text == "El perro come."
+        assert generate(["perro", "comer"], other).candidates[0].text == "El perro COME."
+
+
+# Plans of one pass over the 20 hand-written keyword lists. Realizing them
+# built 392 FeatureBundles and 135 AgreementResults before agreement was
+# interned and the inflection targets tabled.
+CORPUS_PLANS = 135
+
+
+def test_a_warm_realization_pass_builds_no_value(resources, monkeypatch):
+    plans = []
+    for words in HAND_WRITTEN:
+        try:
+            tokens = tokenize_and_resolve(words, resources.lexicon)
+            plans += plan_structures(tokens, resources.grammar, resources.lexicon, resources.lm)
+        except PlanningError:
+            continue
+    assert len(plans) == CORPUS_PLANS
+    built = {FeatureBundle: 0, AgreementResult: 0}
+
+    def count(cls):
+        init = cls.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[cls] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+
+    count(FeatureBundle)
+    count(AgreementResult)
+    monkeypatch.setattr(realizer, "_AGREEMENTS", {})
+    cold = [realize(plan, resources.polarity_pairs) for plan in plans]
+    agreements = [infer_agreement(plan.subject_fills) for plan in plans]
+    keys = {
+        (result.person, result.number, result.gender, tuple(result.provenance.items()))
+        for result in agreements
+    }
+    # One AgreementResult per distinct subject key, shared by every plan with it.
+    assert built[AgreementResult] == len(keys) == len({id(result) for result in agreements}) == 8
+    for counter in built:
+        built[counter] = 0
+    warm = [realize(plan, resources.polarity_pairs) for plan in plans]
+    assert built == {FeatureBundle: 0, AgreementResult: 0}
+    assert warm == cold
