@@ -239,7 +239,7 @@ class AllowlistOracle:
     @classmethod
     def load(cls, path):
         table = {}
-        for number, line in data_lines(path):
+        for number, line in data_lines(path, LexiconParseError):
             lemma, _, cats = line.partition("\t")
             lemma = lemma.strip()
             names = [name for name in map(normalize_category, cats.split(",")) if name]

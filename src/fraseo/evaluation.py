@@ -39,7 +39,7 @@ def load_corpus(path):
     and ``path``.
     """
     items = []
-    for number, line in data_lines(path):
+    for number, line in data_lines(path, EvaluationError):
         target, sep, keywords = line.partition("\t")
         if not sep:
             raise EvaluationError("missing tab separator", number, path)

@@ -1,9 +1,10 @@
 """The package's resource-file readers and its one atomic writer.
 
 Every reader raises the caller's ``FraseoError`` subclass naming the path
-and the line at fault. ``data_lines`` reads the line files (polarity
-table, allowlist, usage model, evaluation corpus); ``read_elements`` reads
-the XML files (lexicon, source lexica, annotations).
+and the line at fault. ``read_text`` decodes every text file that is not
+XML; ``data_lines`` splits the line files (polarity table, allowlist, usage
+model, evaluation corpus) out of it; ``read_elements`` reads the XML files
+(lexicon, source lexica, annotations).
 """
 
 import os
@@ -22,18 +23,34 @@ def bundled(name, path=None):
     return path
 
 
-def data_lines(path):
+def read_text(path, error):
+    """The UTF-8 text of ``path``, with every line end read as ``"\\n"``.
+
+    Line ends are those of a text-mode ``open``: ``\\r\\n`` and ``\\r`` become
+    ``\\n``. A byte that is not UTF-8 raises ``error`` naming ``path`` and the
+    line of the first such byte.
+    """
+    with open(path, "rb") as handle:
+        # UTF-8 holds bytes 0x0A and 0x0D only as themselves, so the line ends
+        # can be read before the text is decoded.
+        data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error("invalid UTF-8 byte 0x%02x" % data[exc.start], line, path) from None
+
+
+def data_lines(path, error):
     """(line number, line) for each line of ``path`` that holds data.
 
     Blank lines and lines whose first non-blank character is ``#`` are
-    skipped. A line keeps its whitespace and loses only its line end. The
-    file is closed before the list is returned.
+    skipped. A line keeps its whitespace and loses only its line end. Text
+    that is not UTF-8 raises ``error``, as ``read_text`` does.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     return [
         (number, line)
-        for number, line in enumerate(text.split("\n"), start=1)
+        for number, line in enumerate(read_text(path, error).split("\n"), start=1)
         if line.strip()[:1] not in ("", "#")
     ]
 

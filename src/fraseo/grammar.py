@@ -51,6 +51,7 @@ import re
 
 from .errors import CycleError, GrammarParseError, UndefinedSymbolError
 from .features import LexicalCategory, Value
+from .fileio import read_text
 
 TERMINALS = frozenset(cat.value for cat in LexicalCategory)
 # One bit per terminal: FIRST sets and token category sets are masks.
@@ -251,10 +252,8 @@ def parse_grammar(text, depth_limit=2):
 
 def load_grammar(path, depth_limit=2):
     """Parse the grammar file at ``path``; a parse error names the file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        return parse_grammar(text, depth_limit=depth_limit)
+        return parse_grammar(read_text(path, GrammarParseError), depth_limit=depth_limit)
     except GrammarParseError as exc:
         raise type(exc)(exc.reason, exc.line, path) from None
 

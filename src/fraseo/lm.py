@@ -20,13 +20,12 @@ import math
 
 from .errors import ModelError
 from .features import LexicalCategory, Value
-from .fileio import data_lines, write_text_atomic
+from .fileio import data_lines, read_text, write_text_atomic
+from .grammar import TERMINALS
 
 ADJACENT_WEIGHT = 1.0
 SKIP_ONE_WEIGHT = 0.5
 REFLEXIVE_LEMMA = "se"
-
-_CATEGORY_VALUES = frozenset(cat.value for cat in LexicalCategory)
 
 
 class TaggedToken(Value):
@@ -41,7 +40,7 @@ def parse_tagged_line(line):
         if len(parts) != 3 or not all(parts):
             raise ValueError("malformed token %r" % chunk)
         surface, lemma, category = parts
-        if category not in _CATEGORY_VALUES:
+        if category not in TERMINALS:
             raise ValueError("unknown category %r in token %r" % (category, chunk))
         tokens.append(TaggedToken(surface=surface, lemma=lemma, category=category))
     return tokens
@@ -134,7 +133,7 @@ class NGramModel:
         """
         model = cls()
         try:
-            lines = data_lines(path)
+            lines = data_lines(path, ModelError)
         except OSError as exc:
             raise ModelError("cannot read model file %s: %s" % (path, exc)) from exc
         verbs = model._verbs
@@ -190,5 +189,5 @@ def train_model(lines):
 
 
 def train_file(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return train_model(handle)
+    """Build a model from the UTF-8 corpus file at ``path``; ModelError names a bad byte."""
+    return train_model(read_text(path, ModelError).split("\n"))

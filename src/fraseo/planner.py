@@ -18,8 +18,9 @@ the tense come from the keywords, the inserted prepositions and the
 reflexive clitic from the verb usage model. The realizer only renders them.
 
 The planner owns the grammar's phrase roles (PHRASE_NAMES; ``check_grammar``
-rejects other names): one walk of each plan tree records what the scoring
-needs and, on the plan, what each determiner and adjective agrees with, so
+rejects other names). One walk of each plan tree decides every policy
+clause where it meets the leaf the clause reads, and records on the plan
+the subject span and what each determiner and adjective agrees with, so
 the realizer never reads the tree.
 """
 
@@ -32,6 +33,7 @@ from .errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
 from .features import AdverbClass, LexicalCategory, Number, Tense, Value
 from .grammar import TERMINAL_BITS, derive
 from .lexicon import lookup_form, lookup_lemma
+from .lm import REFLEXIVE_LEMMA
 
 NEGATION_WORD = "no"
 QUESTION_WORD = "?"
@@ -43,7 +45,6 @@ DEFAULT_SUBJECT_LEMMA = "yo"
 DEFAULT_DETERMINER = "el"
 DEFAULT_CONJUNCTION = "y"
 NOUN_PREPOSITION = "de"
-REFLEXIVE_LEMMA = "se"
 
 # The nonterminals whose roles the planner interprets; a generation
 # grammar starts at S and uses no others.
@@ -52,12 +53,11 @@ _NOMINAL_PHRASES = ("SNS", "SN")
 _NOUN = LexicalCategory.noun.value
 _DETERMINER = LexicalCategory.determiner.value
 _ADJECTIVE = LexicalCategory.adjective.value
+_PREPOSITION = LexicalCategory.preposition.value
 _CATEGORIES = {category.value: category for category in LexicalCategory}
 # The terminals _fill_terminal may fill with an inserted function word; the
 # grammar search lets them consume no token.
-_INSERTABLE = frozenset(
-    (_DETERMINER, LexicalCategory.conjunction.value, LexicalCategory.preposition.value)
-)
+_INSERTABLE = frozenset((_DETERMINER, LexicalCategory.conjunction.value, _PREPOSITION))
 
 # SentencePlan.agreement_targets values besides a noun's leaf position: a
 # predicative adjective agrees with the subject; other leaves with nothing.
@@ -372,66 +372,88 @@ def _inserted_fill(search, category, surface, rationale):
     )
 
 
-def _phrase_roles(tree):
-    """The phrase roles of a plan tree's leaves, from the one walk that reads them.
+def _plan_roles(search, tree, fills, elided_default):
+    """(deviations, agreement targets, subject leaf count) of one plan, from one walk.
 
-    Returns (contexts, agreement, subject_leaves, pred): per leaf,
-    (in_subject, in_sp, coord_member, determiner), determiner being the
-    position of the determiner opening the innermost SNS/SN phrase, if any;
-    the ``SentencePlan.agreement_targets`` tuple, where an SNS/SN
-    determiner and the adjective of an SADJ in such a phrase agree with its
-    noun and an SADJ under PRED with the subject; the subject's leaf count;
-    and (the root's PRED child, its first leaf position) or None.
+    The deviations count how far the plan strays from the house
+    realization policy: keep the default subject; give subject nouns,
+    coordination members, and preposition-internal nouns a determiner; give
+    singular direct objects a determiner but leave plural ones bare; and
+    let a verb with a dominant preposition profile introduce its first
+    complement with that preposition. Explicit user words never count
+    against a plan. An SNS/SN determiner, and the adjective of an SADJ in
+    such a phrase, agree with its noun; an SADJ under PRED with the subject.
+    The root's child start positions give the subject span (the first of two
+    children) and the verb the preposition clause reads (PRED's first leaf).
     """
-    contexts, targets, starts = [], [], []
-    _walk_roles(tree, None, False, False, False, None, contexts, targets, starts)
+    targets, starts = [], []
+    deviations = elided_default + _walk_roles(
+        tree, None, False, False, False, None, fills, targets, starts
+    )
+    profiled = False
+    for child, start in zip(tree.children, starts):
+        if child.symbol == "PRED":  # the last one counts
+            entry = fills[start].entry
+            profiled = (
+                len(child.children) > 1
+                and entry is not None
+                and _dominant_preposition(search.lm, entry.lemma) is not None
+                and child.children[1].symbol not in ("SP", _PREPOSITION)
+            )
     agreement = tuple(
         (NO_AGREEMENT if target[1] is None else target[1])
         if isinstance(target, list) else target  # a phrase: agree with its noun
         for target in targets
     )
-    pred = None
-    for child, start in zip(tree.children, starts):
-        if child.symbol == "PRED":
-            pred = (child, start)
-    return contexts, agreement, starts[1] if len(starts) == 2 else 0, pred
+    return deviations + profiled, agreement, starts[1] if len(starts) == 2 else 0
 
 
 def _walk_roles(node, parent, in_subject, in_sp, coord_member, phrase,
-                contexts, targets, starts=None):
-    """Append the roles of ``node``'s leaves to ``contexts`` and ``targets``.
+                fills, targets, starts=None):
+    """The deviations of the nouns under ``node``; appends its leaves' targets.
 
-    ``phrase`` is the innermost SNS/SN as [determiner, noun] positions.
-    For the root, ``starts`` collects the first leaf position of each
-    child. A module-level function, not a closure, so a walk leaves no
-    reference cycle for the garbage collector.
+    ``phrase`` is the innermost SNS/SN as [determiner, noun] leaf positions,
+    its noun set when the walk reaches it. For the root, ``starts`` collects
+    the first leaf position of each child. A module-level function, not a
+    closure, so a walk leaves no reference cycle for the garbage collector.
     """
     name = node.symbol
     nominal = name in _NOMINAL_PHRASES
+    deviations = 0
     for index, child in enumerate(node.children):
+        position = len(targets)
         if starts is not None:
-            starts.append(len(contexts))
+            starts.append(position)
         symbol = child.symbol
         if not child.is_leaf:
             if symbol in _NOMINAL_PHRASES:
                 opens = child.children[0].symbol == _DETERMINER
-                child_phrase = [len(contexts) if opens else None, None]
+                child_phrase = [position if opens else None, None]
             else:
                 child_phrase = phrase
-            _walk_roles(
+            deviations += _walk_roles(
                 child,
                 name,
                 index == 0 and len(node.children) == 2 if name == "S" else in_subject,
                 in_sp or name == "SP",
                 coord_member or (name == "SNC" and symbol == "SNS"),
                 child_phrase,
-                contexts,
+                fills,
                 targets,
             )
             continue
         target = NO_AGREEMENT
-        if nominal and symbol == _NOUN:
-            phrase[1] = len(contexts)
+        if symbol == _NOUN:
+            if nominal:
+                phrase[1] = position
+            determiner = phrase and phrase[0]
+            # An explicit determiner never deviates; a missing one deviates
+            # where a determiner is wanted, an inserted one where it is not.
+            if determiner is None or fills[determiner].is_inserted:
+                form = fills[position].form
+                plural = form is not None and form.features.number is Number.plural
+                wants_determiner = in_subject or in_sp or coord_member or not plural
+                deviations += wants_determiner == (determiner is None)
         elif nominal and symbol == _DETERMINER:
             target = phrase
         elif name == "SADJ" and symbol == _ADJECTIVE:
@@ -439,63 +461,8 @@ def _walk_roles(node, parent, in_subject, in_sp, coord_member, phrase,
                 target = phrase
             elif parent == "PRED":
                 target = SUBJECT_AGREEMENT
-        contexts.append((in_subject, in_sp, coord_member, phrase and phrase[0]))
         targets.append(target)
-
-
-def _determiner_state(fills, determiner):
-    """How a noun got its determiner (leaf position or None): explicit/inserted/bare."""
-    if determiner is None:
-        return "bare"
-    return "inserted" if fills[determiner].is_inserted else "explicit"
-
-
-def _score_deviations(search, contexts, pred, fills, elided_default):
-    """Count how far a parse strays from the preferred realization policy.
-
-    Policy: keep the default subject; give subject nouns, coordination
-    members, and preposition-internal nouns a determiner; give singular
-    direct objects a determiner but leave plural ones bare; and let a verb
-    with a dominant preposition profile introduce its first complement
-    with that preposition. Explicit user words never count against a plan.
-    """
-    deviations = 1 if elided_default else 0
-
-    for fill, (in_subject, in_sp, coord_member, determiner) in zip(fills, contexts):
-        if fill.category is not LexicalCategory.noun:
-            continue
-        det_state = _determiner_state(fills, determiner)
-        if det_state == "explicit":
-            continue
-        if in_sp or coord_member or in_subject:
-            wants_determiner = True
-        else:
-            plural = fill.form is not None and fill.form.features.number is Number.plural
-            wants_determiner = not plural
-        if wants_determiner and det_state == "bare":
-            deviations += 1
-        elif not wants_determiner and det_state == "inserted":
-            deviations += 1
-
-    deviations += _verb_profile_deviation(search, pred, fills)
     return deviations
-
-
-def _verb_profile_deviation(search, pred, fills):
-    if pred is None or len(pred[0].children) < 2:
-        return 0
-    node, start = pred
-    verb_fill = fills[start]
-    if verb_fill.entry is None:
-        return 0
-    if _dominant_preposition(search.lm, verb_fill.entry.lemma) is None:
-        return 0
-    complement = node.children[1]
-    if complement.symbol == "SP":
-        return 0
-    if complement.symbol == LexicalCategory.preposition.value:
-        return 0
-    return 1
 
 
 def plan_structures(tokens, grammar, lexicon, lm):
@@ -549,7 +516,9 @@ def plan_structures(tokens, grammar, lexicon, lm):
                 continue
             if not elided_default and subject_tokens and len(tree.children) != 2:
                 continue
-            contexts, agreement, subject_leaves, pred = _phrase_roles(tree)
+            deviations, agreement, subject_leaves = _plan_roles(
+                search, tree, fills, elided_default
+            )
             reflexive = reflexive_forced or (
                 verb_lemma is not None
                 and lm.reflexive_probability(verb_lemma) > REFLEXIVE_THRESHOLD
@@ -559,9 +528,7 @@ def plan_structures(tokens, grammar, lexicon, lm):
                     mode=mode,
                     tree=tree,
                     slot_assignment=tuple(fills),
-                    deviations=_score_deviations(
-                        search, contexts, pred, fills, elided_default
-                    ),
+                    deviations=deviations,
                     discovery_index=discovery,
                     tense=tense,
                     reflexive=reflexive,

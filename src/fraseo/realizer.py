@@ -53,13 +53,12 @@ _CLITICS = {
 }
 _CLITIC_WORDS = frozenset(_CLITICS.values())
 
-# Obligatory fusions of adjacent function words.
+# Obligatory fusions of adjacent function words: first word -> second word
+# -> fused form, so a word that starts no contraction costs one lookup.
 CONTRACTIONS = {
-    ("a", "el"): "al",
-    ("de", "el"): "del",
-    ("con", "yo"): "conmigo",
-    ("con", "ti"): "contigo",
-    ("con", "sí"): "consigo",
+    "a": {"el": "al"},
+    "de": {"el": "del"},
+    "con": {"yo": "conmigo", "ti": "contigo", "sí": "consigo"},
 }
 
 _HEAD_CATEGORIES = (
@@ -174,7 +173,7 @@ def load_polarity_pairs(path=None):
     """Read the positive<TAB>negative adverb table; LexiconParseError names a bad line."""
     path = bundled("polarity_pairs.txt", path)
     pairs = {}
-    for number, line in data_lines(path):
+    for number, line in data_lines(path, LexiconParseError):
         positive, _, negative = line.partition("\t")
         positive = positive.strip()
         negative = negative.strip()
@@ -189,8 +188,9 @@ def _contract_once(words):
     trace = []
     i = 0
     while i < len(words):
-        if i + 1 < len(words) and (words[i], words[i + 1]) in CONTRACTIONS:
-            fused = CONTRACTIONS[(words[i], words[i + 1])]
+        seconds = CONTRACTIONS.get(words[i])
+        fused = seconds and i + 1 < len(words) and seconds.get(words[i + 1])
+        if fused:
             trace.append("contraction %s %s -> %s" % (words[i], words[i + 1], fused))
             out.append(fused)
             i += 2

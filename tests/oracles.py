@@ -6,13 +6,15 @@ inside each unit. ``reference_unify_entries`` is the two-entry unification
 as it stood before it was folded into the builder's merge path.
 ``reference_covers`` is the whole-input cover check without the FIRST-set
 filter on start positions. ``reference_derive`` is the grammar search with
-no memo and no lookahead. Tests compare package output against these
-routines.
+no memo and no lookahead. ``reference_plan_roles`` scores a plan leaf by
+leaf from each leaf's path, with no state carried by a tree walk. Tests
+compare package output against these routines.
 """
 
-from fraseo.features import AXES, INVARIABLE_CATEGORIES
+from fraseo.features import AXES, INVARIABLE_CATEGORIES, Number
 from fraseo.grammar import TERMINAL_BITS, TERMINALS, TreeNode
 from fraseo.lexicon import LexicalEntry, WordForm
+from fraseo.planner import LM_PREPOSITION_THRESHOLD, NO_AGREEMENT, SUBJECT_AGREEMENT
 
 
 def pairable_units(unit_labels):
@@ -230,3 +232,90 @@ def reference_derive(grammar, fill, state=None):
                 yield (node,) + rest, payloads + more, end
 
     return list(symbol(grammar.start, None, None, state, ()))
+
+
+def _leaf_paths(node, path=(), nodes=()):
+    """(child indices from the root, nodes from the root) of each leaf, in order."""
+    nodes = nodes + (node,)
+    if node.is_leaf:
+        yield path, nodes
+    for index, child in enumerate(node.children):
+        yield from _leaf_paths(child, path + (index,), nodes)
+
+
+def reference_plan_roles(lm, tree, fills, elided_default):
+    """(deviations, agreement targets, subject leaf count) of a plan, leaf by leaf.
+
+    Each leaf's roles come from the nodes above its parent, read off its
+    path from the root: it is in the subject when the nearest S among them
+    has two children and the path enters the first; in an SP when one is
+    an SP; a coordination member when an SNC there has the path enter an
+    SNS. Its phrase is the innermost SNS/SN above it below the root, whose
+    determiner is the phrase's first child when that is a determiner leaf,
+    and whose noun is the last noun among its children. A noun deviates
+    when it lacks a wanted determiner or has an unwanted inserted one;
+    determiners and SADJ adjectives in a phrase agree with its noun, and
+    an SADJ adjective under PRED with the subject. One more deviation each
+    for an elided default subject, and for a root PRED (the last) whose
+    verb the usage model ``lm`` profiles for a preposition and whose
+    second child is neither an SP nor a preposition.
+    """
+    leaves = list(_leaf_paths(tree))
+    position = {path: pos for pos, (path, _nodes) in enumerate(leaves)}
+    deviations = 1 if elided_default else 0
+    targets = []
+    for pos, (path, nodes) in enumerate(leaves):
+        leaf, above = nodes[-1], nodes[:-1]
+        in_subject = False
+        for depth in range(len(above) - 2, -1, -1):
+            if above[depth].symbol == "S":
+                in_subject = path[depth] == 0 and len(above[depth].children) == 2
+                break
+        in_sp = any(node.symbol == "SP" for node in above[:-1])
+        coordinated = any(
+            outer.symbol == "SNC" and inner.symbol == "SNS"
+            for outer, inner in zip(above, above[1:])
+        )
+        determiner, noun = None, NO_AGREEMENT
+        depths = [d for d in range(1, len(above)) if above[d].symbol in ("SNS", "SN")]
+        if depths:
+            phrase, phrase_path = above[depths[-1]], path[: depths[-1]]
+            if phrase.children[0].symbol == "determiner":
+                determiner = position[phrase_path + (0,)]
+            for index, child in enumerate(phrase.children):
+                if child.symbol == "noun":
+                    noun = position[phrase_path + (index,)]
+        target = NO_AGREEMENT
+        if leaf.symbol == "noun":
+            form = fills[pos].form
+            plural = form is not None and form.features.number is Number.plural
+            wanted = in_subject or in_sp or coordinated or not plural
+            if determiner is None and wanted:
+                deviations += 1
+            elif determiner is not None and fills[determiner].is_inserted and not wanted:
+                deviations += 1
+        elif leaf.symbol == "determiner" and above[-1].symbol in ("SNS", "SN"):
+            target = noun
+        elif leaf.symbol == "adjective" and above[-1].symbol == "SADJ":
+            if above[-2].symbol in ("SNS", "SN"):
+                target = noun
+            elif above[-2].symbol == "PRED":
+                target = SUBJECT_AGREEMENT
+        targets.append(target)
+    preds = [index for index, child in enumerate(tree.children) if child.symbol == "PRED"]
+    if preds:
+        pred = tree.children[preds[-1]]
+        starts = [pos for pos, (path, _nodes) in enumerate(leaves) if path[0] == preds[-1]]
+        verb = fills[starts[0]]
+        top = verb.entry and lm.top_preposition(verb.entry.lemma)
+        if (
+            len(pred.children) > 1
+            and top
+            and top[1] >= LM_PREPOSITION_THRESHOLD
+            and pred.children[1].symbol not in ("SP", "preposition")
+        ):
+            deviations += 1
+    subject = 0
+    if len(tree.children) == 2:
+        subject = sum(1 for path, _nodes in leaves if path[0] == 0)
+    return deviations, tuple(targets), subject

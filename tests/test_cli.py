@@ -383,6 +383,42 @@ def test_generate_rejects_unknown_nonterminal(data_dir, tmp_path):
     assert "unknown nonterminal 'NP'" in err
 
 
+# Per reader: the command reading FILE, the file's bytes with 0xE9 (Latin-1
+# "é") where UTF-8 is expected, and the line of that byte, counting \r\n and
+# a lone \r as one line end.
+NON_UTF8_FILES = {
+    "lm": (
+        ["generate", "--lm", "FILE", "dibujar", "animales"],
+        b"# verb usage model v1\nV ir 3 0\nV caf\xe9 1 0\n",
+        3,
+    ),
+    "grammar": (
+        ["generate", "--grammar", "FILE", "dibujar", "animales"],
+        b"S -> PRED\r\nPRED -> verb  # caf\xe9\r\n",
+        2,
+    ),
+    "corpus": (["evaluate", "--corpus", "FILE"], b"Uno.\tuno\nDos.\tdos,caf\xe9\n", 2),
+    "train": (
+        ["train-lm", "--corpus", "FILE", "--out", "OUT"],
+        b"a/a/noun\r\nb/b/verb\rcaf\xe9/c/noun\n",
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_UTF8_FILES))
+def test_non_utf8_file_names_its_line(tmp_path, name):
+    argv, data, line = NON_UTF8_FILES[name]
+    path = tmp_path / ("latin1_" + name)
+    path.write_bytes(data)
+    out_path = tmp_path / "out.lm"
+    argv = [{"FILE": str(path), "OUT": str(out_path)}.get(arg, arg) for arg in argv]
+    status, out, err = run_cli(argv)
+    assert status == 1
+    assert out == ""
+    assert err == "error: line %d: %s: invalid UTF-8 byte 0xe9\n" % (line, path)
+    assert not out_path.exists()
+
 def test_generate_rejects_malformed_grammar_naming_file_and_line(tmp_path):
     path = tmp_path / "bad.grammar"
     path.write_text("S -> PRED\nPRED -> verb\n\nPRED verb OBJ\n", encoding="utf-8")

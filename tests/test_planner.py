@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from make_golden import HAND_WRITTEN, golden_inputs
-from oracles import reference_covers, reference_derive
+from oracles import reference_covers, reference_derive, reference_plan_roles
 
 from fraseo import grammar as grammar_module
 from fraseo import planner
 from fraseo.errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
 from fraseo.evaluation import load_corpus
 from fraseo.features import FeatureBundle, LexicalCategory, Mood, Number, Person, Tense
+from fraseo.fileio import bundled
 from fraseo.grammar import TERMINAL_BITS, _Cover, _Derivation, covers, derive, parse_grammar
 from fraseo.lexicon import LexicalEntry, Lexicon, WordForm
 from fraseo.lm import NGramModel
@@ -609,3 +610,84 @@ def test_generate_rejects_negative_cap(resources):
     for cap in (-1, -3):
         with pytest.raises(ValueError, match="max_candidates"):
             generate(["dibujar", "animales"], resources, max_candidates=cap)
+
+
+
+# The bundled grammar, and variants check_grammar accepts that break the
+# planner's shape assumptions: a subject after the predicate, a second root
+# rule with two predicates, and leaves directly under S, SP and PRED, a
+# phrase with two nouns and an SADJ outside any phrase.
+with open(bundled("spanish.grammar"), encoding="utf-8") as _handle:
+    GRAMMAR_TEXT = _handle.read()
+ROLE_GRAMMARS = {
+    "bundled": GRAMMAR_TEXT,
+    "pred_first": GRAMMAR_TEXT.replace(
+        "S(p,n) -> SNS(p,n,g) PRED(p,n)", "S(p,n) -> PRED(p,n) SNS(p,n,g)"
+    ),
+    "two_preds": GRAMMAR_TEXT + "S -> PRED PRED\n",
+    "bare_leaves": GRAMMAR_TEXT + (
+        "S -> noun PRED\nSN -> determiner noun noun\nSP -> preposition noun\n"
+        "PRED -> verb noun SADJ\nOBJ -> SADJ SN\n"
+    ),
+}
+# Plural nouns inside an SP, where only the SP clause wants a determiner;
+# the golden inputs have none.
+PLURALS_IN_SP = (
+    ("abejas", "volar", "alrededor", "de", "flores"),
+    ("niños", "pintar", "en", "papeles"),
+)
+# (inputs planned, plans checked) over the golden inputs and PLURALS_IN_SP.
+ROLE_COUNTS = {
+    "bundled": (80, 370),
+    "pred_first": (52, 138),
+    "two_preds": (80, 370),
+    "bare_leaves": (80, 525),
+}
+
+
+def _roles_checked(grammar, resources):
+    """Plan the golden inputs and PLURALS_IN_SP; check each plan with the oracle.
+
+    Each plan's roles must equal ``reference_plan_roles``'. plan_structures
+    keeps a tree without exactly two root children only in the attempt that
+    elides the default subject, so that is the elided flag.
+    The plans must come ranked by (deviations, discovery index), the
+    indices numbering them from 0. Returns (inputs planned, plans checked).
+    """
+    planned = checked = 0
+    for words in golden_inputs(resources.lexicon) + list(PLURALS_IN_SP):
+        try:
+            tokens = tokenize_and_resolve(words, resources.lexicon)
+            plans = plan_structures(tokens, grammar, resources.lexicon, resources.lm)
+        except (EmptyInputError, NoStructureError, NoVerbError):
+            continue
+        for plan in plans:
+            elided = len(plan.tree.children) != 2
+            assert reference_plan_roles(
+                resources.lm, plan.tree, plan.slot_assignment, elided
+            ) == (plan.deviations, plan.agreement_targets, plan.subject_leaf_count), words
+        ranks = [(plan.deviations, plan.discovery_index) for plan in plans]
+        assert ranks == sorted(ranks), words
+        assert sorted(index for _deviations, index in ranks) == list(range(len(plans)))
+        planned += 1
+        checked += len(plans)
+    return planned, checked
+
+
+@pytest.mark.parametrize("name", sorted(ROLE_GRAMMARS))
+def test_plan_roles_agree_with_reference(resources, name):
+    grammar = parse_grammar(ROLE_GRAMMARS[name])
+    planner.check_grammar(grammar, name)
+    assert _roles_checked(grammar, resources) == ROLE_COUNTS[name]
+
+
+def test_plan_roles_check_catches_a_walk_that_ignores_coordination(resources, monkeypatch):
+    """A walk that never marks SNC members misranks coordinated plural objects."""
+    walk = planner._walk_roles
+
+    def mutant(node, parent, in_subject, in_sp, coord_member, *rest):
+        return walk(node, parent, in_subject, in_sp, False, *rest)
+
+    monkeypatch.setattr(planner, "_walk_roles", mutant)
+    with pytest.raises(AssertionError, match="letras"):
+        _roles_checked(resources.grammar, resources)
