@@ -83,7 +83,6 @@ _EXPORTS = {
         "dfs_paths",
         "enumerate_trees",
         "load_grammar",
-        "match_leaf_sequence",
         "parse_grammar",
     ),
     "lexicon": (

@@ -12,12 +12,8 @@ entry attributes become extras. The allowlist is a line file read by
 ``fileio.data_lines``.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field, replace
-
 from .errors import LexiconError, LexiconParseError
-from .features import AXES, INVARIABLE_CATEGORIES, AdverbClass, LexicalCategory
+from .features import AXES, INVARIABLE_CATEGORIES, AdverbClass, LexicalCategory, Value
 from .fileio import data_lines, read_elements
 from .lexicon import LexicalEntry, Lexicon, WordForm, parse_extras, parse_forms
 
@@ -31,17 +27,17 @@ RELATED_KEY = "related"
 EXPANSION_CAP = 10
 
 
-@dataclass(frozen=True)
-class SourceRecord:
-    """One entry as read from a source lexicon, category kept verbatim."""
+class SourceRecord(Value):
+    """One entry as read from a source lexicon, category kept verbatim.
 
-    source_id: str
-    lemma: str
-    category: str
-    forms: tuple = ()
-    adverb_class: str | None = None
-    reflexive_capable: bool = False
-    extras: tuple = ()  # ((key, value), ...)
+    ``extras`` holds ``(key, value)`` pairs.
+    """
+
+    __slots__ = (
+        "source_id", "lemma", "category", "forms", "adverb_class", "reflexive_capable",
+        "extras",
+    )
+    _defaults = {"forms": (), "adverb_class": None, "reflexive_capable": False, "extras": ()}
 
     def extras_dict(self):
         return dict(self.extras)
@@ -51,24 +47,29 @@ class SourceRecord:
         return [lemma.strip() for lemma in related.split(",") if lemma.strip()]
 
 
-@dataclass
 class SourceCounts:
-    extracted_records: int = 0
-    extracted_forms: int = 0
-    verified_records: int = 0
-    verified_forms: int = 0
-    rejected_records: int = 0
-    rejected_forms: int = 0
+    """One source's tallies, each changed in place as a build runs."""
+
+    __slots__ = (
+        "extracted_records", "extracted_forms", "verified_records", "verified_forms",
+        "rejected_records", "rejected_forms",
+    )
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
 
-@dataclass
 class MergeReport:
-    sources: dict = field(default_factory=dict)
-    dropped_records: int = 0
-    expansion_misses: int = 0
-    merged_common: int = 0
-    merged_unique: int = 0
-    conflicts: list = field(default_factory=list)
+    """Every stage's tallies, changed in place as a build runs."""
+
+    def __init__(self):
+        self.sources = {}  # source id -> SourceCounts
+        self.dropped_records = 0
+        self.expansion_misses = 0
+        self.merged_common = 0
+        self.merged_unique = 0
+        self.conflicts = []
 
     def counts_for(self, source_id):
         if source_id not in self.sources:
@@ -93,12 +94,8 @@ class MergeReport:
         flat = {}
         for source_id in sorted(self.sources):
             counts = self.sources[source_id]
-            flat["%s_extracted_records" % source_id] = counts.extracted_records
-            flat["%s_extracted_forms" % source_id] = counts.extracted_forms
-            flat["%s_verified_records" % source_id] = counts.verified_records
-            flat["%s_verified_forms" % source_id] = counts.verified_forms
-            flat["%s_rejected_records" % source_id] = counts.rejected_records
-            flat["%s_rejected_forms" % source_id] = counts.rejected_forms
+            for name in SourceCounts.__slots__:
+                flat["%s_%s" % (source_id, name)] = getattr(counts, name)
         flat["dropped_records"] = self.dropped_records
         flat["expansion_misses"] = self.expansion_misses
         flat["merged_common"] = self.merged_common
@@ -129,10 +126,7 @@ def load_source_records(path):
             extras=parse_extras(element),
         )
 
-    try:
-        return read_elements(path, "lexicon", "entry", read_record, LexiconParseError)
-    except OSError as exc:
-        raise LexiconParseError("cannot read source file %s: %s" % (path, exc))
+    return read_elements(path, "lexicon", "entry", read_record, LexiconParseError)
 
 
 def build_expansion_index(records):
@@ -168,7 +162,7 @@ def _map_record(record, report):
         if report is not None:
             report.dropped_records += 1
         return None
-    mapped = replace(record, category=category.value)
+    mapped = record.replaced(category=category.value)
     if report is not None:
         report.note_extracted(mapped)
     return mapped

@@ -6,11 +6,8 @@ Krippendorff's alpha, accuracy, pairwise breakdowns) over annotation
 records.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 from .errors import EvaluationError
+from .features import Value
 from .fileio import data_lines, read_elements
 
 ERROR_TYPES = ("a", "b", "c", "d", "e", "f")
@@ -19,10 +16,8 @@ RATING_RANGE = range(0, 6)
 NO_CONSENSUS = "no-consensus"
 
 
-@dataclass(frozen=True)
-class CorpusItem:
-    target: str
-    keywords: tuple
+class CorpusItem(Value):
+    __slots__ = ("target", "keywords")
 
     def validate(self):
         if not self.target:
@@ -64,12 +59,8 @@ def _candidate_texts(result):
     return list(result), False
 
 
-@dataclass
-class ExactMatchReport:
-    matched: int
-    total: int
-    rate: float
-    outcomes: list
+class ExactMatchReport(Value):
+    __slots__ = ("matched", "total", "rate", "outcomes")
 
     def _hits(self):
         return [o["candidate_index"] for o in self.outcomes if o["status"] == "matched"]
@@ -148,14 +139,11 @@ def exact_match_rate(items, generator):
     return ExactMatchReport(matched=matched, total=total, rate=rate, outcomes=outcomes)
 
 
-@dataclass(frozen=True)
-class AnnotationRecord:
-    sentence_id: str
-    annotator_id: str
-    error_type: str
-    rating: int
-    best_generation: int | None = None
-    suggestion: str | None = None
+class AnnotationRecord(Value):
+    __slots__ = (
+        "sentence_id", "annotator_id", "error_type", "rating", "best_generation", "suggestion",
+    )
+    _defaults = {"best_generation": None, "suggestion": None}
 
     def validate(self):
         if self.error_type not in ERROR_TYPES:
@@ -173,16 +161,13 @@ def load_annotations(path):
     optional ``<best>``/``<suggestion>`` children. Errors name the
     element's line and ``path``.
     """
-    try:
-        return read_elements(
-            path,
-            "annotations",
-            "annotation",
-            lambda element, root: _annotation_record(element),
-            EvaluationError,
-        )
-    except OSError as exc:
-        raise EvaluationError("cannot read annotation file %s: %s" % (path, exc))
+    return read_elements(
+        path,
+        "annotations",
+        "annotation",
+        lambda element, root: _annotation_record(element),
+        EvaluationError,
+    )
 
 
 def _annotation_record(element):
@@ -225,13 +210,13 @@ def _annotation_record(element):
     return record
 
 
-@dataclass
-class ReliabilityMatrix:
-    """Observers x units table of nominal labels; None marks missing data."""
+class ReliabilityMatrix(Value):
+    """Observers x units table of nominal labels; None marks missing data.
 
-    observers: tuple
-    units: tuple
-    values: dict  # (observer, unit) -> label
+    ``values`` maps (observer, unit) to a label.
+    """
+
+    __slots__ = ("observers", "units", "values")
 
     @classmethod
     def from_rows(cls, rows, observers=None, units=None):
@@ -277,12 +262,10 @@ class ReliabilityMatrix:
         return ReliabilityMatrix(observers=observers, units=self.units, values=values)
 
 
-@dataclass
-class CoincidenceMatrix:
-    labels: tuple
-    o: dict = field(default_factory=dict)  # (c, k) -> pairable count
-    n_c: dict = field(default_factory=dict)
-    n: float = 0.0
+class CoincidenceMatrix(Value):
+    """Pairable-value counts: ``o`` maps (c, k) to a count, ``n_c`` each label to its total."""
+
+    __slots__ = ("labels", "o", "n_c", "n")
 
     def cell(self, c, k):
         return self.o.get((c, k), 0.0)

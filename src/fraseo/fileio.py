@@ -1,10 +1,11 @@
 """The package's resource-file readers and its one atomic writer.
 
 Every reader raises the caller's ``FraseoError`` subclass naming the path
-and the line at fault. ``read_text`` decodes every text file that is not
-XML; ``data_lines`` splits the line files (polarity table, allowlist, usage
-model, evaluation corpus) out of it; ``read_elements`` reads the XML files
-(lexicon, source lexica, annotations).
+and the line at fault, or the path alone when the file cannot be read.
+``read_text`` decodes every text file that is not XML; ``data_lines`` splits
+the line files (polarity table, allowlist, usage model, evaluation corpus)
+out of it; ``read_elements`` reads the XML files (lexicon, source lexica,
+annotations).
 """
 
 import os
@@ -28,12 +29,16 @@ def read_text(path, error):
 
     Line ends are those of a text-mode ``open``: ``\\r\\n`` and ``\\r`` become
     ``\\n``. A byte that is not UTF-8 raises ``error`` naming ``path`` and the
-    line of the first such byte.
+    line of the first such byte; a file that cannot be read raises it naming
+    ``path`` and the system's reason.
     """
-    with open(path, "rb") as handle:
-        # UTF-8 holds bytes 0x0A and 0x0D only as themselves, so the line ends
-        # can be read before the text is decoded.
-        data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        with open(path, "rb") as handle:
+            # UTF-8 holds bytes 0x0A and 0x0D only as themselves, so the line
+            # ends can be read before the text is decoded.
+            data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    except OSError as exc:
+        raise error(exc.strerror, None, path) from exc
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -87,12 +92,15 @@ def read_elements(path, root_tag, child_tag, read, error):
     The root must be a ``<root_tag>`` and every child a ``<child_tag>``.
     Malformed XML or a wrong tag raises ``error``, and an ``error`` that
     ``read`` raises is raised again as its own class; either names ``path``
-    and the line of the element at fault.
+    and the line of the element at fault. A file that cannot be read raises
+    ``error`` naming ``path`` and the system's reason.
     """
     try:
         root = ET.parse(path).getroot()
     except ET.ParseError as exc:
         raise error("malformed XML: %s" % exc, exc.position[0], path) from None
+    except OSError as exc:
+        raise error(exc.strerror, None, path) from exc
     results = []
     index = -1  # the root: its line comes first in element_lines
     try:

@@ -18,14 +18,14 @@ times on any root-to-leaf path, which keeps enumeration finite.
 
 All searches over the grammar go through one function, ``derive``: a
 memoized top-down search that asks a caller-supplied fill for each
-terminal's choices. ``enumerate_trees`` accepts every terminal,
-``match_leaf_sequence`` matches one category per position, and the planner
-fills terminals with keywords and inserted function words. Every step of
-the search is memoized (Norvig 1991, "Techniques for Automatic Memoization
-with Applications to Context-Free Parsing"), for one run: a nonterminal's
-derivations on (symbol, parent, state, path usage), and a terminal's fill
-on its own arguments, (name, parent, grandparent, state). So a fill must
-return the same choices whenever it is called with the same arguments.
+terminal's choices. ``enumerate_trees`` accepts every terminal, and the
+planner fills terminals with keywords and inserted function words. Every
+step of the search is memoized (Norvig 1991, "Techniques for Automatic
+Memoization with Applications to Context-Free Parsing"), for one run: a
+nonterminal's derivations on (symbol, parent, state, path usage), and a
+terminal's fill on its own arguments, (name, parent, grandparent, state).
+So a fill must return the same choices whenever it is called with the same
+arguments.
 
 A search over an input takes it as masks, per token the categories it
 reads as, and is bounded by it (Kay 1996, "Chart Generation"): it yields
@@ -252,8 +252,9 @@ def parse_grammar(text, depth_limit=2):
 
 def load_grammar(path, depth_limit=2):
     """Parse the grammar file at ``path``; a parse error names the file."""
+    text = read_text(path, GrammarParseError)
     try:
-        return parse_grammar(read_text(path, GrammarParseError), depth_limit=depth_limit)
+        return parse_grammar(text, depth_limit=depth_limit)
     except GrammarParseError as exc:
         raise type(exc)(exc.reason, exc.line, path) from None
 
@@ -407,28 +408,6 @@ def enumerate_trees(grammar):
     """
     for tree, _payloads, _state in derive(grammar, _accept_any):
         yield tree
-
-
-def match_leaf_sequence(grammar, cats):
-    """Trees whose leaf sequence equals ``cats`` exactly, in DFS order.
-
-    Equivalent to filtering enumerate_trees() on the leaf sequence; the
-    search state is ``(position,)`` in ``cats``, and every leaf consumes
-    exactly one category, so the search runs over their masks with no
-    insertables.
-    """
-    if not cats:
-        raise ValueError("empty category sequence")
-    cats = tuple(cat.value if isinstance(cat, LexicalCategory) else cat for cat in cats)
-
-    def fill(name, parent, grandparent, state):
-        (position,) = state
-        if position < len(cats) and cats[position] == name:
-            return (((), (position + 1,)),)
-        return ()
-
-    masks = [TERMINAL_BITS.get(cat, 0) for cat in cats]
-    return [tree for tree, _payloads, _end in derive(grammar, fill, (0,), masks)]
 
 
 def covers(grammar, masks, insertable):

@@ -132,13 +132,9 @@ class NGramModel:
         its line number.
         """
         model = cls()
-        try:
-            lines = data_lines(path, ModelError)
-        except OSError as exc:
-            raise ModelError("cannot read model file %s: %s" % (path, exc)) from exc
         verbs = model._verbs
         first_lines = {}  # the line of each V record and of each (verb, prep) P record
-        for number, line in lines:
+        for number, line in data_lines(path, ModelError):
             parts = line.split()
             try:
                 if parts[0] == "V" and len(parts) == 4:

@@ -33,11 +33,12 @@ from .features import (
     Mood,
     Number,
     Person,
+    Tense,
     Value,
 )
 from .fileio import bundled, data_lines
 from .lexicon import inflect
-from .planner import NEGATION_WORD, NO_AGREEMENT, SUBJECT_AGREEMENT
+from .planner import NEGATION_WORD, NO_AGREEMENT, SUBJECT_AGREEMENT, SentenceMode
 
 PROVENANCE_DEFAULT = "default"
 PROVENANCE_SUBJECT = "derived-from-subject"
@@ -52,6 +53,11 @@ _CLITICS = {
     (Person.third, True): "se",
 }
 _CLITIC_WORDS = frozenset(_CLITICS.values())
+
+# The trace's mode and tense lines, built once: ``Enum.value`` is a
+# Python-level descriptor, slow to read on every realization.
+_MODE_LINES = {mode: "mode %s" % mode.value for mode in SentenceMode}
+_TENSE_LINES = {tense: "tense %s" % tense.value for tense in Tense}
 
 # Obligatory fusions of adjacent function words: first word -> second word
 # -> fused form, so a word that starts no contraction costs one lookup.
@@ -292,11 +298,11 @@ def realize(plan, polarity_pairs):
     table) -> contractions -> orthography. Every transformation is recorded
     in the trace.
     """
-    trace = ["mode %s" % plan.mode.value]
+    trace = [_MODE_LINES[plan.mode]]
 
     agreement, agreement_line, subject_target = _agreement(plan.subject_fills)
     trace.append(agreement_line)
-    trace.append("tense %s" % plan.tense.value)
+    trace.append(_TENSE_LINES[plan.tense])
 
     words = []
     finite_index = None

@@ -6,13 +6,15 @@ inside each unit. ``reference_unify_entries`` is the two-entry unification
 as it stood before it was folded into the builder's merge path.
 ``reference_covers`` is the whole-input cover check without the FIRST-set
 filter on start positions. ``reference_derive`` is the grammar search with
-no memo and no lookahead. ``reference_plan_roles`` scores a plan leaf by
-leaf from each leaf's path, with no state carried by a tree walk. Tests
-compare package output against these routines.
+no memo and no lookahead. ``match_leaf_sequence`` runs ``grammar.derive``
+over a category sequence, as the planner runs it over keywords, so tests
+can check the masked search without a lexicon. ``reference_plan_roles``
+scores a plan leaf by leaf from each leaf's path, with no state carried by
+a tree walk. Tests compare package output against these routines.
 """
 
-from fraseo.features import AXES, INVARIABLE_CATEGORIES, Number
-from fraseo.grammar import TERMINAL_BITS, TERMINALS, TreeNode
+from fraseo.features import AXES, INVARIABLE_CATEGORIES, LexicalCategory, Number
+from fraseo.grammar import TERMINAL_BITS, TERMINALS, TreeNode, derive
 from fraseo.lexicon import LexicalEntry, WordForm
 from fraseo.planner import LM_PREPOSITION_THRESHOLD, NO_AGREEMENT, SUBJECT_AGREEMENT
 
@@ -232,6 +234,28 @@ def reference_derive(grammar, fill, state=None):
                 yield (node,) + rest, payloads + more, end
 
     return list(symbol(grammar.start, None, None, state, ()))
+
+
+def match_leaf_sequence(grammar, cats):
+    """Trees whose leaf sequence equals ``cats`` exactly, in DFS order.
+
+    Equivalent to filtering enumerate_trees() on the leaf sequence; the
+    search state is ``(position,)`` in ``cats``, and every leaf consumes
+    exactly one category, so the search runs over their masks with no
+    insertables.
+    """
+    if not cats:
+        raise ValueError("empty category sequence")
+    cats = tuple(cat.value if isinstance(cat, LexicalCategory) else cat for cat in cats)
+
+    def fill(name, parent, grandparent, state):
+        (position,) = state
+        if position < len(cats) and cats[position] == name:
+            return (((), (position + 1,)),)
+        return ()
+
+    masks = [TERMINAL_BITS.get(cat, 0) for cat in cats]
+    return [tree for tree, _payloads, _end in derive(grammar, fill, (0,), masks)]
 
 
 def _leaf_paths(node, path=(), nodes=()):

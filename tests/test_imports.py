@@ -22,7 +22,7 @@ EXPORTED = (
     "load_annotations", "load_corpus", "pairwise_agreement", "AdverbClass",
     "FeatureBundle", "Gender", "LexicalCategory", "Mood", "Number", "Person", "Tense",
     "Grammar", "GrammarRule", "TreeNode", "dfs_paths", "enumerate_trees", "load_grammar",
-    "match_leaf_sequence", "parse_grammar", "LexicalEntry", "Lexicon", "WordForm",
+    "parse_grammar", "LexicalEntry", "Lexicon", "WordForm",
     "inflect", "load_lexicon", "lookup_form", "lookup_lemma", "save_lexicon", "NGramModel",
     "train_file", "train_model", "GenerationResult", "Resources", "generate",
     "load_default_resources", "load_resources", "InputToken", "SentenceMode",
@@ -95,6 +95,34 @@ def test_default_resources_load_no_dataclasses():
     assert modules_loaded_by(statements) == "[]"
 
 
+def tool_commands(out_dir):
+    """A ``build-lexicon``, ``evaluate`` and ``agreement`` command on the bundled fixtures."""
+    fixtures = os.path.join(os.path.dirname(fraseo.__file__), "data", "fixtures")
+    tests = os.path.dirname(__file__)
+    return {
+        "build-lexicon": [
+            "build-lexicon",
+            "--primary", os.path.join(fixtures, "source_a.xml"),
+            "--expansion", os.path.join(fixtures, "source_b.xml"),
+            "--oracle", os.path.join(fixtures, "allowlist.tsv"),
+            "--out", os.path.join(out_dir, "merged.xml"),
+            "--report", os.path.join(out_dir, "report.json"),
+        ],
+        "evaluate": ["evaluate", "--corpus", os.path.join(fixtures, "exact_match_corpus.tsv")],
+        "agreement": [
+            "agreement",
+            "--annotations", os.path.join(tests, "fixtures", "random_annotations.xml"),
+        ],
+    }
+
+
+@pytest.mark.parametrize("command", ["build-lexicon", "evaluate", "agreement"])
+def test_tool_commands_load_no_dataclasses(tmp_path, command):
+    argv = tool_commands(str(tmp_path))[command]
+    statements = "import fraseo.cli\nassert fraseo.cli.main(%r) == 0" % (argv,)
+    assert modules_loaded_by(statements, ("dataclasses", "inspect")) == "[]"
+
+
 # Modules a generate process leaves unloaded that a site hook may preload
 # (a ``.pth`` file importing them), so only an interpreter started without
 # ``site`` shows whether fraseo loads them: ``tempfile`` is needed only to
@@ -133,7 +161,7 @@ def test_submodules_resolve_after_bare_import():
 
 
 def test_every_export_resolves():
-    assert len(EXPORTED) == 86
+    assert len(EXPORTED) == 85
     assert sorted(fraseo.__all__) == sorted(EXPORTED)
     for name in EXPORTED:
         value = getattr(fraseo, name)

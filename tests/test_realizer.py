@@ -1,4 +1,8 @@
 
+import cProfile
+import os
+import pstats
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -299,7 +303,7 @@ def test_lexicons_sharing_an_entry_key_inflect_apart(resources):
 CORPUS_PLANS = 135
 
 
-def test_a_warm_realization_pass_builds_no_value(resources, monkeypatch):
+def corpus_plans(resources):
     plans = []
     for words in HAND_WRITTEN:
         try:
@@ -308,6 +312,11 @@ def test_a_warm_realization_pass_builds_no_value(resources, monkeypatch):
         except PlanningError:
             continue
     assert len(plans) == CORPUS_PLANS
+    return plans
+
+
+def test_a_warm_realization_pass_builds_no_value(resources, monkeypatch):
+    plans = corpus_plans(resources)
     built = {FeatureBundle: 0, AgreementResult: 0}
 
     def count(cls):
@@ -335,3 +344,18 @@ def test_a_warm_realization_pass_builds_no_value(resources, monkeypatch):
     warm = [realize(plan, resources.polarity_pairs) for plan in plans]
     assert built == {FeatureBundle: 0, AgreementResult: 0}
     assert warm == cold
+
+
+def test_a_warm_realization_pass_reads_no_enum_value(resources):
+    """``Enum.value`` is a Python-level descriptor: the trace lines are built once."""
+    plans = corpus_plans(resources)
+    for plan in plans:
+        realize(plan, resources.polarity_pairs)
+    profile = cProfile.Profile()
+    profile.runcall(lambda: [realize(plan, resources.polarity_pairs) for plan in plans])
+    calls = {
+        (os.path.basename(path), name): stats[1]
+        for (path, _line, name), stats in pstats.Stats(profile).stats.items()
+    }
+    assert calls[("realizer.py", "realize")] == CORPUS_PLANS
+    assert calls.get(("enum.py", "__get__"), 0) == 0

@@ -48,3 +48,20 @@ def test_only_features_compiles_code_from_a_string():
             if isinstance(node, ast.Name) and node.id == "exec":
                 users.append(path.name)
     assert users == ["features.py"]
+
+
+def test_no_module_imports_dataclasses():
+    """``fraseo.features.Value`` is the package's only value-class base."""
+    package = pathlib.Path(fraseo.__file__).parent
+    users = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                users.append(path.name)
+    assert users == []

@@ -1,8 +1,9 @@
-"""Value semantics of the slotted classes on the generate path.
+"""Value semantics of the package's slotted value classes.
 
 Each class lists its fields in ``__slots__`` and takes value equality, hash,
-repr and ``replaced`` from ``fraseo.features.Value``. Every case below builds
-two instances from separately constructed but equal field values.
+repr and ``replaced`` from ``fraseo.features.Value``, the package's only
+value-class base. Every case below builds two instances from separately
+constructed but equal field values.
 """
 
 import importlib
@@ -13,7 +14,15 @@ import pytest
 from make_golden import golden_inputs
 
 import fraseo
+from fraseo.builder import SourceRecord
 from fraseo.errors import EmptyInputError
+from fraseo.evaluation import (
+    AnnotationRecord,
+    CoincidenceMatrix,
+    CorpusItem,
+    ExactMatchReport,
+    ReliabilityMatrix,
+)
 from fraseo.features import (
     AXIS_UNSPECIFIED,
     AdverbClass,
@@ -116,6 +125,21 @@ CASES = {
                                               gender=Gender.masculine,
                                               provenance={"person": "default"}), False),
     RealizedSentence: (sentence, True),
+    SourceRecord: (lambda: SourceRecord(source_id="alpha", lemma="comer", category="verb",
+                                        forms=(form(),), adverb_class=None,
+                                        reflexive_capable=True,
+                                        extras=(("related", "beber"),)), True),
+    CorpusItem: (lambda: CorpusItem(target="Yo como.", keywords=("yo", "comer")), True),
+    ExactMatchReport: (lambda: ExactMatchReport(matched=1, total=2, rate=0.5,
+                                                outcomes=[{"status": "matched",
+                                                           "candidate_index": 0}]), False),
+    AnnotationRecord: (lambda: AnnotationRecord(sentence_id="s1", annotator_id="a1",
+                                                error_type="a", rating=5, best_generation=1,
+                                                suggestion=None), True),
+    ReliabilityMatrix: (lambda: ReliabilityMatrix(observers=("a1", "a2"), units=("s1",),
+                                                  values={("a1", "s1"): "a"}), False),
+    CoincidenceMatrix: (lambda: CoincidenceMatrix(labels=("a", "b"), o={("a", "b"): 1.0},
+                                                  n_c={"a": 1.0, "b": 1.0}, n=2.0), False),
 }
 
 
@@ -129,14 +153,16 @@ DEFAULTS = {
     InputToken: {"readings": None, "marker": None, "is_default_subject": False},
     SlotFill: {"token": None, "entry": None, "form": None, "rationale": None},
     SentencePlan: {"subject_leaf_count": 0, "agreement_targets": ()},
+    SourceRecord: {"forms": (), "adverb_class": None, "reflexive_capable": False, "extras": ()},
+    AnnotationRecord: {"best_generation": None, "suggestion": None},
 }
 
 # The only classes that write their own ``__init__``: each derives state.
 HAND_WRITTEN_INIT = {"Grammar", "InputToken", "_Search"}
 
 
-def test_every_generate_path_class_is_covered():
-    assert len(CASES) == 17
+def test_every_value_class_is_covered():
+    assert len(CASES) == 23
     for cls in CASES:
         assert issubclass(cls, Value)
         assert not hasattr(cls, "__dataclass_fields__"), cls
@@ -299,7 +325,7 @@ def test_only_classes_with_derived_state_write_their_own_init():
         subclasses = pending.pop().__subclasses__()
         pending += subclasses
         classes += [cls for cls in subclasses if cls.__module__.startswith("fraseo.")]
-    assert set(CASES) <= set(classes)
+    assert set(CASES) == set(classes)
     # A generated ``__init__`` was compiled from a string, not from the module.
     written = [cls for cls in classes if cls.__init__.__code__.co_filename == inspect.getfile(cls)]
     assert {cls.__qualname__ for cls in written} == HAND_WRITTEN_INIT
