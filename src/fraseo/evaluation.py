@@ -19,13 +19,6 @@ NO_CONSENSUS = "no-consensus"
 class CorpusItem(Value):
     __slots__ = ("target", "keywords")
 
-    def validate(self):
-        if not self.target:
-            raise ValueError("corpus item without target")
-        if not self.keywords:
-            raise ValueError("corpus item without keywords")
-        return self
-
 
 def load_corpus(path):
     """Read a TSV evaluation corpus: ``target<TAB>kw1,kw2,...`` per line.

@@ -9,8 +9,8 @@ from enum import Enum
 from operator import attrgetter
 
 
-class _Feature(Enum):
-    """Base of the feature enums: a member hashes by identity.
+class IdentityEnum(Enum):
+    """Base of the feature enums and ``planner.SentenceMode``: a member hashes by identity.
 
     Enum members are singletons and compare by identity already, so the
     identity hash agrees with equality and costs a C slot instead of
@@ -21,26 +21,26 @@ class _Feature(Enum):
     __hash__ = object.__hash__
 
 
-class Gender(_Feature):
+class Gender(IdentityEnum):
     unspecified = "unspecified"
     masculine = "masculine"
     feminine = "feminine"
 
 
-class Number(_Feature):
+class Number(IdentityEnum):
     unspecified = "unspecified"
     singular = "singular"
     plural = "plural"
 
 
-class Person(_Feature):
+class Person(IdentityEnum):
     unspecified = "unspecified"
     first = "first"
     second = "second"
     third = "third"
 
 
-class Tense(_Feature):
+class Tense(IdentityEnum):
     unspecified = "unspecified"
     present = "present"
     past = "past"
@@ -48,7 +48,7 @@ class Tense(_Feature):
     conditional = "conditional"
 
 
-class Mood(_Feature):
+class Mood(IdentityEnum):
     unspecified = "unspecified"
     indicative = "indicative"
     subjunctive = "subjunctive"
@@ -61,7 +61,7 @@ class Mood(_Feature):
 NON_FINITE_MOODS = frozenset({Mood.infinitive, Mood.gerund, Mood.participle})
 
 
-class LexicalCategory(_Feature):
+class LexicalCategory(IdentityEnum):
     noun = "noun"
     verb = "verb"
     adjective = "adjective"
@@ -80,7 +80,7 @@ INVARIABLE_CATEGORIES = frozenset(
 )
 
 
-class AdverbClass(_Feature):
+class AdverbClass(IdentityEnum):
     time_past = "time_past"
     time_future = "time_future"
     negation_polarity = "negation_polarity"

@@ -12,6 +12,8 @@ import os
 import xml.etree.ElementTree as ET
 from xml.parsers import expat
 
+from .errors import FraseoError
+
 
 def bundled(name, path=None):
     """``path``, or when it is None the bundled data file ``name``.
@@ -120,17 +122,22 @@ def write_text_atomic(path, text):
 
     The text goes to a temp file in the target's directory, which then
     replaces ``path`` in one rename. On any failure the temp file is removed
-    and a previous ``path`` is left as it was.
+    and a previous ``path`` is left as it was. A system error raises
+    ``FraseoError`` naming ``path`` and the system's reason, as the readers
+    do, never the temp file.
     """
     import tempfile  # only writes need it; kept off the generate path
 
     directory = os.path.dirname(os.path.abspath(path))
-    handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    temp_path = None
     try:
+        handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(handle, "w", encoding="utf-8") as out:
             out.write(text)
         os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
+    except BaseException as exc:
+        if temp_path is not None and os.path.exists(temp_path):
             os.unlink(temp_path)
+        if isinstance(exc, OSError):
+            raise FraseoError(exc.strerror, None, path) from exc
         raise

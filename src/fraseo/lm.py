@@ -46,8 +46,14 @@ def parse_tagged_line(line):
     return tokens
 
 
-class VerbStats(Value):
+class VerbStats:
+    """One verb's tallies, changed in place as a model trains or loads."""
+
     __slots__ = ("total", "reflexive", "preps")
+
+    def __init__(self):
+        self.total = self.reflexive = 0
+        self.preps = {}
 
 
 class NGramModel:
@@ -69,7 +75,7 @@ class NGramModel:
         for index, token in enumerate(tokens):
             if token.category != LexicalCategory.verb.value:
                 continue
-            stats = self._verbs.setdefault(token.lemma, VerbStats(0, 0, {}))
+            stats = self._verbs.setdefault(token.lemma, VerbStats())
             stats.total += 1
             for neighbor in (index - 1, index + 1):
                 if 0 <= neighbor < len(tokens) and tokens[neighbor].lemma == REFLEXIVE_LEMMA:
@@ -158,7 +164,8 @@ class NGramModel:
                 )
             first_lines[key] = number
             if parts[0] == "V":
-                verbs[key] = VerbStats(total, reflexive, {})
+                stats = verbs[key] = VerbStats()
+                stats.total, stats.reflexive = total, reflexive
             elif key[0] in verbs:
                 verbs[key[0]].preps[key[1]] = weight
             else:

@@ -13,6 +13,11 @@ Candidate plans are ranked by how far their insertions stray from the
 house realization policy (fewer deviations first), with grammar search
 order breaking ties.
 
+The function words the planner may insert are declared once, in
+``_INSERTED``: each insertable terminal with the word it inserts there. The
+search's insertable set is its keys, and an inserted word's rationale is
+its terminal's name.
+
 The planner makes every keyword- and model-driven decision: the mode and
 the tense come from the keywords, the inserted prepositions and the
 reflexive clitic from the verb usage model. The realizer only renders them.
@@ -26,11 +31,10 @@ the realizer never reads the tree.
 
 from __future__ import annotations
 
-import enum
 from functools import partial
 
 from .errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
-from .features import AdverbClass, LexicalCategory, Number, Tense, Value
+from .features import AdverbClass, IdentityEnum, LexicalCategory, Number, Tense, Value
 from .grammar import TERMINAL_BITS, derive
 from .lexicon import lookup_form, lookup_lemma
 from .lm import REFLEXIVE_LEMMA
@@ -42,9 +46,6 @@ MARKER_NEGATION = "negation"
 MARKER_QUESTION = "question"
 
 DEFAULT_SUBJECT_LEMMA = "yo"
-DEFAULT_DETERMINER = "el"
-DEFAULT_CONJUNCTION = "y"
-NOUN_PREPOSITION = "de"
 
 # The nonterminals whose roles the planner interprets; a generation
 # grammar starts at S and uses no others.
@@ -55,9 +56,11 @@ _DETERMINER = LexicalCategory.determiner.value
 _ADJECTIVE = LexicalCategory.adjective.value
 _PREPOSITION = LexicalCategory.preposition.value
 _CATEGORIES = {category.value: category for category in LexicalCategory}
-# The terminals _fill_terminal may fill with an inserted function word; the
-# grammar search lets them consume no token.
-_INSERTABLE = frozenset((_DETERMINER, LexicalCategory.conjunction.value, _PREPOSITION))
+# The terminals _fill_terminal may fill with an inserted function word, and
+# the word: under PRED the usage model picks the preposition instead. The
+# grammar search lets these terminals consume no token.
+_INSERTED = {_DETERMINER: "el", LexicalCategory.conjunction.value: "y", _PREPOSITION: "de"}
+_INSERTABLE = frozenset(_INSERTED)
 
 # SentencePlan.agreement_targets values besides a noun's leaf position: a
 # predicative adjective agrees with the subject; other leaves with nothing.
@@ -70,14 +73,12 @@ NO_AGREEMENT = -1
 LM_PREPOSITION_THRESHOLD = 0.5
 REFLEXIVE_THRESHOLD = 0.5
 
-# Rationale labels recorded for inserted words.
-RATIONALE_DETERMINER = "determiner"
-RATIONALE_PREPOSITION = "preposition"
-RATIONALE_CONJUNCTION = "conjunction"
+# Rationale recorded for the default subject; an inserted word's is its
+# terminal's name.
 RATIONALE_DEFAULT_SUBJECT = "default_subject"
 
 
-class SentenceMode(enum.Enum):
+class SentenceMode(IdentityEnum):
     affirmative = "affirmative"
     negative = "negative"
     interrogative = "interrogative"
@@ -282,30 +283,17 @@ def insert_default_subject(subject_tokens, lexicon):
     return [token]
 
 
-class _Search(Value):
-    _fields = ("lexicon", "lm", "tokens")
-    __slots__ = _fields + ("masks",)
-
-    def __init__(self, lexicon, lm, tokens):
-        self.lexicon = lexicon
-        self.lm = lm
-        self.tokens = tokens
-        # Per token, the TERMINAL_BITS mask of the categories it reads as.
-        self.masks = [token.mask for token in tokens]
-
-
-def _fill_terminal(search, name, parent, grandparent, state):
+def _fill_terminal(lexicon, lm, tokens, name, parent, grandparent, state):
     """(payloads, new_state) choices for a terminal slot of the grammar search.
 
     The state is (token position, main verb lemma). A slot takes the pending
-    token when it reads as the slot's category; otherwise only a function
-    word may be inserted. An inserted preposition is "de" inside a nominal
-    syntagm; in a predicate complement (an SP under PRED) or between two
-    verbs it comes from the verb usage model.
+    token when it reads as the slot's category; otherwise only a terminal in
+    ``_INSERTED`` may take its word, with the terminal's name as rationale.
+    In a predicate complement (an SP under PRED) or between two verbs the
+    inserted preposition comes from the verb usage model ``lm`` instead.
     """
     pos, verb_lemma = state
     category = _CATEGORIES[name]
-    tokens = search.tokens
     token = tokens[pos] if pos < len(tokens) else None
     readings = token.readings.get(category) if token is not None else None
     if readings:
@@ -328,23 +316,16 @@ def _fill_terminal(search, name, parent, grandparent, state):
             choices.append(((fill,), (pos + 1, new_verb)))
         return choices
     # The pending token does not fit: only function words may be invented.
-    if category is LexicalCategory.determiner:
-        surface, rationale = DEFAULT_DETERMINER, RATIONALE_DETERMINER
-    elif category is LexicalCategory.conjunction:
-        surface, rationale = DEFAULT_CONJUNCTION, RATIONALE_CONJUNCTION
-    elif category is LexicalCategory.preposition:
-        rationale = RATIONALE_PREPOSITION
-        if (grandparent if parent == "SP" else parent) != "PRED":
-            surface = NOUN_PREPOSITION
-        else:
-            surface = None
-            if verb_lemma is not None:
-                surface = _dominant_preposition(search.lm, verb_lemma)
-            if surface is None:
-                return ()
-    else:
+    surface = _INSERTED.get(name)
+    if name == _PREPOSITION and (grandparent if parent == "SP" else parent) == "PRED":
+        surface = None if verb_lemma is None else _dominant_preposition(lm, verb_lemma)
+    if surface is None:
         return ()
-    return (((_inserted_fill(search, category, surface, rationale),), state),)
+    entries = lookup_lemma(lexicon, surface, category)
+    entry = entries[0] if entries else None
+    form = entry.forms[0] if entries else None
+    fill = SlotFill(category=category, surface=surface, entry=entry, form=form, rationale=name)
+    return (((fill,), state),)
 
 
 def _dominant_preposition(lm, lemma):
@@ -355,24 +336,7 @@ def _dominant_preposition(lm, lemma):
     return top[0]
 
 
-def _inserted_fill(search, category, surface, rationale):
-    entry = None
-    form = None
-    for candidate in lookup_lemma(search.lexicon, surface, category):
-        entry = candidate
-        form = candidate.forms[0]
-        break
-    return SlotFill(
-        category=category,
-        surface=surface,
-        token=None,
-        entry=entry,
-        form=form,
-        rationale=rationale,
-    )
-
-
-def _plan_roles(search, tree, fills, elided_default):
+def _plan_roles(lm, tree, fills, elided_default):
     """(deviations, agreement targets, subject leaf count) of one plan, from one walk.
 
     The deviations count how far the plan strays from the house
@@ -397,7 +361,7 @@ def _plan_roles(search, tree, fills, elided_default):
             profiled = (
                 len(child.children) > 1
                 and entry is not None
-                and _dominant_preposition(search.lm, entry.lemma) is not None
+                and _dominant_preposition(lm, entry.lemma) is not None
                 and child.children[1].symbol not in ("SP", _PREPOSITION)
             )
     agreement = tuple(
@@ -503,22 +467,15 @@ def plan_structures(tokens, grammar, lexicon, lm):
     plans = []
     discovery = 0
     for subject_tokens, elided_default in attempts:
-        search = _Search(
-            lexicon=lexicon,
-            lm=lm,
-            tokens=list(subject_tokens) + list(predicate),
-        )
-        fill = partial(_fill_terminal, search)
-        for tree, fills, (_pos, verb_lemma) in derive(
-            grammar, fill, (0, None), search.masks, _INSERTABLE
-        ):
+        attempt = list(subject_tokens) + list(predicate)
+        fill = partial(_fill_terminal, lexicon, lm, attempt)
+        masks = [token.mask for token in attempt]
+        for tree, fills, (_, verb_lemma) in derive(grammar, fill, (0, None), masks, _INSERTABLE):
             if elided_default and len(tree.children) == 2:
                 continue
             if not elided_default and subject_tokens and len(tree.children) != 2:
                 continue
-            deviations, agreement, subject_leaves = _plan_roles(
-                search, tree, fills, elided_default
-            )
+            deviations, agreement, subject_leaves = _plan_roles(lm, tree, fills, elided_default)
             reflexive = reflexive_forced or (
                 verb_lemma is not None
                 and lm.reflexive_probability(verb_lemma) > REFLEXIVE_THRESHOLD

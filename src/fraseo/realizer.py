@@ -16,8 +16,8 @@ the subject to that key and interns its result with the result's trace
 line (hash-consing; Goto 1974, "Monocopy and Associative Algorithms in an
 Extended Lisp"). The inflection targets come from tables keyed the same
 way, filled as keys first occur, and ``lexicon.inflect`` remembers each
-entry's surface per target. The feature enums hash by identity, so these
-keys cost little to look up.
+entry's surface per target. The feature enums and the sentence mode hash by
+identity, so these keys cost little to look up.
 """
 
 from __future__ import annotations

@@ -470,6 +470,34 @@ def test_train_lm_subcommand(data_dir, tmp_path):
     assert model.top_preposition("ir") == ("a", 1.0)
 
 
+def _writer_argv(command, out, bundled_fixtures, data_dir):
+    if command == "train-lm":
+        return ["train-lm", "--corpus", str(data_dir / "toy_corpus.tagged"), "--out", out]
+    return [
+        "build-lexicon",
+        "--primary", str(bundled_fixtures / "source_a.xml"),
+        "--expansion", str(bundled_fixtures / "source_b.xml"),
+        "--oracle", str(bundled_fixtures / "allowlist.tsv"),
+        "--out", out,
+    ]
+
+
+@pytest.mark.parametrize("command", ["train-lm", "build-lexicon"])
+def test_failed_write_names_its_target(command, bundled_fixtures, data_dir, tmp_path):
+    """An output that cannot be written fails as ``path: reason``, leaving no temp file."""
+    missing = str(tmp_path / "missing_dir" / "out")
+    directory = tmp_path / "some_dir"
+    directory.mkdir()
+    cases = (
+        (missing, "%s: No such file or directory" % missing),
+        (str(directory), "%s: Is a directory" % directory),
+    )
+    for out, reason in cases:
+        status, stdout, err = run_cli(_writer_argv(command, out, bundled_fixtures, data_dir))
+        assert (status, stdout, err) == (1, "", "error: %s\n" % reason)
+    assert [path.name for path in tmp_path.rglob("*")] == ["some_dir"]
+
+
 def test_repl_round_trip():
     proc = subprocess.run(
         [sys.executable, "-m", "fraseo.cli", "repl"],

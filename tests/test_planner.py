@@ -1,6 +1,5 @@
 import gc
 import random
-from functools import partial
 from unittest import mock
 
 import pytest
@@ -23,7 +22,6 @@ from fraseo.planner import (
     MARKER_NEGATION,
     MARKER_QUESTION,
     RATIONALE_DEFAULT_SUBJECT,
-    RATIONALE_DETERMINER,
     SentenceMode,
     detect_mode,
     insert_default_subject,
@@ -96,11 +94,10 @@ def test_readings_keep_every_category_of_a_surface():
     assert list(token.readings) == [LexicalCategory.verb, LexicalCategory.noun]
     assert token.readings[LexicalCategory.verb] == ((sing, sing.forms[1]), (sing, sing.forms[2]))
     assert token.readings[LexicalCategory.noun] == ((song, song.forms[0]),)
-    search = planner._Search(lexicon=None, lm=None, tokens=[token])
     both = TERMINAL_BITS["verb"] | TERMINAL_BITS["noun"]
     grammar = parse_grammar("S -> PRED\nPRED -> verb\n")
     # What the grammar search reads at the start: one token left, both categories.
-    assert _Derivation(grammar, None, search.masks, frozenset()).pending[0] == (1, both)
+    assert _Derivation(grammar, None, [token.mask], frozenset()).pending[0] == (1, both)
 
 
 def test_tokenize_requires_content(lexicon):
@@ -170,7 +167,7 @@ def test_determiner_insertion_recorded(resources):
     plans = plans_for(["lobo", "comer", "niñas"], resources)
     top = plans[0]
     inserted = [(pos, cat.value, r) for pos, cat, r in top.inserted]
-    assert inserted == [(0, "determiner", RATIONALE_DETERMINER)]
+    assert inserted == [(0, "determiner", "determiner")]
     assert top.slot_assignment[0].is_inserted
     assert top.slot_assignment[0].surface == "el"
 
@@ -443,25 +440,23 @@ def _cover_checked(words, resources, check=covers):
     For every attempt ``check`` rejects, runs the unpruned search over that
     attempt's tokens and asserts that no derivation ends at the last token.
     """
-    searches = []
+    searches = []  # (fill, masks) of each search the planner starts
     verdicts = []
 
-    class RecordedSearch(planner._Search):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            searches.append(self)
+    def recorded_derive(grammar, fill, state, masks, insertable):
+        searches.append((fill, masks))
+        return derive(grammar, fill, state, masks, insertable)
 
     def checked_covers(grammar, masks, insertable):
-        search = searches[-1]
-        assert masks is search.masks and insertable == planner._INSERTABLE
+        fill, search_masks = searches[-1]
+        assert masks is search_masks and insertable == planner._INSERTABLE
         verdicts.append(check(grammar, masks, insertable))
         if not verdicts[-1]:
-            fill = partial(planner._fill_terminal, search)
             ends = {state[0] for _tree, _fills, state in derive(grammar, fill, (0, None))}
-            assert len(search.tokens) not in ends, words
+            assert len(masks) not in ends, words
         return verdicts[-1]
 
-    with mock.patch.object(planner, "_Search", RecordedSearch), mock.patch.object(
+    with mock.patch.object(planner, "derive", recorded_derive), mock.patch.object(
         grammar_module, "covers", checked_covers
     ):
         try:
@@ -483,7 +478,7 @@ def test_cover_check_rejects_only_attempts_with_no_derivation(resources):
     assert verdicts.count(True) > 0 and verdicts.count(False) > 0
     for words in PREPOSITION_ONLY:
         for plan in plans_for(words, resources):
-            assert planner.RATIONALE_PREPOSITION in [why for _, _, why in plan.inserted]
+            assert "preposition" in [why for _, _, why in plan.inserted]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

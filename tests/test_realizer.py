@@ -11,6 +11,7 @@ from make_golden import HAND_WRITTEN
 from fraseo import realizer
 from fraseo.errors import LexiconParseError, PlanningError
 from fraseo.features import (
+    EMPTY_BUNDLE,
     FeatureBundle,
     Gender,
     LexicalCategory,
@@ -20,12 +21,14 @@ from fraseo.features import (
     Tense,
 )
 from fraseo.grammar import parse_grammar
-from fraseo.lexicon import Lexicon, LexicalEntry, WordForm, lookup_form
+from fraseo.lexicon import Lexicon, LexicalEntry, WordForm, inflect, lookup_form
 from fraseo.lm import NGramModel
 from fraseo.pipeline import generate
 from fraseo.planner import (
+    NO_AGREEMENT,
     SentenceMode,
     SlotFill,
+    check_grammar,
     plan_structures,
     select_tense,
     tokenize_and_resolve,
@@ -233,6 +236,30 @@ def test_realize_subject_agreement_reinflects_adjective(resources):
     assert result.text == "Las niñas son contentas."
 
 
+# Under the bundled rules plus ``OBJ -> SADJ``, an adjective object agrees
+# with nothing; the plural subject tells that apart from subject agreement.
+@pytest.mark.parametrize(
+    "subject, text", [("perro", "El perro come rojo."), ("niñas", "Las niñas comen rojo.")]
+)
+def test_realize_leaf_with_no_agreement_takes_the_empty_target(
+    subject, text, resources, data_dir
+):
+    """An adjective the plan ties to no noun inflects for ``EMPTY_BUNDLE``."""
+    rules = (data_dir / "spanish.grammar").read_text(encoding="utf-8") + "OBJ -> SADJ\n"
+    grammar = parse_grammar(rules)
+    check_grammar(grammar, "spanish.grammar + OBJ -> SADJ")
+    tokens = tokenize_and_resolve([subject, "comer", "rojas"], resources.lexicon)
+    plans = plan_structures(tokens, grammar, resources.lexicon, resources.lm)
+    (plan,) = [plan for plan in plans if plan.tree.children[1].children[1].symbol == "OBJ"
+               and len(plan.slot_assignment) == 4]
+    assert plan.agreement_targets[3] == NO_AGREEMENT
+    adjective = plan.slot_assignment[3]
+    assert adjective.category is LexicalCategory.adjective and adjective.surface == "rojas"
+    result = realize(plan, resources.polarity_pairs)
+    assert result.text == text
+    assert result.text.split()[-1] == inflect(adjective.entry, EMPTY_BUNDLE) + "."
+
+
 def test_realize_inflection_miss_keeps_surface():
     feminine_singular = FeatureBundle(gender=Gender.feminine, number=Number.singular)
     feminine_plural = FeatureBundle(gender=Gender.feminine, number=Number.plural)
@@ -347,7 +374,8 @@ def test_a_warm_realization_pass_builds_no_value(resources, monkeypatch):
 
 
 def test_a_warm_realization_pass_reads_no_enum_value(resources):
-    """``Enum.value`` is a Python-level descriptor: the trace lines are built once."""
+    """``Enum.value`` and ``Enum.__hash__`` are Python-level: the trace lines are
+    built once, and the mode and feature enums hash by identity."""
     plans = corpus_plans(resources)
     for plan in plans:
         realize(plan, resources.polarity_pairs)
@@ -359,3 +387,4 @@ def test_a_warm_realization_pass_reads_no_enum_value(resources):
     }
     assert calls[("realizer.py", "realize")] == CORPUS_PLANS
     assert calls.get(("enum.py", "__get__"), 0) == 0
+    assert calls.get(("enum.py", "__hash__"), 0) == 0

@@ -37,14 +37,13 @@ from fraseo.features import (
 )
 from fraseo.grammar import TERMINAL_BITS, Grammar, GrammarRule, TreeNode
 from fraseo.lexicon import LexicalEntry, Lexicon, WordForm
-from fraseo.lm import TaggedToken, VerbStats
+from fraseo.lm import TaggedToken
 from fraseo.pipeline import GenerationResult, Resources, load_default_resources
 from fraseo.planner import (
     InputToken,
     SentenceMode,
     SentencePlan,
     SlotFill,
-    _Search,
     insert_default_subject,
     tokenize_and_resolve,
 )
@@ -111,7 +110,6 @@ CASES = {
     LexicalEntry: (entry, True),
     Lexicon: (lexicon, False),
     TaggedToken: (lambda: TaggedToken(surface="come", lemma="comer", category="verb"), True),
-    VerbStats: (lambda: VerbStats(total=3, reflexive=1, preps={"de": 1.0}), False),
     Resources: (lambda: Resources(lexicon=lexicon(), grammar=Grammar(rules(), "S"), lm=None,
                                   polarity_pairs={"siempre": "nunca"}), False),
     GenerationResult: (lambda: GenerationResult(input_words=("comer",),
@@ -120,7 +118,6 @@ CASES = {
     InputToken: (token, True),
     SlotFill: (fill, True),
     SentencePlan: (plan, True),
-    _Search: (lambda: _Search(lexicon=lexicon(), lm=None, tokens=[token()]), False),
     AgreementResult: (lambda: AgreementResult(person=Person.third, number=Number.plural,
                                               gender=Gender.masculine,
                                               provenance={"person": "default"}), False),
@@ -158,11 +155,11 @@ DEFAULTS = {
 }
 
 # The only classes that write their own ``__init__``: each derives state.
-HAND_WRITTEN_INIT = {"Grammar", "InputToken", "_Search"}
+HAND_WRITTEN_INIT = {"Grammar", "InputToken"}
 
 
 def test_every_value_class_is_covered():
-    assert len(CASES) == 23
+    assert len(CASES) == 21
     for cls in CASES:
         assert issubclass(cls, Value)
         assert not hasattr(cls, "__dataclass_fields__"), cls
@@ -271,9 +268,8 @@ def test_derived_state_is_not_a_field():
     shallow = grammar.replaced(depth_limit=1)
     assert shallow.depth_limit == 1 and shallow.rules_for == grammar.rules_for
     assert shallow != grammar
-    search = _Search(lexicon=lexicon(), lm=None, tokens=[token()])
-    assert _Search._fields == ("lexicon", "lm", "tokens")
-    assert search.masks == [1 << list(LexicalCategory).index(LexicalCategory.verb)]
+    assert InputToken._fields == ("raw", "readings", "marker", "is_default_subject")
+    assert token().mask == 1 << list(LexicalCategory).index(LexicalCategory.verb)
 
 
 def test_replaced_rejects_unknown_fields():
