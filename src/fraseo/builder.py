@@ -12,8 +12,12 @@ entry attributes become extras. The allowlist is a line file read by
 ``fileio.data_lines``.
 """
 
+from operator import attrgetter
+
 from .errors import LexiconError, LexiconParseError
-from .features import AXES, INVARIABLE_CATEGORIES, AdverbClass, LexicalCategory, Value
+from .features import (
+    AXES, AXIS_UNSPECIFIED, INVARIABLE_CATEGORIES, AdverbClass, LexicalCategory, Value,
+)
 from .fileio import data_lines, read_elements
 from .lexicon import LexicalEntry, Lexicon, WordForm, parse_extras, parse_forms
 
@@ -273,8 +277,15 @@ def verify(records, oracle, report=None):
     return kept
 
 
+_AXIS_MEMBERS = attrgetter(*AXES)
+# The value of every member of every feature axis, read once.
+_AXIS_VALUES = {
+    member: member.value for _, unspecified in AXIS_UNSPECIFIED for member in type(unspecified)
+}
+
+
 def _bundle_key(features):
-    return tuple(getattr(features, axis).value for axis in AXES)
+    return tuple(_AXIS_VALUES[member] for member in _AXIS_MEMBERS(features))
 
 
 def _form_key(form):

@@ -69,46 +69,41 @@ def _candidate_payload(candidate):
     }
 
 
-def _load_config_resources(args):
-    return load_resources(
+def _generator(args):
+    """``generate`` bound to the resources and candidate cap that ``args`` name."""
+    resources = load_resources(
         lexicon_path=args.lexicon, grammar_path=args.grammar, lm_path=args.lm
     )
+    return partial(generate, resources=resources, max_candidates=args.max_candidates)
+
+
+def _print_plain(result):
+    """Print the echo text, or one candidate per line."""
+    for line in [result.echo_text] if result.echo else result.texts:
+        print(line)
 
 
 def cmd_generate(args):
-    resources = _load_config_resources(args)
-    result = generate(args.words, resources, max_candidates=args.max_candidates)
-    if result.echo:
-        if args.format == FORMAT_JSON:
-            payload = {
-                "input": list(result.input_words),
-                "mode": None,
-                "candidates": [],
-                "echo": result.echo_text,
-            }
-            print(_canonical_json(payload))
-        else:
-            print(result.echo_text)
-        return EXIT_NO_GENERATION
+    result = _generator(args)(args.words)
     if args.format == FORMAT_JSON:
         payload = {
             "input": list(result.input_words),
-            "mode": result.mode.value,
+            "mode": None if result.echo else result.mode.value,
             "candidates": [_candidate_payload(c) for c in result.candidates],
         }
+        if result.echo:
+            payload["echo"] = result.echo_text
         print(_canonical_json(payload))
     else:
-        for candidate in result.candidates:
-            print(candidate.text)
-    return EXIT_OK
+        _print_plain(result)
+    return EXIT_NO_GENERATION if result.echo else EXIT_OK
 
 
 def cmd_repl(args):
-    resources = _load_config_resources(args)
-    stream = sys.stdin
+    generator = _generator(args)
     while True:
         print("> ", end="", flush=True)
-        line = stream.readline()
+        line = sys.stdin.readline()
         if not line:
             print()
             return EXIT_OK
@@ -118,16 +113,11 @@ def cmd_repl(args):
         if words == ["exit"]:
             return EXIT_OK
         try:
-            result = generate(words, resources, max_candidates=args.max_candidates)
+            result = generator(words)
         except FraseoError as exc:
             print("error: %s" % exc)
             continue
-        if result.echo:
-            print(result.echo_text)
-            continue
-        for candidate in result.candidates:
-            print(candidate.text)
-    return EXIT_OK
+        _print_plain(result)
 
 
 def cmd_build_lexicon(args):
@@ -155,13 +145,8 @@ def cmd_train_lm(args):
 def cmd_evaluate(args):
     from . import evaluation
 
-    resources = _load_config_resources(args)
-    items = evaluation.load_corpus(args.corpus)
-
-    def generator(words):
-        return generate(words, resources, max_candidates=args.max_candidates)
-
-    report = evaluation.exact_match_rate(items, generator)
+    generator = _generator(args)  # a resource error comes before a corpus error
+    report = evaluation.exact_match_rate(evaluation.load_corpus(args.corpus), generator)
     print(_canonical_json(report.to_dict()))
     return EXIT_OK
 
@@ -297,10 +282,7 @@ def main(argv=None):
         # Send the unwritten rest to devnull so the exit flush stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except FraseoError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (FraseoError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
 

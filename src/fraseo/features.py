@@ -195,7 +195,8 @@ class FeatureBundle(Value):
     def matches(self, target):
         """True when this bundle is usable where ``target`` is requested.
 
-        Axes compare as equal when either side leaves them unspecified.
+        Axes compare as equal when either side leaves them unspecified, so
+        the relation is symmetric.
         """
         for axis, unspecified in AXIS_UNSPECIFIED:
             mine = getattr(self, axis)
@@ -205,10 +206,6 @@ class FeatureBundle(Value):
             if mine is not wanted:
                 return False
         return True
-
-    def agrees_with(self, other):
-        """Alias of matches(), which is symmetric: bundles unify on specified axes."""
-        return self.matches(other)
 
     def merged_with(self, other):
         """Union of two compatible bundles; specified axes win."""

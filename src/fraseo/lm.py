@@ -26,6 +26,8 @@ from .grammar import TERMINALS
 ADJACENT_WEIGHT = 1.0
 SKIP_ONE_WEIGHT = 0.5
 REFLEXIVE_LEMMA = "se"
+_VERB = LexicalCategory.verb.value
+_PREPOSITION = LexicalCategory.preposition.value
 
 
 class TaggedToken(Value):
@@ -73,9 +75,11 @@ class NGramModel:
 
     def observe_sentence(self, tokens):
         for index, token in enumerate(tokens):
-            if token.category != LexicalCategory.verb.value:
+            if token.category != _VERB:
                 continue
-            stats = self._verbs.setdefault(token.lemma, VerbStats())
+            stats = self._verbs.get(token.lemma)
+            if stats is None:
+                stats = self._verbs[token.lemma] = VerbStats()
             stats.total += 1
             for neighbor in (index - 1, index + 1):
                 if 0 <= neighbor < len(tokens) and tokens[neighbor].lemma == REFLEXIVE_LEMMA:
@@ -86,7 +90,7 @@ class NGramModel:
                 if position >= len(tokens):
                     continue
                 follower = tokens[position]
-                if follower.category == LexicalCategory.preposition.value:
+                if follower.category == _PREPOSITION:
                     stats.preps[follower.lemma] = stats.preps.get(follower.lemma, 0.0) + weight
 
     def preposition_after(self, verb):

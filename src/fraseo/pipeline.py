@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import EmptyInputError, NoStructureError, NoVerbError
+from .errors import PlanningError
 from .features import Value
 from .fileio import bundled
 from .grammar import load_grammar
@@ -74,7 +74,7 @@ def generate(words, resources, max_candidates=0):
     try:
         tokens = tokenize_and_resolve(words, resources.lexicon)
         plans = plan_structures(tokens, resources.grammar, resources.lexicon, resources.lm)
-    except (EmptyInputError, NoVerbError, NoStructureError):
+    except PlanningError:
         return GenerationResult(input_words=words, mode=None, candidates=(), echo=True)
 
     candidates = []

@@ -5,12 +5,13 @@ Usage::
     PYTHONPATH=src python tests/make_golden.py [OUT]
 
 One JSON line per keyword list. The inputs are the hand-written corpus,
-README and acceptance lists plus a fixed seeded sample of 0-7 word lists
-drawn from the bundled lexicon, with ``no``, ``?`` and an unknown word mixed
-in. A record holds either the class name of the exception that made the
-pipeline echo the input, or the full ranked plan list: deviations,
-discovery index, rendered tree, insertions, realized text and trace of every
-plan, before any deduplication or cap. ``tests/test_golden.py`` checks the
+README and acceptance lists, a fixed seeded sample of 0-7 word lists drawn
+from the bundled lexicon, with ``no``, ``?`` and an unknown word mixed in,
+and a few lists that reach rules and roles the others miss. A record holds
+either the class name of the exception that made the pipeline echo the
+input, or the full ranked plan list: deviations, discovery index, rendered
+tree, insertions, realized text and trace of every plan, before any
+deduplication or cap. ``tests/test_golden.py`` checks the
 current code against the committed file; regenerate it only in a change
 that alters ranked output on purpose.
 """
@@ -21,7 +22,7 @@ import random
 import sys
 
 from fraseo.cli import _render_tree
-from fraseo.errors import EmptyInputError, NoStructureError, NoVerbError
+from fraseo.errors import PlanningError
 from fraseo.pipeline import load_default_resources
 from fraseo.planner import plan_structures, tokenize_and_resolve
 from fraseo.realizer import realize
@@ -58,7 +59,16 @@ SEED = 2405
 SAMPLED_LISTS = 300
 MAX_WORDS = 7
 UNKNOWN_WORD = "Lucía"
-_ECHO_ERRORS = (EmptyInputError, NoVerbError, NoStructureError)
+# Lists that reach what neither the hand-written nor the sampled lists do:
+# plural nouns inside an SP, where only the SP clause wants a determiner, and
+# the rules SN -> noun SADJ SP and PRED -> verb SADJ SP. They come last, so
+# adding them moved no earlier record.
+BLIND_SPOTS = (
+    ("niños", "pintar", "en", "papeles"),
+    ("abejas", "volar", "alrededor", "de", "flores"),
+    ("niño", "comer", "manzana", "roja", "de", "árbol"),
+    ("perro", "estar", "contento", "en", "casa"),
+)
 
 
 def vocabulary(lexicon):
@@ -85,7 +95,7 @@ def sampled_inputs(lexicon):
 
 
 def golden_inputs(lexicon):
-    return list(HAND_WRITTEN) + sampled_inputs(lexicon)
+    return list(HAND_WRITTEN) + sampled_inputs(lexicon) + list(BLIND_SPOTS)
 
 
 def golden_record(words, resources):
@@ -95,7 +105,7 @@ def golden_record(words, resources):
         plans = plan_structures(
             tokens, resources.grammar, resources.lexicon, resources.lm
         )
-    except _ECHO_ERRORS as exc:
+    except PlanningError as exc:
         return {"input": list(words), "echo": type(exc).__name__}
     out = []
     for plan in plans:

@@ -57,8 +57,8 @@ def test_agrees_with_is_symmetric():
     a = FeatureBundle(gender=Gender.masculine)
     b = FeatureBundle(number=Number.plural)
     c = FeatureBundle(gender=Gender.feminine)
-    assert a.agrees_with(b) and b.agrees_with(a)
-    assert not a.agrees_with(c) and not c.agrees_with(a)
+    assert a.matches(b) and b.matches(a)
+    assert not a.matches(c) and not c.matches(a)
 
 
 def test_merged_with_unions_specified_axes():
@@ -101,7 +101,7 @@ def test_merge_with_empty_is_identity(bundle):
 @settings(derandomize=True, max_examples=200)
 @given(BUNDLES, BUNDLES)
 def test_merge_is_commutative_when_compatible(a, b):
-    if a.agrees_with(b):
+    if a.matches(b):
         assert a.merged_with(b) == b.merged_with(a)
     else:
         with pytest.raises(ValueError):

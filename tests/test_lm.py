@@ -1,5 +1,9 @@
+import cProfile
+import pstats
+
 import pytest
 
+from fraseo import lm
 from fraseo.errors import ModelError
 from fraseo.lm import NGramModel, parse_tagged_line, train_file, train_model
 
@@ -110,6 +114,24 @@ def test_bundled_model_matches_fresh_training(toy_model, data_dir, tmp_path):
     toy_model.save(fresh_path)
     assert fresh_path.read_bytes() == (data_dir / "toy.lm").read_bytes()
     assert bundled.verbs() == toy_model.verbs()
+
+
+def test_training_builds_one_tally_per_verb_and_reads_no_enum(data_dir, monkeypatch):
+    """A VerbStats is built only for a verb not seen before, and categories
+    compare as strings, with no descriptor ``__get__`` such as ``Enum.value``."""
+    built = []
+    init = lm.VerbStats.__init__
+
+    def counting_init(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(lm.VerbStats, "__init__", counting_init)
+    lines = (data_dir / "toy_corpus.tagged").read_text(encoding="utf-8").split("\n")
+    profile = cProfile.Profile()
+    model = profile.runcall(train_model, lines)
+    assert len(built) == len(model.verbs()) == 15
+    assert [key for key in pstats.Stats(profile).stats if key[2] == "__get__"] == []
 
 
 def test_load_rejects_malformed_model(tmp_path):
