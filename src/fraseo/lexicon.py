@@ -111,10 +111,20 @@ class Lexicon(Value):
     """Entries in file order, indexed by lemma and by surface.
 
     ``lemma_index`` maps a lemma to its entries in file order and
-    ``form_index`` a surface to its (entry, form) pairs.
+    ``form_index`` a surface to its (entry, form) pairs. ``interned``, not
+    a field, is the planner's table of what it resolves from a word alone
+    (see ``planner.tokenize_and_resolve``); it starts empty, so equality,
+    hash, repr and a ``replaced`` copy ignore it.
     """
 
-    __slots__ = ("entries", "lemma_index", "form_index")
+    _fields = ("entries", "lemma_index", "form_index")
+    __slots__ = _fields + ("interned",)
+
+    def __init__(self, entries, lemma_index, form_index):
+        self.entries = entries
+        self.lemma_index = lemma_index
+        self.form_index = form_index
+        self.interned = {}
 
     @classmethod
     def from_entries(cls, entries):

@@ -18,6 +18,16 @@ The function words the planner may insert are declared once, in
 search's insertable set is its keys, and an inserted word's rationale is
 its terminal's name.
 
+What the planner resolves from a word alone it resolves once per lexicon,
+and keeps in the lexicon's table ``Lexicon.interned`` (hash-consing, Goto
+1974): the InputToken of each keyword that is a key of the surface or lemma
+index, the default-subject token under (RATIONALE_DEFAULT_SUBJECT,
+DEFAULT_SUBJECT_LEMMA), and the SlotFill of each inserted word under
+(terminal name, surface). Any other word, such as an out-of-vocabulary one
+or a capitalisation the index lacks, is resolved on every call and never
+kept, so the table is bounded by the lexicon, and a warm call looks up only
+its out-of-vocabulary words. Shared tokens have read-only readings.
+
 The planner makes every keyword- and model-driven decision: the mode and
 the tense come from the keywords, the inserted prepositions and the
 reflexive clitic from the verb usage model. The realizer only renders them.
@@ -32,6 +42,7 @@ the realizer never reads the tree.
 from __future__ import annotations
 
 from functools import partial
+from types import MappingProxyType
 
 from .errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
 from .features import AdverbClass, IdentityEnum, LexicalCategory, Number, Tense, Value
@@ -56,6 +67,8 @@ _DETERMINER = LexicalCategory.determiner.value
 _ADJECTIVE = LexicalCategory.adjective.value
 _PREPOSITION = LexicalCategory.preposition.value
 _CATEGORIES = {category.value: category for category in LexicalCategory}
+# TERMINAL_BITS keyed by member, so a token's mask reads no Enum.value.
+_CATEGORY_BITS = {category: TERMINAL_BITS[category.value] for category in LexicalCategory}
 # The terminals _fill_terminal may fill with an inserted function word, and
 # the word: under PRED the usage model picks the preposition instead. The
 # grammar search lets these terminals consume no token.
@@ -93,16 +106,22 @@ class SentenceMode(IdentityEnum):
         return self in (SentenceMode.interrogative, SentenceMode.negative_interrogative)
 
 
+# The readings of every marker and of every out-of-vocabulary word.
+_NO_READINGS = MappingProxyType({})
+_OOV_READINGS = MappingProxyType({LexicalCategory.proper_name: ((None, None),)})
+
+
 class InputToken(Value):
     """One user keyword, resolved against the lexicon.
 
     ``readings`` maps each LexicalCategory the token reads as to its
     (LexicalEntry, WordForm) pairs, both in lexicon order. An
     out-of-vocabulary word reads only as a proper name with no entry,
-    ``((None, None),)``; a marker reads as nothing. Equality compares the
-    readings; the hash leaves them out, since a dict has no hash. ``mask``,
-    derived from the readings, is the ``TERMINAL_BITS`` mask of their
-    categories.
+    ``((None, None),)``; a marker reads as nothing. The planner's tokens
+    have read-only readings, since the lexicon's table shares them between
+    calls. Equality compares the readings; the hash leaves them out, since
+    a mapping has no hash. ``mask``, derived from the readings, is the
+    ``TERMINAL_BITS`` mask of their categories.
     """
 
     _fields = ("raw", "readings", "marker", "is_default_subject")
@@ -110,23 +129,23 @@ class InputToken(Value):
 
     def __init__(self, raw, readings=None, marker=None, is_default_subject=False):
         self.raw = raw
-        self.readings = {} if readings is None else readings
+        self.readings = _NO_READINGS if readings is None else readings
         self.marker = marker
         self.is_default_subject = is_default_subject
-        self.mask = sum(TERMINAL_BITS[category.value] for category in self.readings)
+        self.mask = sum(map(_CATEGORY_BITS.__getitem__, self.readings))
 
     def __hash__(self):
         return hash((self.raw, self.marker, self.is_default_subject))
 
 
 def _readings(pairs):
-    """The ``InputToken.readings`` map of a word's lexicon pairs."""
+    """The read-only ``InputToken.readings`` map of a word's lexicon pairs."""
     if not pairs:
-        return {LexicalCategory.proper_name: ((None, None),)}
+        return _OOV_READINGS
     readings = {}
     for entry, form in pairs:
         readings[entry.category] = readings.get(entry.category, ()) + ((entry, form),)
-    return readings
+    return MappingProxyType(readings)
 
 
 class SlotFill(Value):
@@ -204,13 +223,22 @@ def check_grammar(grammar, source):
 
 
 def _resolve_word(word, lexicon):
-    pairs = lookup_form(lexicon, word)
-    if not pairs and word != word.lower():
-        pairs = lookup_form(lexicon, word.lower())
-    if not pairs:
-        entries = lookup_lemma(lexicon, word.lower())
-        pairs = tuple((entry, entry.forms[0]) for entry in entries)
-    return InputToken(raw=word, readings=_readings(pairs))
+    """The InputToken of ``word``, kept in ``lexicon.interned`` if ``word`` is an index key."""
+    lower = word.lower()
+    if lower == NEGATION_WORD:
+        token = InputToken(raw=word, marker=MARKER_NEGATION)
+    elif word == QUESTION_WORD:
+        token = InputToken(raw=word, marker=MARKER_QUESTION)
+    else:
+        pairs = lookup_form(lexicon, word)
+        if not pairs and word != lower:
+            pairs = lookup_form(lexicon, lower)
+        if not pairs:
+            pairs = tuple((entry, entry.forms[0]) for entry in lookup_lemma(lexicon, lower))
+        token = InputToken(raw=word, readings=_readings(pairs))
+    if word in lexicon.form_index or word in lexicon.lemma_index:
+        lexicon.interned[word] = token
+    return token
 
 
 def tokenize_and_resolve(words, lexicon):
@@ -219,20 +247,17 @@ def tokenize_and_resolve(words, lexicon):
     ``no`` becomes the negation marker and ``?`` the question marker; every
     other word resolves through the surface index (as given, then
     lower-cased) and finally the lemma index. Unresolvable words stay as
-    out-of-vocabulary tokens. Raises EmptyInputError when nothing but
-    markers remains.
+    out-of-vocabulary tokens. A word that is a key of either index, ``no``
+    among them, is resolved once per lexicon: its token is kept in
+    ``lexicon.interned`` and shared by later calls. Raises EmptyInputError
+    when nothing but markers remains.
     """
+    interned = lexicon.interned
     tokens = []
     for word in words:
         word = word.strip()
-        if not word:
-            continue
-        if word.lower() == NEGATION_WORD:
-            tokens.append(InputToken(raw=word, marker=MARKER_NEGATION))
-        elif word == QUESTION_WORD:
-            tokens.append(InputToken(raw=word, marker=MARKER_QUESTION))
-        else:
-            tokens.append(_resolve_word(word, lexicon))
+        if word:
+            tokens.append(interned.get(word) or _resolve_word(word, lexicon))
     if not any(token.marker is None for token in tokens):
         raise EmptyInputError("input has no content words")
     return tokens
@@ -276,10 +301,13 @@ def insert_default_subject(subject_tokens, lexicon):
     """Give an empty subject the first-person pronoun, flagged as default."""
     if subject_tokens:
         return list(subject_tokens)
-    pairs = lookup_form(lexicon, DEFAULT_SUBJECT_LEMMA)
-    token = InputToken(
-        raw=DEFAULT_SUBJECT_LEMMA, readings=_readings(pairs), is_default_subject=True
-    )
+    key = (RATIONALE_DEFAULT_SUBJECT, DEFAULT_SUBJECT_LEMMA)
+    token = lexicon.interned.get(key)
+    if token is None:
+        pairs = lookup_form(lexicon, DEFAULT_SUBJECT_LEMMA)
+        token = lexicon.interned[key] = InputToken(
+            raw=DEFAULT_SUBJECT_LEMMA, readings=_readings(pairs), is_default_subject=True
+        )
     return [token]
 
 
@@ -321,10 +349,14 @@ def _fill_terminal(lexicon, lm, tokens, name, parent, grandparent, state):
         surface = None if verb_lemma is None else _dominant_preposition(lm, verb_lemma)
     if surface is None:
         return ()
-    entries = lookup_lemma(lexicon, surface, category)
-    entry = entries[0] if entries else None
-    form = entry.forms[0] if entries else None
-    fill = SlotFill(category=category, surface=surface, entry=entry, form=form, rationale=name)
+    fill = lexicon.interned.get((name, surface))
+    if fill is None:
+        entries = lookup_lemma(lexicon, surface, category)
+        entry = entries[0] if entries else None
+        form = entry.forms[0] if entries else None
+        fill = lexicon.interned[name, surface] = SlotFill(
+            category=category, surface=surface, entry=entry, form=form, rationale=name
+        )
     return (((fill,), state),)
 
 

@@ -1,4 +1,6 @@
+import cProfile
 import gc
+import pstats
 import random
 from unittest import mock
 
@@ -19,9 +21,11 @@ from fraseo.lexicon import LexicalEntry, Lexicon, WordForm
 from fraseo.lm import NGramModel
 from fraseo.pipeline import generate, load_default_resources
 from fraseo.planner import (
+    DEFAULT_SUBJECT_LEMMA,
     MARKER_NEGATION,
     MARKER_QUESTION,
     RATIONALE_DEFAULT_SUBJECT,
+    InputToken,
     SentenceMode,
     detect_mode,
     insert_default_subject,
@@ -680,3 +684,155 @@ def test_plan_roles_check_catches_a_walk_that_ignores_coordination(resources, mo
     monkeypatch.setattr(planner, "_walk_roles", mutant)
     with pytest.raises(AssertionError, match="letras"):
         _roles_checked(resources.grammar, resources)
+
+
+# Lexicon lookups of a warm pass over the golden inputs, (lookup_form,
+# lookup_lemma): only its out-of-vocabulary words look anything up, one
+# surface lookup each plus one for the 71 that are capitalised, and one
+# lemma lookup each. Deterministic work counters: change them only with a
+# reason.
+GOLDEN_WARM_LOOKUPS = (143, 72)
+GOLDEN_OOV_WORDS = 72
+
+
+def _fresh(resources):
+    """``resources`` with a copy of the lexicon, whose table starts empty."""
+    return resources.replaced(lexicon=resources.lexicon.replaced())
+
+
+def _lookup_calls(inputs, resources, monkeypatch):
+    calls = {"lookup_form": 0, "lookup_lemma": 0}
+
+    def counting(name):
+        lookup = getattr(planner, name)
+
+        def count(*args):
+            calls[name] += 1
+            return lookup(*args)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(planner, name, counting(name))
+    for words in inputs:
+        generate(words, resources, max_candidates=0)
+    monkeypatch.undo()
+    return calls["lookup_form"], calls["lookup_lemma"]
+
+
+def _oov(word, lexicon):
+    lower = word.lower()
+    return not (
+        word in lexicon.form_index or lower in lexicon.form_index or lower in lexicon.lemma_index
+    )
+
+
+def test_warm_pass_looks_up_only_out_of_vocabulary_words(resources, monkeypatch):
+    fresh = _fresh(resources)
+    inputs = golden_inputs(fresh.lexicon)
+    cold = _lookup_calls(inputs, fresh, monkeypatch)
+    warm = _lookup_calls(inputs, fresh, monkeypatch)
+    assert warm == GOLDEN_WARM_LOOKUPS
+    assert cold[0] > warm[0] and cold[1] > warm[1]
+    oov = [
+        word.strip()
+        for words in inputs
+        for word in words
+        if word.strip() not in ("", "?") and word.strip().lower() != planner.NEGATION_WORD
+        and _oov(word.strip(), fresh.lexicon)
+    ]
+    assert len(oov) == GOLDEN_OOV_WORDS
+    assert warm == (sum(1 + (word != word.lower()) for word in oov), len(oov))
+
+
+def _table_keys_are_bounded(lexicon):
+    for key in lexicon.interned:
+        if isinstance(key, tuple):
+            rationale, surface = key
+            assert rationale in planner._INSERTED or key == (
+                RATIONALE_DEFAULT_SUBJECT, DEFAULT_SUBJECT_LEMMA
+            ), key
+        else:
+            assert key in lexicon.form_index or key in lexicon.lemma_index, key
+
+
+def test_token_table_keeps_only_index_keys(resources):
+    fresh = _fresh(resources)
+    for words in golden_inputs(fresh.lexicon):
+        generate(words, fresh)
+    size = len(fresh.lexicon.interned)
+    assert size
+    _table_keys_are_bounded(fresh.lexicon)
+    for word in _oov_words(60) + _oov_words(1000, seed=17):
+        (token,) = tokenize_and_resolve([word], fresh.lexicon)
+        assert token.readings == {LexicalCategory.proper_name: ((None, None),)}
+    # A capitalisation the index does not hold is resolved, not kept.
+    (token,) = tokenize_and_resolve(["Comer"], fresh.lexicon)
+    assert "comer" in lemmas(token, LexicalCategory.verb)
+    assert len(fresh.lexicon.interned) == size
+    _table_keys_are_bounded(fresh.lexicon)
+
+
+def _shouting(lexicon):
+    """A copy of ``lexicon`` whose ``comer`` forms are upper-cased."""
+    entries = []
+    for entry in lexicon.entries:
+        if entry.lemma == "comer":
+            forms = tuple(form.replaced(surface=form.surface.upper()) for form in entry.forms)
+            entry = entry.replaced(forms=forms)
+        entries.append(entry)
+    return Lexicon.from_entries(entries)
+
+
+def test_token_table_is_per_lexicon(resources):
+    bundled, shouting = resources.lexicon.replaced(), _shouting(resources.lexicon)
+    for _ in range(3):
+        for lexicon in (bundled, shouting):
+            for word in ("come", "COME", "comer"):
+                (token,) = tokenize_and_resolve([word], lexicon)
+                (fresh,) = tokenize_and_resolve([word], lexicon.replaced())
+                assert token == fresh, (word, lexicon is bundled)
+    (plain,) = tokenize_and_resolve(["come"], bundled)
+    assert "comer" in lemmas(plain, LexicalCategory.verb)
+    (loud,) = tokenize_and_resolve(["come"], shouting)
+    assert list(loud.readings) == [LexicalCategory.proper_name]
+    (verb,) = tokenize_and_resolve(["COME"], shouting)
+    assert [form.surface for _, form in verb.readings[LexicalCategory.verb]] == ["COME"]
+    # The table is derived state: a copy starts empty and compares equal.
+    assert bundled.interned and bundled.replaced().interned == {}
+    assert bundled == bundled.replaced() and repr(bundled) == repr(bundled.replaced())
+
+
+def test_interned_tokens_and_fills_are_shared_and_read_only(resources):
+    lexicon = resources.lexicon.replaced()
+    (first,) = tokenize_and_resolve(["comer"], lexicon)
+    (second,) = tokenize_and_resolve(["comer"], lexicon)
+    assert second is first
+    fresh = InputToken(raw="comer", readings=dict(first.readings))
+    assert first == fresh and hash(first) == hash(fresh) and first.mask == fresh.mask
+    with pytest.raises(TypeError):
+        first.readings[LexicalCategory.noun] = ()
+    (subject,) = insert_default_subject([], lexicon)
+    assert insert_default_subject([], lexicon)[0] is subject
+    with pytest.raises(TypeError):
+        del subject.readings[LexicalCategory.pronoun]
+    plans = [plans_for(["lobo", "comer", "niñas"], resources)[0] for _ in range(2)]
+    assert plans[0].slot_assignment[0] is plans[1].slot_assignment[0]
+    assert plans[0].slot_assignment[0].is_inserted
+
+
+def test_cold_tokenize_reads_no_enum_value(resources):
+    """A token's mask reads a member-keyed table, not ``Enum.value``."""
+    lexicon = resources.lexicon.replaced()
+    inputs = golden_inputs(lexicon)
+    profile = cProfile.Profile()
+    profile.enable()
+    for words in inputs:
+        try:
+            tokenize_and_resolve(words, lexicon)
+        except EmptyInputError:
+            pass
+    profile.disable()
+    assert lexicon.interned
+    getters = [key for key in pstats.Stats(profile).stats if key[2] == "__get__"]
+    assert getters == []
