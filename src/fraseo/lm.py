@@ -97,13 +97,14 @@ class NGramModel:
         """Distribution over prepositions seen after the verb.
 
         Returns (preposition, probability) pairs, highest first, ties broken
-        alphabetically; probabilities sum to 1.0. Empty for unseen verbs or
-        verbs with no observed preposition.
+        alphabetically; probabilities sum to 1.0. Empty for unseen verbs and
+        for verbs whose preposition weights sum to 0 (none observed, or a
+        loaded model whose weights are all 0.0).
         """
         stats = self._verbs.get(verb)
-        if not stats or not stats.preps:
+        mass = sum(stats.preps.values()) if stats else 0
+        if not mass:
             return []
-        mass = sum(stats.preps.values())
         ranked = sorted(stats.preps.items(), key=lambda item: (-item[1], item[0]))
         return [(prep, weight / mass) for prep, weight in ranked]
 

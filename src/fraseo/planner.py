@@ -368,24 +368,23 @@ def _dominant_preposition(lm, lemma):
     return top[0]
 
 
-def _plan_roles(lm, tree, fills, elided_default):
+def _plan_roles(lm, tree, fills):
     """(deviations, agreement targets, subject leaf count) of one plan, from one walk.
 
     The deviations count how far the plan strays from the house
-    realization policy: keep the default subject; give subject nouns,
-    coordination members, and preposition-internal nouns a determiner; give
-    singular direct objects a determiner but leave plural ones bare; and
-    let a verb with a dominant preposition profile introduce its first
-    complement with that preposition. Explicit user words never count
-    against a plan. An SNS/SN determiner, and the adjective of an SADJ in
-    such a phrase, agree with its noun; an SADJ under PRED with the subject.
-    The root's child start positions give the subject span (the first of two
-    children) and the verb the preposition clause reads (PRED's first leaf).
+    realization policy (``plan_structures`` adds the elided default
+    subject): give subject nouns, coordination members, and
+    preposition-internal nouns a determiner; give singular direct objects a
+    determiner but leave plural ones bare; and let a verb with a dominant
+    preposition profile introduce its first complement with that
+    preposition. Explicit user words never count against a plan. An SNS/SN
+    determiner, and the adjective of an SADJ in such a phrase, agree with
+    its noun; an SADJ under PRED with the subject. The root's child start
+    positions give the subject span (the first of two children) and the
+    verb the preposition clause reads (PRED's first leaf).
     """
     targets, starts = [], []
-    deviations = elided_default + _walk_roles(
-        tree, None, False, False, False, None, fills, targets, starts
-    )
+    deviations = _walk_roles(tree, None, False, False, False, None, fills, targets, starts)
     profiled = False
     for child, start in zip(tree.children, starts):
         if child.symbol == "PRED":  # the last one counts
@@ -465,9 +464,14 @@ def plan_structures(tokens, grammar, lexicon, lm):
     """Rank every grammar structure that fits the resolved keywords.
 
     Returns SentencePlans sorted by (policy deviations, discovery order).
-    Every plan carries the mode and tense the keywords ask for, and whether
-    its main verb takes the reflexive clitic: always after an explicit
-    ``se``, otherwise when the usage model ``lm`` says so. Raises
+    Keywords with no subject are searched twice, with the default subject
+    and then with it elided, which costs one deviation. One rule says which
+    derivations are plans: the root has two children (subject, predicate)
+    exactly when the attempt has subject tokens. A plan's discovery index
+    is its position in the stream of plans. Every plan carries the mode and
+    tense the keywords ask for, and whether its main verb takes the
+    reflexive clitic: always after an explicit ``se``, otherwise when the
+    usage model ``lm`` says so. Raises
     NoStructureError when the grammar offers no fit, NoVerbError when no
     keyword reads as a verb.
     """
@@ -489,25 +493,17 @@ def plan_structures(tokens, grammar, lexicon, lm):
             "explicit preposition with no subject does not fit the grammar"
         )
 
-    attempts = []
-    if subject:
-        attempts.append((list(subject), False))
-    else:
-        attempts.append((insert_default_subject([], lexicon), False))
-        attempts.append(([], True))
-
+    attempts = [subject] if subject else [insert_default_subject([], lexicon), []]
     plans = []
-    discovery = 0
-    for subject_tokens, elided_default in attempts:
-        attempt = list(subject_tokens) + list(predicate)
+    for subject_tokens in attempts:
+        attempt = subject_tokens + predicate
         fill = partial(_fill_terminal, lexicon, lm, attempt)
         masks = [token.mask for token in attempt]
         for tree, fills, (_, verb_lemma) in derive(grammar, fill, (0, None), masks, _INSERTABLE):
-            if elided_default and len(tree.children) == 2:
+            # A plan has a subject exactly when its root has two children.
+            if (len(tree.children) == 2) != bool(subject_tokens):
                 continue
-            if not elided_default and subject_tokens and len(tree.children) != 2:
-                continue
-            deviations, agreement, subject_leaves = _plan_roles(lm, tree, fills, elided_default)
+            deviations, agreement, subject_leaves = _plan_roles(lm, tree, fills)
             reflexive = reflexive_forced or (
                 verb_lemma is not None
                 and lm.reflexive_probability(verb_lemma) > REFLEXIVE_THRESHOLD
@@ -517,19 +513,18 @@ def plan_structures(tokens, grammar, lexicon, lm):
                     mode=mode,
                     tree=tree,
                     slot_assignment=tuple(fills),
-                    deviations=deviations,
-                    discovery_index=discovery,
+                    deviations=deviations + (not subject_tokens),
+                    discovery_index=len(plans),
                     tense=tense,
                     reflexive=reflexive,
                     subject_leaf_count=subject_leaves,
                     agreement_targets=agreement,
                 )
             )
-            discovery += 1
 
     if not plans:
         words = " ".join(token.raw for token in tokens if token.marker is None)
         raise NoStructureError("no grammar structure fits: %s" % words)
 
-    plans.sort(key=lambda plan: (plan.deviations, plan.discovery_index))
+    plans.sort(key=lambda plan: plan.deviations)  # stable: discovery order breaks ties
     return plans

@@ -8,7 +8,7 @@ words, and punctuate.
 The planner makes every decision, so this module renders the plan alone and
 reads no tree, no lexicon, no usage model and no keywords: determiners and
 adjectives agree as the plan's ``agreement_targets`` say, and ``no`` goes
-before the verb inflected here.
+before the verb inflected here, or before the clitic inserted before it.
 
 A realization builds no value an earlier one already built. Agreement is a
 function of a few features of the subject, so ``infer_agreement`` reduces
@@ -52,7 +52,6 @@ _CLITICS = {
     (Person.second, True): "os",
     (Person.third, True): "se",
 }
-_CLITIC_WORDS = frozenset(_CLITICS.values())
 
 # The trace's mode and tense lines, built once: ``Enum.value`` is a
 # Python-level descriptor, slow to read on every realization.
@@ -216,24 +215,21 @@ def apply_contractions(words):
     return out
 
 
-def _negate(words, pairs, verb_index, trace):
-    """Swap polarity adverbs and insert ``no`` before the finite verb.
+def _negate(words, pairs, position, verb_index, trace):
+    """Swap polarity adverbs and insert ``no`` at index ``position``.
 
-    ``verb_index`` is the finite verb's position in ``words``, as
-    ``realize`` placed it; a reflexive clitic just before it stays glued to
-    its verb (``no se seca``). With no finite verb, ``no`` goes first.
+    ``realize`` passes the index of the reflexive clitic it inserted, so the
+    clitic stays glued to its verb (``no se seca``), else the finite verb's.
+    The trace names the word at ``verb_index``, the finite verb, as it reads
+    after the swap. With no finite verb both are 0: ``no`` goes first.
     """
     words = list(words)
     for index, word in enumerate(words):
         if word in pairs:
             trace.append("polarity %s -> %s" % (word, pairs[word]))
             words[index] = pairs[word]
-    position = verb_index if verb_index is not None else 0
-    if position > 0 and words[position - 1] in _CLITIC_WORDS:
-        position -= 1
-    anchor = words[verb_index] if verb_index is not None else words[0] if words else ""
+    trace.append("negation no before %s" % (words[verb_index] if words else ""))
     words.insert(position, NEGATION_WORD)
-    trace.append("negation no before %s" % anchor)
     return words
 
 
@@ -286,10 +282,6 @@ def _inflect_slot(plan, index, verb_target, subject_target, trace):
         return fill.surface, finite
 
 
-def _insertion_label(rationale):
-    return rationale.replace("_", " ")
-
-
 def realize(plan, polarity_pairs):
     """Turn one SentencePlan into the final sentence text.
 
@@ -316,17 +308,19 @@ def realize(plan, polarity_pairs):
         if is_finite:
             finite_index = len(words)
         if fill.rationale is not None:
-            trace.append("insert %s %s" % (_insertion_label(fill.rationale), word))
+            trace.append("insert %s %s" % (fill.rationale.replace("_", " "), word))
         words.append(word)
 
+    # ``no`` goes before the finite verb, or before the clitic inserted there.
+    negation_index = verb_index = finite_index or 0
     if plan.reflexive and finite_index is not None:
         clitic = _CLITICS[(agreement.person, agreement.number is Number.plural)]
         words.insert(finite_index, clitic)
         trace.append("reflexive clitic %s" % clitic)
-        finite_index += 1
+        verb_index += 1
 
     if plan.mode.is_negative:
-        words = _negate(words, polarity_pairs, finite_index, trace)
+        words = _negate(words, polarity_pairs, negation_index, verb_index, trace)
 
     words, contraction_trace = _contract_once(words)
     trace.extend(contraction_trace)

@@ -30,6 +30,18 @@ def test_generate_plain():
     assert len(lines) == 3
 
 
+def test_generate_with_zero_preposition_mass(tmp_path):
+    """A model whose preposition weights are all 0.0 reads as one with none."""
+    zero, none = tmp_path / "zero.lm", tmp_path / "none.lm"
+    zero.write_text("V comer 1 0\nP comer de 0.0\n", encoding="utf-8")
+    none.write_text("V comer 1 0\n", encoding="utf-8")
+    runs = [run_cli(["generate", "--lm", str(path), "perro", "comer", "manzana"])
+            for path in (zero, none)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    assert runs[0][1].splitlines()[0] == "El perro come la manzana."
+
+
 def test_generate_json_is_canonical():
     status, out, _ = run_cli(["generate", "--format", "json", "lobo", "comer", "niñas"])
     assert status == 0

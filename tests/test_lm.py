@@ -173,6 +173,15 @@ def test_load_accepts_boundary_counts_and_weights(tmp_path):
     assert model.preposition_after("ser") == [("a", 1.0), ("de", 0.0)]
 
 
+def test_zero_preposition_mass_reads_as_no_preposition(tmp_path):
+    path = tmp_path / "zero.lm"
+    path.write_text("V comer 1 0\nP comer de 0.0\nP comer a 0.0\n", encoding="utf-8")
+    model = NGramModel.load(path)
+    assert model.known("comer")
+    assert model.preposition_after("comer") == []
+    assert model.top_preposition("comer") is None
+
+
 @pytest.mark.parametrize(
     "records, line, reason",
     [

@@ -686,6 +686,26 @@ def test_plan_roles_check_catches_a_walk_that_ignores_coordination(resources, mo
         _roles_checked(resources.grammar, resources)
 
 
+@pytest.mark.parametrize(
+    "words", [["perro", "gato", "comer"], ["niña", "Ana", "dibujar", "animales"]]
+)
+def test_explicit_subject_plans_have_two_root_children(resources, words):
+    """A list with a subject plans only (subject, predicate) roots.
+
+    Under the bundled rules plus ``S -> SNS SNS PRED`` the search also
+    derives three-child roots for these lists; as plans they would have no
+    subject and be realized in the first person. The bundled grammar alone
+    has no such root, so only this grammar tells the subject rule's
+    explicit-subject half from none.
+    """
+    grammar = parse_grammar(GRAMMAR_TEXT + "S -> SNS SNS PRED\n")
+    planner.check_grammar(grammar, "three_roots")
+    tokens = tokenize_and_resolve(words, resources.lexicon)
+    plans = plan_structures(tokens, grammar, resources.lexicon, resources.lm)
+    assert [len(plan.tree.children) for plan in plans] == [2, 2, 2, 2]
+    assert all(plan.subject_leaf_count for plan in plans)
+
+
 # Lexicon lookups of a warm pass over the golden inputs, (lookup_form,
 # lookup_lemma): only its out-of-vocabulary words look anything up, one
 # surface lookup each plus one for the 71 that are capitalised, and one

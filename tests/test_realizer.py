@@ -156,7 +156,7 @@ def test_contractions_idempotent(words):
 def test_negation_inserts_before_finite_verb(resources):
     words = ["yo", "voy", "siempre", "a", "el", "teatro"]
     trace = []
-    negated = _negate(words, load_polarity_pairs(), 1, trace)
+    negated = _negate(words, load_polarity_pairs(), 1, 1, trace)
     assert negated == ["yo", "no", "voy", "nunca", "a", "el", "teatro"]
     assert apply_contractions(negated) == ["yo", "no", "voy", "nunca", "al", "teatro"]
     assert trace == ["polarity siempre -> nunca", "negation no before voy"]
@@ -166,11 +166,37 @@ def test_negation_inserts_before_finite_verb(resources):
 
 def test_negation_keeps_clitic_attached(resources):
     words = ["mamá", "se", "seca", "el", "pelo"]
-    negated = _negate(words, load_polarity_pairs(), 2, [])
+    trace = []
+    negated = _negate(words, load_polarity_pairs(), 1, 2, trace)
     assert negated == ["mamá", "no", "se", "seca", "el", "pelo"]
+    assert trace == ["negation no before seca"]
     result = realize_top(resources, ["mamá", "secar", "pelo", "no"])
     assert result.text == "La mamá no se seca el pelo."
     assert "negation no before seca" in result.trace
+
+
+@pytest.mark.parametrize(
+    "words, text, anchor",
+    [
+        (["yo", "se", "lavar", "no"], "Yo no me lavo.", "lavo"),
+        (["yo", "se", "lavar", "no", "?"], "¿Yo no me lavo?", "lavo"),
+        (["nosotros", "se", "lavar", "no"], "Nosotros no nos lavamos.", "lavamos"),
+        (["tú", "se", "secar", "pelo", "no"], "Tú no te secas el pelo.", "secas"),
+    ],
+)
+def test_negation_keeps_every_clitic_attached(resources, words, text, anchor):
+    """``no`` goes before the clitic ``realize`` inserted, whatever its person."""
+    result = realize_top(resources, words)
+    assert result.text == text
+    assert "negation no before %s" % anchor in result.trace
+
+
+def test_negation_anchor_reads_after_polarity_swap(resources):
+    """A polarity table may rewrite the verb; the trace names the new word."""
+    plan = top_plan(resources, ["mamá", "secar", "pelo", "no"])
+    result = realize(plan, {"seca": "moja"})
+    assert result.text == "La mamá no se moja el pelo."
+    assert result.trace[-3:-1] == ("polarity seca -> moja", "negation no before moja")
 
 
 def test_negation_noop_for_affirmative(resources):
@@ -188,8 +214,13 @@ def test_negation_noop_for_affirmative(resources):
 
 def test_negation_without_finite_verb_prepends():
     trace = []
-    assert _negate(["caminar"], load_polarity_pairs(), None, trace) == ["no", "caminar"]
+    pairs = load_polarity_pairs()
+    assert _negate(["caminar"], pairs, 0, 0, trace) == ["no", "caminar"]
     assert trace == ["negation no before caminar"]
+    # The anchor is the first word as it reads after the polarity swap.
+    trace = []
+    assert _negate(["siempre", "caminar"], pairs, 0, 0, trace) == ["no", "nunca", "caminar"]
+    assert trace == ["polarity siempre -> nunca", "negation no before nunca"]
 
 
 def top_plan(resources, words):
