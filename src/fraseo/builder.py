@@ -43,11 +43,8 @@ class SourceRecord(Value):
     )
     _defaults = {"forms": (), "adverb_class": None, "reflexive_capable": False, "extras": ()}
 
-    def extras_dict(self):
-        return dict(self.extras)
-
     def related_lemmas(self):
-        related = self.extras_dict().get(RELATED_KEY, "")
+        related = dict(self.extras).get(RELATED_KEY, "")
         return [lemma.strip() for lemma in related.split(",") if lemma.strip()]
 
 
@@ -163,12 +160,10 @@ def map_category(raw):
 def _map_record(record, report):
     category = map_category(record.category)
     if category is None:
-        if report is not None:
-            report.dropped_records += 1
+        report.dropped_records += 1
         return None
     mapped = record.replaced(category=category.value)
-    if report is not None:
-        report.note_extracted(mapped)
+    report.note_extracted(mapped)
     return mapped
 
 
@@ -182,6 +177,8 @@ def extract_and_map(primary_records, expansion_source, report=None):
     breadth-first until no new lemma appears (bounded by EXPANSION_CAP
     waves). Lookup misses are counted, never fatal.
     """
+    if report is None:
+        report = MergeReport()
     if expansion_source is None:
         expansion_source = {}
     mapped_primary = []
@@ -205,8 +202,7 @@ def extract_and_map(primary_records, expansion_source, report=None):
         for lemma in frontier:
             found = expansion_source.get(lemma)
             if not found:
-                if report is not None:
-                    report.expansion_misses += 1
+                report.expansion_misses += 1
                 continue
             for record in found:
                 mapped = _map_record(record, report)
@@ -253,25 +249,22 @@ class AllowlistOracle:
                     )
         return cls(table)
 
-    def contains(self, lemma):
-        return lemma in self._table
-
     def categories(self, lemma):
         return set(self._table.get(lemma, frozenset()))
 
 
 def verify(records, oracle, report=None):
-    """Keep records whose lemma and category the oracle vouches for."""
+    """Keep records whose mapped category the oracle lists for their lemma.
+
+    The oracle is asked only ``categories(lemma)``: a lemma it lacks has
+    no categories, and an unmappable tag maps to None, which none holds.
+    """
+    if report is None:
+        report = MergeReport()
     kept = []
     for record in records:
-        category = map_category(record.category)
-        accepted = (
-            category is not None
-            and oracle.contains(record.lemma)
-            and category in oracle.categories(record.lemma)
-        )
-        if report is not None:
-            report.note_verified(record, accepted)
+        accepted = map_category(record.category) in oracle.categories(record.lemma)
+        report.note_verified(record, accepted)
         if accepted:
             kept.append(record)
     return kept

@@ -161,15 +161,12 @@ def cmd_agreement(args):
         "alpha": evaluation.krippendorff_alpha(coincidence),
         "accuracy": evaluation.accuracy(coincidence),
         "degenerate": coincidence.is_degenerate,
-        "pairwise_alpha": {
-            "%s,%s" % pair: value
-            for pair, value in evaluation.pairwise_agreement(matrix, "alpha").items()
-        },
-        "pairwise_accuracy": {
-            "%s,%s" % pair: value
-            for pair, value in evaluation.pairwise_agreement(matrix, "accuracy").items()
-        },
     }
+    for measure in ("alpha", "accuracy"):
+        payload["pairwise_" + measure] = {
+            "%s,%s" % pair: value
+            for pair, value in evaluation.pairwise_agreement(matrix, measure).items()
+        }
     print(_canonical_json(payload))
     return EXIT_OK
 

@@ -226,12 +226,12 @@ class ReliabilityMatrix(Value):
         return cls(observers=tuple(observers), units=tuple(units), values=values)
 
     @classmethod
-    def from_annotations(cls, records, label="error_type"):
+    def from_annotations(cls, records):
         observers = tuple(sorted({record.annotator_id for record in records}))
         units = tuple(sorted({record.sentence_id for record in records}))
         values = {}
         for record in records:
-            values[(record.annotator_id, record.sentence_id)] = getattr(record, label)
+            values[(record.annotator_id, record.sentence_id)] = record.error_type
         return cls(observers=observers, units=units, values=values)
 
     def label(self, observer, unit):

@@ -290,17 +290,17 @@ def derive(grammar, fill, state=None, masks=None, insertable=frozenset()):
     its fill may choose without consuming a token; every other terminal
     consumes one. ``state[0]`` is then the token position, and only the
     derivations that end at ``len(masks)`` are yielded. When ``covers``
-    rejects the masks, the search returns before any other work. Otherwise
-    it cuts each rule body suffix that needs more tokens than are left, or
-    needs one and cannot start with the pending token, by the bounds in
-    ``grammar.table(insertable)``: a rule's whole body before the rule is
-    tried, and the suffix after a symbol for each of that symbol's choices,
-    so no generator opens for a cut suffix. Such a suffix has no
-    derivation, so the order is that of the search without ``masks``, and
-    the memo stays exact because a cut depends only on the suffix and the
-    state. With ``masks`` None nothing is cut.
+    rejects the masks from ``state[0]`` on, the search returns before any
+    other work. Otherwise it cuts each rule body suffix that needs more
+    tokens than are left, or needs one and cannot start with the pending
+    token, by the bounds in ``grammar.table(insertable)``: a rule's whole
+    body before the rule is tried, and the suffix after a symbol for each
+    of that symbol's choices, so no generator opens for a cut suffix. Such
+    a suffix has no derivation, so the order is that of the search without
+    ``masks``, and the memo stays exact because a cut depends only on the
+    suffix and the state. With ``masks`` None nothing is cut.
     """
-    if masks is not None and not covers(grammar, masks, insertable):
+    if masks is not None and not covers(grammar, masks[state[0]:], insertable):
         return iter(())
     start_usage = tuple(int(name == grammar.start) for name in grammar.rules_for)
     search = _Derivation(grammar, fill, masks, insertable)

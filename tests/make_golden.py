@@ -61,13 +61,16 @@ MAX_WORDS = 7
 UNKNOWN_WORD = "Lucía"
 # Lists that reach what neither the hand-written nor the sampled lists do:
 # plural nouns inside an SP, where only the SP clause wants a determiner, and
-# the rules SN -> noun SADJ SP and PRED -> verb SADJ SP. They come last, so
+# the rules SN -> noun SADJ SP and PRED -> verb SADJ SP, and negative
+# reflexive sentences, where `no` goes before the clitic. They come last, so
 # adding them moved no earlier record.
 BLIND_SPOTS = (
     ("niños", "pintar", "en", "papeles"),
     ("abejas", "volar", "alrededor", "de", "flores"),
     ("niño", "comer", "manzana", "roja", "de", "árbol"),
     ("perro", "estar", "contento", "en", "casa"),
+    ("mamá", "se", "secar", "pelo", "no"),
+    ("yo", "se", "lavar", "no", "?"),
 )
 
 

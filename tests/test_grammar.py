@@ -315,6 +315,35 @@ def test_derive_checks_cover_before_any_search_setup(monkeypatch):
     assert len(searches) == 2
 
 
+def test_masked_derive_checks_cover_from_its_start(grammar):
+    """From a start above 0, the masked search yields the unmasked derivations that end last."""
+    insertable = frozenset({"determiner", "conjunction", "preposition"})
+
+    def search(cats, start, masks):
+        def fill(name, parent, grandparent, state):
+            (position,) = state
+            if position < len(cats) and cats[position] == name:
+                return ((((name, position),), (position + 1,)),)
+            return ((((name, None),), state),) if name in insertable else ()
+
+        found = derive(grammar, fill, (start,), masks, insertable)
+        return [(str(tree), payloads, end) for tree, payloads, end in found]
+
+    answered = 0
+    for cats, start in (
+        (("adverb", "verb"), 1),
+        (("adverb", "noun", "verb", "noun"), 1),
+        (("verb", "adverb", "noun", "verb", "adjective"), 2),
+        (("adjective", "adverb", "pronoun", "verb", "preposition", "noun"), 2),
+        (("verb", "verb"), 2),
+    ):
+        masks = [mask(cat) for cat in cats]
+        full = [item for item in search(cats, start, None) if item[2] == (len(cats),)]
+        assert search(cats, start, masks) == full, (cats, start)
+        answered += bool(full)
+    assert answered >= 3
+
+
 LEFT_RECURSIVE_GRAMMAR = """
 S -> NP PRED
 S -> PRED

@@ -1,5 +1,6 @@
 """Properties of generate() over arbitrary keyword lists."""
 
+import random
 import re
 
 from hypothesis import example, given, settings
@@ -78,3 +79,39 @@ def test_generate_properties(words):
         assert _no_count(text) == (1 if result.mode.is_negative else 0)
         if result.mode.is_negative:
             assert _no_is_placed_before_its_anchor(candidate), (text, candidate.trace)
+
+
+def _is_marker(word):
+    """Whether ``tokenize_and_resolve`` reads ``word`` as ``no`` or ``?``."""
+    word = word.strip()
+    return word.lower() == "no" or word == "?"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(WORDS, st.integers(min_value=0))
+@example(["no", "mamá", "se", "secar", "?", "pelo"], 0)
+def test_marker_positions_do_not_change_the_answer(words, seed):
+    """Markers moved to the front, to the end or to seeded places give the same answer."""
+    markers = [word for word in words if _is_marker(word)]
+    content = [word for word in words if not _is_marker(word)]
+    rng = random.Random(seed)
+    scattered = list(content)
+    for marker in markers:
+        scattered.insert(rng.randint(0, len(scattered)), marker)
+    result = generate(words, RESOURCES)
+    for moved in (markers + content, content + markers, scattered):
+        again = generate(moved, RESOURCES)
+        assert (again.texts, again.echo) == (result.texts, result.echo), moved
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(WORDS)
+@example(["mamá", "se", "secar", "pelo", "no"])
+@example(["dibujar", "animales"])
+def test_a_question_mark_turns_each_answer_into_its_question(words):
+    """An answered list without ``?`` gains ``?``: each text ``X.`` becomes ``¿X?``, in order."""
+    if any(word.strip() == "?" for word in words):
+        return
+    texts = generate(words, RESOURCES).texts
+    question = generate(list(words) + ["?"], RESOURCES).texts
+    assert question == ["¿%s?" % text[:-1] for text in texts]
