@@ -472,10 +472,9 @@ def merge(record_sets, report=None):
     return Lexicon.from_entries(entries), report
 
 
-def build_lexicon(primary_path, expansion_path, oracle, report=None):
-    """Full pipeline: load, extract/expand, verify, merge."""
-    if report is None:
-        report = MergeReport()
+def build_lexicon(primary_path, expansion_path, oracle):
+    """Full pipeline: load, extract/expand, verify, merge; returns (lexicon, report)."""
+    report = MergeReport()
     primary = load_source_records(primary_path)
     expansion_index = build_expansion_index(load_source_records(expansion_path))
     primary_set, expansion_set = extract_and_map(primary, expansion_index, report)

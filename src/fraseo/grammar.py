@@ -298,8 +298,11 @@ def derive(grammar, fill, state=None, masks=None, insertable=frozenset()):
     of that symbol's choices, so no generator opens for a cut suffix. Such
     a suffix has no derivation, so the order is that of the search without
     ``masks``, and the memo stays exact because a cut depends only on the
-    suffix and the state. With ``masks`` None nothing is cut.
+    suffix and the state. With ``masks`` None nothing is cut. A masked
+    search needs a start: without ``state`` it raises ValueError.
     """
+    if masks is not None and state is None:
+        raise ValueError("a masked search needs a start state: state[0] is the token position")
     if masks is not None and not covers(grammar, masks[state[0]:], insertable):
         return iter(())
     start_usage = tuple(int(name == grammar.start) for name in grammar.rules_for)

@@ -18,15 +18,20 @@ The function words the planner may insert are declared once, in
 search's insertable set is its keys, and an inserted word's rationale is
 its terminal's name.
 
+Keywords with no subject get the default subject, the keyword ``yo``, at
+the front of the one token list the search runs over; starting the search
+past it elides it. Only that position marks it as the default: a typed
+``yo`` is the same token.
+
 What the planner resolves from a word alone it resolves once per lexicon,
 and keeps in the lexicon's table ``Lexicon.interned`` (hash-consing, Goto
 1974): the InputToken of each keyword that is a key of the surface or lemma
-index, the default-subject token under (RATIONALE_DEFAULT_SUBJECT,
-DEFAULT_SUBJECT_LEMMA), and the SlotFill of each inserted word under
-(terminal name, surface). Any other word, such as an out-of-vocabulary one
-or a capitalisation the index lacks, is resolved on every call and never
-kept, so the table is bounded by the lexicon, and a warm call looks up only
-its out-of-vocabulary words. Shared tokens have read-only readings.
+index (the default subject among them) and the SlotFill of each inserted
+word under (terminal name, surface). Any other word, such as an
+out-of-vocabulary one or a capitalisation the index lacks, is resolved on
+every call and never kept, so the table is bounded by the lexicon, and a
+warm call looks up only its out-of-vocabulary words. Shared tokens have
+read-only readings.
 
 The planner makes every keyword- and model-driven decision: the mode and
 the tense come from the keywords, the inserted prepositions and the
@@ -124,18 +129,17 @@ class InputToken(Value):
     ``TERMINAL_BITS`` mask of their categories.
     """
 
-    _fields = ("raw", "readings", "marker", "is_default_subject")
+    _fields = ("raw", "readings", "marker")
     __slots__ = _fields + ("mask",)
 
-    def __init__(self, raw, readings=None, marker=None, is_default_subject=False):
+    def __init__(self, raw, readings=None, marker=None):
         self.raw = raw
         self.readings = _NO_READINGS if readings is None else readings
         self.marker = marker
-        self.is_default_subject = is_default_subject
         self.mask = sum(map(_CATEGORY_BITS.__getitem__, self.readings))
 
     def __hash__(self):
-        return hash((self.raw, self.marker, self.is_default_subject))
+        return hash((self.raw, self.marker))
 
 
 def _readings(pairs):
@@ -298,27 +302,27 @@ def split_subject_predicate(tokens):
 
 
 def insert_default_subject(subject_tokens, lexicon):
-    """Give an empty subject the first-person pronoun, flagged as default."""
+    """The subject, or for an empty one the token of the keyword ``yo``.
+
+    The default subject is the ordinary (interned) token a typed ``yo``
+    resolves to; only its position tells the planner it was supplied.
+    """
     if subject_tokens:
         return list(subject_tokens)
-    key = (RATIONALE_DEFAULT_SUBJECT, DEFAULT_SUBJECT_LEMMA)
-    token = lexicon.interned.get(key)
-    if token is None:
-        pairs = lookup_form(lexicon, DEFAULT_SUBJECT_LEMMA)
-        token = lexicon.interned[key] = InputToken(
-            raw=DEFAULT_SUBJECT_LEMMA, readings=_readings(pairs), is_default_subject=True
-        )
-    return [token]
+    return tokenize_and_resolve([DEFAULT_SUBJECT_LEMMA], lexicon)
 
 
-def _fill_terminal(lexicon, lm, tokens, name, parent, grandparent, state):
+def _fill_terminal(lexicon, lm, tokens, supplied, name, parent, grandparent, state):
     """(payloads, new_state) choices for a terminal slot of the grammar search.
 
     The state is (token position, main verb lemma). A slot takes the pending
-    token when it reads as the slot's category; otherwise only a terminal in
-    ``_INSERTED`` may take its word, with the terminal's name as rationale.
-    In a predicate complement (an SP under PRED) or between two verbs the
-    inserted preposition comes from the verb usage model ``lm`` instead.
+    token when it reads as the slot's category; the first ``supplied``
+    tokens are the planner's default subject, labelled by position, never
+    by spelling, since a typed ``yo`` is the same token. Otherwise only a
+    terminal in ``_INSERTED`` may take its word, with the terminal's name
+    as rationale. In a predicate complement (an SP under PRED) or between
+    two verbs the inserted preposition comes from the verb usage model
+    ``lm`` instead.
     """
     pos, verb_lemma = state
     category = _CATEGORIES[name]
@@ -330,16 +334,13 @@ def _fill_terminal(lexicon, lm, tokens, name, parent, grandparent, state):
             new_verb = verb_lemma
             if category is LexicalCategory.verb and verb_lemma is None and entry:
                 new_verb = entry.lemma
-            rationale = (
-                RATIONALE_DEFAULT_SUBJECT if token.is_default_subject else None
-            )
             fill = SlotFill(
                 category=category,
                 surface=token.raw,
                 token=token,
                 entry=entry,
                 form=form,
-                rationale=rationale,
+                rationale=RATIONALE_DEFAULT_SUBJECT if pos < supplied else None,
             )
             choices.append(((fill,), (pos + 1, new_verb)))
         return choices
@@ -464,16 +465,18 @@ def plan_structures(tokens, grammar, lexicon, lm):
     """Rank every grammar structure that fits the resolved keywords.
 
     Returns SentencePlans sorted by (policy deviations, discovery order).
-    Keywords with no subject are searched twice, with the default subject
-    and then with it elided, which costs one deviation. One rule says which
-    derivations are plans: the root has two children (subject, predicate)
-    exactly when the attempt has subject tokens. A plan's discovery index
-    is its position in the stream of plans. Every plan carries the mode and
-    tense the keywords ask for, and whether its main verb takes the
-    reflexive clitic: always after an explicit ``se``, otherwise when the
-    usage model ``lm`` says so. Raises
-    NoStructureError when the grammar offers no fit, NoVerbError when no
-    keyword reads as a verb.
+    The search runs over one token list: the subject, or the default
+    subject ``yo`` when the keywords have none, then the predicate. It
+    starts at token 0; a subjectless list is searched again from token 1,
+    past the default subject, and that elision costs one deviation. The
+    start decides which derivations are plans: the root has two children
+    (subject, predicate) exactly when the search starts at 0. A plan's
+    discovery index is its position in the stream of plans. Every plan
+    carries the mode and tense the keywords ask for, and whether its main
+    verb takes the reflexive clitic: always after an explicit ``se``,
+    otherwise when the usage model ``lm`` says so. Raises NoStructureError
+    when the grammar offers no fit, NoVerbError when no keyword reads as a
+    verb.
     """
     mode = detect_mode(tokens)
     tense = select_tense(tokens)
@@ -493,27 +496,29 @@ def plan_structures(tokens, grammar, lexicon, lm):
             "explicit preposition with no subject does not fit the grammar"
         )
 
-    attempts = [subject] if subject else [insert_default_subject([], lexicon), []]
+    # One token list for both attempts: a subjectless list is searched from
+    # the default subject (start 0), then from past it (start 1).
+    searched = insert_default_subject(subject, lexicon) + predicate
+    supplied = int(not subject)
+    fill = partial(_fill_terminal, lexicon, lm, searched, supplied)
+    masks = [token.mask for token in searched]
     plans = []
-    for subject_tokens in attempts:
-        attempt = subject_tokens + predicate
-        fill = partial(_fill_terminal, lexicon, lm, attempt)
-        masks = [token.mask for token in attempt]
-        for tree, fills, (_, verb_lemma) in derive(grammar, fill, (0, None), masks, _INSERTABLE):
-            # A plan has a subject exactly when its root has two children.
-            if (len(tree.children) == 2) != bool(subject_tokens):
+    for start in range(supplied + 1):
+        for tree, fills, (_, verb) in derive(grammar, fill, (start, None), masks, _INSERTABLE):
+            # Only a search from token 0 has a subject, whose plans have a two-child root.
+            if (len(tree.children) == 2) != (start == 0):
                 continue
             deviations, agreement, subject_leaves = _plan_roles(lm, tree, fills)
             reflexive = reflexive_forced or (
-                verb_lemma is not None
-                and lm.reflexive_probability(verb_lemma) > REFLEXIVE_THRESHOLD
+                verb is not None
+                and lm.reflexive_probability(verb) > REFLEXIVE_THRESHOLD
             )
             plans.append(
                 SentencePlan(
                     mode=mode,
                     tree=tree,
                     slot_assignment=tuple(fills),
-                    deviations=deviations + (not subject_tokens),
+                    deviations=deviations + start,
                     discovery_index=len(plans),
                     tense=tense,
                     reflexive=reflexive,

@@ -10,13 +10,25 @@ no memo and no lookahead. ``match_leaf_sequence`` runs ``grammar.derive``
 over a category sequence, as the planner runs it over keywords, so tests
 can check the masked search without a lexicon. ``reference_plan_roles``
 scores a plan leaf by leaf from each leaf's path, with no state carried by
-a tree walk. Tests compare package output against these routines.
+a tree walk. ``reference_plan_structures`` plans a keyword list with one
+token list per subject attempt, brute force. Tests compare package output
+against these routines.
 """
+
+from functools import partial
 
 from fraseo.features import AXES, INVARIABLE_CATEGORIES, LexicalCategory, Number
 from fraseo.grammar import TERMINAL_BITS, TERMINALS, TreeNode, derive
 from fraseo.lexicon import LexicalEntry, WordForm
-from fraseo.planner import LM_PREPOSITION_THRESHOLD, NO_AGREEMENT, SUBJECT_AGREEMENT
+from fraseo.planner import (
+    _INSERTED,
+    LM_PREPOSITION_THRESHOLD,
+    NO_AGREEMENT,
+    RATIONALE_DEFAULT_SUBJECT,
+    SUBJECT_AGREEMENT,
+    InputToken,
+    SlotFill,
+)
 
 
 def pairable_units(unit_labels):
@@ -343,3 +355,84 @@ def reference_plan_roles(lm, tree, fills, elided_default):
     if len(tree.children) == 2:
         subject = sum(1 for path, _nodes in leaves if path[0] == 0)
     return deviations, tuple(targets), subject
+
+
+def _reference_fill(lexicon, lm, tokens, default, name, parent, grandparent, state):
+    """The planner's terminal fill, restated; ``default`` says token 0 is the default subject.
+
+    A token fills a leaf it reads as, one choice per reading in lexicon
+    order; otherwise a terminal of ``_INSERTED`` inserts its word, except a
+    preposition under PRED (or under an SP under PRED), which takes the
+    usage model's top preposition after the verb when it is likely enough,
+    and else nothing.
+    """
+    pos, verb = state
+    category = LexicalCategory(name)
+    token = tokens[pos] if pos < len(tokens) else None
+    if token is not None and category in token.readings:
+        rationale = RATIONALE_DEFAULT_SUBJECT if default and pos == 0 else None
+        choices = []
+        for entry, form in token.readings[category]:
+            first_verb = category is LexicalCategory.verb and verb is None
+            fill = SlotFill(
+                category=category, surface=token.raw, token=token,
+                entry=entry, form=form, rationale=rationale,
+            )
+            choices.append(((fill,), (pos + 1, entry.lemma if first_verb else verb)))
+        return choices
+    surface = _INSERTED.get(name)
+    if name == "preposition" and "PRED" in (parent, grandparent if parent == "SP" else None):
+        top = None if verb is None else lm.top_preposition(verb)
+        surface = top[0] if top is not None and top[1] >= LM_PREPOSITION_THRESHOLD else None
+    if surface is None:
+        return ()
+    entry = next(
+        (entry for entry in lexicon.lemma_index.get(surface, ()) if entry.category is category),
+        None,
+    )
+    fill = SlotFill(
+        category=category, surface=surface, entry=entry,
+        form=entry.forms[0] if entry else None, rationale=name,
+    )
+    return (((fill,), state),)
+
+
+def reference_plan_structures(tokens, grammar, lexicon, lm):
+    """``[(tree, slot_assignment)]`` of ``planner.plan_structures`` in discovery order.
+
+    Brute force, with a token list per subject attempt: split the content
+    tokens at the first verb-readable one, drop a trailing pronoun ``se``
+    from the subject, and plan nothing for a subjectless list that holds a
+    preposition-readable token. A list with a subject is one attempt; a
+    subjectless one is two, a fresh default subject ``yo`` (from the
+    surface index) before the predicate, then the predicate alone. Each
+    attempt runs ``reference_derive`` from (0, no verb) and keeps the
+    derivations that consume the whole list and whose root has two
+    children exactly when the attempt has a subject. Empty where planning
+    raises.
+    """
+    content = [token for token in tokens if token.marker is None]
+    verbs = [pos for pos, token in enumerate(content) if LexicalCategory.verb in token.readings]
+    if not verbs:
+        return []
+    subject, predicate = content[: verbs[0]], content[verbs[0]:]
+    pronouns = subject[-1].readings.get(LexicalCategory.pronoun, ()) if subject else ()
+    if any(entry.lemma == "se" for entry, _form in pronouns):
+        subject = subject[:-1]
+    if subject:
+        attempts = [(subject + predicate, True, False)]
+    elif any(LexicalCategory.preposition in token.readings for token in predicate):
+        return []
+    else:
+        readings = {}
+        for entry, form in lexicon.form_index.get("yo", ()):
+            readings[entry.category] = readings.get(entry.category, ()) + ((entry, form),)
+        yo = InputToken("yo", readings)
+        attempts = [([yo] + predicate, True, True), (predicate, False, False)]
+    plans = []
+    for attempt, has_subject, default in attempts:
+        fill = partial(_reference_fill, lexicon, lm, attempt, default)
+        for tree, fills, (end, _verb) in reference_derive(grammar, fill, (0, None)):
+            if end == len(attempt) and (len(tree.children) == 2) == has_subject:
+                plans.append((tree, tuple(fills)))
+    return plans

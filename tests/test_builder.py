@@ -33,14 +33,9 @@ def oracle(bundled_fixtures):
 
 @pytest.fixture()
 def built(bundled_fixtures, oracle):
-    report = builder.MergeReport()
-    lexicon, report = builder.build_lexicon(
-        bundled_fixtures / "source_a.xml",
-        bundled_fixtures / "source_b.xml",
-        oracle,
-        report=report,
+    return builder.build_lexicon(
+        bundled_fixtures / "source_a.xml", bundled_fixtures / "source_b.xml", oracle
     )
-    return lexicon, report
 
 
 def test_load_source_records_keeps_raw_categories(source_a):

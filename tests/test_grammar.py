@@ -431,3 +431,16 @@ def test_dfs_paths_single_vertex_and_shared_children():
 def test_dfs_paths_detects_cycles():
     with pytest.raises(CycleError):
         dfs_paths(1, {1: (2,), 2: (1,)})
+
+
+def test_masked_derive_needs_a_start(grammar):
+    """A masked search reads its token position from the state, so it needs one."""
+    calls = []
+
+    def fill(name, parent, grandparent, state):
+        calls.append(name)
+        return ()
+
+    with pytest.raises(ValueError, match=r"start.*state\[0\]"):
+        derive(grammar, fill, None, [TERMINAL_BITS["verb"]])
+    assert calls == []

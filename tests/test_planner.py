@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from make_golden import HAND_WRITTEN, golden_inputs
-from oracles import reference_covers, reference_derive, reference_plan_roles
+from oracles import (
+    reference_covers,
+    reference_derive,
+    reference_plan_roles,
+    reference_plan_structures,
+)
 
 from fraseo import grammar as grammar_module
 from fraseo import planner
@@ -21,7 +26,6 @@ from fraseo.lexicon import LexicalEntry, Lexicon, WordForm
 from fraseo.lm import NGramModel
 from fraseo.pipeline import generate, load_default_resources
 from fraseo.planner import (
-    DEFAULT_SUBJECT_LEMMA,
     MARKER_NEGATION,
     MARKER_QUESTION,
     RATIONALE_DEFAULT_SUBJECT,
@@ -147,7 +151,7 @@ def test_split_without_verb_raises(lexicon):
 def test_insert_default_subject(lexicon):
     filled = insert_default_subject([], lexicon)
     assert len(filled) == 1
-    assert filled[0].is_default_subject
+    assert filled[0] is tokenize_and_resolve(["yo"], lexicon)[0]
     assert "yo" in lemmas(filled[0], LexicalCategory.pronoun)
     existing = tokenize_and_resolve(["perro"], lexicon)
     assert insert_default_subject(existing, lexicon) == existing
@@ -165,6 +169,19 @@ def test_default_subject_plan_preferred(resources):
     # The subjectless variant exists but ranks behind the default subject.
     elided = [p for p in plans if p.subject_leaf_count == 0]
     assert elided and all(p.deviations >= 1 for p in elided)
+
+
+def test_default_subject_is_labelled_by_position_not_spelling(resources):
+    """A typed ``yo`` is the default subject's token but never its label."""
+    result = generate(["ser", "yo"], resources)
+    first, elided = (candidate.plan for candidate in result.candidates)
+    assert result.candidates[0].text == "Yo soy yo."
+    assert [fill.rationale for fill in first.slot_assignment] == [
+        RATIONALE_DEFAULT_SUBJECT, None, None
+    ]
+    assert first.slot_assignment[0].token is first.slot_assignment[2].token
+    assert [fill.rationale for fill in elided.slot_assignment] == [None, None]
+    assert elided.subject_leaf_count == 0 and elided.deviations == 1
 
 
 def test_determiner_insertion_recorded(resources):
@@ -602,6 +619,90 @@ def test_derive_agrees_with_reference(words):
     _oracle_checked(words, RESOURCES)
 
 
+# Subjectless lists with a typed ``yo``: the default subject is the same token.
+TYPED_YO = (("ser", "yo"), ("ver", "yo"))
+PLANNER_ORACLE_WORDS = st.lists(st.sampled_from(SURFACES + ["yo", "se", "no", "?"]), max_size=6)
+
+
+def _planner_oracle_mismatches(inputs, resources):
+    """The inputs whose plans differ from ``reference_plan_structures``.
+
+    Plans are compared as (tree, slot assignment) in discovery order; both
+    sides are empty where planning raises. Returns (mismatched inputs,
+    inputs past tokenizing, inputs planned, plans compared).
+    """
+    mismatched, tokenized, planned, compared = [], 0, 0, 0
+    for words in inputs:
+        try:
+            tokens = tokenize_and_resolve(words, resources.lexicon)
+        except EmptyInputError:
+            continue
+        try:
+            plans = plan_structures(tokens, resources.grammar, resources.lexicon, resources.lm)
+        except (NoStructureError, NoVerbError):
+            plans = []
+        plans.sort(key=lambda plan: plan.discovery_index)
+        found = [(plan.tree, plan.slot_assignment) for plan in plans]
+        reference = reference_plan_structures(
+            tokens, resources.grammar, resources.lexicon, resources.lm
+        )
+        if found != reference:
+            mismatched.append(tuple(words))
+        tokenized += 1
+        planned += bool(found)
+        compared += len(found)
+    return mismatched, tokenized, planned, compared
+
+
+def test_plans_agree_with_reference_planner(resources):
+    inputs = golden_inputs(resources.lexicon)
+    assert _planner_oracle_mismatches(inputs, resources) == ([], 297, 84, 387)
+    assert _planner_oracle_mismatches(TYPED_YO, resources) == ([], 2, 2, 6)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(PLANNER_ORACLE_WORDS)
+def test_plans_agree_with_reference_planner_on_drawn_lists(words):
+    assert _planner_oracle_mismatches([words], RESOURCES)[0] == []
+
+
+def test_planner_oracle_catches_a_fill_that_ignores_the_usage_model(resources, monkeypatch):
+    """A fill that never takes the model's preposition loses "Mamá cepilla al perro."."""
+    fill = planner._fill_terminal
+    silent = NGramModel()
+
+    def mutant(lexicon, lm, *rest):
+        return fill(lexicon, silent, *rest)
+
+    monkeypatch.setattr(planner, "_fill_terminal", mutant)
+    mismatched, *_ = _planner_oracle_mismatches(golden_inputs(resources.lexicon), resources)
+    assert ("mamá", "cepillar", "perro") in mismatched
+
+
+def test_planner_oracle_catches_a_default_subject_labelled_by_spelling(resources, monkeypatch):
+    """Labelling every ``yo`` of a subjectless list as the default subject mislabels ``ser yo``."""
+    fill = planner._fill_terminal
+
+    def mutant(lexicon, lm, tokens, supplied, *rest):
+        choices = fill(lexicon, lm, tokens, supplied, *rest)
+        return [
+            (
+                tuple(
+                    item.replaced(rationale=planner.RATIONALE_DEFAULT_SUBJECT)
+                    if supplied and item.surface == planner.DEFAULT_SUBJECT_LEMMA
+                    and not item.is_inserted else item
+                    for item in payloads
+                ),
+                state,
+            )
+            for payloads, state in choices
+        ]
+
+    monkeypatch.setattr(planner, "_fill_terminal", mutant)
+    mismatched, *_ = _planner_oracle_mismatches(TYPED_YO, resources)
+    assert ("ser", "yo") in mismatched
+
+
 def test_generate_rejects_negative_cap(resources):
     assert generate(["dibujar", "animales"], resources, max_candidates=1).texts == [
         "Yo dibujo animales."
@@ -768,10 +869,8 @@ def test_warm_pass_looks_up_only_out_of_vocabulary_words(resources, monkeypatch)
 def _table_keys_are_bounded(lexicon):
     for key in lexicon.interned:
         if isinstance(key, tuple):
-            rationale, surface = key
-            assert rationale in planner._INSERTED or key == (
-                RATIONALE_DEFAULT_SUBJECT, DEFAULT_SUBJECT_LEMMA
-            ), key
+            terminal, _surface = key
+            assert terminal in planner._INSERTED, key
         else:
             assert key in lexicon.form_index or key in lexicon.lemma_index, key
 

@@ -147,7 +147,7 @@ DEFAULTS = {
     Grammar: {"depth_limit": 2},
     WordForm: {"features": FeatureBundle()},
     LexicalEntry: {"adverb_class": None, "reflexive_capable": False, "extras": ()},
-    InputToken: {"readings": None, "marker": None, "is_default_subject": False},
+    InputToken: {"readings": None, "marker": None},
     SlotFill: {"token": None, "entry": None, "form": None, "rationale": None},
     SentencePlan: {"subject_leaf_count": 0, "agreement_targets": ()},
     SourceRecord: {"forms": (), "adverb_class": None, "reflexive_capable": False, "extras": ()},
@@ -225,7 +225,7 @@ def test_input_token_hash_leaves_out_readings():
 
 def test_input_token_mask_is_derived_state():
     verb = token()
-    assert InputToken._fields == ("raw", "readings", "marker", "is_default_subject")
+    assert InputToken._fields == ("raw", "readings", "marker")
     assert verb.mask == TERMINAL_BITS["verb"]
     assert InputToken(raw="no", marker="negation").mask == 0
     tampered = token()
@@ -268,7 +268,7 @@ def test_derived_state_is_not_a_field():
     shallow = grammar.replaced(depth_limit=1)
     assert shallow.depth_limit == 1 and shallow.rules_for == grammar.rules_for
     assert shallow != grammar
-    assert InputToken._fields == ("raw", "readings", "marker", "is_default_subject")
+    assert InputToken._fields == ("raw", "readings", "marker")
     assert token().mask == 1 << list(LexicalCategory).index(LexicalCategory.verb)
 
 
