@@ -19,7 +19,7 @@ from .features import (
     AXES, AXIS_UNSPECIFIED, INVARIABLE_CATEGORIES, AdverbClass, LexicalCategory, Value,
 )
 from .fileio import data_lines, read_elements
-from .lexicon import LexicalEntry, Lexicon, WordForm, parse_extras, parse_forms
+from .lexicon import LexicalEntry, Lexicon, WordForm, parse_extras, parse_forms, parse_reflexive
 
 # Source tags never admitted into the merged lexicon.
 DROPPED_CATEGORIES = frozenset({"interjection", "numeral", "proper_name"})
@@ -123,7 +123,7 @@ def load_source_records(path):
             category=element.get("cat", ""),
             forms=parse_forms(element, lemma),
             adverb_class=element.get("adverb-class"),
-            reflexive_capable=element.get("reflexive", "false").lower() == "true",
+            reflexive_capable=parse_reflexive(element),
             extras=parse_extras(element),
         )
 

@@ -29,7 +29,7 @@ class LexiconParseError(LexiconError):
 class LexiconConflictError(LexiconParseError):
     """Duplicate (lemma, category) pair in one lexicon.
 
-    ``Lexicon.from_entries`` sets ``.positions`` to the indices of the two
+    Building a ``Lexicon`` sets ``.positions`` to the indices of the two
     entries.
     """
 

@@ -53,7 +53,19 @@ def _candidate_texts(result):
 
 
 class ExactMatchReport(Value):
-    __slots__ = ("matched", "total", "rate", "outcomes")
+    """The outcomes of one ``exact_match_rate`` run, one dict per corpus item.
+
+    ``_derive`` counts them: ``total`` items, of which ``matched`` have the
+    status ``matched``, and their share ``rate``, 0.0 for no items.
+    """
+
+    _fields = ("outcomes",)
+    __slots__ = _fields + ("matched", "total", "rate")
+
+    def _derive(self):
+        self.total = len(self.outcomes)
+        self.matched = len(self._hits())
+        self.rate = self.matched / self.total if self.total else 0.0
 
     def _hits(self):
         return [o["candidate_index"] for o in self.outcomes if o["status"] == "matched"]
@@ -98,10 +110,7 @@ def exact_match_rate(items, generator):
     ``mrr`` read the rank of each match from its ``candidate_index``.
     """
     outcomes = []
-    matched = 0
-    total = 0
     for item in items:
-        total += 1
         outcome = {"target": item.target, "keywords": list(item.keywords)}
         try:
             texts, echoed = _candidate_texts(generator(list(item.keywords)))
@@ -126,10 +135,8 @@ def exact_match_rate(items, generator):
         else:
             outcome["status"] = "matched"
             outcome["candidate_index"] = hit
-            matched += 1
         outcomes.append(outcome)
-    rate = matched / total if total else 0.0
-    return ExactMatchReport(matched=matched, total=total, rate=rate, outcomes=outcomes)
+    return ExactMatchReport(outcomes=outcomes)
 
 
 class AnnotationRecord(Value):

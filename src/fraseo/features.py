@@ -100,10 +100,12 @@ class Value:
 
     A subclass lists its fields in ``__slots__``, after those it inherits,
     and the defaults of its last fields in ``_defaults``, a dict from field
-    name to default. This base then writes the class's ``__init__``, which
-    takes the fields in order and stores each. A class whose body defines
-    its own ``__init__``, because it keeps state derived from its fields,
-    names the fields alone in ``_fields``. From the fields this base gives
+    name to default. This base then compiles the class's ``__init__``, which
+    takes the fields in order and stores each; no class writes its own. A
+    class that keeps state derived from its fields names the fields alone
+    in ``_fields``, the derived slots after them in ``__slots__``, and
+    defines ``_derive(self)``, which ``__init__`` calls last to set them,
+    so a ``replaced`` copy derives afresh. From the fields this base gives
     equality (an instance equals only an instance of its own class), a
     hash, a ``Name(field=value, ...)`` repr and ``replaced(**changes)``.
     Instances are frozen by convention: nothing assigns a field after
@@ -120,7 +122,7 @@ class Value:
         if "_fields" not in cls.__dict__:
             cls._fields = cls._fields + own
         cls._field_values = attrgetter(*cls._fields)
-        if own and "__init__" not in cls.__dict__:
+        if own:
             cls.__init__ = _field_init(cls)
 
     def __eq__(self, other):
@@ -145,14 +147,16 @@ class Value:
 
 
 def _field_init(cls):
-    """An ``__init__`` for ``cls`` that stores each field, compiled as namedtuple does."""
+    """An ``__init__`` for ``cls``, compiled as namedtuple does.
+
+    It stores each field, then calls ``_derive`` when the class has one.
+    """
     fields = cls._fields
+    lines = ["    self.%s = %s\n" % (name, name) for name in fields]
+    if hasattr(cls, "_derive"):
+        lines.append("    self._derive()\n")
     namespace = {"__name__": cls.__module__}
-    exec(
-        "def __init__(self, %s):\n%s"
-        % (", ".join(fields), "".join("    self.%s = %s\n" % (name, name) for name in fields)),
-        namespace,
-    )
+    exec("def __init__(self, %s):\n%s" % (", ".join(fields), "".join(lines)), namespace)
     init = namespace["__init__"]
     init.__qualname__ = cls.__qualname__ + ".__init__"
     defaulted = fields[len(fields) - len(cls._defaults):]

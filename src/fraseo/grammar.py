@@ -108,17 +108,22 @@ class TreeNode(Value):
 
 
 class Grammar(Value):
-    _fields = ("rules", "start", "depth_limit")
-    __slots__ = _fields + ("rules_for", "_tables")
+    """Rules in file order and the search's depth limit.
 
-    def __init__(self, rules, start, depth_limit=2):
-        self.rules = rules
-        self.start = start
-        self.depth_limit = depth_limit
-        by_head = {}
-        for rule in rules:
-            by_head.setdefault(rule.head, []).append(rule)
-        self.rules_for = by_head
+    ``_derive`` sets the rest: ``start``, the first rule's head;
+    ``rules_for``, each head's rules in file order; and an empty cache of
+    ``table``'s compiled tables. A ``replaced`` copy derives them afresh.
+    """
+
+    _fields = ("rules", "depth_limit")
+    __slots__ = _fields + ("start", "rules_for", "_tables")
+    _defaults = {"depth_limit": 2}
+
+    def _derive(self):
+        self.start = self.rules[0].head
+        self.rules_for = {}
+        for rule in self.rules:
+            self.rules_for.setdefault(rule.head, []).append(rule)
         self._tables = {}
 
     def table(self, insertable):
@@ -247,7 +252,7 @@ def parse_grammar(text, depth_limit=2):
                 raise UndefinedSymbolError(
                     "symbol %r has no rule and is not a lexical category" % name, rule.line
                 )
-    return Grammar(rules=tuple(rules), start=rules[0].head, depth_limit=depth_limit)
+    return Grammar(rules=tuple(rules), depth_limit=depth_limit)
 
 
 def load_grammar(path, depth_limit=2):

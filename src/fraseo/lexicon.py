@@ -16,10 +16,12 @@ File format::
       </entry>
     </lexicon>
 
-Absent attributes mean the axis is unspecified; ``x-`` prefixed entry
-attributes are carried as extras. ``fileio.read_elements`` reads this
-format: ``load_lexicon`` and the builder's source loader each hand it a
-per-entry callback built on ``parse_forms`` and ``parse_extras``.
+Absent attributes mean the axis is unspecified. An entry's ``reflexive``
+attribute is ``true`` or ``false`` in any case, and absent means false.
+``x-`` prefixed entry attributes are carried as extras.
+``fileio.read_elements`` reads this format: ``load_lexicon`` and the
+builder's source loader each hand it a per-entry callback built on
+``parse_forms``, ``parse_reflexive`` and ``parse_extras``.
 """
 
 import xml.etree.ElementTree as ET
@@ -74,13 +76,16 @@ class LexicalEntry(Value):
 
     ``adverb_class`` is an AdverbClass, adverbs only; ``extras`` holds the
     ``((key, value), ...)`` pairs carried through merges. ``_surfaces``, not
-    a field, is ``inflect``'s memo for this entry: it is created on the
-    first inflection and maps each target FeatureBundle to its surface.
+    a field, is ``inflect``'s memo for this entry: ``_derive`` starts it
+    empty, and it maps each target FeatureBundle to its surface.
     """
 
     _fields = ("lemma", "category", "forms", "adverb_class", "reflexive_capable", "extras")
     __slots__ = _fields + ("_surfaces",)
     _defaults = {"adverb_class": None, "reflexive_capable": False, "extras": ()}
+
+    def _derive(self):
+        self._surfaces = {}
 
     def validate(self):
         if not self.lemma:
@@ -103,36 +108,29 @@ class LexicalEntry(Value):
             form.features.validate()
         return self
 
-    def extras_dict(self):
-        return dict(self.extras)
-
 
 class Lexicon(Value):
-    """Entries in file order, indexed by lemma and by surface.
+    """A tuple of entries in file order, indexed by lemma and by surface.
 
-    ``lemma_index`` maps a lemma to its entries in file order and
-    ``form_index`` a surface to its (entry, form) pairs. ``interned``, not
-    a field, is the planner's table of what it resolves from a word alone
-    (see ``planner.tokenize_and_resolve``); it starts empty, so equality,
-    hash, repr and a ``replaced`` copy ignore it.
+    The entries are the one field. ``_derive`` builds the rest from them:
+    ``lemma_index`` maps a lemma to the tuple of its entries and
+    ``form_index`` a surface to the tuple of its (entry, form) pairs, both
+    in file order; a repeated (lemma, category) raises
+    LexiconConflictError, whose ``.positions`` are the two entries'
+    indices. ``interned`` is the planner's table of what it resolves from
+    a word alone (see ``planner.tokenize_and_resolve``); it starts empty.
+    So a ``replaced`` copy is indexed afresh, and two lexica with equal
+    entries are equal.
     """
 
-    _fields = ("entries", "lemma_index", "form_index")
-    __slots__ = _fields + ("interned",)
+    _fields = ("entries",)
+    __slots__ = _fields + ("lemma_index", "form_index", "interned")
 
-    def __init__(self, entries, lemma_index, form_index):
-        self.entries = entries
-        self.lemma_index = lemma_index
-        self.form_index = form_index
-        self.interned = {}
-
-    @classmethod
-    def from_entries(cls, entries):
-        entries = tuple(entries)
+    def _derive(self):
         first_index = {}
-        lemma_index = {}
-        form_index = {}
-        for index, entry in enumerate(entries):
+        self.lemma_index = lemma_index = {}
+        self.form_index = form_index = {}
+        for index, entry in enumerate(self.entries):
             key = (entry.lemma, entry.category)
             if key in first_index:
                 error = LexiconConflictError(
@@ -142,10 +140,14 @@ class Lexicon(Value):
                 error.positions = (first_index[key], index)
                 raise error
             first_index[key] = index
-            lemma_index.setdefault(entry.lemma, []).append(entry)
+            lemma_index[entry.lemma] = lemma_index.get(entry.lemma, ()) + (entry,)
             for form in entry.forms:
-                form_index.setdefault(form.surface, []).append((entry, form))
-        return cls(entries=entries, lemma_index=lemma_index, form_index=form_index)
+                form_index[form.surface] = form_index.get(form.surface, ()) + ((entry, form),)
+        self.interned = {}
+
+    @classmethod
+    def from_entries(cls, entries):
+        return cls(tuple(entries))
 
     def __len__(self):
         return len(self.entries)
@@ -155,13 +157,13 @@ def lookup_lemma(lexicon, lemma, category=None):
     """Entries for ``lemma`` in file order, optionally of one category only."""
     entries = lexicon.lemma_index.get(lemma, ())
     if category is None:
-        return tuple(entries)
+        return entries
     return tuple(entry for entry in entries if entry.category is category)
 
 
 def lookup_form(lexicon, surface):
     """(entry, form) pairs whose surface equals ``surface`` exactly."""
-    return tuple(lexicon.form_index.get(surface, ()))
+    return lexicon.form_index.get(surface, ())
 
 
 def inflect(entry, target):
@@ -169,12 +171,10 @@ def inflect(entry, target):
 
     Axes left unspecified on either side match anything; ties resolve to the
     earliest form in entry order. Raises InflectionMiss when nothing fits.
-    A found surface is remembered on the entry, keyed by ``target``.
+    A found surface is remembered in the entry's ``_surfaces``, keyed by
+    ``target``.
     """
-    try:
-        surfaces = entry._surfaces
-    except AttributeError:
-        surfaces = entry._surfaces = {}
+    surfaces = entry._surfaces
     surface = surfaces.get(target)
     if surface is not None:
         return surface
@@ -215,6 +215,18 @@ def parse_extras(element):
     )
 
 
+def parse_reflexive(element):
+    """The ``reflexive`` attribute of an <entry> element as a bool.
+
+    Absent gives False; ``true`` or ``false``, in any case, gives that
+    value; anything else raises LexiconParseError.
+    """
+    raw = element.get("reflexive", "false")
+    if raw.lower() not in ("true", "false"):
+        raise LexiconParseError("bad reflexive value %r (true or false)" % raw)
+    return raw.lower() == "true"
+
+
 def parse_entry_element(element):
     """Build a validated LexicalEntry from an <entry> element."""
     lemma = element.get("lemma", "")
@@ -238,7 +250,7 @@ def parse_entry_element(element):
             category=category,
             forms=parse_forms(element, lemma),
             adverb_class=adverb_class,
-            reflexive_capable=element.get("reflexive", "false").lower() == "true",
+            reflexive_capable=parse_reflexive(element),
             extras=parse_extras(element),
         ).validate()
     except ValueError as exc:

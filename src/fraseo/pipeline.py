@@ -24,10 +24,15 @@ class GenerationResult(Value):
     """The answer to one ``generate()`` call.
 
     ``mode`` is the SentenceMode, None when echoing; ``candidates`` holds
-    RealizedSentences, best first, deduplicated.
+    RealizedSentences, best first, deduplicated. ``echo``, set by
+    ``_derive``, is True exactly when ``mode`` is None.
     """
 
-    __slots__ = ("input_words", "mode", "candidates", "echo")
+    _fields = ("input_words", "mode", "candidates")
+    __slots__ = _fields + ("echo",)
+
+    def _derive(self):
+        self.echo = self.mode is None
 
     @property
     def echo_text(self):
@@ -75,7 +80,7 @@ def generate(words, resources, max_candidates=0):
         tokens = tokenize_and_resolve(words, resources.lexicon)
         plans = plan_structures(tokens, resources.grammar, resources.lexicon, resources.lm)
     except PlanningError:
-        return GenerationResult(input_words=words, mode=None, candidates=(), echo=True)
+        return GenerationResult(input_words=words, mode=None, candidates=())
 
     candidates = []
     seen = set()
@@ -87,9 +92,4 @@ def generate(words, resources, max_candidates=0):
         candidates.append(sentence)
         if max_candidates and len(candidates) >= max_candidates:
             break
-    return GenerationResult(
-        input_words=words,
-        mode=plans[0].mode,
-        candidates=tuple(candidates),
-        echo=False,
-    )
+    return GenerationResult(input_words=words, mode=plans[0].mode, candidates=tuple(candidates))

@@ -122,20 +122,18 @@ class InputToken(Value):
     ``readings`` maps each LexicalCategory the token reads as to its
     (LexicalEntry, WordForm) pairs, both in lexicon order. An
     out-of-vocabulary word reads only as a proper name with no entry,
-    ``((None, None),)``; a marker reads as nothing. The planner's tokens
-    have read-only readings, since the lexicon's table shares them between
-    calls. Equality compares the readings; the hash leaves them out, since
-    a mapping has no hash. ``mask``, derived from the readings, is the
-    ``TERMINAL_BITS`` mask of their categories.
+    ``((None, None),)``; a marker reads as nothing, the default empty
+    read-only map. The planner's tokens have read-only readings, since the
+    lexicon's table shares them between calls. Equality compares the readings; the hash leaves them out, since
+    a mapping has no hash. ``mask``, set by ``_derive`` from the readings,
+    is the ``TERMINAL_BITS`` mask of their categories.
     """
 
     _fields = ("raw", "readings", "marker")
     __slots__ = _fields + ("mask",)
+    _defaults = {"readings": _NO_READINGS, "marker": None}
 
-    def __init__(self, raw, readings=None, marker=None):
-        self.raw = raw
-        self.readings = _NO_READINGS if readings is None else readings
-        self.marker = marker
+    def _derive(self):
         self.mask = sum(map(_CATEGORY_BITS.__getitem__, self.readings))
 
     def __hash__(self):

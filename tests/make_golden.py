@@ -61,9 +61,9 @@ MAX_WORDS = 7
 UNKNOWN_WORD = "Lucía"
 # Lists that reach what neither the hand-written nor the sampled lists do:
 # plural nouns inside an SP, where only the SP clause wants a determiner, and
-# the rules SN -> noun SADJ SP and PRED -> verb SADJ SP, and negative
-# reflexive sentences, where `no` goes before the clitic. They come last, so
-# adding them moved no earlier record.
+# the rules SN -> noun SADJ SP and PRED -> verb SADJ SP, negative reflexive
+# sentences, where `no` goes before the clitic, and the contraction con ti.
+# They come last, so adding them moved no earlier record.
 BLIND_SPOTS = (
     ("niños", "pintar", "en", "papeles"),
     ("abejas", "volar", "alrededor", "de", "flores"),
@@ -71,6 +71,7 @@ BLIND_SPOTS = (
     ("perro", "estar", "contento", "en", "casa"),
     ("mamá", "se", "secar", "pelo", "no"),
     ("yo", "se", "lavar", "no", "?"),
+    ("él", "comer", "con", "ti"),
 )
 
 

@@ -46,6 +46,24 @@ def test_load_source_records_keeps_raw_categories(source_a):
     assert all(record.source_id == "alpha" for record in source_a)
 
 
+def test_source_reflexive_is_true_or_false(tmp_path):
+    path = tmp_path / "source.xml"
+    path.write_text(
+        '<lexicon source="alpha">\n'
+        '<entry lemma="secar" cat="verb" reflexive="True"><form surface="secar"/></entry>\n'
+        '<entry lemma="lavar" cat="verb" reflexive="yes"><form surface="lavar"/></entry>\n'
+        "</lexicon>\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(LexiconParseError) as err:
+        builder.load_source_records(path)
+    assert err.value.line == 3
+    assert err.value.reason == "bad reflexive value 'yes' (true or false)"
+    path.write_text(path.read_text(encoding="utf-8").replace("yes", "false"), encoding="utf-8")
+    records = builder.load_source_records(path)
+    assert [record.reflexive_capable for record in records] == [True, False]
+
+
 def test_cross_reference_extras(source_b):
     by_lemma = {record.lemma: record for record in source_b}
     assert by_lemma["aposento"].related_lemmas() == ["aposentar"]
@@ -203,6 +221,7 @@ def test_merged_lexicon_round_trip(built, tmp_path):
             for entry, form in lookup_form(reloaded, surface)
         }
         assert original == copied
+    assert reloaded == lexicon
 
 
 def test_unify_entries_cases():

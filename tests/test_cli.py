@@ -108,6 +108,19 @@ def test_bad_configuration_exit_1(tmp_path):
     assert err.startswith("error: ")
 
 
+def test_unwritten_reflexive_value_exits_1_with_its_line(tmp_path):
+    path = tmp_path / "bad.xml"
+    path.write_text(
+        "<lexicon>\n"
+        '<entry lemma="lavar" cat="verb" reflexive="yes"><form surface="lavar"/></entry>\n'
+        "</lexicon>\n",
+        encoding="utf-8",
+    )
+    status, out, err = run_cli(["generate", "--lexicon", str(path), "lavar"])
+    assert (status, out) == (1, "")
+    assert err == "error: line 2: %s: bad reflexive value 'yes' (true or false)\n" % path
+
+
 def test_format_is_a_generate_option_only(bundled_fixtures):
     corpus = str(bundled_fixtures / "exact_match_corpus.tsv")
     for argv in (

@@ -8,6 +8,7 @@ from fraseo.errors import EvaluationError
 from fraseo.evaluation import (
     NO_CONSENSUS,
     AnnotationRecord,
+    ExactMatchReport,
     ReliabilityMatrix,
     accuracy,
     coincidence_matrix,
@@ -81,6 +82,21 @@ def test_exact_match_statuses(bundled_fixtures, tmp_path):
     assert payload["rate"] == report.rate
     assert (payload["top1"], payload["top3"], payload["mrr"]) == (0, 1, report.mrr)
     assert len(payload["outcomes"]) == 4
+
+
+def test_exact_match_report_counts_its_outcomes():
+    outcomes = [
+        {"status": "matched", "candidate_index": 2},
+        {"status": "echo"},
+        {"status": "matched", "candidate_index": 0},
+        {"status": "unmatched", "candidates": 3},
+    ]
+    report = ExactMatchReport(outcomes=outcomes)
+    assert (report.matched, report.total, report.rate) == (2, 4, 0.5)
+    assert (report.top1, report.top3) == (1, 2)
+    assert "matched=" not in repr(report)
+    empty = report.replaced(outcomes=[])
+    assert (empty.matched, empty.total, empty.rate, empty.mrr) == (0, 0, 0.0, 0.0)
 
 
 def test_exact_match_rank_metrics_on_bundled_corpus(bundled_fixtures, gen):

@@ -1,14 +1,19 @@
 """The full ranked output must match the committed golden fixture exactly."""
 
+import inspect
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
-from fraseo import planner
-from fraseo.errors import PlanningError
+import make_golden
+import pytest
 from make_golden import FIXTURE, golden_inputs, golden_record
+
+from fraseo import planner, realizer
+from fraseo.errors import PlanningError
+from fraseo.features import EMPTY_BUNDLE
 
 
 def test_ranked_output_matches_golden_fixture(resources):
@@ -83,10 +88,86 @@ def test_golden_inputs_reach_every_rule_and_the_sp_role(resources, monkeypatch):
         return walk(node, parent, in_subject, False, *rest)
 
     monkeypatch.setattr(planner, "_walk_roles", mutant)
+    assert _changed_records(resources)
+
+
+def _changed_records(resources):
+    """The golden inputs whose record the code, as patched now, renders differently."""
     expected = [json.loads(line) for line in FIXTURE.read_text(encoding="utf-8").splitlines()]
-    changed = [
+    return [
         words
-        for words, record in zip(inputs, expected)
+        for words, record in zip(golden_inputs(resources.lexicon), expected)
         if golden_record(words, resources) != record
     ]
-    assert changed
+
+
+WALK_ROLES = planner._walk_roles
+NEGATE = realizer._negate
+REALIZE = realizer.realize
+
+
+def _realize_with_source_change(old, new):
+    """``realizer.realize`` recompiled in its module with ``old`` replaced by ``new``."""
+    source = inspect.getsource(realizer.realize)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(realizer))
+    exec(source.replace(old, new), namespace)
+    return namespace["realize"]
+
+
+def _without_contraction(first, second):
+    return {
+        head: {tail: fused for tail, fused in tails.items() if (head, tail) != (first, second)}
+        for head, tails in realizer.CONTRACTIONS.items()
+    }
+
+
+def _walk_without_subjects(node, parent, in_subject, *rest):
+    return WALK_ROLES(node, parent, False, *rest)
+
+
+def _negate_first(words, pairs, position, verb_index, trace):
+    return NEGATE(words, pairs, 0, verb_index, trace)
+
+
+# Each skipped realization step and the subject role forced off, as
+# (module, name, replacement). ``make_golden.realize`` is the ``realize``
+# that ``golden_record`` calls. The SP and coordination roles have their
+# own mutant tests, and the golden plans use every bundled rule.
+MUTANTS = {
+    "agreement": (realizer, "_agreement_target", lambda plan, index, target: EMPTY_BUNDLE),
+    "reflexive-clitic": (
+        make_golden, "realize", lambda plan, pairs: REALIZE(plan.replaced(reflexive=False), pairs)
+    ),
+    "contraction-a-el": (realizer, "CONTRACTIONS", _without_contraction("a", "el")),
+    "contraction-de-el": (realizer, "CONTRACTIONS", _without_contraction("de", "el")),
+    "contraction-con-yo": (realizer, "CONTRACTIONS", _without_contraction("con", "yo")),
+    "contraction-con-ti": (realizer, "CONTRACTIONS", _without_contraction("con", "ti")),
+    "contraction-con-si": (realizer, "CONTRACTIONS", _without_contraction("con", "sí")),
+    "polarity-swap": (make_golden, "realize", lambda plan, pairs: REALIZE(plan, {})),
+    "no-first": (realizer, "_negate", _negate_first),
+    "opening-question-mark": (
+        make_golden, "realize", _realize_with_source_change('"¿%s?" % text', '"%s?" % text')
+    ),
+    "initial-capital": (
+        make_golden, "realize", _realize_with_source_change("char.upper()", "char")
+    ),
+    "subject-role": (planner, "_walk_roles", _walk_without_subjects),
+}
+
+# Mutants no golden input can kill, with the reason.
+UNREACHABLE = {
+    "contraction-con-si": "the bundled lexicon has no `sí`, so `con sí` fills `sí` as the "
+    "proper name Sí, which no contraction matches",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_golden_records_kill_each_realization_and_subject_mutant(resources, monkeypatch, name):
+    """Each mutant changes at least one golden record, unless listed as unreachable."""
+    monkeypatch.setattr(*MUTANTS[name])
+    changed = _changed_records(resources)
+    if name in UNREACHABLE:
+        assert changed == [], "%s is reachable now: drop it from UNREACHABLE" % name
+    else:
+        assert changed, name

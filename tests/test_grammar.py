@@ -62,6 +62,15 @@ def test_comments_and_blank_lines_ignored():
     assert len(grammar.rules) == 1
 
 
+def test_a_replaced_grammar_starts_at_its_first_rule():
+    grammar = parse_grammar("S -> noun")
+    other = parse_grammar("X -> verb")
+    swapped = grammar.replaced(rules=other.rules)
+    assert swapped.start == other.start == "X"
+    assert swapped == other and list(swapped.rules_for) == ["X"]
+    assert [tree.leaf_sequence() for tree in enumerate_trees(swapped)] == [("verb",)]
+
+
 def test_enumerate_trees_order_and_leaves():
     grammar = parse_grammar(SMALL_GRAMMAR)
     trees = list(enumerate_trees(grammar))

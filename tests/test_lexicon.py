@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from fraseo.errors import InflectionMiss, LexiconConflictError, LexiconParseError
@@ -18,6 +20,7 @@ from fraseo.lexicon import (
     load_lexicon,
     lookup_form,
     lookup_lemma,
+    parse_reflexive,
     save_lexicon,
 )
 
@@ -132,6 +135,27 @@ def test_duplicate_entries_rejected():
     )
     with pytest.raises(LexiconConflictError):
         Lexicon.from_entries([entry, entry])
+    # The constructor itself indexes the entries, so it checks them too.
+    with pytest.raises(LexiconConflictError) as err:
+        Lexicon((entry, entry))
+    assert err.value.positions == (0, 1)
+
+
+def test_a_replaced_lexicon_is_indexed_from_its_entries():
+    def entry(lemma):
+        return LexicalEntry(lemma=lemma, category=LexicalCategory.noun, forms=(WordForm(lemma),))
+
+    perro, gato = entry("perro"), entry("gato")
+    both = Lexicon.from_entries([perro, gato])
+    assert both.interned == {}
+    both.interned["perro"] = "a planner token"
+    cats = both.replaced(entries=(gato,))
+    assert cats == Lexicon.from_entries([gato]) and hash(cats) == hash(Lexicon((gato,)))
+    assert cats != both and cats.interned == {}
+    assert lookup_lemma(cats, "perro") == () and lookup_form(cats, "perro") == ()
+    assert lookup_lemma(cats, "gato") == (gato,)
+    assert lookup_form(cats, "gato") == ((gato, gato.forms[0]),)
+    assert repr(cats) == "Lexicon(entries=(%r,))" % gato
 
 
 def test_malformed_xml_reports_line(tmp_path):
@@ -248,6 +272,7 @@ def test_save_load_round_trip_preserves_queries(lexicon, tmp_path):
             for entry, form in lookup_form(reloaded, surface)
         }
         assert original == copied
+    assert reloaded == lexicon
 
     second = tmp_path / "copy2.xml"
     save_lexicon(reloaded, second)
@@ -264,4 +289,29 @@ def test_extras_round_trip(tmp_path):
     path = tmp_path / "extras.xml"
     save_lexicon(Lexicon.from_entries([entry]), path)
     reloaded = load_lexicon(path)
-    assert reloaded.entries[0].extras_dict() == {"related": "casar"}
+    assert dict(reloaded.entries[0].extras) == {"related": "casar"}
+
+
+@pytest.mark.parametrize(
+    "attrs, expected",
+    [("", False), (' reflexive="true"', True), (' reflexive="TRUE"', True),
+     (' reflexive="False"', False)],
+)
+def test_parse_reflexive_reads_true_or_false_in_any_case(attrs, expected):
+    element = ET.fromstring('<entry lemma="lavar" cat="verb"%s/>' % attrs)
+    assert parse_reflexive(element) is expected
+
+
+@pytest.mark.parametrize("value", ["yes", "1", ""])
+def test_unwritten_reflexive_value_is_rejected_at_its_line(tmp_path, value):
+    path = tmp_path / "bad.xml"
+    path.write_text(
+        "<lexicon>\n"
+        '<entry lemma="lavar" cat="verb" reflexive="%s"><form surface="lavar"/></entry>\n'
+        "</lexicon>\n" % value,
+        encoding="utf-8",
+    )
+    with pytest.raises(LexiconParseError) as err:
+        load_lexicon(path)
+    assert err.value.line == 2
+    assert err.value.reason == "bad reflexive value %r (true or false)" % value

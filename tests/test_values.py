@@ -40,6 +40,7 @@ from fraseo.lexicon import LexicalEntry, Lexicon, WordForm
 from fraseo.lm import TaggedToken
 from fraseo.pipeline import GenerationResult, Resources, load_default_resources
 from fraseo.planner import (
+    _NO_READINGS,
     InputToken,
     SentenceMode,
     SentencePlan,
@@ -105,16 +106,16 @@ CASES = {
     FeatureBundle: (bundle, True),
     GrammarRule: (lambda: GrammarRule("S", ("SNS", "PRED"), 1), True),
     TreeNode: (tree, True),
-    Grammar: (lambda: Grammar(rules=rules(), start="S", depth_limit=2), True),
+    Grammar: (lambda: Grammar(rules=rules(), depth_limit=2), True),
     WordForm: (form, True),
     LexicalEntry: (entry, True),
-    Lexicon: (lexicon, False),
+    Lexicon: (lexicon, True),
     TaggedToken: (lambda: TaggedToken(surface="come", lemma="comer", category="verb"), True),
-    Resources: (lambda: Resources(lexicon=lexicon(), grammar=Grammar(rules(), "S"), lm=None,
+    Resources: (lambda: Resources(lexicon=lexicon(), grammar=Grammar(rules()), lm=None,
                                   polarity_pairs={"siempre": "nunca"}), False),
     GenerationResult: (lambda: GenerationResult(input_words=("comer",),
                                                 mode=SentenceMode.affirmative,
-                                                candidates=(sentence(),), echo=False), True),
+                                                candidates=(sentence(),)), True),
     InputToken: (token, True),
     SlotFill: (fill, True),
     SentencePlan: (plan, True),
@@ -127,9 +128,9 @@ CASES = {
                                         reflexive_capable=True,
                                         extras=(("related", "beber"),)), True),
     CorpusItem: (lambda: CorpusItem(target="Yo como.", keywords=("yo", "comer")), True),
-    ExactMatchReport: (lambda: ExactMatchReport(matched=1, total=2, rate=0.5,
-                                                outcomes=[{"status": "matched",
-                                                           "candidate_index": 0}]), False),
+    ExactMatchReport: (lambda: ExactMatchReport(outcomes=[{"status": "matched",
+                                                           "candidate_index": 0},
+                                                          {"status": "echo"}]), False),
     AnnotationRecord: (lambda: AnnotationRecord(sentence_id="s1", annotator_id="a1",
                                                 error_type="a", rating=5, best_generation=1,
                                                 suggestion=None), True),
@@ -147,15 +148,17 @@ DEFAULTS = {
     Grammar: {"depth_limit": 2},
     WordForm: {"features": FeatureBundle()},
     LexicalEntry: {"adverb_class": None, "reflexive_capable": False, "extras": ()},
-    InputToken: {"readings": None, "marker": None},
+    InputToken: {"readings": _NO_READINGS, "marker": None},
     SlotFill: {"token": None, "entry": None, "form": None, "rationale": None},
     SentencePlan: {"subject_leaf_count": 0, "agreement_targets": ()},
     SourceRecord: {"forms": (), "adverb_class": None, "reflexive_capable": False, "extras": ()},
     AnnotationRecord: {"best_generation": None, "suggestion": None},
 }
 
-# The only classes that write their own ``__init__``: each derives state.
-HAND_WRITTEN_INIT = {"Grammar", "InputToken", "Lexicon"}
+# The only classes that define ``_derive``: each keeps state derived from its fields.
+DERIVED = {
+    "Grammar", "InputToken", "Lexicon", "LexicalEntry", "ExactMatchReport", "GenerationResult",
+}
 
 
 def test_every_value_class_is_covered():
@@ -260,16 +263,28 @@ def test_fields_change_equality():
 
 
 def test_derived_state_is_not_a_field():
-    grammar = Grammar(rules(), "S")
-    assert Grammar._fields == ("rules", "start", "depth_limit")
-    assert "rules_for" not in repr(grammar)
+    grammar = Grammar(rules())
+    assert Grammar._fields == ("rules", "depth_limit")
+    assert grammar.start == "S"
+    assert "rules_for" not in repr(grammar) and "start" not in repr(grammar)
     grammar.table(frozenset())  # fills a cache the other grammar lacks
-    assert grammar == Grammar(rules(), "S")
+    assert grammar == Grammar(rules())
     shallow = grammar.replaced(depth_limit=1)
     assert shallow.depth_limit == 1 and shallow.rules_for == grammar.rules_for
     assert shallow != grammar
     assert InputToken._fields == ("raw", "readings", "marker")
     assert token().mask == 1 << list(LexicalCategory).index(LexicalCategory.verb)
+    assert Lexicon._fields == ("entries",)
+    assert ExactMatchReport._fields == ("outcomes",)
+    assert GenerationResult._fields == ("input_words", "mode", "candidates")
+
+
+def test_generation_result_echoes_exactly_without_a_mode():
+    echoed = GenerationResult(input_words=("caer",), mode=None, candidates=())
+    assert echoed.echo is True and "echo" not in repr(echoed)
+    answered = echoed.replaced(mode=SentenceMode.affirmative, candidates=(sentence(),))
+    assert answered.echo is False
+    assert answered.replaced(mode=None).echo is True
 
 
 def test_replaced_rejects_unknown_fields():
@@ -293,14 +308,14 @@ def test_init_takes_the_fields_in_order_with_their_defaults(cls):
         for parameter in parameters
         if parameter.default is not inspect.Parameter.empty
     }
-    assert defaults == DEFAULTS.get(cls, {})
-    assert set(cls._defaults) <= set(cls._fields)
-    if cls.__name__ in HAND_WRITTEN_INIT:
-        return
-    assert cls._defaults == defaults
+    assert defaults == DEFAULTS.get(cls, {}) == cls._defaults
     assert cls.__init__.__qualname__ == cls.__qualname__ + ".__init__"
     assert cls.__init__.__module__ == cls.__module__
-    values = [object() for _ in cls._fields]
+    if cls.__name__ in DERIVED:
+        # ``_derive`` reads the fields, so they must be real ones.
+        values = [getattr(CASES[cls][0](), name) for name in cls._fields]
+    else:
+        values = [object() for _ in cls._fields]
     made = cls(*values)
     assert all(getattr(made, name) is value for name, value in zip(cls._fields, values))
 
@@ -313,7 +328,7 @@ def test_required_field_error_names_the_class():
     )
 
 
-def test_only_classes_with_derived_state_write_their_own_init():
+def _value_classes():
     for module in pkgutil.iter_modules(fraseo.__path__):
         importlib.import_module("fraseo." + module.name)
     classes, pending = [], [Value]
@@ -322,8 +337,18 @@ def test_only_classes_with_derived_state_write_their_own_init():
         pending += subclasses
         classes += [cls for cls in subclasses if cls.__module__.startswith("fraseo.")]
     assert set(CASES) == set(classes)
+    return classes
+
+
+def test_no_value_class_body_defines_init():
     # A generated ``__init__`` was compiled from a string, not from the module.
-    written = [cls for cls in classes if cls.__init__.__code__.co_filename == inspect.getfile(cls)]
-    assert {cls.__qualname__ for cls in written} == HAND_WRITTEN_INIT
-    for cls in written:
+    for cls in _value_classes():
+        assert cls.__init__.__code__.co_filename == "<string>", cls
+
+
+def test_only_classes_with_derived_state_define_derive():
+    derived = [cls for cls in _value_classes() if "_derive" in cls.__dict__]
+    assert {cls.__qualname__ for cls in derived} == DERIVED
+    for cls in derived:
         assert "_fields" in cls.__dict__, cls
+        assert set(cls.__slots__) > set(cls._fields), cls
