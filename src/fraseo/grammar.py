@@ -224,7 +224,7 @@ def _parse_symbol(token, line_number):
     return name
 
 
-def parse_grammar(text, depth_limit=2):
+def parse_grammar(text):
     rules = []
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -252,14 +252,14 @@ def parse_grammar(text, depth_limit=2):
                 raise UndefinedSymbolError(
                     "symbol %r has no rule and is not a lexical category" % name, rule.line
                 )
-    return Grammar(rules=tuple(rules), depth_limit=depth_limit)
+    return Grammar(rules=tuple(rules))
 
 
-def load_grammar(path, depth_limit=2):
+def load_grammar(path):
     """Parse the grammar file at ``path``; a parse error names the file."""
     text = read_text(path, GrammarParseError)
     try:
-        return parse_grammar(text, depth_limit=depth_limit)
+        return parse_grammar(text)
     except GrammarParseError as exc:
         raise type(exc)(exc.reason, exc.line, path) from None
 

@@ -38,10 +38,11 @@ the tense come from the keywords, the inserted prepositions and the
 reflexive clitic from the verb usage model. The realizer only renders them.
 
 The planner owns the grammar's phrase roles (PHRASE_NAMES; ``check_grammar``
-rejects other names). One walk of each plan tree decides every policy
-clause where it meets the leaf the clause reads, and records on the plan
-the subject span and what each determiner and adjective agrees with, so
-the realizer never reads the tree.
+rejects other names). Every role clause reads a node and its parent, as
+the fill reads a terminal's parent and grandparent; ``_plan_roles`` states
+the clauses. One walk of each plan tree decides them and records on the
+plan the subject span and what each determiner and adjective agrees with,
+so the realizer never reads the tree.
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ DEFAULT_SUBJECT_LEMMA = "yo"
 # grammar starts at S and uses no others.
 PHRASE_NAMES = frozenset("S SNS SNC SN SADJ SADV SP OBJ OBJS PRED".split())
 _NOMINAL_PHRASES = ("SNS", "SN")
+# The contexts whose nouns want a determiner whatever their number: the
+# subject, a preposition complement and a coordination member.
+_DETERMINED = frozenset({"S", "SP", "SNC"})
 _NOUN = LexicalCategory.noun.value
 _DETERMINER = LexicalCategory.determiner.value
 _ADJECTIVE = LexicalCategory.adjective.value
@@ -370,91 +374,70 @@ def _dominant_preposition(lm, lemma):
 def _plan_roles(lm, tree, fills):
     """(deviations, agreement targets, subject leaf count) of one plan, from one walk.
 
-    The deviations count how far the plan strays from the house
-    realization policy (``plan_structures`` adds the elided default
-    subject): give subject nouns, coordination members, and
-    preposition-internal nouns a determiner; give singular direct objects a
-    determiner but leave plural ones bare; and let a verb with a dominant
-    preposition profile introduce its first complement with that
-    preposition. Explicit user words never count against a plan. An SNS/SN
-    determiner, and the adjective of an SADJ in such a phrase, agree with
-    its noun; an SADJ under PRED with the subject. The root's child start
-    positions give the subject span (the first of two children) and the
-    verb the preposition clause reads (PRED's first leaf).
+    Every clause reads a node and its parent. The deviations count how far
+    the plan strays from the house realization policy (``plan_structures``
+    adds the elided default subject). A noun's phrase is its SNS/SN parent,
+    or the noun alone when its parent is no such phrase, and the phrase's
+    context is the node above it: the noun wants a determiner when that
+    context is in ``_DETERMINED`` (subject, preposition complement,
+    coordination member) or the noun is singular, so a plural direct object
+    goes bare. A missing wanted determiner, or an inserted unwanted one,
+    deviates. Each PRED whose verb has a dominant preposition profile
+    deviates when its second child is neither an SP nor a preposition.
+    Explicit user words never count against a plan. Determiners and SADJ
+    adjectives agree with the noun of their parent phrase; an SADJ under
+    PRED with the subject. The subject span is the leaves of the root's
+    first child, when the root has two children.
     """
-    targets, starts = [], []
-    deviations = _walk_roles(tree, None, False, False, False, None, fills, targets, starts)
-    profiled = False
-    for child, start in zip(tree.children, starts):
-        if child.symbol == "PRED":  # the last one counts
-            entry = fills[start].entry
-            profiled = (
-                len(child.children) > 1
-                and entry is not None
-                and _dominant_preposition(lm, entry.lemma) is not None
-                and child.children[1].symbol not in ("SP", _PREPOSITION)
-            )
+    targets = []
+    deviations = _walk_roles(lm, tree, None, None, fills, targets)
     agreement = tuple(
-        (NO_AGREEMENT if target[1] is None else target[1])
-        if isinstance(target, list) else target  # a phrase: agree with its noun
+        target[0] if isinstance(target, list) else target  # a phrase: agree with its noun
         for target in targets
     )
-    return deviations + profiled, agreement, starts[1] if len(starts) == 2 else 0
+    subject = len(tree.children[0].leaf_sequence()) if len(tree.children) == 2 else 0
+    return deviations, agreement, subject
 
 
-def _walk_roles(node, parent, in_subject, in_sp, coord_member, phrase,
-                fills, targets, starts=None):
-    """The deviations of the nouns under ``node``; appends its leaves' targets.
+def _walk_roles(lm, node, parent, outer, fills, targets):
+    """The deviations under ``node``; appends its leaves' targets.
 
-    ``phrase`` is the innermost SNS/SN as [determiner, noun] leaf positions,
-    its noun set when the walk reaches it. For the root, ``starts`` collects
-    the first leaf position of each child. A module-level function, not a
-    closure, so a walk leaves no reference cycle for the garbage collector.
+    ``parent`` names the node's parent and ``outer`` is the parent's phrase:
+    for an SNS/SN, a one-item list that takes its noun's leaf position when
+    the walk reaches it, else None. A module-level function, not a closure,
+    so a walk leaves no reference cycle for the garbage collector.
     """
     name = node.symbol
-    nominal = name in _NOMINAL_PHRASES
+    children = node.children
+    first = len(targets)
     deviations = 0
-    for index, child in enumerate(node.children):
-        position = len(targets)
-        if starts is not None:
-            starts.append(position)
+    if name == "PRED" and len(children) > 1 and children[1].symbol not in ("SP", _PREPOSITION):
+        entry = fills[first].entry
+        deviations = entry is not None and _dominant_preposition(lm, entry.lemma) is not None
+    phrase = [NO_AGREEMENT] if name in _NOMINAL_PHRASES else None
+    for child in children:
         symbol = child.symbol
-        if not child.is_leaf:
-            if symbol in _NOMINAL_PHRASES:
-                opens = child.children[0].symbol == _DETERMINER
-                child_phrase = [position if opens else None, None]
-            else:
-                child_phrase = phrase
-            deviations += _walk_roles(
-                child,
-                name,
-                index == 0 and len(node.children) == 2 if name == "S" else in_subject,
-                in_sp or name == "SP",
-                coord_member or (name == "SNC" and symbol == "SNS"),
-                child_phrase,
-                fills,
-                targets,
-            )
+        if child.children:
+            deviations += _walk_roles(lm, child, name, phrase, fills, targets)
             continue
+        position = len(targets)
         target = NO_AGREEMENT
         if symbol == _NOUN:
-            if nominal:
-                phrase[1] = position
-            determiner = phrase and phrase[0]
+            determiner, context = None, name
+            if phrase is not None:
+                phrase[0], context = position, parent
+                if children[0].symbol == _DETERMINER:
+                    determiner = first
             # An explicit determiner never deviates; a missing one deviates
             # where a determiner is wanted, an inserted one where it is not.
             if determiner is None or fills[determiner].is_inserted:
                 form = fills[position].form
                 plural = form is not None and form.features.number is Number.plural
-                wants_determiner = in_subject or in_sp or coord_member or not plural
-                deviations += wants_determiner == (determiner is None)
-        elif nominal and symbol == _DETERMINER:
-            target = phrase
-        elif name == "SADJ" and symbol == _ADJECTIVE:
-            if parent in _NOMINAL_PHRASES:
-                target = phrase
-            elif parent == "PRED":
-                target = SUBJECT_AGREEMENT
+                deviations += (context in _DETERMINED or not plural) == (determiner is None)
+        elif symbol == _DETERMINER:
+            target = phrase or NO_AGREEMENT
+        elif symbol == _ADJECTIVE and name == "SADJ":
+            target = outer or (SUBJECT_AGREEMENT if parent == "PRED" else NO_AGREEMENT)
         targets.append(target)
     return deviations
 

@@ -175,15 +175,25 @@ def _target(*axes):
 
 
 def load_polarity_pairs(path=None):
-    """Read the positive<TAB>negative adverb table; LexiconParseError names a bad line."""
+    """Read the positive<TAB>negative adverb table; LexiconParseError names a bad line.
+
+    A line holds exactly two non-empty fields, and each positive word
+    occurs on one line only.
+    """
     path = bundled("polarity_pairs.txt", path)
-    pairs = {}
+    pairs, first_lines = {}, {}
     for number, line in data_lines(path, LexiconParseError):
-        positive, _, negative = line.partition("\t")
-        positive = positive.strip()
-        negative = negative.strip()
-        if not positive or not negative:
+        fields = [field.strip() for field in line.split("\t")]
+        if len(fields) != 2 or not all(fields):
             raise LexiconParseError("bad polarity pair line", number, path)
+        positive, negative = fields
+        if positive in first_lines:
+            raise LexiconParseError(
+                "repeated positive word %r (first on line %d)" % (positive, first_lines[positive]),
+                number,
+                path,
+            )
+        first_lines[positive] = number
         pairs[positive] = negative
     return pairs
 

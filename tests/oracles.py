@@ -9,8 +9,8 @@ filter on start positions. ``reference_derive`` is the grammar search with
 no memo and no lookahead. ``match_leaf_sequence`` runs ``grammar.derive``
 over a category sequence, as the planner runs it over keywords, so tests
 can check the masked search without a lexicon. ``reference_plan_roles``
-scores a plan leaf by leaf from each leaf's path, with no state carried by
-a tree walk. ``reference_plan_structures`` plans a keyword list with one
+scores a plan leaf by leaf from each leaf's parent and the node above it,
+with no state carried by a tree walk. ``reference_plan_structures`` plans a keyword list with one
 token list per subject attempt, brute force. Tests compare package output
 against these routines.
 """
@@ -282,75 +282,66 @@ def _leaf_paths(node, path=(), nodes=()):
 def reference_plan_roles(lm, tree, fills, elided_default):
     """(deviations, agreement targets, subject leaf count) of a plan, leaf by leaf.
 
-    Each leaf's roles come from the nodes above its parent, read off its
-    path from the root: it is in the subject when the nearest S among them
-    has two children and the path enters the first; in an SP when one is
-    an SP; a coordination member when an SNC there has the path enter an
-    SNS. Its phrase is the innermost SNS/SN above it below the root, whose
-    determiner is the phrase's first child when that is a determiner leaf,
-    and whose noun is the last noun among its children. A noun deviates
-    when it lacks a wanted determiner or has an unwanted inserted one;
-    determiners and SADJ adjectives in a phrase agree with its noun, and
-    an SADJ adjective under PRED with the subject. One more deviation each
-    for an elided default subject, and for a root PRED (the last) whose
-    verb the usage model ``lm`` profiles for a preposition and whose
-    second child is neither an SP nor a preposition.
+    Each leaf's roles come from its parent and the node above, read off its
+    path from the root. A noun's phrase is its parent when that is an
+    SNS/SN, with the node above as the phrase's context, and otherwise the
+    noun alone, with its parent as context. The noun wants a determiner in
+    a subject (S), preposition (SP) or coordination (SNC) context, or when
+    singular; it deviates when it lacks a wanted determiner (the phrase's
+    first child, when that is a determiner leaf) or has an unwanted
+    inserted one. A determiner under an SNS/SN agrees with the last noun
+    among the phrase's children, as does an SADJ adjective whose SADJ is
+    in such a phrase; an SADJ adjective under PRED agrees with the
+    subject. One more deviation for an elided default subject, and one for
+    each PRED (met at its first leaf, the leaf whose path below the PRED
+    is all zeros) whose verb the usage model ``lm`` profiles for a
+    preposition and whose second child is neither an SP nor a preposition.
     """
     leaves = list(_leaf_paths(tree))
     position = {path: pos for pos, (path, _nodes) in enumerate(leaves)}
+
+    def noun_of(phrase, phrase_path):
+        nouns = [i for i, child in enumerate(phrase.children) if child.symbol == "noun"]
+        return position[phrase_path + (nouns[-1],)] if nouns else NO_AGREEMENT
+
     deviations = 1 if elided_default else 0
     targets = []
     for pos, (path, nodes) in enumerate(leaves):
-        leaf, above = nodes[-1], nodes[:-1]
-        in_subject = False
-        for depth in range(len(above) - 2, -1, -1):
-            if above[depth].symbol == "S":
-                in_subject = path[depth] == 0 and len(above[depth].children) == 2
-                break
-        in_sp = any(node.symbol == "SP" for node in above[:-1])
-        coordinated = any(
-            outer.symbol == "SNC" and inner.symbol == "SNS"
-            for outer, inner in zip(above, above[1:])
-        )
-        determiner, noun = None, NO_AGREEMENT
-        depths = [d for d in range(1, len(above)) if above[d].symbol in ("SNS", "SN")]
-        if depths:
-            phrase, phrase_path = above[depths[-1]], path[: depths[-1]]
-            if phrase.children[0].symbol == "determiner":
-                determiner = position[phrase_path + (0,)]
-            for index, child in enumerate(phrase.children):
-                if child.symbol == "noun":
-                    noun = position[phrase_path + (index,)]
+        leaf, parent = nodes[-1], nodes[-2]
+        above = nodes[-3].symbol if len(nodes) > 2 else None
         target = NO_AGREEMENT
         if leaf.symbol == "noun":
+            determiner, context = None, parent.symbol
+            if parent.symbol in ("SNS", "SN"):
+                context = above
+                if parent.children[0].symbol == "determiner":
+                    determiner = position[path[:-1] + (0,)]
             form = fills[pos].form
             plural = form is not None and form.features.number is Number.plural
-            wanted = in_subject or in_sp or coordinated or not plural
+            wanted = context in ("S", "SP", "SNC") or not plural
             if determiner is None and wanted:
                 deviations += 1
             elif determiner is not None and fills[determiner].is_inserted and not wanted:
                 deviations += 1
-        elif leaf.symbol == "determiner" and above[-1].symbol in ("SNS", "SN"):
-            target = noun
-        elif leaf.symbol == "adjective" and above[-1].symbol == "SADJ":
-            if above[-2].symbol in ("SNS", "SN"):
-                target = noun
-            elif above[-2].symbol == "PRED":
+        elif leaf.symbol == "determiner" and parent.symbol in ("SNS", "SN"):
+            target = noun_of(parent, path[:-1])
+        elif leaf.symbol == "adjective" and parent.symbol == "SADJ":
+            if above in ("SNS", "SN"):
+                target = noun_of(nodes[-3], path[:-2])
+            elif above == "PRED":
                 target = SUBJECT_AGREEMENT
         targets.append(target)
-    preds = [index for index, child in enumerate(tree.children) if child.symbol == "PRED"]
-    if preds:
-        pred = tree.children[preds[-1]]
-        starts = [pos for pos, (path, _nodes) in enumerate(leaves) if path[0] == preds[-1]]
-        verb = fills[starts[0]]
-        top = verb.entry and lm.top_preposition(verb.entry.lemma)
-        if (
-            len(pred.children) > 1
-            and top
-            and top[1] >= LM_PREPOSITION_THRESHOLD
-            and pred.children[1].symbol not in ("SP", "preposition")
-        ):
-            deviations += 1
+        for depth, pred in enumerate(nodes[:-1]):
+            if pred.symbol != "PRED" or any(path[depth:]):
+                continue
+            top = fills[pos].entry and lm.top_preposition(fills[pos].entry.lemma)
+            if (
+                len(pred.children) > 1
+                and top
+                and top[1] >= LM_PREPOSITION_THRESHOLD
+                and pred.children[1].symbol not in ("SP", "preposition")
+            ):
+                deviations += 1
     subject = 0
     if len(tree.children) == 2:
         subject = sum(1 for path, _nodes in leaves if path[0] == 0)

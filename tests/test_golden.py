@@ -65,8 +65,8 @@ def _rules_used(node, used):
 
 
 def test_golden_inputs_reach_every_rule_and_the_sp_role(resources, monkeypatch):
-    """Each bundled rule occurs in some golden plan, and a role walk that never
-    marks SP nouns changes at least one golden record."""
+    """Each bundled rule occurs in some golden plan, and a role table without
+    the SP context changes at least one golden record."""
     inputs = golden_inputs(resources.lexicon)
     used = set()
     for words in inputs:
@@ -82,12 +82,7 @@ def test_golden_inputs_reach_every_rule_and_the_sp_role(resources, monkeypatch):
     rules = {(rule.head, rule.body) for rule in resources.grammar.rules}
     assert rules - used == set()
 
-    walk = planner._walk_roles
-
-    def mutant(node, parent, in_subject, in_sp, *rest):
-        return walk(node, parent, in_subject, False, *rest)
-
-    monkeypatch.setattr(planner, "_walk_roles", mutant)
+    monkeypatch.setattr(planner, "_DETERMINED", planner._DETERMINED - {"SP"})
     assert _changed_records(resources)
 
 
@@ -101,7 +96,6 @@ def _changed_records(resources):
     ]
 
 
-WALK_ROLES = planner._walk_roles
 NEGATE = realizer._negate
 REALIZE = realizer.realize
 
@@ -122,18 +116,15 @@ def _without_contraction(first, second):
     }
 
 
-def _walk_without_subjects(node, parent, in_subject, *rest):
-    return WALK_ROLES(node, parent, False, *rest)
-
-
 def _negate_first(words, pairs, position, verb_index, trace):
     return NEGATE(words, pairs, 0, verb_index, trace)
 
 
-# Each skipped realization step and the subject role forced off, as
-# (module, name, replacement). ``make_golden.realize`` is the ``realize``
-# that ``golden_record`` calls. The SP and coordination roles have their
-# own mutant tests, and the golden plans use every bundled rule.
+# Each skipped realization step and the subject context dropped from the
+# planner's role table, as (module, name, replacement). ``make_golden.realize``
+# is the ``realize`` that ``golden_record`` calls. The SP and coordination
+# contexts have their own mutant tests, and the golden plans use every
+# bundled rule.
 MUTANTS = {
     "agreement": (realizer, "_agreement_target", lambda plan, index, target: EMPTY_BUNDLE),
     "reflexive-clitic": (
@@ -152,7 +143,7 @@ MUTANTS = {
     "initial-capital": (
         make_golden, "realize", _realize_with_source_change("char.upper()", "char")
     ),
-    "subject-role": (planner, "_walk_roles", _walk_without_subjects),
+    "subject-role": (planner, "_DETERMINED", planner._DETERMINED - {"S"}),
 }
 
 # Mutants no golden input can kill, with the reason.
@@ -160,6 +151,27 @@ UNREACHABLE = {
     "contraction-con-si": "the bundled lexicon has no `sí`, so `con sí` fills `sí` as the "
     "proper name Sí, which no contraction matches",
 }
+
+
+def _positional_kinds(function):
+    """The kinds of ``function``'s positional parameters, names aside."""
+    return [
+        parameter.kind
+        for parameter in inspect.signature(function).parameters.values()
+        if parameter.kind < inspect.Parameter.KEYWORD_ONLY
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_each_mutant_replaces_an_attribute_in_kind(name):
+    """A callable replacement takes the positional parameters of what it replaces,
+    so it cannot pass by scrambling its arguments; any other replaces an
+    attribute that exists."""
+    module, attribute, replacement = MUTANTS[name]
+    assert hasattr(module, attribute), name
+    if callable(replacement):
+        original = getattr(module, attribute)
+        assert _positional_kinds(replacement) == _positional_kinds(original), name
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))

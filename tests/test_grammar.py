@@ -86,7 +86,7 @@ def test_enumerate_trees_order_and_leaves():
 
 
 def test_recursive_grammar_is_depth_bounded():
-    grammar = parse_grammar("X -> noun\nX -> noun X", depth_limit=3)
+    grammar = parse_grammar("X -> noun\nX -> noun X").replaced(depth_limit=3)
     trees = list(enumerate_trees(grammar))
     # One tree per nesting level up to the bound.
     assert [len(tree.leaf_sequence()) for tree in trees] == [1, 2, 3]
@@ -126,9 +126,8 @@ def test_match_leaf_sequence_agrees_with_enumeration(grammar, data_dir):
     assert all(by_filter[wanted] for wanted in cases[:3])
     assert match_leaf_sequence(grammar, too_deep) == []
     deeper = parse_grammar(
-        (data_dir / "spanish.grammar").read_text(encoding="utf-8"),
-        depth_limit=grammar.depth_limit + 1,
-    )
+        (data_dir / "spanish.grammar").read_text(encoding="utf-8")
+    ).replaced(depth_limit=grammar.depth_limit + 1)
     assert match_leaf_sequence(deeper, too_deep)
 
 
@@ -252,7 +251,7 @@ def test_suffix_bounds_min_tokens_and_first_sets():
 
 
 def test_lookahead_cuts_work_not_derivations():
-    grammar = parse_grammar(LOOKAHEAD_GRAMMAR, depth_limit=3)
+    grammar = parse_grammar(LOOKAHEAD_GRAMMAR).replaced(depth_limit=3)
     insertable = frozenset({"determiner", "conjunction"})
 
     def search(cats, pruned):
@@ -290,7 +289,7 @@ def test_lookahead_cuts_work_not_derivations():
 
 def test_derive_checks_cover_before_any_search_setup(monkeypatch):
     """A rejected input costs no fill call and no search; none ends short."""
-    grammar = parse_grammar(LOOKAHEAD_GRAMMAR, depth_limit=3)
+    grammar = parse_grammar(LOOKAHEAD_GRAMMAR).replaced(depth_limit=3)
     insertable = frozenset({"determiner", "conjunction"})
     calls = []
     searches = []
@@ -371,7 +370,7 @@ def test_covers_agrees_with_match_leaf_sequence_on_left_recursion():
     ``match_leaf_sequence`` runs ``covers`` itself.
     """
     # Deep enough that the depth limit cuts no sequence of up to 4 leaves.
-    grammar = parse_grammar(LEFT_RECURSIVE_GRAMMAR, depth_limit=4)
+    grammar = parse_grammar(LEFT_RECURSIVE_GRAMMAR).replaced(depth_limit=4)
     sequences = {tree.leaf_sequence() for tree in enumerate_trees(grammar)}
     fits = 0
     for length in range(1, 5):
@@ -402,7 +401,7 @@ def test_covers_agrees_with_reference_covers():
     )
     checked = 0
     for text, categories, insertables in cases:
-        grammar = parse_grammar(text, depth_limit=4)
+        grammar = parse_grammar(text).replaced(depth_limit=4)
         for length in range(1, 5):
             for cats in itertools.product(categories, repeat=length):
                 masks = [mask(cat) for cat in cats]

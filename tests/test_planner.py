@@ -776,15 +776,39 @@ def test_plan_roles_agree_with_reference(resources, name):
 
 
 def test_plan_roles_check_catches_a_walk_that_ignores_coordination(resources, monkeypatch):
-    """A walk that never marks SNC members misranks coordinated plural objects."""
-    walk = planner._walk_roles
-
-    def mutant(node, parent, in_subject, in_sp, coord_member, *rest):
-        return walk(node, parent, in_subject, in_sp, False, *rest)
-
-    monkeypatch.setattr(planner, "_walk_roles", mutant)
+    """A table without the SNC context misranks coordinated plural objects."""
+    monkeypatch.setattr(planner, "_DETERMINED", planner._DETERMINED - {"SNC"})
     with pytest.raises(AssertionError, match="letras"):
         _roles_checked(resources.grammar, resources)
+
+
+@pytest.mark.parametrize(
+    "rule, words, bare, wrapped",
+    [
+        (
+            "SP -> preposition noun",
+            "abejas volar alrededor de flores",
+            "S(SNS(determiner noun) PRED(verb SADV(adverb) SP(preposition noun)))",
+            "S(SNS(determiner noun) PRED(verb SADV(adverb) SP(preposition SN(noun))))",
+        ),
+        ("S -> noun PRED", "perros comer", "S(noun PRED(verb))", "S(SNS(noun) PRED(verb))"),
+    ],
+    ids=["noun-under-SP", "noun-under-S"],
+)
+def test_a_bare_noun_costs_the_same_with_or_without_its_phrase(
+    resources, rule, words, bare, wrapped
+):
+    """A noun's roles come from its parent and the node above: a bare noun
+    directly under SP or S has the SP or subject role, as it does inside an
+    SN/SNS there, so both trees miss a wanted determiner. The wrapped tree,
+    found first, ranks first."""
+    grammar = parse_grammar(GRAMMAR_TEXT + rule + "\n")
+    planner.check_grammar(grammar, rule)
+    tokens = tokenize_and_resolve(words.split(), resources.lexicon)
+    plans = plan_structures(tokens, grammar, resources.lexicon, resources.lm)
+    trees = [str(plan.tree) for plan in plans]
+    assert plans[trees.index(bare)].deviations == plans[trees.index(wrapped)].deviations == 1
+    assert trees.index(wrapped) < trees.index(bare)
 
 
 @pytest.mark.parametrize(

@@ -116,11 +116,25 @@ def test_polarity_pairs_load():
     assert pairs["alguien"] == "nadie"
 
 
-@pytest.mark.parametrize("line", ["alguien nadie", "algo\t", "\tnada"])
+@pytest.mark.parametrize(
+    "line", ["alguien nadie", "algo\t", "\tnada", "algo\tnada\textra", "algo\tnada\t"]
+)
 def test_polarity_pairs_reject_a_line_without_both_words(tmp_path, line):
+    """A line holds exactly two non-empty tab-separated words."""
     path = tmp_path / "pairs.txt"
     path.write_text("# positive<TAB>negative\nsiempre\tnunca\n%s\n" % line, encoding="utf-8")
     with pytest.raises(LexiconParseError, match=r"line 3: .*pairs\.txt: bad polarity pair line"):
+        load_polarity_pairs(path)
+
+
+def test_polarity_pairs_reject_a_repeated_positive_word(tmp_path):
+    """A second line for a positive word names both lines instead of silently winning."""
+    path = tmp_path / "pairs.txt"
+    path.write_text("siempre\tnunca\nalgo\tnada\nsiempre\tjamás\n", encoding="utf-8")
+    with pytest.raises(
+        LexiconParseError,
+        match=r"line 3: .*pairs\.txt: repeated positive word 'siempre' \(first on line 1\)",
+    ):
         load_polarity_pairs(path)
 
 
