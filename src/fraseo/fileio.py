@@ -98,7 +98,12 @@ def read_elements(path, root_tag, child_tag, read, error):
     ``error`` naming ``path`` and the system's reason.
     """
     try:
-        root = ET.parse(path).getroot()
+        with open(path, "rb") as handle:
+            try:
+                root = ET.parse(handle).getroot()
+            except (LookupError, ValueError) as exc:
+                # expat cannot decode the encoding the declaration, on line 1, names.
+                raise error("bad XML encoding declaration: %s" % exc, 1, path) from None
     except ET.ParseError as exc:
         raise error("malformed XML: %s" % exc, exc.position[0], path) from None
     except OSError as exc:

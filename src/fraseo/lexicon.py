@@ -65,6 +65,12 @@ FORM_CODES = {
 
 _CODE_FOR = {value: code for codes in FORM_CODES.values() for code, value in codes.items()}
 
+# The feature enum members LexicalEntry.validate reads, bound at import (the
+# rule of features.IdentityEnum).
+_PROPER_NAME_CATEGORY = LexicalCategory.proper_name
+_ADVERB_CATEGORY = LexicalCategory.adverb
+_VERB_CATEGORY = LexicalCategory.verb
+
 
 class WordForm(Value):
     __slots__ = ("surface", "features")
@@ -90,7 +96,7 @@ class LexicalEntry(Value):
     def validate(self):
         if not self.lemma:
             raise ValueError("entry lemma must be non-empty")
-        if self.category is LexicalCategory.proper_name:
+        if self.category is _PROPER_NAME_CATEGORY:
             raise ValueError("proper_name is a runtime category and cannot be stored")
         if not self.forms:
             raise ValueError("entry %r must hold at least one form" % self.lemma)
@@ -100,9 +106,9 @@ class LexicalEntry(Value):
                     "invariable entry %r must hold exactly one form equal to its lemma"
                     % self.lemma
                 )
-        if self.adverb_class is not None and self.category is not LexicalCategory.adverb:
+        if self.adverb_class is not None and self.category is not _ADVERB_CATEGORY:
             raise ValueError("adverb_class only applies to adverbs (%r)" % self.lemma)
-        if self.reflexive_capable and self.category is not LexicalCategory.verb:
+        if self.reflexive_capable and self.category is not _VERB_CATEGORY:
             raise ValueError("reflexive_capable only applies to verbs (%r)" % self.lemma)
         for form in self.forms:
             form.features.validate()

@@ -83,6 +83,16 @@ _CATEGORY_BITS = {category: TERMINAL_BITS[category.value] for category in Lexica
 # grammar search lets these terminals consume no token.
 _INSERTED = {_DETERMINER: "el", LexicalCategory.conjunction.value: "y", _PREPOSITION: "de"}
 _INSERTABLE = frozenset(_INSERTED)
+# The feature enum members the functions below read, bound at import (the
+# rule of features.IdentityEnum); the names above hold their ``.value``s.
+_VERB_CATEGORY = LexicalCategory.verb
+_ADVERB_CATEGORY = LexicalCategory.adverb
+_PRONOUN_CATEGORY = LexicalCategory.pronoun
+_PREPOSITION_CATEGORY = LexicalCategory.preposition
+_PLURAL = Number.plural
+# select_tense's tense by time adverb class, and its tense without one.
+_ADVERB_TENSES = {AdverbClass.time_past: Tense.past, AdverbClass.time_future: Tense.future}
+_DEFAULT_TENSE = Tense.present
 
 # SentencePlan.agreement_targets values besides a noun's leaf position: a
 # predicative adjective agrees with the subject; other leaves with nothing.
@@ -108,12 +118,22 @@ class SentenceMode(IdentityEnum):
 
     @property
     def is_negative(self):
-        return self in (SentenceMode.negative, SentenceMode.negative_interrogative)
+        return self in _NEGATIVE_MODES
 
     @property
     def is_interrogative(self):
-        return self in (SentenceMode.interrogative, SentenceMode.negative_interrogative)
+        return self in _INTERROGATIVE_MODES
 
+
+_NEGATIVE_MODES = frozenset({SentenceMode.negative, SentenceMode.negative_interrogative})
+_INTERROGATIVE_MODES = frozenset({SentenceMode.interrogative, SentenceMode.negative_interrogative})
+# detect_mode's mode by (negation marker seen, question marker seen).
+_MODES = {
+    (False, False): SentenceMode.affirmative,
+    (True, False): SentenceMode.negative,
+    (False, True): SentenceMode.interrogative,
+    (True, True): SentenceMode.negative_interrogative,
+}
 
 # The readings of every marker and of every out-of-vocabulary word.
 _NO_READINGS = MappingProxyType({})
@@ -271,33 +291,25 @@ def tokenize_and_resolve(words, lexicon):
 
 def detect_mode(tokens):
     """Sentence mode from the markers alone."""
-    negative = any(token.marker == MARKER_NEGATION for token in tokens)
-    question = any(token.marker == MARKER_QUESTION for token in tokens)
-    if negative and question:
-        return SentenceMode.negative_interrogative
-    if negative:
-        return SentenceMode.negative
-    if question:
-        return SentenceMode.interrogative
-    return SentenceMode.affirmative
+    markers = {token.marker for token in tokens}
+    return _MODES[MARKER_NEGATION in markers, MARKER_QUESTION in markers]
 
 
 def select_tense(tokens):
     """Tense from the first time adverb among the tokens; present otherwise."""
     for token in tokens:
-        for entry, _form in token.readings.get(LexicalCategory.adverb, ()):
-            if entry.adverb_class is AdverbClass.time_past:
-                return Tense.past
-            if entry.adverb_class is AdverbClass.time_future:
-                return Tense.future
-    return Tense.present
+        for entry, _form in token.readings.get(_ADVERB_CATEGORY, ()):
+            tense = _ADVERB_TENSES.get(entry.adverb_class)
+            if tense is not None:
+                return tense
+    return _DEFAULT_TENSE
 
 
 def split_subject_predicate(tokens):
     """Split content tokens around the first verb-readable token."""
     content = [token for token in tokens if token.marker is None]
     for index, token in enumerate(content):
-        if LexicalCategory.verb in token.readings:
+        if _VERB_CATEGORY in token.readings:
             return content[:index], content[index:]
     words = " ".join(token.raw for token in content)
     raise NoVerbError("no verb among the input words: %s" % words)
@@ -334,7 +346,7 @@ def _fill_terminal(lexicon, lm, tokens, supplied, name, parent, grandparent, sta
         choices = []
         for entry, form in readings:
             new_verb = verb_lemma
-            if category is LexicalCategory.verb and verb_lemma is None and entry:
+            if category is _VERB_CATEGORY and verb_lemma is None and entry:
                 new_verb = entry.lemma
             fill = SlotFill(
                 category=category,
@@ -432,7 +444,7 @@ def _walk_roles(lm, node, parent, outer, fills, targets):
             # where a determiner is wanted, an inserted one where it is not.
             if determiner is None or fills[determiner].is_inserted:
                 form = fills[position].form
-                plural = form is not None and form.features.number is Number.plural
+                plural = form is not None and form.features.number is _PLURAL
                 deviations += (context in _DETERMINED or not plural) == (determiner is None)
         elif symbol == _DETERMINER:
             target = phrase or NO_AGREEMENT
@@ -465,13 +477,13 @@ def plan_structures(tokens, grammar, lexicon, lm):
 
     reflexive_forced = bool(subject) and any(
         entry.lemma == REFLEXIVE_LEMMA
-        for entry, _form in subject[-1].readings.get(LexicalCategory.pronoun, ())
+        for entry, _form in subject[-1].readings.get(_PRONOUN_CATEGORY, ())
     )
     if reflexive_forced:
         subject = subject[:-1]
 
     if not subject and any(
-        LexicalCategory.preposition in token.readings for token in predicate
+        _PREPOSITION_CATEGORY in token.readings for token in predicate
     ):
         raise NoStructureError(
             "explicit preposition with no subject does not fit the grammar"

@@ -43,6 +43,17 @@ from .planner import NEGATION_WORD, NO_AGREEMENT, SUBJECT_AGREEMENT, SentenceMod
 PROVENANCE_DEFAULT = "default"
 PROVENANCE_SUBJECT = "derived-from-subject"
 
+# The feature enum members the functions below read, bound at import (the
+# rule of features.IdentityEnum).
+_FIRST_PERSON, _SECOND_PERSON, _THIRD_PERSON = Person.first, Person.second, Person.third
+_SINGULAR, _PLURAL = Number.singular, Number.plural
+_MASCULINE, _FEMININE = Gender.masculine, Gender.feminine
+_UNSPECIFIED_GENDER = Gender.unspecified
+_INDICATIVE = Mood.indicative
+_VERB_CATEGORY = LexicalCategory.verb
+_PROPER_NAME_CATEGORY = LexicalCategory.proper_name
+_CONJUNCTION_CATEGORY = LexicalCategory.conjunction
+
 # Reflexive clitic by (person, plural?).
 _CLITICS = {
     (Person.first, False): "me",
@@ -71,6 +82,10 @@ _HEAD_CATEGORIES = (
     LexicalCategory.pronoun,
     LexicalCategory.proper_name,
 )
+# The categories that agree as the plan's agreement_targets say.
+_AGREEING_CATEGORIES = (LexicalCategory.determiner, LexicalCategory.adjective)
+# The agreement key of a subject with no head: first person singular masculine.
+_DEFAULT_AGREEMENT_KEY = (Person.first, Number.singular, Gender.masculine, None)
 
 # What a realization decides from a few features, each value built the first
 # time its key occurs and shared after: _agreement's results by subject key,
@@ -120,32 +135,32 @@ def _agreement(subject_slots):
     number, gender, gendered), where ``gendered`` is None without a head,
     else whether some head carries gender.
     """
-    person = Person.third
+    person = _THIRD_PERSON
     heads = plural = gendered = masculine = False
     for fill in subject_slots:
         category = fill.category
-        if category is LexicalCategory.conjunction:
+        if category is _CONJUNCTION_CATEGORY:
             plural = True
         elif category in _HEAD_CATEGORIES:
             heads = True
             features = fill.form.features if fill.form is not None else EMPTY_BUNDLE
-            if features.person is Person.first:
-                person = Person.first
-            elif features.person is Person.second and person is not Person.first:
-                person = Person.second
-            if features.number is Number.plural:
+            if features.person is _FIRST_PERSON:
+                person = _FIRST_PERSON
+            elif features.person is _SECOND_PERSON and person is not _FIRST_PERSON:
+                person = _SECOND_PERSON
+            if features.number is _PLURAL:
                 plural = True
             gender = features.gender
-            if gender is not Gender.unspecified:
+            if gender is not _UNSPECIFIED_GENDER:
                 gendered = True
-                masculine = masculine or gender is not Gender.feminine
+                masculine = masculine or gender is not _FEMININE
     if not heads:
-        key = (Person.first, Number.singular, Gender.masculine, None)
+        key = _DEFAULT_AGREEMENT_KEY
     else:
         key = (
             person,
-            Number.plural if plural else Number.singular,
-            Gender.masculine if masculine or not gendered else Gender.feminine,
+            _PLURAL if plural else _SINGULAR,
+            _MASCULINE if masculine or not gendered else _FEMININE,
             gendered,
         )
     found = _AGREEMENTS.get(key)
@@ -269,16 +284,16 @@ def _inflect_slot(plan, index, verb_target, subject_target, trace):
     fill = plan.slot_assignment[index]
     category = fill.category
 
-    if category is LexicalCategory.proper_name or fill.entry is None:
+    if category is _PROPER_NAME_CATEGORY or fill.entry is None:
         word = _capitalized(fill.surface)
-        if category is LexicalCategory.proper_name:
+        if category is _PROPER_NAME_CATEGORY:
             trace.append("proper name %s" % word)
         return word, False
 
-    if category is LexicalCategory.verb:
+    if category is _VERB_CATEGORY:
         finite = verb_target is not None
         target = verb_target if finite else _INFINITIVE
-    elif category in (LexicalCategory.determiner, LexicalCategory.adjective):
+    elif category in _AGREEING_CATEGORIES:
         finite = False
         target = _agreement_target(plan, index, subject_target)
     else:
@@ -309,11 +324,11 @@ def realize(plan, polarity_pairs):
     words = []
     finite_index = None
     verb_target = _target(
-        Gender.unspecified, agreement.number, agreement.person, plan.tense, Mood.indicative
+        _UNSPECIFIED_GENDER, agreement.number, agreement.person, plan.tense, _INDICATIVE
     )
     for index, fill in enumerate(plan.slot_assignment):
         word, is_finite = _inflect_slot(plan, index, verb_target, subject_target, trace)
-        if fill.category is LexicalCategory.verb:
+        if fill.category is _VERB_CATEGORY:
             verb_target = None
         if is_finite:
             finite_index = len(words)
@@ -324,7 +339,7 @@ def realize(plan, polarity_pairs):
     # ``no`` goes before the finite verb, or before the clitic inserted there.
     negation_index = verb_index = finite_index or 0
     if plan.reflexive and finite_index is not None:
-        clitic = _CLITICS[(agreement.person, agreement.number is Number.plural)]
+        clitic = _CLITICS[(agreement.person, agreement.number is _PLURAL)]
         words.insert(finite_index, clitic)
         trace.append("reflexive clitic %s" % clitic)
         verb_index += 1

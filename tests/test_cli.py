@@ -444,6 +444,41 @@ def test_non_utf8_file_names_its_line(tmp_path, name):
     assert err == "error: line %d: %s: invalid UTF-8 byte 0xe9\n" % (line, path)
     assert not out_path.exists()
 
+
+@pytest.mark.parametrize("encoding", ["utf-inf", "rot13", "utf-32"])
+def test_undecodable_xml_encoding_names_the_declaration_line(
+    encoding, bundled_fixtures, data_dir, test_fixtures, tmp_path
+):
+    """An encoding expat cannot use fails at the declaration, with no traceback."""
+    out_path = tmp_path / "merged.xml"
+    for option, source, argv in (
+        ("--lexicon", data_dir / "sample_lexicon.xml", ["generate", "perro", "comer"]),
+        (
+            "--primary",
+            bundled_fixtures / "source_a.xml",
+            ["build-lexicon", "--expansion", str(bundled_fixtures / "source_b.xml"),
+             "--oracle", str(bundled_fixtures / "allowlist.tsv"), "--out", str(out_path)],
+        ),
+        (
+            "--expansion",
+            bundled_fixtures / "source_b.xml",
+            ["build-lexicon", "--primary", str(bundled_fixtures / "source_a.xml"),
+             "--oracle", str(bundled_fixtures / "allowlist.tsv"), "--out", str(out_path)],
+        ),
+        ("--annotations", test_fixtures / "perfect_annotations.xml", ["agreement"]),
+    ):
+        text = source.read_text(encoding="utf-8")
+        assert text.startswith('<?xml version="1.0" encoding="utf-8"?>\n'), source
+        path = tmp_path / source.name
+        path.write_text(text.replace("utf-8", encoding, 1), encoding="utf-8")
+        status, out, err = run_cli(argv + [option, str(path)])
+        assert status == 1, option
+        assert out == ""
+        assert err.startswith("error: line 1: %s: bad XML encoding declaration: " % path), err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
+
 def test_generate_rejects_malformed_grammar_naming_file_and_line(tmp_path):
     path = tmp_path / "bad.grammar"
     path.write_text("S -> PRED\nPRED -> verb\n\nPRED verb OBJ\n", encoding="utf-8")
