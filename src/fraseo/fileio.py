@@ -14,6 +14,8 @@ from xml.parsers import expat
 
 from .errors import FraseoError
 
+_NO_ELEMENTS = expat.errors.codes[expat.errors.XML_ERROR_NO_ELEMENTS]
+
 
 def bundled(name, path=None):
     """``path``, or when it is None the bundled data file ``name``.
@@ -94,7 +96,8 @@ def read_elements(path, root_tag, child_tag, read, error):
     The root must be a ``<root_tag>`` and every child a ``<child_tag>``.
     Malformed XML or a wrong tag raises ``error``, and an ``error`` that
     ``read`` raises is raised again as its own class; either names ``path``
-    and the line of the element at fault. A file that cannot be read raises
+    and the line of the element at fault. A file that ends before its root
+    closes names its last line. A file that cannot be read raises
     ``error`` naming ``path`` and the system's reason.
     """
     try:
@@ -105,7 +108,14 @@ def read_elements(path, root_tag, child_tag, read, error):
                 # expat cannot decode the encoding the declaration, on line 1, names.
                 raise error("bad XML encoding declaration: %s" % exc, 1, path) from None
     except ET.ParseError as exc:
-        raise error("malformed XML: %s" % exc, exc.position[0], path) from None
+        line, reason = exc.position[0], "malformed XML: %s" % exc
+        if exc.code == _NO_ELEMENTS:
+            # expat places the end of a newline-terminated file on the line after its last.
+            with open(path, "rb") as handle:
+                last = max(1, len(handle.read().splitlines()))
+            if line > last:
+                line, reason = last, "malformed XML: the file ends before <%s> closes" % root_tag
+        raise error(reason, line, path) from None
     except OSError as exc:
         raise error(exc.strerror, None, path) from exc
     results = []

@@ -41,9 +41,19 @@ transparent for FIRST. The values are computed over the grammar without
 the depth limit, which only removes derivations, so the counts are lower
 bounds and the FIRST sets supersets: a suffix they rule out has no
 derivation, and cutting it changes no result. The search tests a suffix
-before it opens a generator for it, and ``covers`` tries a nonterminal
+before it expands its first symbol, and ``covers`` tries a nonterminal
 that must consume a token only at positions whose token reads as a
 category in its FIRST set. Without an input the search cuts nothing.
+
+The table also holds each nonterminal's rules left-factored into a
+prefix tree. The search builds a nonterminal's memoized derivations by
+one walk over that tree, so a body prefix that several rules share (every
+bundled ``PRED`` rule starts with ``verb``) is expanded once, not once per
+rule. Each rule's derivations are collected apart and joined in file
+order, so the order is that of completing each rule alone. The start
+symbol's derivations are not memoized: they stream rule by rule, because
+an unbounded search such as ``enumerate_trees`` yields too many trees to
+hold at once.
 """
 
 import math
@@ -153,13 +163,48 @@ class GrammarTable:
     they bound every derivation the search can make. ``unions`` pairs each
     distinct ``first`` of the cells that is not a single terminal bit with
     the bits it holds.
+
+    ``prefixes[head]`` is ``rows[head]`` left-factored into a prefix tree
+    (Moore 2000, "Improved Left-Corner Chart Parsing for Large Context-Free
+    Grammars"): rules whose bodies start alike share the branches of that
+    prefix, so the search expands a shared prefix once for all of them. A
+    branch is ``(name, slot, rest_need, rest_first, ends, branches)``:
+    the body symbol and its slot, the least ``rest_need`` and the union of
+    the ``rest_first`` masks over the rules that pass through it, the
+    indices into ``rows[head]`` of the rules that end with it, and its
+    child branches. That bound admits every suffix that one of its rules'
+    bounds admits, so it cuts only what all of them cut.
     """
 
-    __slots__ = ("rows", "unions")
+    __slots__ = ("rows", "unions", "prefixes")
 
-    def __init__(self, rows, unions):
+    def __init__(self, rows, unions, prefixes):
         self.rows = rows
         self.unions = unions
+        self.prefixes = prefixes
+
+
+def _factor(rows, rules, depth=0):
+    """The prefix-tree branches below ``depth`` of the ``rules`` indices into ``rows``."""
+    groups = {}
+    for rule in rules:
+        if len(rows[rule]) > depth:
+            groups.setdefault(rows[rule][depth][0], []).append(rule)
+    branches = []
+    for name, group in groups.items():
+        cells = [rows[rule][depth] for rule in group]
+        rest_first = 0
+        for cell in cells:
+            rest_first |= cell[5]
+        branches.append((
+            name,
+            cells[0][1],
+            min(cell[4] for cell in cells),
+            rest_first,
+            tuple(rule for rule in group if len(rows[rule]) == depth + 1),
+            _factor(rows, group, depth + 1),
+        ))
+    return tuple(branches)
 
 
 def _compile(grammar, insertable):
@@ -205,7 +250,8 @@ def _compile(grammar, insertable):
     unions = tuple(
         (mask, tuple(bit for bit in bits if mask & bit)) for mask in sorted(firsts - set(bits))
     )
-    return GrammarTable(rows, unions)
+    prefixes = {head: _factor(head_rows, range(len(head_rows))) for head, head_rows in rows.items()}
+    return GrammarTable(rows, unions, prefixes)
 
 
 def _parse_symbol(token, line_number):
@@ -287,8 +333,12 @@ def derive(grammar, fill, state=None, masks=None, insertable=frozenset()):
     fill's own arguments, (name, parent head, grandparent head, state), so
     ``fill`` is called at most once per distinct arguments in a run and
     must return the same choices for the same arguments. Memoized
-    subtrees, leaves and payloads are shared between trees. The start
-    symbol's derivations are streamed, never all held at once.
+    subtrees, leaves and payloads are shared between trees. A memoized
+    nonterminal's list comes from one walk over its rules' prefix tree
+    (``GrammarTable.prefixes``), which expands a shared body prefix once
+    and keeps each rule's derivations apart, joined in file order. The
+    start symbol's derivations are streamed, never all held at once: an
+    unbounded search can yield tens of thousands of trees.
 
     A search over an input passes ``masks``, per token the ``TERMINAL_BITS``
     mask of the categories it reads as, and ``insertable``, the terminals
@@ -300,8 +350,10 @@ def derive(grammar, fill, state=None, masks=None, insertable=frozenset()):
     tokens than are left, or needs one and cannot start with the pending
     token, by the bounds in ``grammar.table(insertable)``: a rule's whole
     body before the rule is tried, and the suffix after a symbol for each
-    of that symbol's choices, so no generator opens for a cut suffix. Such
-    a suffix has no derivation, so the order is that of the search without
+    of that symbol's choices, so no symbol of a cut suffix is expanded.
+    Below the start symbol the bound is a prefix-tree branch's, which cuts
+    a suffix only when every rule through the branch would. Such a suffix
+    has no derivation, so the order is that of the search without
     ``masks``, and the memo stays exact because a cut depends only on the
     suffix and the state. With ``masks`` None nothing is cut. A masked
     search needs a start: without ``state`` it raises ValueError.
@@ -333,7 +385,9 @@ class _Derivation:
         if masks is not None:
             self.pending = [(len(masks) - pos, mask) for pos, mask in enumerate([*masks, 0])]
             self.last = len(masks)
-        self.rows = grammar.table(insertable).rows
+        table = grammar.table(insertable)
+        self.rows = table.rows
+        self.prefixes = table.prefixes
         self.memo = {}
 
     def expand(self, name, slot, parent, grandparent, state, usage):
@@ -341,7 +395,8 @@ class _Derivation:
 
         A terminal's key is (name, parent, grandparent, state), the fill's
         arguments; a nonterminal's is (name, parent, state, usage). The two
-        cannot collide, because no terminal heads a rule.
+        cannot collide, because no terminal heads a rule. A nonterminal's
+        list is ``walk``'s per-rule buckets joined in file order.
         """
         if slot is None:
             key = (name, parent, grandparent, state)
@@ -360,10 +415,35 @@ class _Derivation:
         key = (name, parent, state, usage)
         found = self.memo.get(key)
         if found is None:
-            found = self.memo[key] = list(self.derivations(name, parent, state, usage))
+            buckets = [[] for _ in self.rows[name]]
+            self.walk(self.prefixes[name], name, parent, state, usage, (), (), buckets)
+            found = self.memo[key] = [item for bucket in buckets for item in bucket]
         return found
 
+    def walk(self, branches, head, parent, state, usage, children, payloads, buckets):
+        """Complete every rule body below one prefix-tree node into ``buckets``.
+
+        ``children`` and ``payloads`` are the prefix built so far, which
+        ends at ``state``. A branch whose suffix the input left at ``state``
+        cannot fill is skipped before its symbol is expanded. Each finished
+        rule goes to its own bucket, ``buckets[rule]``, in DFS order.
+        """
+        pending = self.pending
+        for name, slot, need, first, ends, after in branches:
+            if need and pending:
+                left, cats = pending[state[0]]
+                if need > left or not cats & first:
+                    continue
+            for node, more, end in self.expand(name, slot, head, parent, state, usage):
+                built = children + (node,)
+                joined = payloads + more
+                for rule in ends:
+                    buckets[rule].append((TreeNode(head, built), joined, end))
+                if after:
+                    self.walk(after, head, parent, end, usage, built, joined, buckets)
+
     def derivations(self, symbol, parent, state, usage):
+        """The start symbol's derivations, streamed row by row, never held at once."""
         rows = self.rows[symbol]
         if self.pending:  # one lookup for every row's first suffix
             left, cats = self.pending[state[0]]
@@ -376,7 +456,7 @@ class _Derivation:
                 yield TreeNode(symbol, children), payloads, end
 
     def body(self, row, index, head, parent, state, usage, children, payloads):
-        """Complete a rule body whose first ``index`` symbols are built.
+        """Complete a root rule body whose first ``index`` symbols are built.
 
         The caller has checked that the input left at ``state`` can fill the
         suffix at ``index``. Each choice for that symbol is checked the same
@@ -387,7 +467,7 @@ class _Derivation:
         choices = self.expand(name, slot, head, parent, state, usage)
         index += 1
         if index == len(row):
-            last = self.last if parent is None else None  # the root consumes every token
+            last = self.last  # the root consumes every token
             for node, more, end in choices:
                 if last is None or end[0] == last:
                     yield children + (node,), payloads + more, end

@@ -1,16 +1,21 @@
 import itertools
 import math
+import pathlib
 import re
 
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from make_golden import golden_inputs, golden_record
-from oracles import match_leaf_sequence, reference_covers
+from oracles import match_leaf_sequence, reference_covers, reference_derive
 
 import fraseo.grammar as grammar_module
 from fraseo.errors import CycleError, GrammarParseError, UndefinedSymbolError
+from fraseo.fileio import bundled
 from fraseo.grammar import (
     TERMINAL_BITS,
+    Grammar,
     GrammarRule,
     covers,
     derive,
@@ -452,3 +457,135 @@ def test_masked_derive_needs_a_start(grammar):
     with pytest.raises(ValueError, match=r"start.*state\[0\]"):
         derive(grammar, fill, None, [TERMINAL_BITS["verb"]])
     assert calls == []
+
+
+# Heads whose rules share body prefixes: A's rules that start with noun are
+# not next to each other, one is a prefix of others, and one is repeated.
+PREFIX_GRAMMAR = """
+S -> A B
+S -> A
+A -> noun verb
+A -> adverb
+A -> noun adjective
+A -> noun
+A -> noun verb adjective
+A -> noun verb
+B -> verb
+B -> verb noun
+B -> adverb B
+"""
+PREFIX_INPUTS = (
+    ("noun", "verb"),
+    ("noun", "verb", "verb"),
+    ("noun", "verb", "adjective", "verb", "noun"),
+    ("noun", "adjective", "adverb", "verb"),
+    ("adverb", "adverb", "verb", "noun"),
+    ("noun",),
+)
+BUNDLED_RULES = parse_grammar(
+    pathlib.Path(bundled("spanish.grammar")).read_text(encoding="utf-8")
+).rules
+# Category sequences that the bundled rules derive, in part with inserted
+# determiners and prepositions.
+BUNDLED_INPUTS = (
+    ("noun", "verb", "noun"),
+    ("determiner", "noun", "verb", "preposition", "noun"),
+    ("noun", "conjunction", "noun", "verb", "adjective"),
+    ("pronoun", "verb", "verb", "noun", "adjective"),
+    ("verb", "adverb", "preposition", "noun"),
+    ("proper_name", "verb", "preposition", "verb", "noun"),
+)
+PREFIX_INSERTABLE = frozenset({"determiner", "preposition"})
+
+
+def test_prefix_tree_shares_a_prefix_and_bounds_it_by_every_rule_through_it():
+    """A branch's bound is the least need and the union of FIRST over its rules."""
+    table = parse_grammar(PREFIX_GRAMMAR).table(frozenset({"noun"}))
+    adjective = ("adjective", None, 1, mask("adjective"))
+    assert table.prefixes["A"] == (
+        ("noun", None, 0, mask("noun", "verb", "adjective"), (3,), (
+            ("verb", None, 1, mask("verb"), (0, 5), (adjective + ((4,), ()),)),
+            adjective + ((2,), ()),
+        )),
+        ("adverb", None, 1, mask("adverb"), (1,), ()),
+    )
+
+
+def _prefix_walk_checked(grammar, cats, insertable):
+    """Assert that ``derive`` gives ``reference_derive``'s list, with and without masks.
+
+    Every terminal can consume the next category when it is that category,
+    and an ``insertable`` one can also take none. Returns the number of
+    derivations and of those that consume every category.
+    """
+
+    def fill(name, parent, grandparent, state):
+        (position,) = state
+        choices = []
+        if position < len(cats) and cats[position] == name:
+            choices.append((((name, position),), (position + 1,)))
+        if name in insertable:
+            choices.append((((name, None),), state))
+        return choices
+
+    reference = reference_derive(grammar, fill, (0,))
+    assert list(derive(grammar, fill, (0,))) == reference, cats
+    masks = [TERMINAL_BITS[cat] for cat in cats]
+    ended = [item for item in reference if item[2][0] == len(cats)]
+    assert list(derive(grammar, fill, (0,), masks, insertable)) == ended, cats
+    return len(reference), len(ended)
+
+
+def _rule_set(name):
+    if name == "bundled":
+        return BUNDLED_RULES, BUNDLED_INPUTS
+    return parse_grammar(PREFIX_GRAMMAR).rules, PREFIX_INPUTS
+
+
+@pytest.mark.parametrize("name", ["bundled", "prefixes"])
+def test_prefix_walk_agrees_with_reference_in_file_order_and_reversed(name):
+    rules, inputs = _rule_set(name)
+    for ordered in (rules, rules[:1] + rules[:0:-1]):
+        grammar = Grammar(rules=ordered)
+        for insertable in (frozenset(), PREFIX_INSERTABLE):
+            counts = [_prefix_walk_checked(grammar, cats, insertable) for cats in inputs]
+            assert all(ended for _reference, ended in counts), (name, insertable, counts)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.data())
+def test_prefix_walk_agrees_with_reference_under_any_rule_order(data):
+    """Permuted subsets of a rule set search as ``reference_derive`` says.
+
+    The start rule ``TOP -> S`` stays first, so every head of the drawn
+    rules, ``S`` included, is searched through its prefix tree. Each head
+    keeps at least one rule, its first in the drawn order.
+    """
+    rules, inputs = _rule_set(data.draw(st.sampled_from(["bundled", "prefixes"])))
+    order = data.draw(st.permutations(rules))
+    dropped = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    kept, heads = [], set()
+    for rule, drop in zip(order, dropped):
+        if rule.head not in heads or not drop:
+            kept.append(rule)
+            heads.add(rule.head)
+    grammar = Grammar(rules=(GrammarRule("TOP", ("S",), 0),) + tuple(kept))
+    cats = data.draw(
+        st.sampled_from(inputs) | st.lists(st.sampled_from(sorted(TERMINAL_BITS)), max_size=5)
+    )
+    insertable = data.draw(st.sampled_from([frozenset(), PREFIX_INSERTABLE]))
+    _prefix_walk_checked(grammar, tuple(cats), insertable)
+
+
+def test_prefix_walk_check_catches_derivations_joined_in_tree_order(monkeypatch):
+    """A walk that joins each head's derivations in prefix-tree order fails the check."""
+    walk = grammar_module._Derivation.walk
+
+    def tree_order(self, *args):
+        buckets = args[-1]
+        walk(self, *args[:-1], [buckets[0]] * len(buckets))
+
+    monkeypatch.setattr(grammar_module._Derivation, "walk", tree_order)
+    grammar = parse_grammar(PREFIX_GRAMMAR)
+    with pytest.raises(AssertionError):
+        _prefix_walk_checked(grammar, ("noun", "verb", "verb"), frozenset())

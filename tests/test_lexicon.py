@@ -163,7 +163,9 @@ def test_malformed_xml_reports_line(tmp_path):
     path.write_text("<lexicon>\n<entry lemma='x' cat='noun'>\n", encoding="utf-8")
     with pytest.raises(LexiconParseError) as err:
         load_lexicon(path)
-    assert err.value.line == 3
+    # The file ends before its root closes: its last line, not the one after.
+    assert err.value.line == 2
+    assert err.value.reason == "malformed XML: the file ends before <lexicon> closes"
     assert str(path) in str(err.value)
 
     path.write_text('<?xml version="1.0"?>\n<lexica>\n</lexica>\n', encoding="utf-8")

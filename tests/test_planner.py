@@ -253,12 +253,12 @@ def test_oov_subject_reads_as_proper_name(resources):
 
 
 # Terminal fills the memoized, lookahead-pruned search makes over the
-# exact-match corpus and over the golden inputs, and the rule body
-# generators it opens over the golden inputs. Deterministic work counters:
-# change them only with a reason.
+# exact-match corpus and over the golden inputs, and the body symbols its
+# prefix-tree walks expand over the golden inputs, as (all, terminals).
+# Deterministic work counters: change them only with a reason.
 CORPUS_FILL_CALLS = 129
 GOLDEN_FILL_CALLS = 801
-GOLDEN_BODY_GENERATORS = 3236
+GOLDEN_BRANCH_EXPANSIONS = (1630, 1088)
 # Root derivations the search builds over the 20 hand-written lists: one per
 # plan, since none that ends before the last token is built (255 were).
 CORPUS_ROOT_DERIVATIONS = 135
@@ -345,19 +345,30 @@ def test_search_work_on_golden_inputs_is_bounded(resources, monkeypatch):
     assert _fill_calls(inputs, resources, monkeypatch) == GOLDEN_FILL_CALLS
 
 
-def test_body_generators_on_golden_inputs_are_pinned(resources, monkeypatch):
-    calls = []
-    body = _Derivation.body
+def test_prefix_branch_expansions_on_golden_inputs_are_pinned(resources, monkeypatch):
+    """Count the body symbols expanded by prefix-tree walks, memo hits included."""
+    walking = [0]
+    expansions = []
+    walk, expand = _Derivation.walk, _Derivation.expand
 
-    def counting_body(self, row, index, *args):
-        calls.append(index)
-        return body(self, row, index, *args)
+    def counting_walk(self, *args):
+        walking[0] += 1
+        try:
+            return walk(self, *args)
+        finally:
+            walking[0] -= 1
 
-    monkeypatch.setattr(_Derivation, "body", counting_body)
+    def counting_expand(self, name, slot, *args):
+        if walking[0]:  # below the root: the start symbol's bodies expand outside any walk
+            expansions.append(slot is None)
+        return expand(self, name, slot, *args)
+
+    monkeypatch.setattr(_Derivation, "walk", counting_walk)
+    monkeypatch.setattr(_Derivation, "expand", counting_expand)
     for words in golden_inputs(resources.lexicon):
         generate(words, resources, max_candidates=0)
     monkeypatch.undo()
-    assert len(calls) == GOLDEN_BODY_GENERATORS
+    assert (len(expansions), sum(expansions)) == GOLDEN_BRANCH_EXPANSIONS
 
 
 def test_root_derivations_on_corpus_are_pinned(resources, monkeypatch):

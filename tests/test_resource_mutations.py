@@ -142,3 +142,27 @@ def test_each_mutant_is_rejected_at_a_line_or_loads_sound(name, data_dir, tmp_pa
         else:
             loaded += 1
     assert rejected > 0 and loaded > 0, (rejected, loaded)
+
+
+def test_every_dropped_or_repeated_lexicon_line_is_named_inside_the_file(data_dir, tmp_path):
+    """Each drop and duplicate mutant of the lexicon fails at a line it has, or loads.
+
+    expat places the end of a newline-terminated file on the line after its
+    last, so a root that never closes is named at the file's last line.
+    """
+    lines = (data_dir / "sample_lexicon.xml").read_text(encoding="utf-8").split("\n")
+    path = tmp_path / "sample_lexicon.xml"
+    unclosed = []
+    for index, line in enumerate(lines):
+        for kind, replacement in (("drop", []), ("duplicate", [line, line])):
+            mutant = "\n".join(lines[:index] + replacement + lines[index + 1 :])
+            path.write_text(mutant, encoding="utf-8")
+            try:
+                load_lexicon(path)
+            except LexiconParseError as exc:
+                line_count = len(mutant.splitlines())
+                assert 1 <= (exc.line or 0) <= line_count, (kind, index + 1, exc)
+                if exc.reason == "malformed XML: the file ends before <lexicon> closes":
+                    assert exc.line == line_count, (kind, index + 1, exc)
+                    unclosed.append((kind, line))
+    assert unclosed == [("duplicate", "<lexicon>"), ("drop", "</lexicon>")]
