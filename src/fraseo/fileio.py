@@ -14,6 +14,7 @@ from xml.parsers import expat
 
 from .errors import FraseoError
 
+_BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
 _NO_ELEMENTS = expat.errors.codes[expat.errors.XML_ERROR_NO_ELEMENTS]
 
 
@@ -32,15 +33,18 @@ def read_text(path, error):
     """The UTF-8 text of ``path``, with every line end read as ``"\\n"``.
 
     Line ends are those of a text-mode ``open``: ``\\r\\n`` and ``\\r`` become
-    ``\\n``. A byte that is not UTF-8 raises ``error`` naming ``path`` and the
-    line of the first such byte; a file that cannot be read raises it naming
-    ``path`` and the system's reason.
+    ``\\n``. One leading byte-order mark is dropped, as the XML readers drop
+    it, so a file saved with one reads as the same file without. A byte that
+    is not UTF-8 raises ``error`` naming ``path`` and the line of the first
+    such byte; a file that cannot be read raises it naming ``path`` and the
+    system's reason.
     """
     try:
         with open(path, "rb") as handle:
             # UTF-8 holds bytes 0x0A and 0x0D only as themselves, so the line
             # ends can be read before the text is decoded.
-            data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            data = handle.read().removeprefix(_BOM)
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     except OSError as exc:
         raise error(exc.strerror, None, path) from exc
     try:

@@ -31,29 +31,30 @@ A search over an input takes it as masks, per token the categories it
 reads as, and is bounded by it (Kay 1996, "Chart Generation"): it yields
 only the derivations that consume every token, and ``covers`` first
 checks that some can. ``Grammar.table`` compiles the rules once per set
-of insertable terminals into one table that the search and ``covers``
-both read: per rule body symbol, its usage slot, and for the symbol and
-for the body suffix that starts at it the fewest input tokens it must
-consume and the FIRST set (Aho, Sethi & Ullman) of categories that can
-consume its first token, as a mask of ``TERMINAL_BITS``. Terminals the
-caller may insert without input count as consuming none and are
-transparent for FIRST. The values are computed over the grammar without
-the depth limit, which only removes derivations, so the counts are lower
-bounds and the FIRST sets supersets: a suffix they rule out has no
-derivation, and cutting it changes no result. The search tests a suffix
-before it expands its first symbol, and ``covers`` tries a nonterminal
-that must consume a token only at positions whose token reads as a
-category in its FIRST set. Without an input the search cuts nothing.
+of insertable terminals into the one form that the search and ``covers``
+both read: each nonterminal's rules left-factored into a prefix tree, so
+a body prefix that several rules share (every bundled ``PRED`` rule
+starts with ``verb``) is walked once, not once per rule. Each branch
+holds a body symbol, its usage slot, and for the symbol and for the body
+suffixes that start at it the fewest input tokens they must consume and
+the FIRST set (Aho, Sethi & Ullman) of categories that can consume their
+first token, as a mask of ``TERMINAL_BITS``. Terminals the caller may
+insert without input count as consuming none and are transparent for
+FIRST. The values are computed over the grammar without the depth limit,
+which only removes derivations, so the counts are lower bounds and the
+FIRST sets supersets: a suffix they rule out has no derivation, and
+cutting it changes no result. The search tests a suffix before it
+expands its first symbol, and ``covers`` tries a nonterminal that must
+consume a token only at positions whose token reads as a category in its
+FIRST set. Without an input the search cuts nothing.
 
-The table also holds each nonterminal's rules left-factored into a
-prefix tree. The search builds a nonterminal's memoized derivations by
-one walk over that tree, so a body prefix that several rules share (every
-bundled ``PRED`` rule starts with ``verb``) is expanded once, not once per
-rule. Each rule's derivations are collected apart and joined in file
-order, so the order is that of completing each rule alone. The start
-symbol's derivations are not memoized: they stream rule by rule, because
-an unbounded search such as ``enumerate_trees`` yields too many trees to
-hold at once.
+The search builds a nonterminal's memoized derivations by one walk over
+its tree, collecting each rule's derivations apart and joining them in
+file order, so the order is that of completing each rule alone. The
+start symbol's derivations are not memoized: an unbounded search such as
+``enumerate_trees`` yields too many trees to hold at once. Its tree is
+one unshared chain per rule, in file order, which a generator walks, so
+they stream rule by rule.
 """
 
 import math
@@ -151,54 +152,54 @@ class Grammar(Value):
 class GrammarTable:
     """The rules compiled for one set of insertable terminals.
 
-    ``rows[head]`` holds one row per rule of ``head``, in file order, and a
-    row one cell per body symbol: ``(name, slot, need, first, rest_need,
-    rest_first)``. ``slot`` is the nonterminal's index in the usage tuple of
-    ``derive``, None for a terminal. ``need`` is the fewest input tokens any
-    derivation of the symbol consumes and ``first`` the ``TERMINAL_BITS``
-    mask of the terminals that can consume its first token; ``rest_need``
-    and ``rest_first`` are the same for the body suffix that starts at the
-    symbol. A terminal in the insertable set may take no token: it counts
-    as 0 and FIRST looks past it. The values ignore ``depth_limit``, so
-    they bound every derivation the search can make. ``unions`` pairs each
-    distinct ``first`` of the cells that is not a single terminal bit with
-    the bits it holds.
+    ``prefixes[head]`` holds the rules of ``head`` left-factored into a
+    prefix tree (Moore 2000, "Improved Left-Corner Chart Parsing for Large
+    Context-Free Grammars"): rules whose bodies start alike share the
+    branches of that prefix, so a search expands a shared prefix once for
+    all of them. The start symbol's tree is instead one unshared chain per
+    rule, in file order, which its stream completes rule by rule. A branch
+    is ``(name, slot, need, first, rest_need, rest_first, ends, after)``.
+    ``slot`` is the nonterminal's index in the usage tuple of ``derive``,
+    None for a terminal. ``need`` is the fewest input tokens any derivation
+    of the symbol consumes and ``first`` the ``TERMINAL_BITS`` mask of the
+    terminals that can consume its first token; ``rest_need`` and
+    ``rest_first`` are the least need and the union of FIRST over the body
+    suffixes that start at the branch, one per rule through it. ``ends``
+    holds the indices into ``grammar.rules_for[head]`` of the rules that end
+    with the branch and ``after`` its child branches.
 
-    ``prefixes[head]`` is ``rows[head]`` left-factored into a prefix tree
-    (Moore 2000, "Improved Left-Corner Chart Parsing for Large Context-Free
-    Grammars"): rules whose bodies start alike share the branches of that
-    prefix, so the search expands a shared prefix once for all of them. A
-    branch is ``(name, slot, rest_need, rest_first, ends, branches)``:
-    the body symbol and its slot, the least ``rest_need`` and the union of
-    the ``rest_first`` masks over the rules that pass through it, the
-    indices into ``rows[head]`` of the rules that end with it, and its
-    child branches. That bound admits every suffix that one of its rules'
-    bounds admits, so it cuts only what all of them cut.
+    A terminal in the insertable set may take no token: it counts as 0 and
+    FIRST looks past it. The values ignore ``depth_limit``, so they bound
+    every derivation the search can make, and a branch's suffix bound
+    admits every suffix that one of its rules' bounds admits, so it cuts
+    only what all of them cut. ``unions`` pairs each distinct ``first`` of
+    the branches that is not a single terminal bit with the bits it holds.
     """
 
-    __slots__ = ("rows", "unions", "prefixes")
+    __slots__ = ("prefixes", "unions")
 
-    def __init__(self, rows, unions, prefixes):
-        self.rows = rows
-        self.unions = unions
+    def __init__(self, prefixes, unions):
         self.prefixes = prefixes
+        self.unions = unions
 
 
 def _factor(rows, rules, depth=0):
-    """The prefix-tree branches below ``depth`` of the ``rules`` indices into ``rows``."""
+    """The prefix-tree branches below ``depth`` of the ``rules`` indices into ``rows``.
+
+    ``rows`` holds one row per rule, and a row one cell per body symbol:
+    ``(name, slot, need, first, rest_need, rest_first)``.
+    """
     groups = {}
     for rule in rules:
         if len(rows[rule]) > depth:
             groups.setdefault(rows[rule][depth][0], []).append(rule)
     branches = []
-    for name, group in groups.items():
+    for group in groups.values():
         cells = [rows[rule][depth] for rule in group]
         rest_first = 0
         for cell in cells:
             rest_first |= cell[5]
-        branches.append((
-            name,
-            cells[0][1],
+        branches.append(cells[0][:4] + (
             min(cell[4] for cell in cells),
             rest_first,
             tuple(rule for rule in group if len(rows[rule]) == depth + 1),
@@ -235,23 +236,26 @@ def _compile(grammar, insertable):
                 first[rule.head] |= cats
                 changed = True
     slots = {name: index for index, name in enumerate(grammar.rules_for)}
-    rows = {
-        head: tuple(
+    prefixes = {}
+    firsts = set()
+    for head, rules in grammar.rules_for.items():
+        rows = [
             tuple(
                 (name, slots.get(name)) + bound(name) + rest
                 for name, rest in zip(rule.body, suffixes(rule.body))
             )
             for rule in rules
-        )
-        for head, rules in grammar.rules_for.items()
-    }
+        ]
+        firsts.update(cell[3] for row in rows for cell in row)
+        if head == grammar.start:  # streamed rule by rule: one chain per rule
+            prefixes[head] = sum((_factor(rows, [rule]) for rule in range(len(rows))), ())
+        else:
+            prefixes[head] = _factor(rows, range(len(rows)))
     bits = TERMINAL_BITS.values()
-    firsts = {cell[3] for head_rows in rows.values() for row in head_rows for cell in row}
     unions = tuple(
         (mask, tuple(bit for bit in bits if mask & bit)) for mask in sorted(firsts - set(bits))
     )
-    prefixes = {head: _factor(head_rows, range(len(head_rows))) for head, head_rows in rows.items()}
-    return GrammarTable(rows, unions, prefixes)
+    return GrammarTable(prefixes, unions)
 
 
 def _parse_symbol(token, line_number):
@@ -337,8 +341,9 @@ def derive(grammar, fill, state=None, masks=None, insertable=frozenset()):
     nonterminal's list comes from one walk over its rules' prefix tree
     (``GrammarTable.prefixes``), which expands a shared body prefix once
     and keeps each rule's derivations apart, joined in file order. The
-    start symbol's derivations are streamed, never all held at once: an
-    unbounded search can yield tens of thousands of trees.
+    start symbol's derivations are streamed from its tree of one chain per
+    rule, never all held at once: an unbounded search can yield tens of
+    thousands of trees.
 
     A search over an input passes ``masks``, per token the ``TERMINAL_BITS``
     mask of the categories it reads as, and ``insertable``, the terminals
@@ -348,15 +353,16 @@ def derive(grammar, fill, state=None, masks=None, insertable=frozenset()):
     rejects the masks from ``state[0]`` on, the search returns before any
     other work. Otherwise it cuts each rule body suffix that needs more
     tokens than are left, or needs one and cannot start with the pending
-    token, by the bounds in ``grammar.table(insertable)``: a rule's whole
-    body before the rule is tried, and the suffix after a symbol for each
-    of that symbol's choices, so no symbol of a cut suffix is expanded.
-    Below the start symbol the bound is a prefix-tree branch's, which cuts
-    a suffix only when every rule through the branch would. Such a suffix
-    has no derivation, so the order is that of the search without
-    ``masks``, and the memo stays exact because a cut depends only on the
-    suffix and the state. With ``masks`` None nothing is cut. A masked
-    search needs a start: without ``state`` it raises ValueError.
+    token, by the prefix-tree branches of ``grammar.table(insertable)``: a
+    branch's suffix is tested before its symbol is expanded, so no symbol
+    of a cut suffix is expanded. A branch's bound cuts a suffix only when
+    every rule through the branch would; the start symbol's chains hold
+    each rule's own bound. Such a suffix has no derivation, so the order is
+    that of the search without ``masks``, and the memo stays exact because
+    a cut depends only on the suffix and the state. No root derivation that
+    ends before the last token is built. With ``masks`` None nothing is
+    cut. A masked search needs a start: without ``state`` it raises
+    ValueError.
     """
     if masks is not None and state is None:
         raise ValueError("a masked search needs a start state: state[0] is the token position")
@@ -364,7 +370,7 @@ def derive(grammar, fill, state=None, masks=None, insertable=frozenset()):
         return iter(())
     start_usage = tuple(int(name == grammar.start) for name in grammar.rules_for)
     search = _Derivation(grammar, fill, masks, insertable)
-    return search.derivations(grammar.start, None, state, start_usage)
+    return search.stream(search.prefixes[grammar.start], grammar.start, state, start_usage, (), ())
 
 
 class _Derivation:
@@ -373,21 +379,18 @@ class _Derivation:
     Plain methods instead of nested closures let the memo go as soon as the
     returned iterator does, without waiting for the cyclic garbage collector.
     ``pending[pos]`` is (tokens left, mask of token ``pos`` or 0) and ``last``
-    the input's length, both None without input. The start symbol's last body
-    symbol keeps only the choices that end at ``last``, so no root derivation
-    that leaves a token unconsumed is built.
+    the input's length, both None without input.
     """
 
     def __init__(self, grammar, fill, masks, insertable):
         self.depth_limit = grammar.depth_limit
+        self.rules_for = grammar.rules_for
         self.fill = fill
         self.pending = self.last = None
         if masks is not None:
             self.pending = [(len(masks) - pos, mask) for pos, mask in enumerate([*masks, 0])]
             self.last = len(masks)
-        table = grammar.table(insertable)
-        self.rows = table.rows
-        self.prefixes = table.prefixes
+        self.prefixes = grammar.table(insertable).prefixes
         self.memo = {}
 
     def expand(self, name, slot, parent, grandparent, state, usage):
@@ -415,7 +418,7 @@ class _Derivation:
         key = (name, parent, state, usage)
         found = self.memo.get(key)
         if found is None:
-            buckets = [[] for _ in self.rows[name]]
+            buckets = [[] for _ in self.rules_for[name]]
             self.walk(self.prefixes[name], name, parent, state, usage, (), (), buckets)
             found = self.memo[key] = [item for bucket in buckets for item in bucket]
         return found
@@ -429,7 +432,7 @@ class _Derivation:
         rule goes to its own bucket, ``buckets[rule]``, in DFS order.
         """
         pending = self.pending
-        for name, slot, need, first, ends, after in branches:
+        for name, slot, _need, _first, need, first, ends, after in branches:
             if need and pending:
                 left, cats = pending[state[0]]
                 if need > left or not cats & first:
@@ -442,46 +445,28 @@ class _Derivation:
                 if after:
                     self.walk(after, head, parent, end, usage, built, joined, buckets)
 
-    def derivations(self, symbol, parent, state, usage):
-        """The start symbol's derivations, streamed row by row, never held at once."""
-        rows = self.rows[symbol]
-        if self.pending:  # one lookup for every row's first suffix
-            left, cats = self.pending[state[0]]
-            rows = [
-                row for row in rows
-                if not row[0][4] or row[0][4] <= left and cats & row[0][5]
-            ]
-        for row in rows:
-            for children, payloads, end in self.body(row, 0, symbol, parent, state, usage, (), ()):
-                yield TreeNode(symbol, children), payloads, end
+    def stream(self, branches, head, state, usage, children, payloads):
+        """The start symbol's derivations below one branch node, streamed, never held.
 
-    def body(self, row, index, head, parent, state, usage, children, payloads):
-        """Complete a root rule body whose first ``index`` symbols are built.
-
-        The caller has checked that the input left at ``state`` can fill the
-        suffix at ``index``. Each choice for that symbol is checked the same
-        way against the suffix after it before the body recurses, so no
-        generator is opened for a suffix the input cannot fill.
+        The same walk as ``walk`` for the root, whose parent is None, but a
+        generator: the start symbol's tree is one chain per rule in file
+        order, so the stream is that of completing each rule alone. A
+        derivation is built only once it ends at ``last``: the root
+        consumes every token.
         """
-        name, slot = row[index][:2]
-        choices = self.expand(name, slot, head, parent, state, usage)
-        index += 1
-        if index == len(row):
-            last = self.last  # the root consumes every token
-            for node, more, end in choices:
-                if last is None or end[0] == last:
-                    yield children + (node,), payloads + more, end
-            return
-        need, first = row[index][4:]
-        pending = self.pending if need else None
-        for node, more, middle in choices:
-            if pending:
-                left, cats = pending[middle[0]]
+        pending, last = self.pending, self.last
+        for name, slot, _need, _first, need, first, ends, after in branches:
+            if need and pending:
+                left, cats = pending[state[0]]
                 if need > left or not cats & first:
                     continue
-            yield from self.body(
-                row, index, head, parent, middle, usage, children + (node,), payloads + more
-            )
+            for node, more, end in self.expand(name, slot, head, None, state, usage):
+                if ends and (last is None or end[0] == last):
+                    yield TreeNode(head, children + (node,)), payloads + more, end
+                if after:
+                    yield from self.stream(
+                        after, head, end, usage, children + (node,), payloads + more
+                    )
 
 
 def _accept_any(name, parent, grandparent, state):
@@ -509,9 +494,11 @@ def covers(grammar, masks, insertable):
     inserts only ``insertable`` terminals, ends at the last token.
 
     A memoized recognizer over (symbol, start position) pairs, each holding
-    the end positions it reaches as an int bitset. A nonterminal that must
-    consume a token is tried only at positions whose token reads as a
-    terminal in its FIRST set: from any other it reaches no end. A pair
+    the end positions it reaches as an int bitset. A pair walks its
+    symbol's prefix tree (``GrammarTable.prefixes``) once, so a body prefix
+    that several rules share is matched once for all of them. A nonterminal
+    that must consume a token is tried only at positions whose token reads
+    as a terminal in its FIRST set: from any other it reaches no end. A pair
     read while it is being computed (left recursion) gives the previous
     pass's ends, none at first, and passes repeat until no pair changes:
     the least fixpoint, so the answer is exact for the relaxed grammar.
@@ -532,7 +519,7 @@ def covers(grammar, masks, insertable):
         admit[first] = positions
     seeds = {}
     while True:
-        chart = _Cover(table.rows, admit, seeds)
+        chart = _Cover(table.prefixes, admit, seeds)
         reached = chart.ends(grammar.start, 0)
         if not chart.looped or chart.memo == seeds:
             return bool(reached >> len(masks) & 1)
@@ -542,8 +529,8 @@ def covers(grammar, masks, insertable):
 class _Cover:
     """One ``covers`` pass: plain methods, so the chart leaves no reference cycle."""
 
-    def __init__(self, rows, admit, seeds):
-        self.rows = rows
+    def __init__(self, prefixes, admit, seeds):
+        self.prefixes = prefixes
         self.admit = admit
         self.seeds = seeds
         self.memo = {}
@@ -555,26 +542,30 @@ class _Cover:
         found = self.memo.get(key)
         if found is None:
             self.memo[key] = -1  # being computed
-            found = 0
-            admit = self.admit
-            for row in self.rows[symbol]:
-                reached = 1 << start
-                for name, slot, need, first, _rest_need, _rest_first in row:
-                    if slot is None:
-                        reached = (0 if need else reached) | (reached & admit[first]) << 1
-                    else:
-                        starts, reached = reached & admit[first] if need else reached, 0
-                        while starts:
-                            low = starts & -starts
-                            reached |= self.ends(name, low.bit_length() - 1)
-                            starts ^= low
-                    if not reached:
-                        break
-                found |= reached
-            self.memo[key] = found
+            found = self.memo[key] = self.reach(self.prefixes[symbol], 1 << start)
         elif found < 0:
             self.looped = True
             found = self.seeds.get(key, 0)
+        return found
+
+    def reach(self, branches, reached):
+        """The end positions of the rule bodies below ``branches``, from the bitset ``reached``."""
+        found = 0
+        admit = self.admit
+        for name, slot, need, first, _rest_need, _rest_first, ends, after in branches:
+            if slot is None:
+                out = (0 if need else reached) | (reached & admit[first]) << 1
+            else:
+                starts, out = reached & admit[first] if need else reached, 0
+                while starts:
+                    low = starts & -starts
+                    out |= self.ends(name, low.bit_length() - 1)
+                    starts ^= low
+            if out:
+                if ends:
+                    found |= out
+                if after:
+                    found |= self.reach(after, out)
         return found
 
 

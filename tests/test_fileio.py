@@ -1,3 +1,6 @@
+import codecs
+import pickle
+
 import pytest
 
 from fraseo.builder import AllowlistOracle, load_source_records
@@ -130,6 +133,32 @@ def test_every_loader_names_a_missing_file(tmp_path, name):
     assert (err.path, err.line, err.reason) == (path, None, "No such file or directory")
     assert str(err) == "%s: No such file or directory" % path
     assert isinstance(err.__cause__, FileNotFoundError)
+
+
+# Per reader of ``read_text``: a good file whose first line holds data.
+GOOD_TEXTS = {
+    "grammar": "S -> PRED\nPRED -> verb\n",
+    "model": "V ir 3 1\nP ir a 2.0\n",
+    "polarity": "bien\tmal\nsiempre\tnunca\n",
+    "allowlist": "casa\tnoun\nperro\tnoun\n",
+    "corpus": "Uno.\tuno\n",
+    "tagged corpus": "yo/yo/pronoun voy/ir/verb a/a/preposition\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOOD_TEXTS))
+def test_every_text_reader_drops_a_leading_byte_order_mark(tmp_path, name):
+    read, error = LOADERS[name]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(GOOD_TEXTS[name].encode("utf-8"))
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    assert pickle.dumps(read(marked)) == pickle.dumps(read(plain))
+    # The mark is no line end: a bad byte keeps its line.
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes() + b"caf\xe9\n")
+    with pytest.raises(error) as raised:
+        read(marked)
+    line = GOOD_TEXTS[name].count("\n") + 1
+    assert (raised.value.line, raised.value.reason) == (line, "invalid UTF-8 byte 0xe9")
 
 
 def test_corpus_skips_comment_lines(tmp_path):

@@ -212,14 +212,39 @@ def mask(*names):
 NOMINAL_FIRST = mask("determiner", "noun", "adjective", "pronoun")
 
 
+def _chain_cells(branch):
+    """The cells ``(name, slot, need, first, rest_need, rest_first)`` of one rule's chain.
+
+    A chain holds one branch per body symbol, and only its last ends a rule.
+    """
+    cells = [branch[:6]]
+    while branch[7]:
+        assert branch[6] == ()
+        (branch,) = branch[7]
+        cells.append(branch[:6])
+    assert len(branch[6]) == 1
+    return tuple(cells)
+
+
+def _rule_cells(grammar, insertable, head):
+    """Per rule of ``head``, in file order, the cells of its body.
+
+    Read from a copy of ``grammar`` whose first rules are ``head``'s: the
+    start symbol's tree is one chain per rule, so its branches hold each
+    rule's own suffix bounds, which no rule order changes.
+    """
+    rules = tuple(sorted(grammar.rules, key=lambda rule: rule.head != head))
+    return [_chain_cells(chain) for chain in Grammar(rules=rules).table(insertable).prefixes[head]]
+
+
 def test_suffix_bounds_min_tokens_and_first_sets():
     grammar = parse_grammar(LOOKAHEAD_GRAMMAR)
     insertable = frozenset({"determiner", "conjunction"})
     table = grammar.table(insertable)
     bounds = {
-        tuple(cell[0] for cell in row): tuple(cell[4:] for cell in row)
-        for rows in table.rows.values()
-        for row in rows
+        tuple(cell[0] for cell in cells): tuple(cell[4:] for cell in cells)
+        for head in grammar.rules_for
+        for cells in _rule_cells(grammar, insertable, head)
     }
     assert bounds == {
         ("NP", "verb", "NP"): ((3, NOMINAL_FIRST), (2, mask("verb")), (1, NOMINAL_FIRST)),
@@ -238,11 +263,14 @@ def test_suffix_bounds_min_tokens_and_first_sets():
     }
     # Each cell also holds the symbol's own bound and its usage slot (None
     # for a terminal); LINK derives no token, so it has FIRST but needs 0.
-    assert table.rows["S"][1] == (
+    # The start symbol's branches are one chain per rule, in file order.
+    assert _chain_cells(table.prefixes["S"][1]) == (
         ("LINK", 2, 0, mask("conjunction"), 2, NOMINAL_FIRST | mask("conjunction")),
         ("NP", 1, 1, NOMINAL_FIRST, 2, NOMINAL_FIRST),
         ("verb", None, 1, mask("verb"), 1, mask("verb")),
     )
+    # Below the start symbol, NP's two determiner rules share one branch.
+    assert table.prefixes["NP"][0][4:6] == (1, mask("determiner", "noun", "adjective"))
     # FIRST masks beyond a single terminal bit, with their bits; LINK and
     # LOOP each start with one terminal.
     nominal_bits = sorted(mask(cat) for cat in ("determiner", "noun", "adjective", "pronoun"))
@@ -250,9 +278,9 @@ def test_suffix_bounds_min_tokens_and_first_sets():
     # Built once per insertable set; without insertables every terminal
     # consumes a token and FIRST stops at the first symbol.
     assert grammar.table(insertable) is table
-    plain = grammar.table(frozenset()).rows
-    assert plain["S"][1][0][4:] == (3, mask("conjunction"))
-    assert plain["S"][0][0][4:] == (3, mask("determiner", "pronoun"))
+    plain = grammar.table(frozenset()).prefixes
+    assert plain["S"][1][4:6] == (3, mask("conjunction"))
+    assert plain["S"][0][4:6] == (3, mask("determiner", "pronoun"))
 
 
 def test_lookahead_cuts_work_not_derivations():
@@ -391,30 +419,53 @@ def test_covers_agrees_with_match_leaf_sequence_on_left_recursion():
     assert covers(grammar, [mask("noun", "verb"), mask("noun")], frozenset())
 
 
-def test_covers_agrees_with_reference_covers():
-    """The FIRST filter on start positions changes no verdict.
+def _covers_checked(text, categories, insertables):
+    """Assert that ``covers`` gives ``reference_covers``'s verdict on every short input.
 
-    The left-recursive grammar exercises the fixpoint passes and the
-    lookahead grammar a nonterminal that derives no token (LINK, unfiltered)
-    and one with no derivation at all (LOOP).
+    Every sequence of one to four ``categories`` is checked with each of
+    ``insertables``; returns the number of verdicts checked.
+    """
+    grammar = parse_grammar(text).replaced(depth_limit=4)
+    checked = 0
+    for length in range(1, 5):
+        for cats in itertools.product(categories, repeat=length):
+            masks = [mask(cat) for cat in cats]
+            for insertable in insertables:
+                expected = reference_covers(grammar, masks, insertable)
+                assert covers(grammar, masks, insertable) is expected, (cats, insertable)
+                checked += 1
+    return checked
+
+
+def test_covers_agrees_with_reference_covers():
+    """The FIRST filter on start positions and the prefix-tree walk change no verdict.
+
+    The left-recursive grammar exercises the fixpoint passes, the lookahead
+    grammar a nonterminal that derives no token (LINK, unfiltered) and one
+    with no derivation at all (LOOP), and the prefix grammar rules that end
+    where others go on.
     """
     cases = (
         (LEFT_RECURSIVE_GRAMMAR, ("determiner", "noun", "verb", "adverb"),
          (frozenset(), frozenset({"adverb"}), frozenset({"determiner", "adverb"}))),
         (LOOKAHEAD_GRAMMAR, ("determiner", "noun", "verb", "pronoun", "conjunction"),
          (frozenset(), frozenset({"determiner", "conjunction"}))),
+        PREFIX_COVER_CASE,
     )
-    checked = 0
-    for text, categories, insertables in cases:
-        grammar = parse_grammar(text).replaced(depth_limit=4)
-        for length in range(1, 5):
-            for cats in itertools.product(categories, repeat=length):
-                masks = [mask(cat) for cat in cats]
-                for insertable in insertables:
-                    expected = reference_covers(grammar, masks, insertable)
-                    assert covers(grammar, masks, insertable) is expected, (cats, insertable)
-                    checked += 1
-    assert checked == 340 * 3 + 780 * 2
+    checked = sum(_covers_checked(*case) for case in cases)
+    assert checked == 340 * 3 + 780 * 2 + 340 * 2
+
+
+def test_covers_check_catches_a_walk_that_stops_where_a_rule_ends(monkeypatch):
+    """A ``covers`` walk that skips the children of a branch where a rule ends fails the check."""
+    reach = grammar_module._Cover.reach
+
+    def stop_at_ends(self, branches, reached):
+        return reach(self, tuple(b[:7] + ((),) if b[6] else b for b in branches), reached)
+
+    monkeypatch.setattr(grammar_module._Cover, "reach", stop_at_ends)
+    with pytest.raises(AssertionError):
+        _covers_checked(*PREFIX_COVER_CASE)
 
 
 def test_covers_relaxes_the_search_like_suffix_bounds(grammar):
@@ -482,6 +533,10 @@ PREFIX_INPUTS = (
     ("adverb", "adverb", "verb", "noun"),
     ("noun",),
 )
+# The prefix grammar as a ``_covers_checked`` case.
+PREFIX_COVER_CASE = (
+    PREFIX_GRAMMAR, ("noun", "verb", "adjective", "adverb"), (frozenset(), frozenset({"noun"}))
+)
 BUNDLED_RULES = parse_grammar(
     pathlib.Path(bundled("spanish.grammar")).read_text(encoding="utf-8")
 ).rules
@@ -499,15 +554,24 @@ PREFIX_INSERTABLE = frozenset({"determiner", "preposition"})
 
 
 def test_prefix_tree_shares_a_prefix_and_bounds_it_by_every_rule_through_it():
-    """A branch's bound is the least need and the union of FIRST over its rules."""
+    """A branch's bound is the least need and the union of FIRST over its rules.
+
+    The start symbol's rules share no branch: each is one chain, in file order.
+    """
     table = parse_grammar(PREFIX_GRAMMAR).table(frozenset({"noun"}))
-    adjective = ("adjective", None, 1, mask("adjective"))
+    adjective = ("adjective", None, 1, mask("adjective"), 1, mask("adjective"))
     assert table.prefixes["A"] == (
-        ("noun", None, 0, mask("noun", "verb", "adjective"), (3,), (
-            ("verb", None, 1, mask("verb"), (0, 5), (adjective + ((4,), ()),)),
+        ("noun", None, 0, mask("noun"), 0, mask("noun", "verb", "adjective"), (3,), (
+            ("verb", None, 1, mask("verb"), 1, mask("verb"), (0, 5), (adjective + ((4,), ()),)),
             adjective + ((2,), ()),
         )),
-        ("adverb", None, 1, mask("adverb"), (1,), ()),
+        ("adverb", None, 1, mask("adverb"), 1, mask("adverb"), (1,), ()),
+    )
+    a_first, b_first = mask("noun", "verb", "adjective", "adverb"), mask("verb", "adverb")
+    a = ("A", 1, 0, a_first)
+    assert table.prefixes["S"] == (
+        a + (1, a_first | b_first, (), (("B", 2, 1, b_first, 1, b_first, (0,), ()),)),
+        a + (0, a_first, (1,), ()),
     )
 
 
@@ -587,5 +651,34 @@ def test_prefix_walk_check_catches_derivations_joined_in_tree_order(monkeypatch)
 
     monkeypatch.setattr(grammar_module._Derivation, "walk", tree_order)
     grammar = parse_grammar(PREFIX_GRAMMAR)
+    with pytest.raises(AssertionError):
+        _prefix_walk_checked(grammar, ("noun", "verb", "verb"), frozenset())
+
+
+def _shared(branches):
+    """``branches`` left-factored: branches of one symbol merged, as below the start symbol."""
+    merged = {}
+    for branch in branches:
+        old = merged.get(branch[0])
+        merged[branch[0]] = branch if old is None else old[:4] + (
+            min(old[4], branch[4]), old[5] | branch[5], old[6] + branch[6], old[7] + branch[7]
+        )
+    return tuple(branch[:7] + (_shared(branch[7]),) for branch in merged.values())
+
+
+def test_prefix_walk_check_catches_a_root_stream_over_a_shared_tree(monkeypatch):
+    """A root stream over the start symbol's rules left-factored, not chained, fails the check.
+
+    ``S -> A B`` and ``S -> A`` then share the branch of ``A``, and the
+    stream yields each ``S -> A`` derivation among those of ``S -> A B``.
+    """
+    stream = grammar_module._Derivation.stream
+
+    def shared_stream(self, branches, *args):
+        return stream(self, _shared(branches), *args)
+
+    monkeypatch.setattr(grammar_module._Derivation, "stream", shared_stream)
+    grammar = parse_grammar(PREFIX_GRAMMAR)
+    assert len(grammar.table(frozenset()).prefixes["S"]) == 2
     with pytest.raises(AssertionError):
         _prefix_walk_checked(grammar, ("noun", "verb", "verb"), frozenset())

@@ -1,5 +1,10 @@
 from make_golden import HAND_WRITTEN, golden_inputs
-from test_planner import CORPUS_ROOT_DERIVATIONS, GOLDEN_BRANCH_EXPANSIONS, GOLDEN_FILL_CALLS
+from test_planner import (
+    CORPUS_ROOT_DERIVATIONS,
+    GOLDEN_BRANCH_EXPANSIONS,
+    GOLDEN_COVER_ENDS,
+    GOLDEN_FILL_CALLS,
+)
 from work_counts import count_work, main
 
 # What ``python tests/work_counts.py`` prints for the bundled resources.
@@ -12,6 +17,7 @@ nonterminal_expansions          262      873
 memo_derivations                566     1585
 memo_derivations_in_plans       332      963
 root_derivations                135      388
+cover_ends                      269     2784
 plans                           135      388
 """
 
@@ -27,6 +33,7 @@ def test_work_counts_repeat_and_agree_with_the_planner_pins(resources):
     assert corpus["root_derivations"] == corpus["plans"] == CORPUS_ROOT_DERIVATIONS
     golden = count_work(golden_inputs(resources.lexicon), resources)
     assert golden["fill_calls"] == GOLDEN_FILL_CALLS
+    assert golden["cover_ends"] == GOLDEN_COVER_ENDS
     # The bundled start rules' bodies hold no terminal, so every terminal
     # expansion is a prefix-tree branch's.
     assert golden["terminal_expansions"] == GOLDEN_BRANCH_EXPANSIONS[1]

@@ -14,10 +14,16 @@ Generates, with no cap, each of the 20 hand-written corpus lists
 - ``memo_derivations``: derivations in the nonterminal lists the search
   memoizes, and ``memo_derivations_in_plans`` how many of them are a
   subtree of some plan;
-- ``root_derivations``: derivations of the start symbol;
+- ``root_derivations``: derivations of the start symbol, as ``derive``
+  yields them to the planner;
+- ``cover_ends``: calls of ``_Cover.ends``, the ``covers`` chart's one
+  step per (symbol, start position) read, memo hits included;
 - ``plans``: the plans ``plan_structures`` returns.
 
-The counts wrap only ``_Derivation.expand``, ``_Derivation.derivations``,
+The search and ``covers`` read one prefix tree per nonterminal, its
+rules left-factored, so a body prefix that several rules share counts
+once; the start symbol's tree is one chain per rule. The counts wrap only
+``_Derivation.expand``, ``_Cover.ends``, ``planner.derive``,
 ``planner._fill_terminal`` and ``pipeline.plan_structures``, so the script
 also counts an older checkout: put that checkout's ``src`` on
 ``PYTHONPATH`` instead.
@@ -29,7 +35,7 @@ from unittest import mock
 from make_golden import HAND_WRITTEN, golden_inputs
 
 from fraseo import pipeline, planner
-from fraseo.grammar import _Derivation
+from fraseo.grammar import _Cover, _Derivation
 from fraseo.pipeline import generate, load_default_resources
 
 COUNTERS = (
@@ -39,6 +45,7 @@ COUNTERS = (
     "memo_derivations",
     "memo_derivations_in_plans",
     "root_derivations",
+    "cover_ends",
     "plans",
 )
 
@@ -53,8 +60,8 @@ def count_work(inputs, resources):
     """The ``COUNTERS`` of generating each keyword list of ``inputs`` once, as a dict."""
     counts = dict.fromkeys(COUNTERS, 0)
     memo_lists = {}  # id -> the list, kept alive so that no id is reused within a call
-    fill, expand, derivations = planner._fill_terminal, _Derivation.expand, _Derivation.derivations
-    plan = pipeline.plan_structures
+    fill, derive, plan = planner._fill_terminal, planner.derive, pipeline.plan_structures
+    expand, ends = _Derivation.expand, _Cover.ends
 
     def counting_fill(*args):
         counts["fill_calls"] += 1
@@ -70,10 +77,14 @@ def count_work(inputs, resources):
                 memo_lists[id(found)] = found
         return found
 
-    def counting_derivations(self, symbol, parent, state, usage):
-        for item in derivations(self, symbol, parent, state, usage):
-            counts["root_derivations"] += parent is None
+    def counting_derive(*args):
+        for item in derive(*args):
+            counts["root_derivations"] += 1
             yield item
+
+    def counting_ends(self, *args):
+        counts["cover_ends"] += 1
+        return ends(self, *args)
 
     def counting_plan(*args):
         plans = plan(*args)
@@ -86,10 +97,10 @@ def count_work(inputs, resources):
         return plans
 
     with mock.patch.object(planner, "_fill_terminal", counting_fill), mock.patch.object(
-        _Derivation, "expand", counting_expand
-    ), mock.patch.object(_Derivation, "derivations", counting_derivations), mock.patch.object(
-        pipeline, "plan_structures", counting_plan
-    ):
+        planner, "derive", counting_derive
+    ), mock.patch.object(_Derivation, "expand", counting_expand), mock.patch.object(
+        _Cover, "ends", counting_ends
+    ), mock.patch.object(pipeline, "plan_structures", counting_plan):
         for words in inputs:
             generate(list(words), resources, max_candidates=0)
             counts["memo_derivations"] += sum(len(derived) for derived in memo_lists.values())
