@@ -44,23 +44,18 @@ def _canonical_json(payload):
     return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
 
 
-def _render_tree(node, fills, counter=None):
-    """Parenthesized tree with the pre-inflection fill surfaces at leaves."""
-    if counter is None:
-        counter = [0]
+def _render_tree(node):
+    """Parenthesized plan tree with each leaf's pre-inflection fill surface."""
     if node.is_leaf:
-        fill = fills[counter[0]]
-        counter[0] += 1
-        return "(%s %s)" % (node.symbol, fill.surface)
-    children = " ".join(_render_tree(child, fills, counter) for child in node.children)
-    return "(%s %s)" % (node.symbol, children)
+        return "(%s %s)" % (node.symbol, node.payload.surface)
+    return "(%s %s)" % (node.symbol, " ".join(map(_render_tree, node.children)))
 
 
 def _candidate_payload(candidate):
     plan = candidate.plan
     return {
         "text": candidate.text,
-        "tree": _render_tree(plan.tree, plan.slot_assignment),
+        "tree": _render_tree(plan.tree),
         "insertions": [
             {"position": position, "category": category.value, "rationale": rationale}
             for position, category, rationale in plan.inserted

@@ -18,7 +18,9 @@ times on any root-to-leaf path, which keeps enumeration finite.
 
 All searches over the grammar go through one function, ``derive``: a
 memoized top-down search that asks a caller-supplied fill for each
-terminal's choices. ``enumerate_trees`` accepts every terminal, and the
+terminal's choices. Each choice becomes a leaf that carries the fill's
+payload, so a derivation is one tree and nothing is kept beside it.
+``enumerate_trees`` accepts every terminal with no payload, and the
 planner fills terminals with keywords and inserted function words. Every
 step of the search is memoized (Norvig 1991, "Techniques for Automatic
 Memoization with Applications to Context-Free Parsing"), for one run: a
@@ -87,13 +89,15 @@ class TreeNode(Value):
     """Derivation tree node; terminal leaves have no children.
 
     ``symbol`` is always the plain ``str`` name of the nonterminal or
-    terminal category. Searches share subtrees and leaves between trees, so
-    a leaf is identified by its position in ``leaf_sequence()``, never by
-    object identity.
+    terminal category. ``payload`` is what a search's fill chose for a
+    leaf, such as the planner's SlotFill, and None on a nonterminal and on
+    an ``enumerate_trees`` leaf. Searches share subtrees and leaves between
+    trees, so a leaf is identified by its position in ``leaf_sequence()``,
+    never by object identity.
     """
 
-    __slots__ = ("symbol", "children")
-    _defaults = {"children": ()}
+    __slots__ = ("symbol", "children", "payload")
+    _defaults = {"children": (), "payload": None}
 
     @property
     def is_leaf(self):
@@ -314,33 +318,30 @@ def load_grammar(path):
         raise type(exc)(exc.reason, exc.line, path) from None
 
 
-_LEAF_CACHE = {name: TreeNode(symbol=name) for name in TERMINALS}
-
-
 def derive(grammar, fill, state=None, masks=None, insertable=frozenset()):
     """Derivations of the start symbol, lazily, in deterministic DFS order.
 
     The package's one grammar search. Rules are tried in file order and
     rule bodies expand leftmost first. ``fill(name, parent_head,
-    grandparent_head, state)`` returns the ``(payloads, new_state)`` choices
+    grandparent_head, state)`` returns the ``(payload, new_state)`` choices
     for terminal ``name`` whose parent node is headed ``parent_head`` and
     grandparent ``grandparent_head`` (None above the root); a terminal with
     no choices cuts the branch. ``state`` threads left to right through the
     leaves and must be hashable.
 
-    Returns an iterator of ``(tree, payloads, end_state)``, where
-    ``payloads`` concatenates the leaves' payload tuples in leaf order. The
-    derivations of each nonterminal below the start symbol are memoized on
-    (symbol, parent head, state, path usage), the usage counting each
-    nonterminal's occurrences on the path from the root; none may exceed
-    ``grammar.depth_limit``. A terminal's choices are memoized on the
-    fill's own arguments, (name, parent head, grandparent head, state), so
-    ``fill`` is called at most once per distinct arguments in a run and
-    must return the same choices for the same arguments. Memoized
-    subtrees, leaves and payloads are shared between trees. A memoized
-    nonterminal's list comes from one walk over its rules' prefix tree
-    (``GrammarTable.prefixes``), which expands a shared body prefix once
-    and keeps each rule's derivations apart, joined in file order. The
+    Returns an iterator of ``(tree, end_state)``. Each leaf of ``tree``
+    holds its choice's payload, so the tree is the derivation's one
+    record. The derivations of each nonterminal below the start symbol are
+    memoized on (symbol, parent head, state, path usage), the usage
+    counting each nonterminal's occurrences on the path from the root; none
+    may exceed ``grammar.depth_limit``. A terminal's choices are memoized
+    on the fill's own arguments, (name, parent head, grandparent head,
+    state), so ``fill`` is called at most once per distinct arguments in a
+    run and must return the same choices for the same arguments. Memoized
+    subtrees and leaves, one leaf per choice, are shared between trees. A
+    memoized nonterminal's list comes from one walk over its rules' prefix
+    tree (``GrammarTable.prefixes``), which expands a shared body prefix
+    once and keeps each rule's derivations apart, joined in file order. The
     start symbol's derivations are streamed from its tree of one chain per
     rule, never all held at once: an unbounded search can yield tens of
     thousands of trees.
@@ -361,16 +362,19 @@ def derive(grammar, fill, state=None, masks=None, insertable=frozenset()):
     that of the search without ``masks``, and the memo stays exact because
     a cut depends only on the suffix and the state. No root derivation that
     ends before the last token is built. With ``masks`` None nothing is
-    cut. A masked search needs a start: without ``state`` it raises
-    ValueError.
+    cut. A masked search needs a start: without ``state``, or with a
+    ``state[0]`` outside ``0..len(masks)``, it raises ValueError.
     """
-    if masks is not None and state is None:
-        raise ValueError("a masked search needs a start state: state[0] is the token position")
+    if masks is not None and (state is None or not 0 <= state[0] <= len(masks)):
+        raise ValueError(
+            "a masked search needs a start state whose state[0], the token position,"
+            " lies in 0..%d: got %r" % (len(masks), state)
+        )
     if masks is not None and not covers(grammar, masks[state[0]:], insertable):
         return iter(())
     start_usage = tuple(int(name == grammar.start) for name in grammar.rules_for)
     search = _Derivation(grammar, fill, masks, insertable)
-    return search.stream(search.prefixes[grammar.start], grammar.start, state, start_usage, (), ())
+    return search.stream(search.prefixes[grammar.start], grammar.start, state, start_usage, ())
 
 
 class _Derivation:
@@ -394,21 +398,21 @@ class _Derivation:
         self.memo = {}
 
     def expand(self, name, slot, parent, grandparent, state, usage):
-        """(node, payloads, end_state) choices for one body symbol, memoized.
+        """(node, end_state) choices for one body symbol, memoized.
 
         A terminal's key is (name, parent, grandparent, state), the fill's
-        arguments; a nonterminal's is (name, parent, state, usage). The two
-        cannot collide, because no terminal heads a rule. A nonterminal's
-        list is ``walk``'s per-rule buckets joined in file order.
+        arguments, and each of its choices is a leaf of its own; a
+        nonterminal's is (name, parent, state, usage). The two cannot
+        collide, because no terminal heads a rule. A nonterminal's list is
+        ``walk``'s per-rule buckets joined in file order.
         """
         if slot is None:
             key = (name, parent, grandparent, state)
             found = self.memo.get(key)
             if found is None:
-                leaf = _LEAF_CACHE[name]
                 found = self.memo[key] = [
-                    (leaf, payloads, end)
-                    for payloads, end in self.fill(name, parent, grandparent, state)
+                    (TreeNode(name, (), payload), end)
+                    for payload, end in self.fill(name, parent, grandparent, state)
                 ]
             return found
         count = usage[slot] + 1
@@ -419,17 +423,17 @@ class _Derivation:
         found = self.memo.get(key)
         if found is None:
             buckets = [[] for _ in self.rules_for[name]]
-            self.walk(self.prefixes[name], name, parent, state, usage, (), (), buckets)
+            self.walk(self.prefixes[name], name, parent, state, usage, (), buckets)
             found = self.memo[key] = [item for bucket in buckets for item in bucket]
         return found
 
-    def walk(self, branches, head, parent, state, usage, children, payloads, buckets):
+    def walk(self, branches, head, parent, state, usage, children, buckets):
         """Complete every rule body below one prefix-tree node into ``buckets``.
 
-        ``children`` and ``payloads`` are the prefix built so far, which
-        ends at ``state``. A branch whose suffix the input left at ``state``
-        cannot fill is skipped before its symbol is expanded. Each finished
-        rule goes to its own bucket, ``buckets[rule]``, in DFS order.
+        ``children`` is the prefix built so far, which ends at ``state``.
+        A branch whose suffix the input left at ``state`` cannot fill is
+        skipped before its symbol is expanded. Each finished rule goes to
+        its own bucket, ``buckets[rule]``, in DFS order.
         """
         pending = self.pending
         for name, slot, _need, _first, need, first, ends, after in branches:
@@ -437,15 +441,14 @@ class _Derivation:
                 left, cats = pending[state[0]]
                 if need > left or not cats & first:
                     continue
-            for node, more, end in self.expand(name, slot, head, parent, state, usage):
+            for node, end in self.expand(name, slot, head, parent, state, usage):
                 built = children + (node,)
-                joined = payloads + more
                 for rule in ends:
-                    buckets[rule].append((TreeNode(head, built), joined, end))
+                    buckets[rule].append((TreeNode(head, built), end))
                 if after:
-                    self.walk(after, head, parent, end, usage, built, joined, buckets)
+                    self.walk(after, head, parent, end, usage, built, buckets)
 
-    def stream(self, branches, head, state, usage, children, payloads):
+    def stream(self, branches, head, state, usage, children):
         """The start symbol's derivations below one branch node, streamed, never held.
 
         The same walk as ``walk`` for the root, whose parent is None, but a
@@ -460,17 +463,15 @@ class _Derivation:
                 left, cats = pending[state[0]]
                 if need > left or not cats & first:
                     continue
-            for node, more, end in self.expand(name, slot, head, None, state, usage):
+            for node, end in self.expand(name, slot, head, None, state, usage):
                 if ends and (last is None or end[0] == last):
-                    yield TreeNode(head, children + (node,)), payloads + more, end
+                    yield TreeNode(head, children + (node,)), end
                 if after:
-                    yield from self.stream(
-                        after, head, end, usage, children + (node,), payloads + more
-                    )
+                    yield from self.stream(after, head, end, usage, children + (node,))
 
 
 def _accept_any(name, parent, grandparent, state):
-    return (((), state),)
+    return ((None, state),)
 
 
 def enumerate_trees(grammar):
@@ -479,7 +480,7 @@ def enumerate_trees(grammar):
     Order follows rule file order with leftmost expansion; no tree re-enters
     any nonterminal more than ``grammar.depth_limit`` times on one path.
     """
-    for tree, _payloads, _state in derive(grammar, _accept_any):
+    for tree, _state in derive(grammar, _accept_any):
         yield tree
 
 

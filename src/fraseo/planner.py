@@ -40,9 +40,10 @@ reflexive clitic from the verb usage model. The realizer only renders them.
 The planner owns the grammar's phrase roles (PHRASE_NAMES; ``check_grammar``
 rejects other names). Every role clause reads a node and its parent, as
 the fill reads a terminal's parent and grandparent; ``_plan_roles`` states
-the clauses. One walk of each plan tree decides them and records on the
-plan the subject span and what each determiner and adjective agrees with,
-so the realizer never reads the tree.
+the clauses. Each leaf of a plan tree carries its SlotFill. One walk of
+each plan tree decides the roles and records on the plan the leaves'
+fills in order, the subject span and what each determiner and adjective
+agrees with, so the realizer never reads the tree.
 """
 
 from __future__ import annotations
@@ -193,11 +194,11 @@ class SlotFill(Value):
 class SentencePlan(Value):
     """A fully lexicalized structure candidate, ready for realization.
 
-    ``tree`` is a grammar.TreeNode and ``slot_assignment`` holds a SlotFill
-    per leaf, in leaf order. ``reflexive`` says the finite verb takes a
-    reflexive clitic. ``agreement_targets`` gives per leaf the leaf position
-    of the noun a determiner or adjective agrees with, SUBJECT_AGREEMENT or
-    NO_AGREEMENT.
+    ``tree`` is a grammar.TreeNode whose leaves carry their SlotFills, and
+    ``slot_assignment`` holds those SlotFills in leaf order. ``reflexive``
+    says the finite verb takes a reflexive clitic. ``agreement_targets``
+    gives per leaf the leaf position of the noun a determiner or adjective
+    agrees with, SUBJECT_AGREEMENT or NO_AGREEMENT.
     """
 
     __slots__ = (
@@ -327,7 +328,9 @@ def insert_default_subject(subject_tokens, lexicon):
 
 
 def _fill_terminal(lexicon, lm, tokens, supplied, name, parent, grandparent, state):
-    """(payloads, new_state) choices for a terminal slot of the grammar search.
+    """(SlotFill, new_state) choices for a terminal slot of the grammar search.
+
+    The search puts each choice's SlotFill on a leaf of its own.
 
     The state is (token position, main verb lemma). A slot takes the pending
     token when it reads as the slot's category; the first ``supplied``
@@ -356,7 +359,7 @@ def _fill_terminal(lexicon, lm, tokens, supplied, name, parent, grandparent, sta
                 form=form,
                 rationale=RATIONALE_DEFAULT_SUBJECT if pos < supplied else None,
             )
-            choices.append(((fill,), (pos + 1, new_verb)))
+            choices.append((fill, (pos + 1, new_verb)))
         return choices
     # The pending token does not fit: only function words may be invented.
     surface = _INSERTED.get(name)
@@ -372,7 +375,7 @@ def _fill_terminal(lexicon, lm, tokens, supplied, name, parent, grandparent, sta
         fill = lexicon.interned[name, surface] = SlotFill(
             category=category, surface=surface, entry=entry, form=form, rationale=name
         )
-    return (((fill,), state),)
+    return ((fill, state),)
 
 
 def _dominant_preposition(lm, lemma):
@@ -383,8 +386,11 @@ def _dominant_preposition(lm, lemma):
     return top[0]
 
 
-def _plan_roles(lm, tree, fills):
-    """(deviations, agreement targets, subject leaf count) of one plan, from one walk.
+def _plan_roles(lm, tree):
+    """(deviations, agreement targets, subject leaf count, slot assignment) of one plan.
+
+    One walk decides them all; the slot assignment is the leaves' SlotFills
+    in leaf order.
 
     Every clause reads a node and its parent. The deviations count how far
     the plan strays from the house realization policy (``plan_structures``
@@ -395,24 +401,25 @@ def _plan_roles(lm, tree, fills):
     coordination member) or the noun is singular, so a plural direct object
     goes bare. A missing wanted determiner, or an inserted unwanted one,
     deviates. Each PRED whose verb has a dominant preposition profile
-    deviates when its second child is neither an SP nor a preposition.
+    deviates when its second child is neither an SP nor a preposition; the
+    walk judges a PRED after its children, from its first leaf's fill.
     Explicit user words never count against a plan. Determiners and SADJ
     adjectives agree with the noun of their parent phrase; an SADJ under
     PRED with the subject. The subject span is the leaves of the root's
     first child, when the root has two children.
     """
-    targets = []
+    fills, targets = [], []
     deviations = _walk_roles(lm, tree, None, None, fills, targets)
     agreement = tuple(
         target[0] if isinstance(target, list) else target  # a phrase: agree with its noun
         for target in targets
     )
     subject = len(tree.children[0].leaf_sequence()) if len(tree.children) == 2 else 0
-    return deviations, agreement, subject
+    return deviations, agreement, subject, tuple(fills)
 
 
 def _walk_roles(lm, node, parent, outer, fills, targets):
-    """The deviations under ``node``; appends its leaves' targets.
+    """The deviations under ``node``; appends its leaves' fills and targets.
 
     ``parent`` names the node's parent and ``outer`` is the parent's phrase:
     for an SNS/SN, a one-item list that takes its noun's leaf position when
@@ -423,9 +430,6 @@ def _walk_roles(lm, node, parent, outer, fills, targets):
     children = node.children
     first = len(targets)
     deviations = 0
-    if name == "PRED" and len(children) > 1 and children[1].symbol not in ("SP", _PREPOSITION):
-        entry = fills[first].entry
-        deviations = entry is not None and _dominant_preposition(lm, entry.lemma) is not None
     phrase = [NO_AGREEMENT] if name in _NOMINAL_PHRASES else None
     for child in children:
         symbol = child.symbol
@@ -433,17 +437,18 @@ def _walk_roles(lm, node, parent, outer, fills, targets):
             deviations += _walk_roles(lm, child, name, phrase, fills, targets)
             continue
         position = len(targets)
+        fills.append(child.payload)
         target = NO_AGREEMENT
         if symbol == _NOUN:
             determiner, context = None, name
             if phrase is not None:
                 phrase[0], context = position, parent
                 if children[0].symbol == _DETERMINER:
-                    determiner = first
+                    determiner = children[0].payload
             # An explicit determiner never deviates; a missing one deviates
             # where a determiner is wanted, an inserted one where it is not.
-            if determiner is None or fills[determiner].is_inserted:
-                form = fills[position].form
+            if determiner is None or determiner.is_inserted:
+                form = child.payload.form
                 plural = form is not None and form.features.number is _PLURAL
                 deviations += (context in _DETERMINED or not plural) == (determiner is None)
         elif symbol == _DETERMINER:
@@ -451,6 +456,9 @@ def _walk_roles(lm, node, parent, outer, fills, targets):
         elif symbol == _ADJECTIVE and name == "SADJ":
             target = outer or (SUBJECT_AGREEMENT if parent == "PRED" else NO_AGREEMENT)
         targets.append(target)
+    if name == "PRED" and len(children) > 1 and children[1].symbol not in ("SP", _PREPOSITION):
+        entry = fills[first].entry
+        deviations += entry is not None and _dominant_preposition(lm, entry.lemma) is not None
     return deviations
 
 
@@ -497,11 +505,11 @@ def plan_structures(tokens, grammar, lexicon, lm):
     masks = [token.mask for token in searched]
     plans = []
     for start in range(supplied + 1):
-        for tree, fills, (_, verb) in derive(grammar, fill, (start, None), masks, _INSERTABLE):
+        for tree, (_, verb) in derive(grammar, fill, (start, None), masks, _INSERTABLE):
             # Only a search from token 0 has a subject, whose plans have a two-child root.
             if (len(tree.children) == 2) != (start == 0):
                 continue
-            deviations, agreement, subject_leaves = _plan_roles(lm, tree, fills)
+            deviations, agreement, subject_leaves, fills = _plan_roles(lm, tree)
             reflexive = reflexive_forced or (
                 verb is not None
                 and lm.reflexive_probability(verb) > REFLEXIVE_THRESHOLD
@@ -510,7 +518,7 @@ def plan_structures(tokens, grammar, lexicon, lm):
                 SentencePlan(
                     mode=mode,
                     tree=tree,
-                    slot_assignment=tuple(fills),
+                    slot_assignment=fills,
                     deviations=deviations + start,
                     discovery_index=len(plans),
                     tense=tense,

@@ -118,7 +118,7 @@ def golden_record(words, resources):
             {
                 "deviations": plan.deviations,
                 "discovery": plan.discovery_index,
-                "tree": _render_tree(plan.tree, plan.slot_assignment),
+                "tree": _render_tree(plan.tree),
                 "insertions": [
                     [position, category.value, rationale]
                     for position, category, rationale in plan.inserted

@@ -6,7 +6,8 @@ inside each unit. ``reference_unify_entries`` is the two-entry unification
 as it stood before it was folded into the builder's merge path.
 ``reference_covers`` is the whole-input cover check without the FIRST-set
 filter on start positions. ``reference_derive`` is the grammar search with
-no memo and no lookahead. ``match_leaf_sequence`` runs ``grammar.derive``
+no memo and no lookahead, and ``leaf_payloads`` reads a derivation's fill
+choices off its leaves. ``match_leaf_sequence`` runs ``grammar.derive``
 over a category sequence, as the planner runs it over keywords, so tests
 can check the masked search without a lexicon. ``reference_plan_roles``
 scores a plan leaf by leaf from each leaf's parent and the node above it,
@@ -216,36 +217,42 @@ def reference_covers(grammar, masks, insertable):
 
 
 def reference_derive(grammar, fill, state=None):
-    """Every ``(tree, payloads, end_state)`` of ``grammar.derive``, as a list.
+    """Every ``(tree, end_state)`` of ``grammar.derive``, as a list.
 
     A plain recursive enumerator: rules in file order, bodies expanded
     leftmost first, ``fill(name, parent, grandparent, state)`` called at
-    every terminal it reaches, and a nonterminal cut when it would occur
-    more than ``grammar.depth_limit`` times on its path from the root. It
-    keeps no memo and cuts nothing by lookahead.
+    every terminal it reaches, each ``(payload, end)`` choice a new leaf
+    holding the payload, and a nonterminal cut when it would occur more
+    than ``grammar.depth_limit`` times on its path from the root. It keeps
+    no memo and cuts nothing by lookahead.
     """
 
     def symbol(name, parent, grandparent, state, path):
         if name in TERMINALS:
-            for payloads, end in fill(name, parent, grandparent, state):
-                yield TreeNode(name), payloads, end
+            for payload, end in fill(name, parent, grandparent, state):
+                yield TreeNode(name, (), payload), end
             return
         path = path + (name,)
         if path.count(name) > grammar.depth_limit:
             return
         for rule in grammar.rules_for[name]:
-            for children, payloads, end in sequence(rule.body, name, parent, state, path):
-                yield TreeNode(name, children), payloads, end
+            for children, end in sequence(rule.body, name, parent, state, path):
+                yield TreeNode(name, children), end
 
     def sequence(body, head, parent, state, path):
         if not body:
-            yield (), (), state
+            yield (), state
             return
-        for node, payloads, middle in symbol(body[0], head, parent, state, path):
-            for rest, more, end in sequence(body[1:], head, parent, middle, path):
-                yield (node,) + rest, payloads + more, end
+        for node, middle in symbol(body[0], head, parent, state, path):
+            for rest, end in sequence(body[1:], head, parent, middle, path):
+                yield (node,) + rest, end
 
     return list(symbol(grammar.start, None, None, state, ()))
+
+
+def leaf_payloads(tree):
+    """The payloads of ``tree``'s leaves, in leaf order."""
+    return tuple(nodes[-1].payload for _path, nodes in _leaf_paths(tree))
 
 
 def match_leaf_sequence(grammar, cats):
@@ -263,11 +270,11 @@ def match_leaf_sequence(grammar, cats):
     def fill(name, parent, grandparent, state):
         (position,) = state
         if position < len(cats) and cats[position] == name:
-            return (((), (position + 1,)),)
+            return ((None, (position + 1,)),)
         return ()
 
     masks = [TERMINAL_BITS.get(cat, 0) for cat in cats]
-    return [tree for tree, _payloads, _end in derive(grammar, fill, (0,), masks)]
+    return [tree for tree, _end in derive(grammar, fill, (0,), masks)]
 
 
 def _leaf_paths(node, path=(), nodes=()):
@@ -279,13 +286,14 @@ def _leaf_paths(node, path=(), nodes=()):
         yield from _leaf_paths(child, path + (index,), nodes)
 
 
-def reference_plan_roles(lm, tree, fills, elided_default):
+def reference_plan_roles(lm, tree, elided_default):
     """(deviations, agreement targets, subject leaf count) of a plan, leaf by leaf.
 
-    Each leaf's roles come from its parent and the node above, read off its
-    path from the root. A noun's phrase is its parent when that is an
-    SNS/SN, with the node above as the phrase's context, and otherwise the
-    noun alone, with its parent as context. The noun wants a determiner in
+    Each leaf's roles come from its fill, the leaf's payload, its parent
+    and the node above, read off its path from the root. A noun's phrase
+    is its parent when that is an SNS/SN, with the node above as the
+    phrase's context, and otherwise the noun alone, with its parent as
+    context. The noun wants a determiner in
     a subject (S), preposition (SP) or coordination (SNC) context, or when
     singular; it deviates when it lacks a wanted determiner (the phrase's
     first child, when that is a determiner leaf) or has an unwanted
@@ -299,6 +307,7 @@ def reference_plan_roles(lm, tree, fills, elided_default):
     """
     leaves = list(_leaf_paths(tree))
     position = {path: pos for pos, (path, _nodes) in enumerate(leaves)}
+    fills = leaf_payloads(tree)
 
     def noun_of(phrase, phrase_path):
         nouns = [i for i, child in enumerate(phrase.children) if child.symbol == "noun"]
@@ -369,7 +378,7 @@ def _reference_fill(lexicon, lm, tokens, default, name, parent, grandparent, sta
                 category=category, surface=token.raw, token=token,
                 entry=entry, form=form, rationale=rationale,
             )
-            choices.append(((fill,), (pos + 1, entry.lemma if first_verb else verb)))
+            choices.append((fill, (pos + 1, entry.lemma if first_verb else verb)))
         return choices
     surface = _INSERTED.get(name)
     if name == "preposition" and "PRED" in (parent, grandparent if parent == "SP" else None):
@@ -385,11 +394,13 @@ def _reference_fill(lexicon, lm, tokens, default, name, parent, grandparent, sta
         category=category, surface=surface, entry=entry,
         form=entry.forms[0] if entry else None, rationale=name,
     )
-    return (((fill,), state),)
+    return ((fill, state),)
 
 
 def reference_plan_structures(tokens, grammar, lexicon, lm):
     """``[(tree, slot_assignment)]`` of ``planner.plan_structures`` in discovery order.
+
+    The slot assignment is the tree's leaf payloads, in leaf order.
 
     Brute force, with a token list per subject attempt: split the content
     tokens at the first verb-readable one, drop a trailing pronoun ``se``
@@ -423,7 +434,7 @@ def reference_plan_structures(tokens, grammar, lexicon, lm):
     plans = []
     for attempt, has_subject, default in attempts:
         fill = partial(_reference_fill, lexicon, lm, attempt, default)
-        for tree, fills, (end, _verb) in reference_derive(grammar, fill, (0, None)):
+        for tree, (end, _verb) in reference_derive(grammar, fill, (0, None)):
             if end == len(attempt) and (len(tree.children) == 2) == has_subject:
-                plans.append((tree, tuple(fills)))
+                plans.append((tree, leaf_payloads(tree)))
     return plans

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from make_golden import golden_inputs, golden_record
-from oracles import match_leaf_sequence, reference_covers, reference_derive
+from oracles import leaf_payloads, match_leaf_sequence, reference_covers, reference_derive
 
 import fraseo.grammar as grammar_module
 from fraseo.errors import CycleError, GrammarParseError, UndefinedSymbolError
@@ -145,14 +145,13 @@ def test_match_leaf_sequence_lookahead_keeps_every_derivation(grammar, monkeypat
             work[side] += 1
             return fill(*args)
 
-        found = derive(grammar, counting, state, masks)
-        return [(str(tree), payloads, end) for tree, payloads, end in found]
+        return list(derive(grammar, counting, state, masks))
 
     def both(grammar, fill, state=None, masks=None, insertable=frozenset()):
         assert masks is not None and insertable == frozenset()
         pruned = run(grammar, fill, state, masks, "pruned")
         full = run(grammar, fill, state, None, "full")
-        assert pruned == [found for found in full if found[2][0] == len(masks)]
+        assert pruned == [found for found in full if found[1][0] == len(masks)]
         return iter(derive(grammar, fill, state, masks))
 
     monkeypatch.setattr(oracles, "derive", both)
@@ -294,12 +293,12 @@ def test_lookahead_cuts_work_not_derivations():
             calls.append(name)
             (position,) = state
             if position < len(cats) and cats[position] == name:
-                return ((((name, position),), (position + 1,)),)
-            return ((((name, None),), state),) if name in insertable else ()
+                return (((name, position), (position + 1,)),)
+            return (((name, None), state),) if name in insertable else ()
 
         masks = [mask(cat) for cat in cats] if pruned else None
         found = derive(grammar, fill, (0,), masks, insertable)
-        found = [(str(tree), payloads, end) for tree, payloads, end in found]
+        found = [(str(tree), leaf_payloads(tree), end) for tree, end in found]
         return [item for item in found if item[2][0] == len(cats)], len(calls)
 
     for cats in (
@@ -336,8 +335,8 @@ def test_derive_checks_cover_before_any_search_setup(monkeypatch):
         calls.append(name)
         (position,) = state
         if position < len(cats) and cats[position] == name:
-            return (((), (position + 1,)),)
-        return (((), state),) if name in insertable else ()
+            return ((None, (position + 1,)),)
+        return ((None, state),) if name in insertable else ()
 
     monkeypatch.setattr(grammar_module, "_Derivation", CountedDerivation)
     cats = ("verb", "noun", "noun")
@@ -349,9 +348,9 @@ def test_derive_checks_cover_before_any_search_setup(monkeypatch):
     # yields only the derivations that consume all three.
     cats = ("pronoun", "verb", "noun")
     masks = [mask(cat) for cat in cats]
-    full = {end for _tree, _payloads, end in derive(grammar, fill, (0,), None, insertable)}
+    full = {end for _tree, end in derive(grammar, fill, (0,), None, insertable)}
     assert {(2,), (3,)} <= full
-    bounded = [end for _tree, _payloads, end in derive(grammar, fill, (0,), masks, insertable)]
+    bounded = [end for _tree, end in derive(grammar, fill, (0,), masks, insertable)]
     assert bounded and set(bounded) == {(3,)}
     assert len(searches) == 2
 
@@ -364,11 +363,11 @@ def test_masked_derive_checks_cover_from_its_start(grammar):
         def fill(name, parent, grandparent, state):
             (position,) = state
             if position < len(cats) and cats[position] == name:
-                return ((((name, position),), (position + 1,)),)
-            return ((((name, None),), state),) if name in insertable else ()
+                return (((name, position), (position + 1,)),)
+            return (((name, None), state),) if name in insertable else ()
 
         found = derive(grammar, fill, (start,), masks, insertable)
-        return [(str(tree), payloads, end) for tree, payloads, end in found]
+        return [(str(tree), leaf_payloads(tree), end) for tree, end in found]
 
     answered = 0
     for cats, start in (
@@ -498,16 +497,31 @@ def test_dfs_paths_detects_cycles():
 
 
 def test_masked_derive_needs_a_start(grammar):
-    """A masked search reads its token position from the state, so it needs one."""
+    """A masked search reads its token position from the state, so it needs one in the input.
+
+    A start past the end or before the first token is refused before any
+    work, even where the start symbol derives no token, so ``covers``
+    accepts the empty rest of the input.
+    """
     calls = []
 
     def fill(name, parent, grandparent, state):
         calls.append(name)
-        return ()
+        return ((None, state if name == "determiner" else (state[0] + 1,)),)
 
     with pytest.raises(ValueError, match=r"start.*state\[0\]"):
         derive(grammar, fill, None, [TERMINAL_BITS["verb"]])
+    nullable = parse_grammar("S -> determiner\nS -> noun")
+    insertable = frozenset({"determiner"})
+    masks = [TERMINAL_BITS["noun"]]
+    for start in ((2,), (-1,)):
+        with pytest.raises(ValueError, match=r"start.*state\[0\].*%s" % re.escape(repr(start))):
+            derive(nullable, fill, start, masks, insertable)
     assert calls == []
+    # Both ends of the input are starts.
+    found = {start: [str(tree) for tree, _end in derive(nullable, fill, start, masks, insertable)]
+             for start in ((0,), (1,))}
+    assert found == {(0,): ["S(noun)"], (1,): ["S(determiner)"]}
 
 
 # Heads whose rules share body prefixes: A's rules that start with noun are
@@ -587,15 +601,15 @@ def _prefix_walk_checked(grammar, cats, insertable):
         (position,) = state
         choices = []
         if position < len(cats) and cats[position] == name:
-            choices.append((((name, position),), (position + 1,)))
+            choices.append(((name, position), (position + 1,)))
         if name in insertable:
-            choices.append((((name, None),), state))
+            choices.append(((name, None), state))
         return choices
 
     reference = reference_derive(grammar, fill, (0,))
     assert list(derive(grammar, fill, (0,))) == reference, cats
     masks = [TERMINAL_BITS[cat] for cat in cats]
-    ended = [item for item in reference if item[2][0] == len(cats)]
+    ended = [item for item in reference if item[1][0] == len(cats)]
     assert list(derive(grammar, fill, (0,), masks, insertable)) == ended, cats
     return len(reference), len(ended)
 

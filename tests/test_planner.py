@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from make_golden import HAND_WRITTEN, golden_inputs
 from oracles import (
+    leaf_payloads,
     reference_covers,
     reference_derive,
     reference_plan_roles,
@@ -75,8 +76,8 @@ def test_tokenize_keeps_oov_words(lexicon):
     assert tokens[0].readings == {LexicalCategory.proper_name: ((None, None),)}
 
 
-def test_readings_keep_every_category_of_a_surface():
-    """A homograph reads as each of its categories, pairs in lexicon order."""
+def _cante_entries():
+    """(verb ``cantar``, noun ``cante``): ``cante`` is two subjunctive forms and a noun."""
 
     def subjunctive(person):
         features = FeatureBundle(
@@ -98,6 +99,12 @@ def test_readings_keep_every_category_of_a_surface():
         category=LexicalCategory.noun,
         forms=(WordForm("cante", FeatureBundle(number=Number.singular)),),
     )
+    return sing, song
+
+
+def test_readings_keep_every_category_of_a_surface():
+    """A homograph reads as each of its categories, pairs in lexicon order."""
+    sing, song = _cante_entries()
     (token,) = tokenize_and_resolve(["cante"], Lexicon.from_entries([sing, song]))
     assert list(token.readings) == [LexicalCategory.verb, LexicalCategory.noun]
     assert token.readings[LexicalCategory.verb] == ((sing, sing.forms[1]), (sing, sing.forms[2]))
@@ -379,7 +386,7 @@ def test_root_derivations_on_corpus_are_pinned(resources, monkeypatch):
     def counting_derive(grammar, fill, state, masks, insertable):
         for item in derive(grammar, fill, state, masks, insertable):
             roots.append(item)
-            if item[2][0] != len(masks):
+            if item[1][0] != len(masks):
                 short.append(item)
             yield item
 
@@ -413,11 +420,12 @@ def test_generation_leaves_no_garbage_cycles(resources, bundled_fixtures):
 def _pruning_checked(words, resources):
     """Plan ``words`` with every search run with and without its input masks.
 
-    Asserts that the search over the masks gives the (tree, payloads,
-    end_state) stream of the unbounded search with the derivations that
-    end short of the last token left out, in the same order, and that it
-    calls no fill when ``covers`` rejects the masks. Returns the fill calls
-    made (pruned, unpruned) over the searches ``covers`` accepts.
+    Asserts that the search over the masks gives the (tree, end_state)
+    stream of the unbounded search, leaf payloads included, with the
+    derivations that end short of the last token left out, in the same
+    order, and that it calls no fill when ``covers`` rejects the masks.
+    Returns the fill calls made (pruned, unpruned) over the searches
+    ``covers`` accepts.
     """
     calls = [0, 0]
 
@@ -434,7 +442,7 @@ def _pruning_checked(words, resources):
 
         pruned = list(derive(grammar, counted(0), state, masks, insertable))
         full = derive(grammar, counted(1), state)
-        assert pruned == [found for found in full if found[2][0] == len(masks)], words
+        assert pruned == [found for found in full if found[1][0] == len(masks)], words
         if covers(grammar, masks, insertable):
             calls[0] += made[0]
             calls[1] += made[1]
@@ -483,7 +491,7 @@ def _cover_checked(words, resources, check=covers):
         assert masks == search_masks[start[0]:] and insertable == planner._INSERTABLE
         verdicts.append(check(grammar, masks, insertable))
         if not verdicts[-1]:
-            ends = {state[0] for _tree, _fills, state in derive(grammar, fill, start)}
+            ends = {state[0] for _tree, state in derive(grammar, fill, start)}
             assert len(search_masks) not in ends, words
         return verdicts[-1]
 
@@ -585,10 +593,11 @@ def _oracle_checked(words, resources):
 
     With ``covers`` accepting every attempt, each search ``derive`` runs
     must give the stream of ``reference_derive`` with the derivations that
-    end short of the last token left out: the same trees, payloads and end
-    states in the same order. Within one run the fill must be called at
-    most once per argument tuple. Returns, per checked search, the count
-    of ``reference_derive`` derivations and of those that ``derive`` yields.
+    end short of the last token left out: the same trees, their leaves'
+    payloads included, and end states in the same order. Within one run
+    the fill must be called at most once per argument tuple. Returns, per
+    checked search, the count of ``reference_derive`` derivations and of
+    those that ``derive`` yields.
     """
     searches = []
 
@@ -601,7 +610,7 @@ def _oracle_checked(words, resources):
 
         found = list(derive(grammar, counting_fill, state, masks, insertable))
         reference = reference_derive(grammar, fill, state)
-        assert found == [item for item in reference if item[2][0] == len(masks)], words
+        assert found == [item for item in reference if item[1][0] == len(masks)], words
         assert len(calls) == len(set(calls)), words
         searches.append((len(reference), len(found)))
         return iter(found)
@@ -677,6 +686,56 @@ def test_plans_agree_with_reference_planner_on_drawn_lists(words):
     assert _planner_oracle_mismatches([words], RESOURCES)[0] == []
 
 
+# Lists over the bundled lexicon plus the ``cante`` entries. ``cante`` has
+# two subjunctive verb readings, so a verb leaf it fills has two choices,
+# which no bundled surface gives; it also reads as a noun.
+CANTE_LISTS = (
+    ("niña", "cante"),
+    ("cante",),
+    ("niña", "cantar", "cante"),
+    ("niña", "ver", "cante"),
+    ("cante", "niña"),
+)
+
+
+def _cante_resources(resources):
+    sing, song = _cante_entries()
+    return resources.replaced(
+        lexicon=Lexicon.from_entries(list(resources.lexicon.entries) + [sing, song])
+    )
+
+
+def test_plans_agree_with_reference_planner_on_two_readings_of_a_surface(resources):
+    cante = _cante_resources(resources)
+    assert _planner_oracle_mismatches(CANTE_LISTS, cante) == ([], 5, 5, 40)
+    # Both subjunctive readings of one leaf become plans of their own.
+    plans = plans_for(["niña", "cante"], cante)
+    verbs = {plan.slot_assignment[-1].form for plan in plans}
+    assert verbs == set(cante.lexicon.lemma_index["cantar"][0].forms[1:])
+
+
+def test_planner_oracle_catches_a_search_that_shares_one_leaf_between_choices(
+    resources, monkeypatch
+):
+    """Giving every choice of a terminal the first choice's leaf loses ``cante``'s second reading.
+
+    The golden inputs cannot tell: no bundled surface has two readings in
+    one category.
+    """
+    expand = _Derivation.expand
+
+    def mutant(self, name, slot, *args):
+        found = expand(self, name, slot, *args)
+        if slot is None and found:
+            return [(found[0][0], end) for _leaf, end in found]
+        return found
+
+    cante = _cante_resources(resources)
+    monkeypatch.setattr(_Derivation, "expand", mutant)
+    mismatched, *_ = _planner_oracle_mismatches(CANTE_LISTS, cante)
+    assert ("niña", "cante") in mismatched
+
+
 def test_planner_oracle_catches_a_fill_that_ignores_the_usage_model(resources, monkeypatch):
     """A fill that never takes the model's preposition loses "Mamá cepilla al perro."."""
     fill = planner._fill_terminal
@@ -698,15 +757,12 @@ def test_planner_oracle_catches_a_default_subject_labelled_by_spelling(resources
         choices = fill(lexicon, lm, tokens, supplied, *rest)
         return [
             (
-                tuple(
-                    item.replaced(rationale=planner.RATIONALE_DEFAULT_SUBJECT)
-                    if supplied and item.surface == planner.DEFAULT_SUBJECT_LEMMA
-                    and not item.is_inserted else item
-                    for item in payloads
-                ),
+                item.replaced(rationale=planner.RATIONALE_DEFAULT_SUBJECT)
+                if supplied and item.surface == planner.DEFAULT_SUBJECT_LEMMA
+                and not item.is_inserted else item,
                 state,
             )
-            for payloads, state in choices
+            for item, state in choices
         ]
 
     monkeypatch.setattr(planner, "_fill_terminal", mutant)
@@ -753,7 +809,8 @@ ROLE_COUNTS = {
 def _roles_checked(grammar, resources):
     """Plan the golden inputs; check each plan with the oracle.
 
-    Each plan's roles must equal ``reference_plan_roles``'. plan_structures
+    Each plan's roles must equal ``reference_plan_roles``', and its slot
+    assignment its tree's leaf payloads in leaf order. plan_structures
     keeps a tree without exactly two root children only in the attempt that
     elides the default subject, so that is the elided flag.
     The plans must come ranked by (deviations, discovery index), the
@@ -768,9 +825,10 @@ def _roles_checked(grammar, resources):
             continue
         for plan in plans:
             elided = len(plan.tree.children) != 2
-            assert reference_plan_roles(
-                resources.lm, plan.tree, plan.slot_assignment, elided
-            ) == (plan.deviations, plan.agreement_targets, plan.subject_leaf_count), words
+            assert reference_plan_roles(resources.lm, plan.tree, elided) == (
+                plan.deviations, plan.agreement_targets, plan.subject_leaf_count
+            ), words
+            assert plan.slot_assignment == leaf_payloads(plan.tree), words
         ranks = [(plan.deviations, plan.discovery_index) for plan in plans]
         assert ranks == sorted(ranks), words
         assert sorted(index for _deviations, index in ranks) == list(range(len(plans)))

@@ -144,7 +144,7 @@ CASES = {
 # The defaults of each class's ``__init__``; a class not named has none.
 DEFAULTS = {
     FeatureBundle: dict(AXIS_UNSPECIFIED),
-    TreeNode: {"children": ()},
+    TreeNode: {"children": (), "payload": None},
     Grammar: {"depth_limit": 2},
     WordForm: {"features": FeatureBundle()},
     LexicalEntry: {"adverb_class": None, "reflexive_capable": False, "extras": ()},
@@ -208,7 +208,7 @@ def test_repr_form():
     assert repr(GrammarRule("S", ("SNS", "PRED"), 1)) == (
         "GrammarRule(head='S', body=('SNS', 'PRED'), line=1)"
     )
-    assert repr(TreeNode("noun")) == "TreeNode(symbol='noun', children=())"
+    assert repr(TreeNode("noun")) == "TreeNode(symbol='noun', children=(), payload=None)"
     assert repr(WordForm("y")) == (
         "WordForm(surface='y', features=FeatureBundle(gender=<Gender.unspecified: "
         "'unspecified'>, number=<Number.unspecified: 'unspecified'>, person=<Person."

@@ -93,7 +93,8 @@ def count_work(inputs, resources):
         for found in plans:
             _subtrees(found.tree, nodes)
         for derived in memo_lists.values():
-            counts["memo_derivations_in_plans"] += sum(id(node) in nodes for node, _, _ in derived)
+            # By index: a memo entry's node comes first, whatever else the entry holds.
+            counts["memo_derivations_in_plans"] += sum(id(item[0]) in nodes for item in derived)
         return plans
 
     with mock.patch.object(planner, "_fill_terminal", counting_fill), mock.patch.object(
