@@ -8,7 +8,7 @@ records.
 
 from .errors import EvaluationError
 from .features import Value
-from .fileio import data_lines, read_elements
+from .fileio import data_lines, element_lines, read_elements
 
 ERROR_TYPES = ("a", "b", "c", "d", "e", "f")
 RATING_RANGE = range(0, 6)
@@ -158,16 +158,24 @@ def load_annotations(path):
 
     Format: ``<annotations>`` holding one ``<annotation sentence=..
     annotator=..>`` per judgement with ``<error>``, ``<rating>`` and
-    optional ``<best>``/``<suggestion>`` children. Errors name the
-    element's line and ``path``.
+    optional ``<best>``/``<suggestion>`` children, at most one per
+    (sentence, annotator) pair. Errors name the element's line and
+    ``path``; a repeated pair also names the line of its first record.
     """
-    return read_elements(
-        path,
-        "annotations",
-        "annotation",
-        lambda element, root: _annotation_record(element),
-        EvaluationError,
-    )
+    first = {}  # the index of each (sentence, annotator) pair's record
+
+    def read(element, root):
+        record = _annotation_record(element)
+        key = (record.sentence_id, record.annotator_id)
+        if key in first:
+            raise EvaluationError(
+                "repeated annotation for sentence %s annotator %s (first on line %d)"
+                % (key + (element_lines(path)[first[key] + 1],))
+            )
+        first[key] = len(first)
+        return record
+
+    return read_elements(path, "annotations", "annotation", read, EvaluationError)
 
 
 def _annotation_record(element):

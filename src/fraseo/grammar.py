@@ -494,15 +494,21 @@ def covers(grammar, masks, insertable):
     proves that no ``derive`` run over these tokens, with a fill that
     inserts only ``insertable`` terminals, ends at the last token.
 
-    A memoized recognizer over (symbol, start position) pairs, each holding
-    the end positions it reaches as an int bitset. A pair walks its
-    symbol's prefix tree (``GrammarTable.prefixes``) once, so a body prefix
-    that several rules share is matched once for all of them. A nonterminal
-    that must consume a token is tried only at positions whose token reads
-    as a terminal in its FIRST set: from any other it reaches no end. A pair
-    read while it is being computed (left recursion) gives the previous
-    pass's ends, none at first, and passes repeat until no pair changes:
-    the least fixpoint, so the answer is exact for the relaxed grammar.
+    A memoized recognizer over (symbol, start positions) pairs, the start
+    positions and the end positions they reach each an int bitset, so a set
+    of positions steps through a rule body at once: a terminal shifts it
+    (Baeza-Yates & Gonnet 1992, "A New Approach to Text Searching") and a
+    nonterminal takes it in one pair. A pair walks its symbol's prefix tree
+    (``GrammarTable.prefixes``) once, so a body prefix that several rules
+    share is matched once for all of them. A nonterminal that must consume
+    a token is tried only from positions whose token reads as a terminal in
+    its FIRST set: from any other it reaches no end. A pair read while it is
+    being computed (left recursion) gives the ends every earlier pass found
+    for it, none at first, and each pair adds those to the ends it computes.
+    Passes repeat until no pair gains an end: the least fixpoint, so the
+    answer is exact for the relaxed grammar. The ends are kept across all
+    passes because the pairs a pass reads depend on the ends found, so a
+    pair left out of one pass may come back in a later one.
     """
     table = grammar.table(insertable)
     # Per FIRST mask, the positions of the tokens that read as a terminal in
@@ -521,14 +527,18 @@ def covers(grammar, masks, insertable):
     seeds = {}
     while True:
         chart = _Cover(table.prefixes, admit, seeds)
-        reached = chart.ends(grammar.start, 0)
-        if not chart.looped or chart.memo == seeds:
+        reached = chart.ends(grammar.start, 1)
+        if not chart.looped or chart.memo.items() <= seeds.items():
             return bool(reached >> len(masks) & 1)
-        seeds = chart.memo
+        seeds.update(chart.memo)
 
 
 class _Cover:
-    """One ``covers`` pass: plain methods, so the chart leaves no reference cycle."""
+    """One ``covers`` pass over (symbol, start positions) pairs.
+
+    ``seeds`` holds the ends that earlier passes found per pair. Plain
+    methods, so the chart leaves no reference cycle.
+    """
 
     def __init__(self, prefixes, admit, seeds):
         self.prefixes = prefixes
@@ -537,13 +547,14 @@ class _Cover:
         self.memo = {}
         self.looped = False
 
-    def ends(self, symbol, start):
-        """The end positions ``symbol`` reaches from ``start``, as a bitset."""
-        key = (symbol, start)
+    def ends(self, symbol, starts):
+        """The end positions ``symbol`` reaches from any position of the bitset ``starts``."""
+        key = (symbol, starts)
         found = self.memo.get(key)
         if found is None:
             self.memo[key] = -1  # being computed
-            found = self.memo[key] = self.reach(self.prefixes[symbol], 1 << start)
+            found = self.reach(self.prefixes[symbol], starts) | self.seeds.get(key, 0)
+            self.memo[key] = found
         elif found < 0:
             self.looped = True
             found = self.seeds.get(key, 0)
@@ -557,11 +568,8 @@ class _Cover:
             if slot is None:
                 out = (0 if need else reached) | (reached & admit[first]) << 1
             else:
-                starts, out = reached & admit[first] if need else reached, 0
-                while starts:
-                    low = starts & -starts
-                    out |= self.ends(name, low.bit_length() - 1)
-                    starts ^= low
+                starts = reached & admit[first] if need else reached
+                out = self.ends(name, starts) if starts else 0
             if out:
                 if ends:
                     found |= out

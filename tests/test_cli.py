@@ -316,6 +316,10 @@ def test_bad_annotation_file_names_file_and_line(tmp_path):
             annotation('sentence="s2" annotator="a1"', extra="<best>first</best>"),
             "bad best index 'first'",
         ),
+        (
+            annotation('sentence="s1" annotator="a1"', rating="4"),
+            "repeated annotation for sentence s1 annotator a1 (first on line 2)",
+        ),
     ):
         path.write_text(
             "<annotations>\n  %s\n\n  %s\n</annotations>\n" % (good, bad), encoding="utf-8"

@@ -162,6 +162,21 @@ def test_load_annotations_rejects_bad_files(tmp_path):
     )
     with pytest.raises(EvaluationError):
         load_annotations(path)
+    # One annotator judging one sentence twice: the agreement matrix would
+    # keep the second label while consensus counts both.
+    path.write_text(
+        "<annotations>\n"
+        '<annotation sentence="s1" annotator="A"><error>a</error><rating>3</rating></annotation>\n'
+        '<annotation sentence="s1" annotator="B"><error>a</error><rating>4</rating></annotation>\n'
+        '<annotation sentence="s1" annotator="A"><error>b</error><rating>3</rating></annotation>\n'
+        "</annotations>\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(EvaluationError) as caught:
+        load_annotations(path)
+    assert (caught.value.line, caught.value.reason) == (
+        4, "repeated annotation for sentence s1 annotator A (first on line 2)"
+    )
 
 
 def test_reliability_matrix_from_rows():

@@ -2,6 +2,7 @@ import itertools
 import math
 import pathlib
 import re
+from unittest import mock
 
 import oracles
 import pytest
@@ -418,41 +419,90 @@ def test_covers_agrees_with_match_leaf_sequence_on_left_recursion():
     assert covers(grammar, [mask("noun", "verb"), mask("noun")], frozenset())
 
 
+# Mutual left recursion: ``A`` re-enters through ``B`` while ``B`` is
+# still being computed, from a start set that ``B``'s FIRST filter narrows.
+MUTUAL_LEFT_RECURSIVE_GRAMMAR = """
+S -> A
+S -> NP A
+NP -> determiner noun
+NP -> noun
+A -> B adverb
+A -> verb
+B -> A NP
+B -> A
+B -> determiner A
+"""
+MUTUAL_COVER_CASE = (
+    MUTUAL_LEFT_RECURSIVE_GRAMMAR,
+    ("determiner", "noun", "verb", "adverb"),
+    (frozenset(), frozenset({"determiner"}), frozenset({"determiner", "adverb"})),
+)
+# The start sets a pass reads follow the ends found so far, so a pair that
+# one pass reads may be missing from the next. A chart that seeds each pass
+# from the previous pass's pairs only loses ``S``'s ends that way on
+# ``adverb noun adverb noun`` and repeats its passes forever.
+SHIFTING_PAIRS_GRAMMAR = """
+S -> S A
+S -> adverb
+A -> B adverb
+A -> noun
+B -> A
+"""
+
+
 def _covers_checked(text, categories, insertables):
     """Assert that ``covers`` gives ``reference_covers``'s verdict on every short input.
 
     Every sequence of one to four ``categories`` is checked with each of
-    ``insertables``; returns the number of verdicts checked.
+    ``insertables``; returns the number of verdicts checked. A ``covers``
+    call fails the check when a pass starts from the seeds of an earlier
+    pass of the same call: the passes are deterministic, so it would never
+    end.
     """
     grammar = parse_grammar(text).replaced(depth_limit=4)
+    init = grammar_module._Cover.__init__
+    started = []
+
+    def unrepeated_pass(self, prefixes, admit, seeds):
+        assert dict(seeds) not in started, "a covers pass repeats an earlier one"
+        started.append(dict(seeds))
+        init(self, prefixes, admit, seeds)
+
     checked = 0
-    for length in range(1, 5):
-        for cats in itertools.product(categories, repeat=length):
-            masks = [mask(cat) for cat in cats]
-            for insertable in insertables:
-                expected = reference_covers(grammar, masks, insertable)
-                assert covers(grammar, masks, insertable) is expected, (cats, insertable)
-                checked += 1
+    with mock.patch.object(grammar_module._Cover, "__init__", unrepeated_pass):
+        for length in range(1, 5):
+            for cats in itertools.product(categories, repeat=length):
+                masks = [mask(cat) for cat in cats]
+                for insertable in insertables:
+                    started.clear()
+                    expected = reference_covers(grammar, masks, insertable)
+                    assert covers(grammar, masks, insertable) is expected, (cats, insertable)
+                    checked += 1
     return checked
 
 
 def test_covers_agrees_with_reference_covers():
     """The FIRST filter on start positions and the prefix-tree walk change no verdict.
 
-    The left-recursive grammar exercises the fixpoint passes, the lookahead
-    grammar a nonterminal that derives no token (LINK, unfiltered) and one
-    with no derivation at all (LOOP), and the prefix grammar rules that end
-    where others go on.
+    The left-recursive grammars exercise the fixpoint passes: directly,
+    mutually (one nonterminal re-entering a pair another is still
+    computing), and with pairs that change from pass to pass. The lookahead
+    grammar has a nonterminal that derives no token (LINK, unfiltered) and
+    one with no derivation at all (LOOP), and the prefix grammar rules that
+    end where others go on.
     """
+    categories = ("determiner", "noun", "verb", "adverb")
     cases = (
-        (LEFT_RECURSIVE_GRAMMAR, ("determiner", "noun", "verb", "adverb"),
+        (LEFT_RECURSIVE_GRAMMAR, categories,
          (frozenset(), frozenset({"adverb"}), frozenset({"determiner", "adverb"}))),
+        MUTUAL_COVER_CASE,
+        (SHIFTING_PAIRS_GRAMMAR, categories, (frozenset(), frozenset({"adverb"}))),
         (LOOKAHEAD_GRAMMAR, ("determiner", "noun", "verb", "pronoun", "conjunction"),
          (frozenset(), frozenset({"determiner", "conjunction"}))),
         PREFIX_COVER_CASE,
     )
     checked = sum(_covers_checked(*case) for case in cases)
-    assert checked == 340 * 3 + 780 * 2 + 340 * 2
+    assert checked == 340 * 3 + 340 * 3 + 340 * 2 + 780 * 2 + 340 * 2
 
 
 def test_covers_check_catches_a_walk_that_stops_where_a_rule_ends(monkeypatch):
@@ -465,6 +515,18 @@ def test_covers_check_catches_a_walk_that_stops_where_a_rule_ends(monkeypatch):
     monkeypatch.setattr(grammar_module._Cover, "reach", stop_at_ends)
     with pytest.raises(AssertionError):
         _covers_checked(*PREFIX_COVER_CASE)
+
+
+def test_covers_check_catches_a_chart_that_keeps_only_the_lowest_start(monkeypatch):
+    """A chart step that drops every start position of its set but the lowest fails the check."""
+    ends = grammar_module._Cover.ends
+
+    def lowest_start(self, symbol, starts):
+        return ends(self, symbol, starts & -starts)
+
+    monkeypatch.setattr(grammar_module._Cover, "ends", lowest_start)
+    with pytest.raises(AssertionError):
+        _covers_checked(*MUTUAL_COVER_CASE)
 
 
 def test_covers_relaxes_the_search_like_suffix_bounds(grammar):

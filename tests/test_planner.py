@@ -539,17 +539,18 @@ def test_cover_soundness_check_catches_a_planted_mutant(resources):
 
 # ``_Cover.ends`` calls ``covers`` makes over the golden inputs: a
 # deterministic work counter, like the fill calls above. Each call walks
-# its symbol's prefix tree, so a shared body prefix is matched once.
-GOLDEN_COVER_ENDS = 2784
+# its symbol's prefix tree from a whole set of start positions, so a shared
+# body prefix is matched once.
+GOLDEN_COVER_ENDS = 2788
 
 
 def test_cover_work_on_golden_inputs_is_pinned(resources, monkeypatch):
     calls = []
     ends = _Cover.ends
 
-    def counting_ends(self, symbol, start):
+    def counting_ends(self, symbol, starts):
         calls.append(symbol)
-        return ends(self, symbol, start)
+        return ends(self, symbol, starts)
 
     monkeypatch.setattr(_Cover, "ends", counting_ends)
     for words in golden_inputs(resources.lexicon):

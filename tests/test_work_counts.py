@@ -17,7 +17,7 @@ nonterminal_expansions          262      873
 memo_derivations                566     1585
 memo_derivations_in_plans       332      963
 root_derivations                135      388
-cover_ends                      269     2784
+cover_ends                      271     2788
 plans                           135      388
 """
 

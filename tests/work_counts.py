@@ -17,7 +17,7 @@ Generates, with no cap, each of the 20 hand-written corpus lists
 - ``root_derivations``: derivations of the start symbol, as ``derive``
   yields them to the planner;
 - ``cover_ends``: calls of ``_Cover.ends``, the ``covers`` chart's one
-  step per (symbol, start position) read, memo hits included;
+  step per (symbol, start position set) read, memo hits included;
 - ``plans``: the plans ``plan_structures`` returns.
 
 The search and ``covers`` read one prefix tree per nonterminal, its
