@@ -14,7 +14,12 @@ m mood) and drops them. A rule keeps only symbol names, and generation takes
 agreement from the phrase names the planner interprets.
 
 Recursion is bounded: no nonterminal may occur more than ``depth_limit``
-times on any root-to-leaf path, which keeps enumeration finite.
+times on any root-to-leaf path, which keeps enumeration finite. The bound
+is compiled into the grammar table (Nederhof 2000, "Practical Experiments
+with Regular Approximation of Context-Free Languages"): a compiled symbol
+is a name with the usage counts of its path, and a rule that would pass the
+limit is dead for it, so the compiled symbols form a DAG and no search
+counts a path at run time.
 
 All searches over the grammar go through one function, ``derive``: a
 memoized top-down search that asks a caller-supplied fill for each
@@ -24,7 +29,7 @@ payload, so a derivation is one tree and nothing is kept beside it.
 planner fills terminals with keywords and inserted function words. Every
 step of the search is memoized (Norvig 1991, "Techniques for Automatic
 Memoization with Applications to Context-Free Parsing"), for one run: a
-nonterminal's derivations on (symbol, parent, state, path usage), and a
+nonterminal's derivations on (compiled symbol, parent, state), and a
 terminal's fill on its own arguments, (name, parent, grandparent, state).
 So a fill must return the same choices whenever it is called with the same
 arguments.
@@ -32,23 +37,25 @@ arguments.
 A search over an input takes it as masks, per token the categories it
 reads as, and is bounded by it (Kay 1996, "Chart Generation"): it yields
 only the derivations that consume every token, and ``covers`` first
-checks that some can. ``Grammar.table`` compiles the rules once per set
-of insertable terminals into the one form that the search and ``covers``
-both read: each nonterminal's rules left-factored into a prefix tree, so
-a body prefix that several rules share (every bundled ``PRED`` rule
-starts with ``verb``) is walked once, not once per rule. Each branch
-holds a body symbol, its usage slot, and for the symbol and for the body
-suffixes that start at it the fewest input tokens they must consume and
-the FIRST set (Aho, Sethi & Ullman) of categories that can consume their
-first token, as a mask of ``TERMINAL_BITS``. Terminals the caller may
-insert without input count as consuming none and are transparent for
-FIRST. The values are computed over the grammar without the depth limit,
-which only removes derivations, so the counts are lower bounds and the
-FIRST sets supersets: a suffix they rule out has no derivation, and
-cutting it changes no result. The search tests a suffix before it
-expands its first symbol, and ``covers`` tries a nonterminal that must
-consume a token only at positions whose token reads as a category in its
-FIRST set. Without an input the search cuts nothing.
+checks that some can, exactly under the depth limit. ``Grammar.table``
+compiles the rules once per set of insertable terminals into the one form
+that the search and ``covers`` both read: each compiled symbol's live
+rules left-factored into a prefix tree, built the first time a search or
+``covers`` reaches the symbol, so a body prefix that several rules share
+(every bundled ``PRED`` rule starts with ``verb``) is walked once, not
+once per rule. Each branch holds a body symbol, its compiled child, and
+for the symbol and for the body suffixes that start at it the fewest input
+tokens they must consume and the FIRST set (Aho, Sethi & Ullman) of
+categories that can consume their first token, as a mask of
+``TERMINAL_BITS``. Terminals the caller may insert without input count as
+consuming none and are transparent for FIRST. The values are computed
+per plain name, over the grammar without the depth limit, which only
+removes derivations, so the counts are lower bounds and the FIRST sets
+supersets: a suffix they rule out has no derivation, and cutting it
+changes no result. The search tests a suffix before it expands its first
+symbol, and ``covers`` tries a nonterminal that must consume a token only
+at positions whose token reads as a category in its FIRST set. Without an
+input the search cuts nothing.
 
 The search builds a nonterminal's memoized derivations by one walk over
 its tree, collecting each rule's derivations apart and joining them in
@@ -153,45 +160,77 @@ class Grammar(Value):
         return table
 
 
-class GrammarTable:
-    """The rules compiled for one set of insertable terminals.
+class GrammarTable(dict):
+    """The rules compiled for one set of insertable terminals, under the depth limit.
 
-    ``prefixes[head]`` holds the rules of ``head`` left-factored into a
-    prefix tree (Moore 2000, "Improved Left-Corner Chart Parsing for Large
-    Context-Free Grammars"): rules whose bodies start alike share the
-    branches of that prefix, so a search expands a shared prefix once for
-    all of them. The start symbol's tree is instead one unshared chain per
-    rule, in file order, which its stream completes rule by rule. A branch
-    is ``(name, slot, need, first, rest_need, rest_first, ends, after)``.
-    ``slot`` is the nonterminal's index in the usage tuple of ``derive``,
-    None for a terminal. ``need`` is the fewest input tokens any derivation
-    of the symbol consumes and ``first`` the ``TERMINAL_BITS`` mask of the
-    terminals that can consume its first token; ``rest_need`` and
-    ``rest_first`` are the least need and the union of FIRST over the body
-    suffixes that start at the branch, one per rule through it. ``ends``
-    holds the indices into ``grammar.rules_for[head]`` of the rules that end
-    with the branch and ``after`` its child branches.
+    A compiled symbol is ``(name, usage)``, ``usage`` counting each
+    nonterminal's occurrences on the path from the root, this one included,
+    in ``grammar.rules_for`` order; ``start`` is the start symbol's. The
+    table maps a compiled symbol to the branches of its prefix tree, built
+    the first time a search or ``covers`` reads it (``__missing__``), so it
+    never holds more symbols than they reach. A rule with a body
+    nonterminal whose count would pass ``depth_limit`` is dead for the
+    symbol and left out; every other body nonterminal's count goes up by
+    one, so the compiled symbols form a DAG.
+
+    The live rules are left-factored (Moore 2000, "Improved Left-Corner
+    Chart Parsing for Large Context-Free Grammars"): rules whose bodies
+    start alike share the branches of that prefix, so a search expands a
+    shared prefix once for all of them. The start symbol's tree is instead
+    one unshared chain per rule, in file order, which its stream completes
+    rule by rule. A branch is ``(name, child, need, first, rest_need,
+    rest_first, ends, after)``. ``child`` is the body nonterminal's compiled
+    symbol, None for a terminal. ``need`` is the fewest input tokens any
+    derivation of the symbol consumes and ``first`` the ``TERMINAL_BITS``
+    mask of the terminals that can consume its first token; ``rest_need``
+    and ``rest_first`` are the least need and the union of FIRST over the
+    body suffixes that start at the branch, one per live rule through it.
+    ``ends`` holds the indices into ``grammar.rules_for[head]`` of the rules
+    that end with the branch and ``after`` its child branches.
 
     A terminal in the insertable set may take no token: it counts as 0 and
-    FIRST looks past it. The values ignore ``depth_limit``, so they bound
-    every derivation the search can make, and a branch's suffix bound
-    admits every suffix that one of its rules' bounds admits, so it cuts
-    only what all of them cut. ``unions`` pairs each distinct ``first`` of
-    the branches that is not a single terminal bit with the bits it holds.
+    FIRST looks past it. The values are per plain name and ignore
+    ``depth_limit``, so they bound every derivation the search can make,
+    and a branch's suffix bound admits every suffix that one of its rules'
+    bounds admits, so it cuts only what all of them cut. ``unions`` pairs
+    each distinct ``first`` of the rows that is not a single terminal bit
+    with the bits it holds.
     """
 
-    __slots__ = ("prefixes", "unions")
+    __slots__ = ("names", "rows", "depth_limit", "start", "unions")
 
-    def __init__(self, prefixes, unions):
-        self.prefixes = prefixes
+    def __init__(self, names, rows, depth_limit, start, unions):
+        super().__init__()
+        self.names = names
+        self.rows = rows
+        self.depth_limit = depth_limit
+        self.start = start
         self.unions = unions
+
+    def __missing__(self, symbol):
+        head, usage = symbol
+        children = {
+            name: (name, tuple(used + (other == name) for other, used in zip(self.names, usage)))
+            for name, count in zip(self.names, usage)
+            if count < self.depth_limit
+        }
+        rows = {
+            rule: tuple((cell[0], children.get(cell[0])) + cell[1:] for cell in row)
+            for rule, row in enumerate(self.rows[head])
+            if all(cell[0] in TERMINALS or cell[0] in children for cell in row)
+        }
+        if head == self.start[0]:  # streamed rule by rule: one chain per rule
+            branches = self[symbol] = sum((_factor(rows, [rule]) for rule in rows), ())
+        else:
+            branches = self[symbol] = _factor(rows, rows)
+        return branches
 
 
 def _factor(rows, rules, depth=0):
-    """The prefix-tree branches below ``depth`` of the ``rules`` indices into ``rows``.
+    """The prefix-tree branches below ``depth`` of the ``rules`` keys of ``rows``.
 
-    ``rows`` holds one row per rule, and a row one cell per body symbol:
-    ``(name, slot, need, first, rest_need, rest_first)``.
+    ``rows`` holds one row per live rule, and a row one cell per body
+    symbol: ``(name, child, need, first, rest_need, rest_first)``.
     """
     groups = {}
     for rule in rules:
@@ -213,7 +252,11 @@ def _factor(rows, rules, depth=0):
 
 
 def _compile(grammar, insertable):
-    """The ``GrammarTable`` of ``insertable``, by fixpoint over the rules."""
+    """The ``GrammarTable`` of ``insertable``: each head's rows, bounded by fixpoint over the rules.
+
+    A row holds a cell ``(name, need, first, rest_need, rest_first)`` per
+    body symbol; the table turns them into compiled branches on demand.
+    """
     least = dict.fromkeys(grammar.rules_for, math.inf)
     first = dict.fromkeys(grammar.rules_for, 0)
 
@@ -239,27 +282,21 @@ def _compile(grammar, insertable):
                 least[rule.head] = min(need, least[rule.head])
                 first[rule.head] |= cats
                 changed = True
-    slots = {name: index for index, name in enumerate(grammar.rules_for)}
-    prefixes = {}
-    firsts = set()
-    for head, rules in grammar.rules_for.items():
-        rows = [
-            tuple(
-                (name, slots.get(name)) + bound(name) + rest
-                for name, rest in zip(rule.body, suffixes(rule.body))
-            )
-            for rule in rules
+    rows = {
+        head: [
+            tuple((name,) + bound(name) + rest for name, rest in zip(body, suffixes(body)))
+            for body in (rule.body for rule in rules)
         ]
-        firsts.update(cell[3] for row in rows for cell in row)
-        if head == grammar.start:  # streamed rule by rule: one chain per rule
-            prefixes[head] = sum((_factor(rows, [rule]) for rule in range(len(rows))), ())
-        else:
-            prefixes[head] = _factor(rows, range(len(rows)))
+        for head, rules in grammar.rules_for.items()
+    }
+    firsts = {cell[2] for head_rows in rows.values() for row in head_rows for cell in row}
     bits = TERMINAL_BITS.values()
     unions = tuple(
         (mask, tuple(bit for bit in bits if mask & bit)) for mask in sorted(firsts - set(bits))
     )
-    return GrammarTable(prefixes, unions)
+    names = tuple(grammar.rules_for)
+    start = (grammar.start, tuple(int(name == grammar.start) for name in names))
+    return GrammarTable(names, rows, grammar.depth_limit, start, unions)
 
 
 def _parse_symbol(token, line_number):
@@ -331,20 +368,21 @@ def derive(grammar, fill, state=None, masks=None, insertable=frozenset()):
 
     Returns an iterator of ``(tree, end_state)``. Each leaf of ``tree``
     holds its choice's payload, so the tree is the derivation's one
-    record. The derivations of each nonterminal below the start symbol are
-    memoized on (symbol, parent head, state, path usage), the usage
-    counting each nonterminal's occurrences on the path from the root; none
-    may exceed ``grammar.depth_limit``. A terminal's choices are memoized
-    on the fill's own arguments, (name, parent head, grandparent head,
-    state), so ``fill`` is called at most once per distinct arguments in a
-    run and must return the same choices for the same arguments. Memoized
-    subtrees and leaves, one leaf per choice, are shared between trees. A
-    memoized nonterminal's list comes from one walk over its rules' prefix
-    tree (``GrammarTable.prefixes``), which expands a shared body prefix
-    once and keeps each rule's derivations apart, joined in file order. The
-    start symbol's derivations are streamed from its tree of one chain per
-    rule, never all held at once: an unbounded search can yield tens of
-    thousands of trees.
+    record. No nonterminal occurs more than ``grammar.depth_limit`` times
+    on a path from the root: the search walks the compiled symbols of
+    ``grammar.table(insertable)``, whose rules that would pass the limit are
+    dead. The derivations of each nonterminal below the start symbol are
+    memoized on (compiled symbol, parent head, state). A terminal's choices
+    are memoized on the fill's own arguments, (name, parent head,
+    grandparent head, state), so ``fill`` is called at most once per
+    distinct arguments in a run and must return the same choices for the
+    same arguments. Memoized subtrees and leaves, one leaf per choice, are
+    shared between trees. A memoized nonterminal's list comes from one walk
+    over its compiled symbol's prefix tree, which expands a shared body
+    prefix once and keeps each rule's derivations apart, joined in file
+    order. The start symbol's derivations are streamed from its tree of one
+    chain per rule, never all held at once: an unbounded search can yield
+    tens of thousands of trees.
 
     A search over an input passes ``masks``, per token the ``TERMINAL_BITS``
     mask of the categories it reads as, and ``insertable``, the terminals
@@ -372,9 +410,8 @@ def derive(grammar, fill, state=None, masks=None, insertable=frozenset()):
         )
     if masks is not None and not covers(grammar, masks[state[0]:], insertable):
         return iter(())
-    start_usage = tuple(int(name == grammar.start) for name in grammar.rules_for)
     search = _Derivation(grammar, fill, masks, insertable)
-    return search.stream(search.prefixes[grammar.start], grammar.start, state, start_usage, ())
+    return search.stream(search.table[search.table.start], grammar.start, state, ())
 
 
 class _Derivation:
@@ -387,26 +424,26 @@ class _Derivation:
     """
 
     def __init__(self, grammar, fill, masks, insertable):
-        self.depth_limit = grammar.depth_limit
         self.rules_for = grammar.rules_for
         self.fill = fill
         self.pending = self.last = None
         if masks is not None:
             self.pending = [(len(masks) - pos, mask) for pos, mask in enumerate([*masks, 0])]
             self.last = len(masks)
-        self.prefixes = grammar.table(insertable).prefixes
+        self.table = grammar.table(insertable)
         self.memo = {}
 
-    def expand(self, name, slot, parent, grandparent, state, usage):
+    def expand(self, name, symbol, parent, grandparent, state):
         """(node, end_state) choices for one body symbol, memoized.
 
+        ``symbol`` is a nonterminal's compiled symbol, None for a terminal.
         A terminal's key is (name, parent, grandparent, state), the fill's
         arguments, and each of its choices is a leaf of its own; a
-        nonterminal's is (name, parent, state, usage). The two cannot
-        collide, because no terminal heads a rule. A nonterminal's list is
+        nonterminal's is (compiled symbol, parent, state). The two cannot
+        collide, because they differ in length. A nonterminal's list is
         ``walk``'s per-rule buckets joined in file order.
         """
-        if slot is None:
+        if symbol is None:
             key = (name, parent, grandparent, state)
             found = self.memo.get(key)
             if found is None:
@@ -415,19 +452,15 @@ class _Derivation:
                     for payload, end in self.fill(name, parent, grandparent, state)
                 ]
             return found
-        count = usage[slot] + 1
-        if count > self.depth_limit:
-            return ()
-        usage = usage[:slot] + (count,) + usage[slot + 1 :]
-        key = (name, parent, state, usage)
+        key = (symbol, parent, state)
         found = self.memo.get(key)
         if found is None:
             buckets = [[] for _ in self.rules_for[name]]
-            self.walk(self.prefixes[name], name, parent, state, usage, (), buckets)
+            self.walk(self.table[symbol], name, parent, state, (), buckets)
             found = self.memo[key] = [item for bucket in buckets for item in bucket]
         return found
 
-    def walk(self, branches, head, parent, state, usage, children, buckets):
+    def walk(self, branches, head, parent, state, children, buckets):
         """Complete every rule body below one prefix-tree node into ``buckets``.
 
         ``children`` is the prefix built so far, which ends at ``state``.
@@ -436,19 +469,19 @@ class _Derivation:
         its own bucket, ``buckets[rule]``, in DFS order.
         """
         pending = self.pending
-        for name, slot, _need, _first, need, first, ends, after in branches:
+        for name, child, _need, _first, need, first, ends, after in branches:
             if need and pending:
                 left, cats = pending[state[0]]
                 if need > left or not cats & first:
                     continue
-            for node, end in self.expand(name, slot, head, parent, state, usage):
+            for node, end in self.expand(name, child, head, parent, state):
                 built = children + (node,)
                 for rule in ends:
                     buckets[rule].append((TreeNode(head, built), end))
                 if after:
-                    self.walk(after, head, parent, end, usage, built, buckets)
+                    self.walk(after, head, parent, end, built, buckets)
 
-    def stream(self, branches, head, state, usage, children):
+    def stream(self, branches, head, state, children):
         """The start symbol's derivations below one branch node, streamed, never held.
 
         The same walk as ``walk`` for the root, whose parent is None, but a
@@ -458,16 +491,16 @@ class _Derivation:
         consumes every token.
         """
         pending, last = self.pending, self.last
-        for name, slot, _need, _first, need, first, ends, after in branches:
+        for name, child, _need, _first, need, first, ends, after in branches:
             if need and pending:
                 left, cats = pending[state[0]]
                 if need > left or not cats & first:
                     continue
-            for node, end in self.expand(name, slot, head, None, state, usage):
+            for node, end in self.expand(name, child, head, None, state):
                 if ends and (last is None or end[0] == last):
                     yield TreeNode(head, children + (node,)), end
                 if after:
-                    yield from self.stream(after, head, end, usage, children + (node,))
+                    yield from self.stream(after, head, end, children + (node,))
 
 
 def _accept_any(name, parent, grandparent, state):
@@ -488,27 +521,25 @@ def covers(grammar, masks, insertable):
     """Whether a derivation of the start symbol can consume every input token.
 
     ``masks`` holds, per token, the ``TERMINAL_BITS`` mask of the categories
-    it reads as. The check relaxes the search as ``Grammar.table`` does: a
-    terminal consumes one token that reads as it or, when it is in
-    ``insertable``, no token, and ``depth_limit`` is ignored. So ``False``
-    proves that no ``derive`` run over these tokens, with a fill that
-    inserts only ``insertable`` terminals, ends at the last token.
+    it reads as. The check relaxes the search only in its fill: a terminal
+    consumes one token that reads as it or, when it is in ``insertable``,
+    no token. It keeps ``depth_limit``, so it is exact: ``True`` exactly
+    when some ``derive`` run over these tokens, with a fill that takes any
+    such choice, ends at the last token, and ``False`` proves that no run
+    whose fill inserts only ``insertable`` terminals does.
 
-    A memoized recognizer over (symbol, start positions) pairs, the start
-    positions and the end positions they reach each an int bitset, so a set
-    of positions steps through a rule body at once: a terminal shifts it
-    (Baeza-Yates & Gonnet 1992, "A New Approach to Text Searching") and a
-    nonterminal takes it in one pair. A pair walks its symbol's prefix tree
-    (``GrammarTable.prefixes``) once, so a body prefix that several rules
-    share is matched once for all of them. A nonterminal that must consume
-    a token is tried only from positions whose token reads as a terminal in
-    its FIRST set: from any other it reaches no end. A pair read while it is
-    being computed (left recursion) gives the ends every earlier pass found
-    for it, none at first, and each pair adds those to the ends it computes.
-    Passes repeat until no pair gains an end: the least fixpoint, so the
-    answer is exact for the relaxed grammar. The ends are kept across all
-    passes because the pairs a pass reads depend on the ends found, so a
-    pair left out of one pass may come back in a later one.
+    One memoized recursion over (compiled symbol, start positions) pairs,
+    the start positions and the end positions they reach each an int
+    bitset, so a set of positions steps through a rule body at once: a
+    terminal shifts it (Baeza-Yates & Gonnet 1992, "A New Approach to Text
+    Searching") and a nonterminal takes it in one pair, one ``_Cover.ends``
+    step. A pair walks its compiled symbol's prefix tree once, so a body
+    prefix that several rules share is matched once for all of them. A
+    nonterminal that must consume a token is tried only from positions
+    whose token reads as a terminal in its FIRST set: from any other it
+    reaches no end. The compiled symbols form a DAG, so no pair is read
+    while it is being computed, even under left recursion, and one pass
+    ends with the exact answer.
     """
     table = grammar.table(insertable)
     # Per FIRST mask, the positions of the tokens that read as a terminal in
@@ -524,52 +555,39 @@ def covers(grammar, masks, insertable):
         for bit in bits:
             positions |= admit[bit]
         admit[first] = positions
-    seeds = {}
-    while True:
-        chart = _Cover(table.prefixes, admit, seeds)
-        reached = chart.ends(grammar.start, 1)
-        if not chart.looped or chart.memo.items() <= seeds.items():
-            return bool(reached >> len(masks) & 1)
-        seeds.update(chart.memo)
+    reached = _Cover(table, admit).ends(table.start, 1)
+    return bool(reached >> len(masks) & 1)
 
 
 class _Cover:
-    """One ``covers`` pass over (symbol, start positions) pairs.
+    """One ``covers`` chart over (compiled symbol, start positions) pairs.
 
-    ``seeds`` holds the ends that earlier passes found per pair. Plain
-    methods, so the chart leaves no reference cycle.
+    Plain methods, so the chart leaves no reference cycle.
     """
 
-    def __init__(self, prefixes, admit, seeds):
-        self.prefixes = prefixes
+    def __init__(self, table, admit):
+        self.table = table
         self.admit = admit
-        self.seeds = seeds
         self.memo = {}
-        self.looped = False
 
     def ends(self, symbol, starts):
         """The end positions ``symbol`` reaches from any position of the bitset ``starts``."""
         key = (symbol, starts)
         found = self.memo.get(key)
         if found is None:
-            self.memo[key] = -1  # being computed
-            found = self.reach(self.prefixes[symbol], starts) | self.seeds.get(key, 0)
-            self.memo[key] = found
-        elif found < 0:
-            self.looped = True
-            found = self.seeds.get(key, 0)
+            found = self.memo[key] = self.reach(self.table[symbol], starts)
         return found
 
     def reach(self, branches, reached):
         """The end positions of the rule bodies below ``branches``, from the bitset ``reached``."""
         found = 0
         admit = self.admit
-        for name, slot, need, first, _rest_need, _rest_first, ends, after in branches:
-            if slot is None:
+        for _name, child, need, first, _rest_need, _rest_first, ends, after in branches:
+            if child is None:
                 out = (0 if need else reached) | (reached & admit[first]) << 1
             else:
                 starts = reached & admit[first] if need else reached
-                out = self.ends(name, starts) if starts else 0
+                out = self.ends(child, starts) if starts else 0
             if out:
                 if ends:
                     found |= out

@@ -406,25 +406,28 @@ def _plan_roles(lm, tree):
     Explicit user words never count against a plan. Determiners and SADJ
     adjectives agree with the noun of their parent phrase; an SADJ under
     PRED with the subject. The subject span is the leaves of the root's
-    first child, when the root has two children.
+    first child, when the root has two children: the walk counts them as
+    the fills before the second child.
     """
-    fills, targets = [], []
-    deviations = _walk_roles(lm, tree, None, None, fills, targets)
+    fills, targets, starts = [], [], []
+    deviations = _walk_roles(lm, tree, None, None, fills, targets, starts)
     agreement = tuple(
         target[0] if isinstance(target, list) else target  # a phrase: agree with its noun
         for target in targets
     )
-    subject = len(tree.children[0].leaf_sequence()) if len(tree.children) == 2 else 0
+    subject = starts[1] if len(starts) == 2 else 0
     return deviations, agreement, subject, tuple(fills)
 
 
-def _walk_roles(lm, node, parent, outer, fills, targets):
+def _walk_roles(lm, node, parent, outer, fills, targets, starts=None):
     """The deviations under ``node``; appends its leaves' fills and targets.
 
     ``parent`` names the node's parent and ``outer`` is the parent's phrase:
     for an SNS/SN, a one-item list that takes its noun's leaf position when
-    the walk reaches it, else None. A module-level function, not a closure,
-    so a walk leaves no reference cycle for the garbage collector.
+    the walk reaches it, else None. ``starts``, when given, takes the
+    number of fills before each child of ``node``. A module-level function,
+    not a closure, so a walk leaves no reference cycle for the garbage
+    collector.
     """
     name = node.symbol
     children = node.children
@@ -432,6 +435,8 @@ def _walk_roles(lm, node, parent, outer, fills, targets):
     deviations = 0
     phrase = [NO_AGREEMENT] if name in _NOMINAL_PHRASES else None
     for child in children:
+        if starts is not None:
+            starts.append(len(fills))
         symbol = child.symbol
         if child.children:
             deviations += _walk_roles(lm, child, name, phrase, fills, targets)

@@ -4,9 +4,9 @@ The agreement routines deliberately avoid the package's coincidence-matrix
 code path: agreement is computed by enumerating every ordered pair of labels
 inside each unit. ``reference_unify_entries`` is the two-entry unification
 as it stood before it was folded into the builder's merge path.
-``reference_covers`` is the whole-input cover check without the FIRST-set
-filter on start positions. ``reference_derive`` is the grammar search with
-no memo and no lookahead, and ``leaf_payloads`` reads a derivation's fill
+``reference_derive`` is the grammar search with no memo and no lookahead,
+``reference_covers`` the whole-input cover check as a question about it,
+and ``leaf_payloads`` reads a derivation's fill
 choices off its leaves. ``match_leaf_sequence`` runs ``grammar.derive``
 over a category sequence, as the planner runs it over keywords, so tests
 can check the masked search without a lexicon. ``reference_plan_roles``
@@ -159,61 +159,23 @@ def reference_unify_entries(a, b):
 
 
 def reference_covers(grammar, masks, insertable):
-    """``grammar.covers`` as a recognizer that tries every start position.
+    """``grammar.covers``: whether some ``reference_derive`` run ends at ``len(masks)``.
 
-    A memoized chart over (symbol, start position) pairs whose end
-    positions are int bitsets; a pair read while it is being computed (left
-    recursion) gives the previous pass's ends, none at first, and passes
-    repeat until no pair changes.
+    The run's fill lets a terminal take the next token when that token's
+    mask holds the terminal's bit, and lets an ``insertable`` terminal take
+    none. So the verdict keeps the depth limit, as ``derive`` does.
     """
-    rules = {
-        head: [
-            [
-                (None, TERMINAL_BITS[name], name in insertable)
-                if name in TERMINALS else (name, 0, False)
-                for name in rule.body
-            ]
-            for rule in head_rules
-        ]
-        for head, head_rules in grammar.rules_for.items()
-    }
-    fits = dict.fromkeys(TERMINAL_BITS.values(), 0)
-    for pos, mask in enumerate(masks):
-        for bit in fits:
-            if mask & bit:
-                fits[bit] |= 1 << pos
-    seeds = {}
-    while True:
-        memo = {}
-        looped = []
 
-        def ends(symbol, start):
-            key = (symbol, start)
-            if key in memo:
-                if memo[key] is None:  # being computed
-                    looped.append(key)
-                    return seeds.get(key, 0)
-                return memo[key]
-            memo[key] = None
-            found = 0
-            for body in rules[symbol]:
-                reached = 1 << start
-                for name, bit, skip in body:
-                    if name is None:
-                        reached = (reached if skip else 0) | (reached & fits[bit]) << 1
-                    else:
-                        starts, reached = reached, 0
-                        for pos in range(len(masks) + 1):
-                            if starts >> pos & 1:
-                                reached |= ends(name, pos)
-                found |= reached
-            memo[key] = found
-            return found
+    def fill(name, parent, grandparent, state):
+        (position,) = state
+        choices = []
+        if position < len(masks) and masks[position] & TERMINAL_BITS[name]:
+            choices.append((None, (position + 1,)))
+        if name in insertable:
+            choices.append((None, state))
+        return choices
 
-        reached = ends(grammar.start, 0)
-        if not looped or memo == seeds:
-            return bool(reached >> len(masks) & 1)
-        seeds = memo
+    return any(end == (len(masks),) for _tree, end in _derivations(grammar, fill, (0,)))
 
 
 def reference_derive(grammar, fill, state=None):
@@ -226,6 +188,11 @@ def reference_derive(grammar, fill, state=None):
     than ``grammar.depth_limit`` times on its path from the root. It keeps
     no memo and cuts nothing by lookahead.
     """
+    return list(_derivations(grammar, fill, state))
+
+
+def _derivations(grammar, fill, state):
+    """``reference_derive``'s derivations, lazily."""
 
     def symbol(name, parent, grandparent, state, path):
         if name in TERMINALS:
@@ -247,7 +214,7 @@ def reference_derive(grammar, fill, state=None):
             for rest, end in sequence(body[1:], head, parent, middle, path):
                 yield (node,) + rest, end
 
-    return list(symbol(grammar.start, None, None, state, ()))
+    return symbol(grammar.start, None, None, state, ())
 
 
 def leaf_payloads(tree):

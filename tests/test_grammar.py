@@ -176,6 +176,55 @@ def test_bundled_grammar_enumeration_is_stable(grammar):
     assert first == second == 66779
 
 
+def test_enumeration_compiles_the_bundled_grammar_into_31_symbols(data_dir):
+    """The table compiles a symbol when a search first reads it.
+
+    The bundled grammar's 10 names and 39 rules, with the 5 body references
+    that would pass the depth limit dead, make 31 compiled symbols.
+    """
+    grammar = parse_grammar((data_dir / "spanish.grammar").read_text(encoding="utf-8"))
+    table = grammar.table(frozenset())
+    assert (len(grammar.rules_for), len(grammar.rules), len(table)) == (10, 39, 0)
+    assert sum(1 for _ in enumerate_trees(grammar)) == 66779
+    assert len(table) == 31
+    assert all(count <= grammar.depth_limit for _name, usage in table for count in usage)
+
+
+# Every phrase name rewrites to every phrase name before a noun, or to a
+# noun: each name reaches each other one, so the compiled symbols are many.
+DENSE_NAMES = ("SN", "SNS", "SNC", "SADJ", "SADV", "OBJ")
+DENSE_GRAMMAR = "S -> PRED\nPRED -> verb SN\n" + "".join(
+    "%s -> %s noun\n" % (head, body) for head in DENSE_NAMES for body in DENSE_NAMES
+) + "".join("%s -> noun\n" % head for head in DENSE_NAMES)
+
+
+def test_a_dense_grammar_compiles_no_more_symbols_than_the_search_keys(monkeypatch):
+    """``derive`` compiles no more symbols than it makes memo keys.
+
+    The input is a verb and three nouns, and the count includes the symbols
+    that ``derive``'s ``covers`` check compiles.
+    """
+    grammar = parse_grammar(DENSE_GRAMMAR)
+    cats = ("verb", "noun", "noun", "noun")
+    searches = []
+
+    class RecordedDerivation(grammar_module._Derivation):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    def fill(name, parent, grandparent, state):
+        (position,) = state
+        return ((None, (position + 1,)),) if position < len(cats) and cats[position] == name else ()
+
+    monkeypatch.setattr(grammar_module, "_Derivation", RecordedDerivation)
+    found = list(derive(grammar, fill, (0,), [mask(cat) for cat in cats]))
+    (search,) = searches
+    nonterminal_keys = sum(1 for key in search.memo if len(key) == 3)
+    assert len(found) == 35
+    assert 0 < len(grammar.table(frozenset())) <= nonterminal_keys
+
+
 def test_generation_ignores_agreement_variables(resources, data_dir, tmp_path):
     text = (data_dir / "spanish.grammar").read_text(encoding="utf-8")
     bare = tmp_path / "bare.grammar"
@@ -213,7 +262,7 @@ NOMINAL_FIRST = mask("determiner", "noun", "adjective", "pronoun")
 
 
 def _chain_cells(branch):
-    """The cells ``(name, slot, need, first, rest_need, rest_first)`` of one rule's chain.
+    """The cells ``(name, child, need, first, rest_need, rest_first)`` of one rule's chain.
 
     A chain holds one branch per body symbol, and only its last ends a rule.
     """
@@ -234,7 +283,8 @@ def _rule_cells(grammar, insertable, head):
     rule's own suffix bounds, which no rule order changes.
     """
     rules = tuple(sorted(grammar.rules, key=lambda rule: rule.head != head))
-    return [_chain_cells(chain) for chain in Grammar(rules=rules).table(insertable).prefixes[head]]
+    table = Grammar(rules=rules).table(insertable)
+    return [_chain_cells(chain) for chain in table[table.start]]
 
 
 def test_suffix_bounds_min_tokens_and_first_sets():
@@ -261,16 +311,20 @@ def test_suffix_bounds_min_tokens_and_first_sets():
         ("conjunction", "LINK"): ((0, mask("conjunction")), (0, mask("conjunction"))),
         ("noun", "LOOP"): ((math.inf, mask("noun")), (math.inf, mask("noun"))),
     }
-    # Each cell also holds the symbol's own bound and its usage slot (None
-    # for a terminal); LINK derives no token, so it has FIRST but needs 0.
-    # The start symbol's branches are one chain per rule, in file order.
-    assert _chain_cells(table.prefixes["S"][1]) == (
-        ("LINK", 2, 0, mask("conjunction"), 2, NOMINAL_FIRST | mask("conjunction")),
-        ("NP", 1, 1, NOMINAL_FIRST, 2, NOMINAL_FIRST),
+    # Each cell also holds the symbol's own bound and its compiled child
+    # (None for a terminal): the name with the usage counts of its path, in
+    # the order S, NP, LINK, LOOP. LINK derives no token, so it has FIRST
+    # but needs 0. The start symbol's branches are one chain per rule, in
+    # file order.
+    assert table.start == ("S", (1, 0, 0, 0))
+    assert _chain_cells(table[table.start][1]) == (
+        ("LINK", ("LINK", (1, 0, 1, 0)), 0, mask("conjunction"),
+         2, NOMINAL_FIRST | mask("conjunction")),
+        ("NP", ("NP", (1, 1, 0, 0)), 1, NOMINAL_FIRST, 2, NOMINAL_FIRST),
         ("verb", None, 1, mask("verb"), 1, mask("verb")),
     )
     # Below the start symbol, NP's two determiner rules share one branch.
-    assert table.prefixes["NP"][0][4:6] == (1, mask("determiner", "noun", "adjective"))
+    assert table[("NP", (1, 1, 0, 0))][0][4:6] == (1, mask("determiner", "noun", "adjective"))
     # FIRST masks beyond a single terminal bit, with their bits; LINK and
     # LOOP each start with one terminal.
     nominal_bits = sorted(mask(cat) for cat in ("determiner", "noun", "adjective", "pronoun"))
@@ -278,9 +332,9 @@ def test_suffix_bounds_min_tokens_and_first_sets():
     # Built once per insertable set; without insertables every terminal
     # consumes a token and FIRST stops at the first symbol.
     assert grammar.table(insertable) is table
-    plain = grammar.table(frozenset()).prefixes
-    assert plain["S"][1][4:6] == (3, mask("conjunction"))
-    assert plain["S"][0][4:6] == (3, mask("determiner", "pronoun"))
+    plain = grammar.table(frozenset())
+    assert plain[plain.start][1][4:6] == (3, mask("conjunction"))
+    assert plain[plain.start][0][4:6] == (3, mask("determiner", "pronoun"))
 
 
 def test_lookahead_cuts_work_not_derivations():
@@ -397,21 +451,24 @@ PRED -> PRED NP
 
 
 def test_covers_agrees_with_match_leaf_sequence_on_left_recursion():
-    """``covers`` accepts exactly the leaf sequences the grammar derives.
+    """``covers`` is true exactly when ``match_leaf_sequence`` finds a tree.
 
-    The expected verdicts come from the unpruned enumeration, since
-    ``match_leaf_sequence`` runs ``covers`` itself.
+    ``derive`` asks ``covers`` before it searches, so the trees are matched
+    with ``covers`` replaced by a check that accepts every input. At the
+    default limit the depth cuts some sequences of up to 4 leaves; at 4 it
+    cuts none.
     """
-    # Deep enough that the depth limit cuts no sequence of up to 4 leaves.
-    grammar = parse_grammar(LEFT_RECURSIVE_GRAMMAR).replaced(depth_limit=4)
-    sequences = {tree.leaf_sequence() for tree in enumerate_trees(grammar)}
-    fits = 0
-    for length in range(1, 5):
-        for cats in itertools.product(("determiner", "noun", "verb", "adverb"), repeat=length):
-            expected = cats in sequences
-            assert covers(grammar, [mask(cat) for cat in cats], frozenset()) is expected, cats
-            fits += expected
-    assert fits == 31
+    fits = {}
+    for depth_limit in (2, 4):
+        grammar = parse_grammar(LEFT_RECURSIVE_GRAMMAR).replaced(depth_limit=depth_limit)
+        fits[depth_limit] = 0
+        for length in range(1, 5):
+            for cats in itertools.product(("determiner", "noun", "verb", "adverb"), repeat=length):
+                with mock.patch.object(grammar_module, "covers", lambda *args: True):
+                    matched = bool(match_leaf_sequence(grammar, cats))
+                assert covers(grammar, [mask(cat) for cat in cats], frozenset()) is matched, cats
+                fits[depth_limit] += matched
+    assert fits == {2: 11, 4: 31}
     # An insertable terminal lets PRED reach itself with no token.
     assert covers(grammar, [mask("verb")], frozenset({"adverb"}))
     assert not covers(grammar, [mask("noun")], frozenset({"adverb"}))
@@ -437,10 +494,10 @@ MUTUAL_COVER_CASE = (
     ("determiner", "noun", "verb", "adverb"),
     (frozenset(), frozenset({"determiner"}), frozenset({"determiner", "adverb"})),
 )
-# The start sets a pass reads follow the ends found so far, so a pair that
-# one pass reads may be missing from the next. A chart that seeds each pass
-# from the previous pass's pairs only loses ``S``'s ends that way on
-# ``adverb noun adverb noun`` and repeats its passes forever.
+# Left recursion through a nonterminal whose start sets shift with the ends
+# found: on ``adverb noun adverb noun``, a chart that iterates passes to a
+# fixpoint, seeding each from the one before only, loses ``S``'s ends and
+# never ends.
 SHIFTING_PAIRS_GRAMMAR = """
 S -> S A
 S -> adverb
@@ -454,42 +511,30 @@ def _covers_checked(text, categories, insertables):
     """Assert that ``covers`` gives ``reference_covers``'s verdict on every short input.
 
     Every sequence of one to four ``categories`` is checked with each of
-    ``insertables``; returns the number of verdicts checked. A ``covers``
-    call fails the check when a pass starts from the seeds of an earlier
-    pass of the same call: the passes are deterministic, so it would never
-    end.
+    ``insertables``, at depth limit 4; returns the number of verdicts
+    checked.
     """
     grammar = parse_grammar(text).replaced(depth_limit=4)
-    init = grammar_module._Cover.__init__
-    started = []
-
-    def unrepeated_pass(self, prefixes, admit, seeds):
-        assert dict(seeds) not in started, "a covers pass repeats an earlier one"
-        started.append(dict(seeds))
-        init(self, prefixes, admit, seeds)
-
     checked = 0
-    with mock.patch.object(grammar_module._Cover, "__init__", unrepeated_pass):
-        for length in range(1, 5):
-            for cats in itertools.product(categories, repeat=length):
-                masks = [mask(cat) for cat in cats]
-                for insertable in insertables:
-                    started.clear()
-                    expected = reference_covers(grammar, masks, insertable)
-                    assert covers(grammar, masks, insertable) is expected, (cats, insertable)
-                    checked += 1
+    for length in range(1, 5):
+        for cats in itertools.product(categories, repeat=length):
+            masks = [mask(cat) for cat in cats]
+            for insertable in insertables:
+                expected = reference_covers(grammar, masks, insertable)
+                assert covers(grammar, masks, insertable) is expected, (cats, insertable)
+                checked += 1
     return checked
 
 
 def test_covers_agrees_with_reference_covers():
-    """The FIRST filter on start positions and the prefix-tree walk change no verdict.
+    """``covers`` is exact under the depth limit, whatever its FIRST filter and prefix-tree walk.
 
-    The left-recursive grammars exercise the fixpoint passes: directly,
-    mutually (one nonterminal re-entering a pair another is still
-    computing), and with pairs that change from pass to pass. The lookahead
-    grammar has a nonterminal that derives no token (LINK, unfiltered) and
-    one with no derivation at all (LOOP), and the prefix grammar rules that
-    end where others go on.
+    The left-recursive grammars recurse directly, mutually (one nonterminal
+    re-entering through another), and with start sets that shift with the
+    ends found; the compiled symbols bound each. The lookahead grammar has a
+    nonterminal that derives no token (LINK, unfiltered) and one with no
+    derivation at all (LOOP), and the prefix grammar rules that end where
+    others go on.
     """
     categories = ("determiner", "noun", "verb", "adverb")
     cases = (
@@ -503,6 +548,33 @@ def test_covers_agrees_with_reference_covers():
     )
     checked = sum(_covers_checked(*case) for case in cases)
     assert checked == 340 * 3 + 340 * 3 + 340 * 2 + 780 * 2 + 340 * 2
+
+
+def test_covers_chart_is_acyclic_under_left_recursion(monkeypatch):
+    """Under left recursion no ``covers`` pair is read while it is being computed.
+
+    Each step down the compiled symbols raises a usage count, so the chart
+    is a DAG, one pass over it ends, and its verdicts equal the reference.
+    """
+    ends = grammar_module._Cover.ends
+    active = set()
+    steps = [0]
+
+    def acyclic_ends(self, symbol, starts):
+        key = (symbol, starts)
+        assert key not in active, "a covers pair is read while it is being computed"
+        active.add(key)
+        steps[0] += 1
+        try:
+            return ends(self, symbol, starts)
+        finally:
+            active.discard(key)
+
+    monkeypatch.setattr(grammar_module._Cover, "ends", acyclic_ends)
+    categories = ("determiner", "noun", "verb", "adverb")
+    for text in (LEFT_RECURSIVE_GRAMMAR, SHIFTING_PAIRS_GRAMMAR):
+        assert _covers_checked(text, categories, (frozenset(), frozenset({"adverb"}))) == 680
+    assert steps[0] > 0
 
 
 def test_covers_check_catches_a_walk_that_stops_where_a_rule_ends(monkeypatch):
@@ -530,9 +602,12 @@ def test_covers_check_catches_a_chart_that_keeps_only_the_lowest_start(monkeypat
 
 
 def test_covers_relaxes_the_search_like_suffix_bounds(grammar):
+    """``covers`` relaxes only the fill, as the suffix bounds do: it keeps the depth limit."""
     too_deep = ("noun", "verb", "noun") + ("preposition", "noun") * 3
     assert match_leaf_sequence(grammar, too_deep) == []
-    assert covers(grammar, [mask(cat) for cat in too_deep], frozenset())  # no depth limit
+    assert not covers(grammar, [mask(cat) for cat in too_deep], frozenset())
+    deeper = grammar.replaced(depth_limit=grammar.depth_limit + 1)
+    assert covers(deeper, [mask(cat) for cat in too_deep], frozenset())
     insertable = frozenset({"determiner", "conjunction", "preposition"})
     nouns = [mask("noun"), mask("verb"), mask("noun"), mask("noun")]
     assert covers(grammar, nouns, insertable)  # noun verb noun (preposition) noun
@@ -636,7 +711,8 @@ def test_prefix_tree_shares_a_prefix_and_bounds_it_by_every_rule_through_it():
     """
     table = parse_grammar(PREFIX_GRAMMAR).table(frozenset({"noun"}))
     adjective = ("adjective", None, 1, mask("adjective"), 1, mask("adjective"))
-    assert table.prefixes["A"] == (
+    a_symbol, b_symbol = ("A", (1, 1, 0)), ("B", (1, 0, 1))
+    assert table[a_symbol] == (
         ("noun", None, 0, mask("noun"), 0, mask("noun", "verb", "adjective"), (3,), (
             ("verb", None, 1, mask("verb"), 1, mask("verb"), (0, 5), (adjective + ((4,), ()),)),
             adjective + ((2,), ()),
@@ -644,9 +720,9 @@ def test_prefix_tree_shares_a_prefix_and_bounds_it_by_every_rule_through_it():
         ("adverb", None, 1, mask("adverb"), 1, mask("adverb"), (1,), ()),
     )
     a_first, b_first = mask("noun", "verb", "adjective", "adverb"), mask("verb", "adverb")
-    a = ("A", 1, 0, a_first)
-    assert table.prefixes["S"] == (
-        a + (1, a_first | b_first, (), (("B", 2, 1, b_first, 1, b_first, (0,), ()),)),
+    a = ("A", a_symbol, 0, a_first)
+    assert table[table.start] == (
+        a + (1, a_first | b_first, (), (("B", b_symbol, 1, b_first, 1, b_first, (0,), ()),)),
         a + (0, a_first, (1,), ()),
     )
 
@@ -674,6 +750,21 @@ def _prefix_walk_checked(grammar, cats, insertable):
     ended = [item for item in reference if item[1][0] == len(cats)]
     assert list(derive(grammar, fill, (0,), masks, insertable)) == ended, cats
     return len(reference), len(ended)
+
+
+def test_prefix_walk_check_catches_a_compile_past_the_depth_limit(monkeypatch):
+    """A table compiled with one use past the limit derives trees ``reference_derive`` cuts."""
+    compile_table = grammar_module._compile
+
+    def one_past(grammar, insertable):
+        return compile_table(grammar.replaced(depth_limit=grammar.depth_limit + 1), insertable)
+
+    grammar = parse_grammar(LEFT_RECURSIVE_GRAMMAR)
+    cats = ("verb", "adverb", "adverb")  # PRED three deep: one past the limit
+    assert _prefix_walk_checked(grammar, cats, frozenset()) == (2, 0)
+    monkeypatch.setattr(grammar_module, "_compile", one_past)
+    with pytest.raises(AssertionError):
+        _prefix_walk_checked(parse_grammar(LEFT_RECURSIVE_GRAMMAR), cats, frozenset())
 
 
 def _rule_set(name):
@@ -755,6 +846,7 @@ def test_prefix_walk_check_catches_a_root_stream_over_a_shared_tree(monkeypatch)
 
     monkeypatch.setattr(grammar_module._Derivation, "stream", shared_stream)
     grammar = parse_grammar(PREFIX_GRAMMAR)
-    assert len(grammar.table(frozenset()).prefixes["S"]) == 2
+    table = grammar.table(frozenset())
+    assert len(table[table.start]) == 2
     with pytest.raises(AssertionError):
         _prefix_walk_checked(grammar, ("noun", "verb", "verb"), frozenset())

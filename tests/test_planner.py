@@ -262,10 +262,12 @@ def test_oov_subject_reads_as_proper_name(resources):
 # Terminal fills the memoized, lookahead-pruned search makes over the
 # exact-match corpus and over the golden inputs, and the body symbols its
 # prefix-tree walks expand over the golden inputs, as (all, terminals).
-# Deterministic work counters: change them only with a reason.
+# Deterministic work counters: change them only with a reason. A rule
+# that would pass the depth limit is dead in the compiled table, so the
+# search never expands the terminals that open it.
 CORPUS_FILL_CALLS = 129
-GOLDEN_FILL_CALLS = 801
-GOLDEN_BRANCH_EXPANSIONS = (1630, 1088)
+GOLDEN_FILL_CALLS = 800
+GOLDEN_BRANCH_EXPANSIONS = (1628, 1087)
 # Root derivations the search builds over the 20 hand-written lists: one per
 # plan, since none that ends before the last token is built (255 were).
 CORPUS_ROOT_DERIVATIONS = 135
@@ -365,10 +367,10 @@ def test_prefix_branch_expansions_on_golden_inputs_are_pinned(resources, monkeyp
         finally:
             walking[0] -= 1
 
-    def counting_expand(self, name, slot, *args):
+    def counting_expand(self, name, symbol, *args):
         if walking[0]:  # below the root: the start symbol's bodies expand outside any walk
-            expansions.append(slot is None)
-        return expand(self, name, slot, *args)
+            expansions.append(symbol is None)
+        return expand(self, name, symbol, *args)
 
     monkeypatch.setattr(_Derivation, "walk", counting_walk)
     monkeypatch.setattr(_Derivation, "expand", counting_expand)
@@ -539,9 +541,10 @@ def test_cover_soundness_check_catches_a_planted_mutant(resources):
 
 # ``_Cover.ends`` calls ``covers`` makes over the golden inputs: a
 # deterministic work counter, like the fill calls above. Each call walks
-# its symbol's prefix tree from a whole set of start positions, so a shared
-# body prefix is matched once.
-GOLDEN_COVER_ENDS = 2788
+# its compiled symbol's prefix tree from a whole set of start positions, so
+# a shared body prefix is matched once; a name reached at two path usages
+# is two compiled symbols, so two calls.
+GOLDEN_COVER_ENDS = 3053
 
 
 def test_cover_work_on_golden_inputs_is_pinned(resources, monkeypatch):
@@ -559,12 +562,15 @@ def test_cover_work_on_golden_inputs_is_pinned(resources, monkeypatch):
     assert len(calls) == GOLDEN_COVER_ENDS
 
 
-def _reference_checked(words, resources):
-    """Plan ``words``; assert ``covers`` and ``reference_covers`` agree on every attempt."""
+def _reference_checked(words, resources, check=covers):
+    """Plan ``words`` with ``check`` in place of ``covers``; assert it agrees with the reference.
+
+    Returns its verdicts, one per subject attempt.
+    """
     verdicts = []
 
     def checked_covers(grammar, masks, insertable):
-        verdicts.append(covers(grammar, masks, insertable))
+        verdicts.append(check(grammar, masks, insertable))
         assert verdicts[-1] is reference_covers(grammar, masks, insertable), words
         return verdicts[-1]
 
@@ -587,6 +593,24 @@ def test_covers_agrees_with_reference_on_golden_inputs(resources):
 @given(KEYWORD_LISTS)
 def test_covers_agrees_with_reference(words):
     _reference_checked(words, RESOURCES)
+
+
+# Three nested prepositional phrases: the bundled grammar derives them only
+# past its depth limit, so no structure fits, although every token reads as
+# a category the grammar can place.
+TOO_DEEP = ("cepilla", "alrededor", "abeja", "abeja", "abeja")
+
+
+def test_covers_reference_check_catches_a_cover_that_ignores_the_depth_limit(resources):
+    """A ``covers`` that lets every nonterminal nest once more per token accepts ``TOO_DEEP``."""
+
+    def mutant(grammar, masks, insertable):
+        return covers(grammar.replaced(depth_limit=len(masks) + 1), masks, insertable)
+
+    # Both subject attempts, the default subject's and the bare predicate's.
+    assert _reference_checked(TOO_DEEP, resources) == [False, False]
+    with pytest.raises(AssertionError, match="cepilla"):  # the mutant accepts an attempt
+        _reference_checked(TOO_DEEP, resources, mutant)
 
 
 def _oracle_checked(words, resources):
@@ -850,6 +874,21 @@ def test_plan_roles_check_catches_a_walk_that_ignores_coordination(resources, mo
     monkeypatch.setattr(planner, "_DETERMINED", planner._DETERMINED - {"SNC"})
     with pytest.raises(AssertionError, match="letras"):
         _roles_checked(resources.grammar, resources)
+
+
+def test_plan_roles_count_the_subject_in_their_one_walk(resources, monkeypatch):
+    """No plan walks its subject a second time to count its leaves."""
+    walks = []
+    leaf_sequence = grammar_module.TreeNode.leaf_sequence
+
+    def counting_leaf_sequence(self):
+        walks.append(self.symbol)
+        return leaf_sequence(self)
+
+    monkeypatch.setattr(grammar_module.TreeNode, "leaf_sequence", counting_leaf_sequence)
+    for words in HAND_WRITTEN:
+        generate(words, resources, max_candidates=0)
+    assert walks == []
 
 
 @pytest.mark.parametrize(

@@ -17,12 +17,14 @@ Generates, with no cap, each of the 20 hand-written corpus lists
 - ``root_derivations``: derivations of the start symbol, as ``derive``
   yields them to the planner;
 - ``cover_ends``: calls of ``_Cover.ends``, the ``covers`` chart's one
-  step per (symbol, start position set) read, memo hits included;
+  step per (compiled symbol, start position set) read, memo hits
+  included;
 - ``plans``: the plans ``plan_structures`` returns.
 
-The search and ``covers`` read one prefix tree per nonterminal, its
-rules left-factored, so a body prefix that several rules share counts
-once; the start symbol's tree is one chain per rule. The counts wrap only
+The search and ``covers`` read one prefix tree per compiled symbol, a
+nonterminal with the usage counts of its path, its live rules
+left-factored, so a body prefix that several rules share counts once; the
+start symbol's tree is one chain per rule. The counts wrap only
 ``_Derivation.expand``, ``_Cover.ends``, ``planner.derive``,
 ``planner._fill_terminal`` and ``pipeline.plan_structures``, so the script
 also counts an older checkout: put that checkout's ``src`` on
@@ -67,9 +69,9 @@ def count_work(inputs, resources):
         counts["fill_calls"] += 1
         return fill(*args)
 
-    def counting_expand(self, name, slot, *args):
-        found = expand(self, name, slot, *args)
-        if slot is None:
+    def counting_expand(self, name, symbol, *args):
+        found = expand(self, name, symbol, *args)
+        if symbol is None:
             counts["terminal_expansions"] += 1
         else:
             counts["nonterminal_expansions"] += 1
