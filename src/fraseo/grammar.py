@@ -55,7 +55,10 @@ supersets: a suffix they rule out has no derivation, and cutting it
 changes no result. The search tests a suffix before it expands its first
 symbol, and ``covers`` tries a nonterminal that must consume a token only
 at positions whose token reads as a category in its FIRST set. Without an
-input the search cuts nothing.
+input the search cuts nothing. ``covers`` has one goal, the end of the
+input, which passes down each rule's last symbol: it seeks that symbol's
+way to the goal and stops at the first rule that gets there, and it
+collects every end only of a symbol with more of its rule after it.
 
 The search builds a nonterminal's memoized derivations by one walk over
 its tree, collecting each rule's derivations apart and joining them in
@@ -532,54 +535,79 @@ def covers(grammar, masks, insertable):
     the start positions and the end positions they reach each an int
     bitset, so a set of positions steps through a rule body at once: a
     terminal shifts it (Baeza-Yates & Gonnet 1992, "A New Approach to Text
-    Searching") and a nonterminal takes it in one pair, one ``_Cover.ends``
-    step. A pair walks its compiled symbol's prefix tree once, so a body
-    prefix that several rules share is matched once for all of them. A
-    nonterminal that must consume a token is tried only from positions
-    whose token reads as a terminal in its FIRST set: from any other it
-    reaches no end. The compiled symbols form a DAG, so no pair is read
-    while it is being computed, even under left recursion, and one pass
-    ends with the exact answer.
+    Searching") and a nonterminal takes it in one pair. A pair walks its
+    compiled symbol's prefix tree once, so a body prefix that several rules
+    share is matched once for all of them. A nonterminal that must consume
+    a token is tried only from positions whose token reads as a terminal in
+    its FIRST set: from any other it reaches no end. The compiled symbols
+    form a DAG, so no pair is read while it is being computed, even under
+    left recursion, and one pass ends with the exact answer.
+
+    The walk is goal-directed: the one end that matters is ``len(masks)``,
+    and it passes down the right spine. A body symbol that ends a rule and
+    has no symbol after it inherits that goal, so the walk stops at the
+    first rule that reaches it (``_GoalReached``) instead of collecting
+    every end. A body symbol with more after it still takes its full set of
+    ends, for the rest of the body to start from. A rejected input walks
+    exactly the pairs of the full chart, with no more lookups or calls per
+    pair.
     """
-    table = grammar.table(insertable)
-    # Per FIRST mask, the positions of the tokens that read as a terminal in
-    # it: for a terminal's own bit, the tokens that read as that terminal.
-    admit = dict.fromkeys(TERMINAL_BITS.values(), 0)
-    for pos, mask in enumerate(masks):
-        while mask:
-            bit = mask & -mask
-            admit[bit] |= 1 << pos
-            mask ^= bit
-    for first, bits in table.unions:
-        positions = 0
-        for bit in bits:
-            positions |= admit[bit]
-        admit[first] = positions
-    reached = _Cover(table, admit).ends(table.start, 1)
-    return bool(reached >> len(masks) & 1)
+    goal = 1 << len(masks)
+    cover = _Cover(grammar.table(insertable), masks)
+    try:
+        cover.ends(cover.table.start, 1, goal)
+    except _GoalReached:
+        return True
+    return False
+
+
+class _GoalReached(Exception):
+    """The ``covers`` walk found a rule on the right spine that ends at the goal."""
 
 
 class _Cover:
     """One ``covers`` chart over (compiled symbol, start positions) pairs.
 
-    Plain methods, so the chart leaves no reference cycle.
+    ``admit`` maps each FIRST mask of the table to the positions of the
+    tokens that read as a terminal in it. Plain methods, so the chart
+    leaves no reference cycle.
     """
 
-    def __init__(self, table, admit):
+    def __init__(self, table, masks):
         self.table = table
-        self.admit = admit
+        # For a terminal's own bit, the tokens that read as that terminal.
+        admit = self.admit = dict.fromkeys(TERMINAL_BITS.values(), 0)
+        for pos, mask in enumerate(masks):
+            while mask:
+                bit = mask & -mask
+                admit[bit] |= 1 << pos
+                mask ^= bit
+        for first, bits in table.unions:
+            positions = 0
+            for bit in bits:
+                positions |= admit[bit]
+            admit[first] = positions
         self.memo = {}
 
-    def ends(self, symbol, starts):
-        """The end positions ``symbol`` reaches from any position of the bitset ``starts``."""
+    def ends(self, symbol, starts, goal=0):
+        """The end positions ``symbol`` reaches from any position of the bitset ``starts``.
+
+        Given a ``goal`` position bit, raises ``_GoalReached`` at the first
+        rule that ends there, so the walk stops and ``memo`` holds only full
+        sets of ends.
+        """
         key = (symbol, starts)
         found = self.memo.get(key)
         if found is None:
-            found = self.memo[key] = self.reach(self.table[symbol], starts)
+            found = self.memo[key] = self.reach(self.table[symbol], starts, goal)
         return found
 
-    def reach(self, branches, reached):
-        """The end positions of the rule bodies below ``branches``, from the bitset ``reached``."""
+    def reach(self, branches, reached, goal):
+        """The end positions of the rule bodies below ``branches``, from the bitset ``reached``.
+
+        A rule's last symbol is sought for ``goal``; a symbol with more of
+        its rule after it gets its full set of ends.
+        """
         found = 0
         admit = self.admit
         for _name, child, need, first, _rest_need, _rest_first, ends, after in branches:
@@ -587,12 +615,14 @@ class _Cover:
                 out = (0 if need else reached) | (reached & admit[first]) << 1
             else:
                 starts = reached & admit[first] if need else reached
-                out = self.ends(child, starts) if starts else 0
+                out = self.ends(child, starts, 0 if after else goal) if starts else 0
             if out:
                 if ends:
+                    if out & goal:
+                        raise _GoalReached
                     found |= out
                 if after:
-                    found |= self.reach(after, out)
+                    found |= self.reach(after, out, goal)
         return found
 
 

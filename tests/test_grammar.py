@@ -560,13 +560,13 @@ def test_covers_chart_is_acyclic_under_left_recursion(monkeypatch):
     active = set()
     steps = [0]
 
-    def acyclic_ends(self, symbol, starts):
+    def acyclic_ends(self, symbol, starts, goal=0):
         key = (symbol, starts)
         assert key not in active, "a covers pair is read while it is being computed"
         active.add(key)
         steps[0] += 1
         try:
-            return ends(self, symbol, starts)
+            return ends(self, symbol, starts, goal)
         finally:
             active.discard(key)
 
@@ -581,8 +581,8 @@ def test_covers_check_catches_a_walk_that_stops_where_a_rule_ends(monkeypatch):
     """A ``covers`` walk that skips the children of a branch where a rule ends fails the check."""
     reach = grammar_module._Cover.reach
 
-    def stop_at_ends(self, branches, reached):
-        return reach(self, tuple(b[:7] + ((),) if b[6] else b for b in branches), reached)
+    def stop_at_ends(self, branches, reached, goal):
+        return reach(self, tuple(b[:7] + ((),) if b[6] else b for b in branches), reached, goal)
 
     monkeypatch.setattr(grammar_module._Cover, "reach", stop_at_ends)
     with pytest.raises(AssertionError):
@@ -593,8 +593,8 @@ def test_covers_check_catches_a_chart_that_keeps_only_the_lowest_start(monkeypat
     """A chart step that drops every start position of its set but the lowest fails the check."""
     ends = grammar_module._Cover.ends
 
-    def lowest_start(self, symbol, starts):
-        return ends(self, symbol, starts & -starts)
+    def lowest_start(self, symbol, starts, goal=0):
+        return ends(self, symbol, starts & -starts, goal)
 
     monkeypatch.setattr(grammar_module._Cover, "ends", lowest_start)
     with pytest.raises(AssertionError):
@@ -702,6 +702,152 @@ BUNDLED_INPUTS = (
     ("proper_name", "verb", "preposition", "verb", "noun"),
 )
 PREFIX_INSERTABLE = frozenset({"determiner", "preposition"})
+
+
+# Grammars for the goal-walk differential test: (grammar, categories a
+# token may read as, insertable sets, inputs that are covered). The
+# left-recursive ones run at depth limit 4 and are also checked against
+# ``reference_covers``, as in ``_covers_checked``; the reference enumerates
+# derivations, too many on the bundled and the dense grammar.
+GOAL_WALK_CASES = {
+    "bundled": (
+        Grammar(rules=BUNDLED_RULES),
+        ("determiner", "noun", "adjective", "adverb", "preposition", "pronoun", "proper_name",
+         "verb", "conjunction"),
+        (frozenset(), frozenset({"determiner", "conjunction", "preposition"})),
+        BUNDLED_INPUTS,
+    ),
+    "left_recursive": (
+        parse_grammar(LEFT_RECURSIVE_GRAMMAR).replaced(depth_limit=4),
+        ("determiner", "noun", "verb", "adverb"),
+        (frozenset(), frozenset({"adverb"}), frozenset({"determiner", "adverb"})),
+        (("noun", "verb", "adverb", "noun"), ("verb", "determiner", "noun", "adverb")),
+    ),
+    "shifting_pairs": (
+        parse_grammar(SHIFTING_PAIRS_GRAMMAR).replaced(depth_limit=4),
+        ("determiner", "noun", "verb", "adverb"),
+        (frozenset(), frozenset({"adverb"})),
+        (("adverb", "noun", "adverb", "noun"), ("adverb", "noun", "adverb")),
+    ),
+    "dense": (
+        parse_grammar(DENSE_GRAMMAR),
+        ("verb", "noun", "adjective"),
+        (frozenset(), frozenset({"noun"})),
+        (("verb", "noun"), ("verb", "noun", "noun", "noun")),
+    ),
+}
+
+
+def _full_chart_covers(grammar, masks, insertable):
+    """``covers`` read off the full chart: every end of the start symbol from position 0."""
+    table = grammar.table(insertable)
+    return bool(grammar_module._Cover(table, masks).ends(table.start, 1) >> len(masks) & 1)
+
+
+def _goal_walk_checked(case, masks, insertable):
+    """Assert that ``covers`` gives the full chart's verdict, and the reference's where it runs."""
+    grammar = GOAL_WALK_CASES[case][0]
+    verdict = covers(grammar, masks, insertable)
+    assert verdict is _full_chart_covers(grammar, masks, insertable), (case, masks, insertable)
+    if case in ("left_recursive", "shifting_pairs"):
+        assert verdict is reference_covers(grammar, masks, insertable), (case, masks, insertable)
+    return verdict
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_covers_goal_walk_agrees_with_the_full_chart(data):
+    case = data.draw(st.sampled_from(sorted(GOAL_WALK_CASES)))
+    _grammar, categories, insertables, covered = GOAL_WALK_CASES[case]
+    token = st.sets(st.sampled_from(categories), min_size=1, max_size=2).map(
+        lambda cats: mask(*cats)
+    )
+    masks = data.draw(
+        st.lists(token, max_size=6)
+        | st.sampled_from(covered).map(lambda cats: [mask(cat) for cat in cats])
+    )
+    _goal_walk_checked(case, masks, data.draw(st.sampled_from(insertables)))
+
+
+def _goal_walk_examples_checked():
+    """``_goal_walk_checked`` on each case's covered inputs, and on each with one token more.
+
+    Returns the verdicts, which hold both answers.
+    """
+    verdicts = []
+    for case, (_grammar, categories, insertables, covered) in GOAL_WALK_CASES.items():
+        for cats in covered:
+            for extra in ((), (categories[-1],)):
+                masks = [mask(cat) for cat in cats + extra]
+                verdicts += [_goal_walk_checked(case, masks, ins) for ins in insertables]
+    return verdicts
+
+
+def test_covers_goal_walk_examples_hold_both_verdicts():
+    verdicts = _goal_walk_examples_checked()
+    assert (verdicts.count(True), len(verdicts)) == (36, 52)
+
+
+def test_goal_walk_check_catches_a_walk_that_takes_any_end_for_the_goal(monkeypatch):
+    """A goal walk that reports the goal on any end of a right-spine symbol fails the check."""
+    ends = grammar_module._Cover.ends
+
+    def any_end(self, symbol, starts, goal=0):
+        found = ends(self, symbol, starts, goal)
+        return found | goal if found else 0
+
+    monkeypatch.setattr(grammar_module._Cover, "ends", any_end)
+    with pytest.raises(AssertionError):
+        _goal_walk_examples_checked()
+
+
+def test_goal_walk_check_catches_a_walk_that_stops_where_a_rule_ends(monkeypatch):
+    """A goal walk that skips the children of a branch where a rule ends fails the check."""
+    reach = grammar_module._Cover.reach
+
+    def stop_at_ends(self, branches, reached, goal):
+        if goal:
+            branches = tuple(b[:7] + ((),) if b[6] else b for b in branches)
+        return reach(self, branches, reached, goal)
+
+    monkeypatch.setattr(grammar_module._Cover, "reach", stop_at_ends)
+    with pytest.raises(AssertionError):
+        _goal_walk_examples_checked()
+
+
+def test_covers_chart_stopped_at_the_goal_keeps_only_full_sets():
+    """After the goal walk stops, the same chart still gives the full chart's ends.
+
+    The walk stops by raising ``_GoalReached``, so no pair it left is memoized.
+    """
+    stopped = 0
+    for case, (grammar, _categories, insertables, covered) in GOAL_WALK_CASES.items():
+        for cats in covered:
+            masks = [mask(cat) for cat in cats]
+            for insertable in insertables:
+                table = grammar.table(insertable)
+                cover = grammar_module._Cover(table, masks)
+                try:
+                    cover.ends(table.start, 1, 1 << len(masks))
+                except grammar_module._GoalReached:
+                    stopped += 1
+                full = grammar_module._Cover(table, masks).ends(table.start, 1)
+                assert cover.ends(table.start, 1) == full, (case, cats, insertable)
+    assert stopped == 26
+
+
+def test_covers_compiles_only_what_the_goal_walk_reaches_on_a_dense_grammar():
+    """On the dense grammar with three nouns ``covers`` compiles 814 symbols, the full chart 1,866.
+
+    The walk stops at the first ``SN`` rule that reaches the last token, so
+    the later rules' symbols are never compiled.
+    """
+    grammar = parse_grammar(DENSE_GRAMMAR)
+    masks = [mask("verb")] + [mask("noun")] * 3
+    assert covers(grammar, masks, frozenset())
+    assert len(grammar.table(frozenset())) == 814
+    assert _full_chart_covers(grammar, masks, frozenset())
+    assert len(grammar.table(frozenset())) == 1866
 
 
 def test_prefix_tree_shares_a_prefix_and_bounds_it_by_every_rule_through_it():

@@ -539,27 +539,31 @@ def test_cover_soundness_check_catches_a_planted_mutant(resources):
             _cover_checked(words, resources, mutant)
 
 
-# ``_Cover.ends`` calls ``covers`` makes over the golden inputs: a
-# deterministic work counter, like the fill calls above. Each call walks
-# its compiled symbol's prefix tree from a whole set of start positions, so
-# a shared body prefix is matched once; a name reached at two path usages
-# is two compiled symbols, so two calls.
-GOLDEN_COVER_ENDS = 3053
+# ``_Cover.ends`` calls ``covers`` makes over the golden inputs, without
+# and with a goal: deterministic work counters, like the fill calls above.
+# Each call walks its compiled symbol's prefix tree from a whole set of
+# start positions, so a shared body prefix is matched once; a name reached
+# at two path usages is two compiled symbols, so two calls. A call with a
+# goal is a step of the goal walk down each rule's last symbol, which stops
+# at the first rule that reaches the last token; one without collects the
+# full set of ends of a symbol that has more of its rule after it.
+GOLDEN_COVER_ENDS = 1023
+GOLDEN_COVER_GOALS = 1453
 
 
 def test_cover_work_on_golden_inputs_is_pinned(resources, monkeypatch):
-    calls = []
+    calls = {"ends": [], "goals": []}
     ends = _Cover.ends
 
-    def counting_ends(self, symbol, starts):
-        calls.append(symbol)
-        return ends(self, symbol, starts)
+    def counted(self, symbol, starts, goal=0):
+        calls["goals" if goal else "ends"].append(symbol)
+        return ends(self, symbol, starts, goal)
 
-    monkeypatch.setattr(_Cover, "ends", counting_ends)
+    monkeypatch.setattr(_Cover, "ends", counted)
     for words in golden_inputs(resources.lexicon):
         generate(words, resources, max_candidates=0)
     monkeypatch.undo()
-    assert len(calls) == GOLDEN_COVER_ENDS
+    assert (len(calls["ends"]), len(calls["goals"])) == (GOLDEN_COVER_ENDS, GOLDEN_COVER_GOALS)
 
 
 def _reference_checked(words, resources, check=covers):

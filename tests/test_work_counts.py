@@ -3,6 +3,7 @@ from test_planner import (
     CORPUS_ROOT_DERIVATIONS,
     GOLDEN_BRANCH_EXPANSIONS,
     GOLDEN_COVER_ENDS,
+    GOLDEN_COVER_GOALS,
     GOLDEN_FILL_CALLS,
 )
 from work_counts import count_work, main
@@ -17,7 +18,8 @@ nonterminal_expansions          261      872
 memo_derivations                566     1585
 memo_derivations_in_plans       332      963
 root_derivations                135      388
-cover_ends                      315     3053
+cover_ends                       42     1023
+cover_goals                     104     1453
 plans                           135      388
 """
 
@@ -34,6 +36,7 @@ def test_work_counts_repeat_and_agree_with_the_planner_pins(resources):
     golden = count_work(golden_inputs(resources.lexicon), resources)
     assert golden["fill_calls"] == GOLDEN_FILL_CALLS
     assert golden["cover_ends"] == GOLDEN_COVER_ENDS
+    assert golden["cover_goals"] == GOLDEN_COVER_GOALS
     # The bundled start rules' bodies hold no terminal, so every terminal
     # expansion is a prefix-tree branch's.
     assert golden["terminal_expansions"] == GOLDEN_BRANCH_EXPANSIONS[1]

@@ -16,9 +16,13 @@ Generates, with no cap, each of the 20 hand-written corpus lists
   subtree of some plan;
 - ``root_derivations``: derivations of the start symbol, as ``derive``
   yields them to the planner;
-- ``cover_ends``: calls of ``_Cover.ends``, the ``covers`` chart's one
-  step per (compiled symbol, start position set) read, memo hits
-  included;
+- ``cover_ends``: calls of ``_Cover.ends`` with no goal, the ``covers``
+  chart's one step per (compiled symbol, start position set) read for its
+  full set of ends, memo hits included;
+- ``cover_goals``: calls of ``_Cover.ends`` with a goal, the steps of the
+  goal walk down each rule's last symbol, which stop at the first rule
+  that reaches the last token, memo hits included (0 for a checkout
+  without it);
 - ``plans``: the plans ``plan_structures`` returns.
 
 The search and ``covers`` read one prefix tree per compiled symbol, a
@@ -48,6 +52,7 @@ COUNTERS = (
     "memo_derivations_in_plans",
     "root_derivations",
     "cover_ends",
+    "cover_goals",
     "plans",
 )
 
@@ -84,9 +89,9 @@ def count_work(inputs, resources):
             counts["root_derivations"] += 1
             yield item
 
-    def counting_ends(self, *args):
-        counts["cover_ends"] += 1
-        return ends(self, *args)
+    def counting_ends(self, symbol, starts, *goal):
+        counts["cover_goals" if any(goal) else "cover_ends"] += 1
+        return ends(self, symbol, starts, *goal)
 
     def counting_plan(*args):
         plans = plan(*args)
@@ -103,7 +108,9 @@ def count_work(inputs, resources):
         planner, "derive", counting_derive
     ), mock.patch.object(_Derivation, "expand", counting_expand), mock.patch.object(
         _Cover, "ends", counting_ends
-    ), mock.patch.object(pipeline, "plan_structures", counting_plan):
+    ), mock.patch.object(
+        pipeline, "plan_structures", counting_plan
+    ):
         for words in inputs:
             generate(list(words), resources, max_candidates=0)
             counts["memo_derivations"] += sum(len(derived) for derived in memo_lists.values())
