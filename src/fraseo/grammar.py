@@ -17,9 +17,12 @@ Recursion is bounded: no nonterminal may occur more than ``depth_limit``
 times on any root-to-leaf path, which keeps enumeration finite. The bound
 is compiled into the grammar table (Nederhof 2000, "Practical Experiments
 with Regular Approximation of Context-Free Languages"): a compiled symbol
-is a name with the usage counts of its path, and a rule that would pass the
-limit is dead for it, so the compiled symbols form a DAG and no search
-counts a path at run time.
+is a name with the usage counts of its path, kept only for the names it can
+reach, and a rule that would pass the limit is dead for it, so the compiled
+symbols form a DAG and no search counts a path at run time. A count of a
+name the symbol cannot reach could never cut one of its rules, so symbols
+that differ only there would derive alike: zeroing those counts makes them
+one symbol.
 
 All searches over the grammar go through one function, ``derive``: a
 memoized top-down search that asks a caller-supplied fill for each
@@ -32,7 +35,11 @@ Memoization with Applications to Context-Free Parsing"), for one run: a
 nonterminal's derivations on (compiled symbol, parent, state), and a
 terminal's fill on its own arguments, (name, parent, grandparent, state).
 So a fill must return the same choices whenever it is called with the same
-arguments.
+arguments. A caller declares which terminals' fills read the parent and
+grandparent heads; any other terminal's fill gets None for both, and a
+nonterminal whose rule bodies hold no declared terminal is keyed with
+parent None, so it is memoized once per (compiled symbol, state) whatever
+stands above it.
 
 A search over an input takes it as masks, per token the categories it
 reads as, and is bounded by it (Kay 1996, "Chart Generation"): it yields
@@ -136,12 +143,13 @@ class Grammar(Value):
     """Rules in file order and the search's depth limit.
 
     ``_derive`` sets the rest: ``start``, the first rule's head;
-    ``rules_for``, each head's rules in file order; and an empty cache of
-    ``table``'s compiled tables. A ``replaced`` copy derives them afresh.
+    ``rules_for``, each head's rules in file order; and empty caches of
+    ``table``'s compiled tables and ``keyed``'s head sets. A ``replaced``
+    copy derives them afresh.
     """
 
     _fields = ("rules", "depth_limit")
-    __slots__ = _fields + ("start", "rules_for", "_tables")
+    __slots__ = _fields + ("start", "rules_for", "_tables", "_keyed")
     _defaults = {"depth_limit": 2}
 
     def _derive(self):
@@ -150,6 +158,7 @@ class Grammar(Value):
         for rule in self.rules:
             self.rules_for.setdefault(rule.head, []).append(rule)
         self._tables = {}
+        self._keyed = {}
 
     def table(self, insertable):
         """The ``GrammarTable`` for ``insertable``, built once and kept.
@@ -162,19 +171,38 @@ class Grammar(Value):
             table = self._tables[insertable] = _compile(self, insertable)
         return table
 
+    def keyed(self, contextual):
+        """The heads with a rule whose body holds a terminal of ``contextual``, kept per set.
+
+        ``contextual`` is a frozenset of terminal names. ``derive`` keys
+        only these heads' derivations on their parent.
+        """
+        heads = self._keyed.get(contextual)
+        if heads is None:
+            heads = self._keyed[contextual] = frozenset(
+                rule.head for rule in self.rules if not contextual.isdisjoint(rule.body)
+            )
+        return heads
+
 
 class GrammarTable(dict):
     """The rules compiled for one set of insertable terminals, under the depth limit.
 
-    A compiled symbol is ``(name, usage)``, ``usage`` counting each
-    nonterminal's occurrences on the path from the root, this one included,
-    in ``grammar.rules_for`` order; ``start`` is the start symbol's. The
+    A compiled symbol is ``(name, usage)``, ``usage`` counting, in
+    ``grammar.rules_for`` order, each nonterminal's occurrences on the path
+    from the root, this one included, for the nonterminals that ``name``
+    can reach, and 0 for the others; ``start`` is the start symbol's.
+    ``reach`` flags, per head, the names it can reach in that order. The
     table maps a compiled symbol to the branches of its prefix tree, built
     the first time a search or ``covers`` reads it (``__missing__``), so it
     never holds more symbols than they reach. A rule with a body
     nonterminal whose count would pass ``depth_limit`` is dead for the
     symbol and left out; every other body nonterminal's count goes up by
-    one, so the compiled symbols form a DAG.
+    one (``enter``), so the compiled symbols form a DAG. A rule's liveness
+    reads only its body nonterminals' counts, which the symbol keeps, and
+    each body nonterminal reaches a subset of what the symbol reaches, so
+    the counts a symbol zeroes cut nothing below it: two paths that differ
+    only there meet at one symbol with the same derivations.
 
     The live rules are left-factored (Moore 2000, "Improved Left-Corner
     Chart Parsing for Large Context-Free Grammars"): rules whose bodies
@@ -197,23 +225,28 @@ class GrammarTable(dict):
     and a branch's suffix bound admits every suffix that one of its rules'
     bounds admits, so it cuts only what all of them cut. ``unions`` pairs
     each distinct ``first`` of the rows that is not a single terminal bit
-    with the bits it holds.
+    with the bits it holds, and ``no_positions`` maps every terminal bit and
+    union mask to 0, the start of each ``covers`` run's ``admit``.
     """
 
-    __slots__ = ("names", "rows", "depth_limit", "start", "unions")
+    __slots__ = ("names", "rows", "reach", "depth_limit", "start", "unions", "no_positions")
 
-    def __init__(self, names, rows, depth_limit, start, unions):
+    def __init__(self, names, rows, reach, depth_limit, start, unions):
         super().__init__()
         self.names = names
         self.rows = rows
+        self.reach = reach
         self.depth_limit = depth_limit
-        self.start = start
+        self.start = self.enter((0,) * len(names), start)
         self.unions = unions
+        self.no_positions = dict.fromkeys(
+            [*TERMINAL_BITS.values(), *(first for first, _bits in unions)], 0
+        )
 
     def __missing__(self, symbol):
         head, usage = symbol
         children = {
-            name: (name, tuple(used + (other == name) for other, used in zip(self.names, usage)))
+            name: self.enter(usage, name)
             for name, count in zip(self.names, usage)
             if count < self.depth_limit
         }
@@ -227,6 +260,15 @@ class GrammarTable(dict):
         else:
             branches = self[symbol] = _factor(rows, rows)
         return branches
+
+    def enter(self, usage, name):
+        """The compiled symbol of ``name`` entered below a symbol of ``usage``.
+
+        ``name``'s count goes up by one. The counts of the names it cannot
+        reach can no longer cut a rule, so they are zeroed.
+        """
+        counts = zip(self.names, usage, self.reach[name])
+        return name, tuple(used + (other == name) if kept else 0 for other, used, kept in counts)
 
 
 def _factor(rows, rules, depth=0):
@@ -259,6 +301,8 @@ def _compile(grammar, insertable):
 
     A row holds a cell ``(name, need, first, rest_need, rest_first)`` per
     body symbol; the table turns them into compiled branches on demand.
+    Each head's reachable nonterminals are found by a walk over the body
+    references.
     """
     least = dict.fromkeys(grammar.rules_for, math.inf)
     first = dict.fromkeys(grammar.rules_for, 0)
@@ -298,8 +342,20 @@ def _compile(grammar, insertable):
         (mask, tuple(bit for bit in bits if mask & bit)) for mask in sorted(firsts - set(bits))
     )
     names = tuple(grammar.rules_for)
-    start = (grammar.start, tuple(int(name == grammar.start) for name in names))
-    return GrammarTable(names, rows, grammar.depth_limit, start, unions)
+    below = {
+        head: {name for rule in rules for name in rule.body if name not in TERMINALS}
+        for head, rules in grammar.rules_for.items()
+    }
+    reach = {}
+    for head in names:
+        found, stack = set(), list(below[head])
+        while stack:
+            name = stack.pop()
+            if name not in found:
+                found.add(name)
+                stack.extend(below[name])
+        reach[head] = tuple(name in found for name in names)
+    return GrammarTable(names, rows, reach, grammar.depth_limit, grammar.start, unions)
 
 
 def _parse_symbol(token, line_number):
@@ -358,7 +414,7 @@ def load_grammar(path):
         raise type(exc)(exc.reason, exc.line, path) from None
 
 
-def derive(grammar, fill, state=None, masks=None, insertable=frozenset()):
+def derive(grammar, fill, state=None, masks=None, insertable=frozenset(), contextual=None):
     """Derivations of the start symbol, lazily, in deterministic DFS order.
 
     The package's one grammar search. Rules are tried in file order and
@@ -369,21 +425,31 @@ def derive(grammar, fill, state=None, masks=None, insertable=frozenset()):
     no choices cuts the branch. ``state`` threads left to right through the
     leaves and must be hashable.
 
+    ``contextual`` names the terminals whose fill reads ``parent_head`` and
+    ``grandparent_head``. The default, None, means every terminal, which is
+    exact for any fill. Any other terminal's fill is called with None for
+    both, so a fill that reads a context it did not declare sees none
+    rather than another context's memoized choices.
+
     Returns an iterator of ``(tree, end_state)``. Each leaf of ``tree``
     holds its choice's payload, so the tree is the derivation's one
     record. No nonterminal occurs more than ``grammar.depth_limit`` times
     on a path from the root: the search walks the compiled symbols of
     ``grammar.table(insertable)``, whose rules that would pass the limit are
     dead. The derivations of each nonterminal below the start symbol are
-    memoized on (compiled symbol, parent head, state). A terminal's choices
-    are memoized on the fill's own arguments, (name, parent head,
-    grandparent head, state), so ``fill`` is called at most once per
-    distinct arguments in a run and must return the same choices for the
-    same arguments. Memoized subtrees and leaves, one leaf per choice, are
-    shared between trees. A memoized nonterminal's list comes from one walk
-    over its compiled symbol's prefix tree, which expands a shared body
-    prefix once and keeps each rule's derivations apart, joined in file
-    order. The start symbol's derivations are streamed from its tree of one
+    memoized on (compiled symbol, parent head, state). Its parent reaches
+    only the fills of the terminals in its own rule bodies, as their
+    grandparent, so a nonterminal with no ``contextual`` terminal there,
+    found once per grammar and declaration by ``grammar.keyed``, is
+    expanded and keyed with parent None: one memo entry per (compiled
+    symbol, state). A terminal's choices are memoized on the fill's own
+    arguments, (name, parent head, grandparent head, state), so ``fill`` is
+    called at most once per distinct arguments in a run and must return the
+    same choices for the same arguments. Memoized subtrees and leaves, one
+    leaf per choice, are shared between trees. A memoized nonterminal's
+    list comes from one walk over its compiled symbol's prefix tree, which
+    expands a shared body prefix once and keeps each rule's derivations
+    apart, joined in file order. The start symbol's derivations are streamed from its tree of one
     chain per rule, never all held at once: an unbounded search can yield
     tens of thousands of trees.
 
@@ -413,7 +479,8 @@ def derive(grammar, fill, state=None, masks=None, insertable=frozenset()):
         )
     if masks is not None and not covers(grammar, masks[state[0]:], insertable):
         return iter(())
-    search = _Derivation(grammar, fill, masks, insertable)
+    contextual = TERMINALS if contextual is None else frozenset(contextual)
+    search = _Derivation(grammar, fill, masks, insertable, contextual)
     return search.stream(search.table[search.table.start], grammar.start, state, ())
 
 
@@ -423,12 +490,16 @@ class _Derivation:
     Plain methods instead of nested closures let the memo go as soon as the
     returned iterator does, without waiting for the cyclic garbage collector.
     ``pending[pos]`` is (tokens left, mask of token ``pos`` or 0) and ``last``
-    the input's length, both None without input.
+    the input's length, both None without input. ``contextual`` is the
+    frozenset of terminals whose fill gets its context and ``keyed`` the
+    heads whose derivations key on their parent.
     """
 
-    def __init__(self, grammar, fill, masks, insertable):
+    def __init__(self, grammar, fill, masks, insertable, contextual):
         self.rules_for = grammar.rules_for
         self.fill = fill
+        self.contextual = contextual
+        self.keyed = grammar.keyed(contextual)
         self.pending = self.last = None
         if masks is not None:
             self.pending = [(len(masks) - pos, mask) for pos, mask in enumerate([*masks, 0])]
@@ -441,12 +512,15 @@ class _Derivation:
 
         ``symbol`` is a nonterminal's compiled symbol, None for a terminal.
         A terminal's key is (name, parent, grandparent, state), the fill's
-        arguments, and each of its choices is a leaf of its own; a
-        nonterminal's is (compiled symbol, parent, state). The two cannot
-        collide, because they differ in length. A nonterminal's list is
-        ``walk``'s per-rule buckets joined in file order.
+        arguments, both heads None unless it is contextual, and each of its
+        choices is a leaf of its own; a nonterminal's is (compiled symbol,
+        parent, state), the parent None unless its head is keyed. The two
+        cannot collide, because they differ in length. A nonterminal's list
+        is ``walk``'s per-rule buckets joined in file order.
         """
         if symbol is None:
+            if name not in self.contextual:
+                parent = grandparent = None
             key = (name, parent, grandparent, state)
             found = self.memo.get(key)
             if found is None:
@@ -455,6 +529,8 @@ class _Derivation:
                     for payload, end in self.fill(name, parent, grandparent, state)
                 ]
             return found
+        if name not in self.keyed:
+            parent = None
         key = (symbol, parent, state)
         found = self.memo.get(key)
         if found is None:
@@ -515,8 +591,9 @@ def enumerate_trees(grammar):
 
     Order follows rule file order with leftmost expansion; no tree re-enters
     any nonterminal more than ``grammar.depth_limit`` times on one path.
+    Its fill reads no context, so each symbol is memoized once per state.
     """
-    for tree, _state in derive(grammar, _accept_any):
+    for tree, _state in derive(grammar, _accept_any, contextual=frozenset()):
         yield tree
 
 
@@ -576,7 +653,7 @@ class _Cover:
     def __init__(self, table, masks):
         self.table = table
         # For a terminal's own bit, the tokens that read as that terminal.
-        admit = self.admit = dict.fromkeys(TERMINAL_BITS.values(), 0)
+        admit = self.admit = table.no_positions.copy()
         for pos, mask in enumerate(masks):
             while mask:
                 bit = mask & -mask

@@ -84,6 +84,9 @@ _CATEGORY_BITS = {category: TERMINAL_BITS[category.value] for category in Lexica
 # grammar search lets these terminals consume no token.
 _INSERTED = {_DETERMINER: "el", LexicalCategory.conjunction.value: "y", _PREPOSITION: "de"}
 _INSERTABLE = frozenset(_INSERTED)
+# The terminals whose fill reads the parent and grandparent heads: only an
+# inserted preposition depends on whether it stands in a PRED or SP.
+_CONTEXTUAL = frozenset({_PREPOSITION})
 # The feature enum members the functions below read, bound at import (the
 # rule of features.IdentityEnum); the names above hold their ``.value``s.
 _VERB_CATEGORY = LexicalCategory.verb
@@ -510,7 +513,9 @@ def plan_structures(tokens, grammar, lexicon, lm):
     masks = [token.mask for token in searched]
     plans = []
     for start in range(supplied + 1):
-        for tree, (_, verb) in derive(grammar, fill, (start, None), masks, _INSERTABLE):
+        for tree, (_, verb) in derive(
+            grammar, fill, (start, None), masks, _INSERTABLE, _CONTEXTUAL
+        ):
             # Only a search from token 0 has a subject, whose plans have a two-child root.
             if (len(tree.children) == 2) != (start == 0):
                 continue

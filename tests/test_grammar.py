@@ -176,18 +176,28 @@ def test_bundled_grammar_enumeration_is_stable(grammar):
     assert first == second == 66779
 
 
-def test_enumeration_compiles_the_bundled_grammar_into_31_symbols(data_dir):
+def test_enumeration_compiles_the_bundled_grammar_into_16_symbols(data_dir):
     """The table compiles a symbol when a search first reads it.
 
     The bundled grammar's 10 names and 39 rules, with the 5 body references
-    that would pass the depth limit dead, make 31 compiled symbols.
+    that would pass the depth limit dead, make 16 compiled symbols. A
+    symbol counts only the names it can reach, so ``SNS`` under ``S``,
+    ``SNC`` and ``OBJS`` is one symbol; counting every name on the path
+    made 31. Only ``SN`` and ``SP`` reach themselves, and theirs are the
+    only counts that vary.
     """
     grammar = parse_grammar((data_dir / "spanish.grammar").read_text(encoding="utf-8"))
     table = grammar.table(frozenset())
     assert (len(grammar.rules_for), len(grammar.rules), len(table)) == (10, 39, 0)
     assert sum(1 for _ in enumerate_trees(grammar)) == 66779
-    assert len(table) == 31
+    assert len(table) == 16
     assert all(count <= grammar.depth_limit for _name, usage in table for count in usage)
+    names = list(grammar.rules_for)
+    assert {name for name, _usage in table} == set(names)
+    assert sorted(usage for name, usage in table if name == "SN") == [
+        tuple({"SN": sn, "SP": sp}.get(other, 0) for other in names)
+        for sn, sp in ((1, 0), (1, 1), (2, 1), (2, 2))
+    ]
 
 
 # Every phrase name rewrites to every phrase name before a noun, or to a
@@ -199,10 +209,13 @@ DENSE_GRAMMAR = "S -> PRED\nPRED -> verb SN\n" + "".join(
 
 
 def test_a_dense_grammar_compiles_no_more_symbols_than_the_search_keys(monkeypatch):
-    """``derive`` compiles no more symbols than it makes memo keys.
+    """``derive`` compiles at most one symbol more than it makes nonterminal memo keys.
 
     The input is a verb and three nouns, and the count includes the symbols
-    that ``derive``'s ``covers`` check compiles.
+    that ``derive``'s ``covers`` check compiles. The one more is the start
+    symbol, whose derivations are streamed, never memoized. The memo keys
+    and derivations are deterministic work counters: the fill reads no
+    context, so each symbol is memoized once per state whatever its parent.
     """
     grammar = parse_grammar(DENSE_GRAMMAR)
     cats = ("verb", "noun", "noun", "noun")
@@ -218,11 +231,13 @@ def test_a_dense_grammar_compiles_no_more_symbols_than_the_search_keys(monkeypat
         return ((None, (position + 1,)),) if position < len(cats) and cats[position] == name else ()
 
     monkeypatch.setattr(grammar_module, "_Derivation", RecordedDerivation)
-    found = list(derive(grammar, fill, (0,), [mask(cat) for cat in cats]))
+    masks = [mask(cat) for cat in cats]
+    found = list(derive(grammar, fill, (0,), masks, frozenset(), frozenset()))
     (search,) = searches
-    nonterminal_keys = sum(1 for key in search.memo if len(key) == 3)
+    nonterminal = [derived for key, derived in search.memo.items() if len(key) == 3]
     assert len(found) == 35
-    assert 0 < len(grammar.table(frozenset())) <= nonterminal_keys
+    assert (len(nonterminal), sum(map(len, nonterminal))) == (1865, 31512)
+    assert 0 < len(grammar.table(frozenset())) <= len(nonterminal) + 1
 
 
 def test_generation_ignores_agreement_variables(resources, data_dir, tmp_path):
@@ -313,18 +328,19 @@ def test_suffix_bounds_min_tokens_and_first_sets():
     }
     # Each cell also holds the symbol's own bound and its compiled child
     # (None for a terminal): the name with the usage counts of its path, in
-    # the order S, NP, LINK, LOOP. LINK derives no token, so it has FIRST
-    # but needs 0. The start symbol's branches are one chain per rule, in
-    # file order.
-    assert table.start == ("S", (1, 0, 0, 0))
+    # the order S, NP, LINK, LOOP, of the names it can reach. Only LINK and
+    # LOOP reach themselves, so S and NP count nothing. LINK derives no
+    # token, so it has FIRST but needs 0. The start symbol's branches are
+    # one chain per rule, in file order.
+    assert table.start == ("S", (0, 0, 0, 0))
     assert _chain_cells(table[table.start][1]) == (
-        ("LINK", ("LINK", (1, 0, 1, 0)), 0, mask("conjunction"),
+        ("LINK", ("LINK", (0, 0, 1, 0)), 0, mask("conjunction"),
          2, NOMINAL_FIRST | mask("conjunction")),
-        ("NP", ("NP", (1, 1, 0, 0)), 1, NOMINAL_FIRST, 2, NOMINAL_FIRST),
+        ("NP", ("NP", (0, 0, 0, 0)), 1, NOMINAL_FIRST, 2, NOMINAL_FIRST),
         ("verb", None, 1, mask("verb"), 1, mask("verb")),
     )
     # Below the start symbol, NP's two determiner rules share one branch.
-    assert table[("NP", (1, 1, 0, 0))][0][4:6] == (1, mask("determiner", "noun", "adjective"))
+    assert table[("NP", (0, 0, 0, 0))][0][4:6] == (1, mask("determiner", "noun", "adjective"))
     # FIRST masks beyond a single terminal bit, with their bits; LINK and
     # LOOP each start with one terminal.
     nominal_bits = sorted(mask(cat) for cat in ("determiner", "noun", "adjective", "pronoun"))
@@ -857,7 +873,7 @@ def test_prefix_tree_shares_a_prefix_and_bounds_it_by_every_rule_through_it():
     """
     table = parse_grammar(PREFIX_GRAMMAR).table(frozenset({"noun"}))
     adjective = ("adjective", None, 1, mask("adjective"), 1, mask("adjective"))
-    a_symbol, b_symbol = ("A", (1, 1, 0)), ("B", (1, 0, 1))
+    a_symbol, b_symbol = ("A", (0, 0, 0)), ("B", (0, 0, 1))
     assert table[a_symbol] == (
         ("noun", None, 0, mask("noun"), 0, mask("noun", "verb", "adjective"), (3,), (
             ("verb", None, 1, mask("verb"), 1, mask("verb"), (0, 5), (adjective + ((4,), ()),)),
@@ -873,29 +889,113 @@ def test_prefix_tree_shares_a_prefix_and_bounds_it_by_every_rule_through_it():
     )
 
 
-def _prefix_walk_checked(grammar, cats, insertable):
+def _prefix_walk_checked(grammar, cats, insertable, contextual=None):
     """Assert that ``derive`` gives ``reference_derive``'s list, with and without masks.
 
     Every terminal can consume the next category when it is that category,
-    and an ``insertable`` one can also take none. Returns the number of
-    derivations and of those that consume every category.
+    and an ``insertable`` one can also take none. A terminal in
+    ``contextual``, every one when it is None, puts its parent and
+    grandparent heads in its payload; ``derive`` runs with that
+    declaration and must call any other terminal's fill with None for
+    both, while ``reference_derive`` passes every terminal its context.
+    Returns the number of derivations and of those that consume every
+    category.
     """
 
     def fill(name, parent, grandparent, state):
         (position,) = state
+        context = (parent, grandparent) if contextual is None or name in contextual else ()
         choices = []
         if position < len(cats) and cats[position] == name:
-            choices.append(((name, position), (position + 1,)))
+            choices.append(((name, position) + context, (position + 1,)))
         if name in insertable:
-            choices.append(((name, None), state))
+            choices.append(((name, None) + context, state))
         return choices
 
+    def declared_fill(name, parent, grandparent, state):
+        if contextual is not None and name not in contextual:
+            assert (parent, grandparent) == (None, None), name
+        return fill(name, parent, grandparent, state)
+
     reference = reference_derive(grammar, fill, (0,))
-    assert list(derive(grammar, fill, (0,))) == reference, cats
+    found = derive(grammar, declared_fill, (0,), None, frozenset(), contextual)
+    assert list(found) == reference, cats
     masks = [TERMINAL_BITS[cat] for cat in cats]
     ended = [item for item in reference if item[1][0] == len(cats)]
-    assert list(derive(grammar, fill, (0,), masks, insertable)) == ended, cats
+    found = derive(grammar, declared_fill, (0,), masks, insertable, contextual)
+    assert list(found) == ended, cats
     return len(reference), len(ended)
+
+
+# ``P`` stands under two parents, ``N`` and ``V``, at the same state and as
+# one compiled symbol, and the fill of its preposition reads which: a
+# search that keys ``P`` on no parent reuses one parent's derivations under
+# the other.
+CONTEXT_GRAMMAR = """
+S -> N V
+N -> noun
+N -> noun P
+V -> P verb
+V -> verb
+P -> preposition M
+M -> noun
+"""
+CONTEXT_INPUTS = (
+    ("noun", "preposition", "noun", "verb"),
+    ("noun", "preposition", "noun", "preposition", "noun", "verb"),
+    ("noun", "verb"),
+)
+PREPOSITION = frozenset({"preposition"})
+
+
+def _context_checked(contextual):
+    """``_prefix_walk_checked`` on ``CONTEXT_GRAMMAR``'s inputs; the derivations that end."""
+    grammar = parse_grammar(CONTEXT_GRAMMAR)
+    return [
+        _prefix_walk_checked(grammar, cats, insertable, contextual)[1]
+        for cats in CONTEXT_INPUTS
+        for insertable in (frozenset(), PREPOSITION)
+    ]
+
+
+def test_derive_keys_on_the_parent_only_where_a_declared_terminal_reads_it():
+    """With only ``preposition`` declared, ``derive`` still equals ``reference_derive``.
+
+    The noun and verb fills see no context, and only ``P``, whose body holds
+    the preposition, keys on its parent.
+    """
+    assert _context_checked(PREPOSITION) == _context_checked(None) == [2, 2, 1, 1, 1, 1]
+    grammar = parse_grammar(CONTEXT_GRAMMAR)
+    assert grammar.keyed(PREPOSITION) == {"P"}
+    assert grammar.keyed(frozenset(TERMINAL_BITS)) == {"N", "V", "P", "M"}
+    assert grammar.keyed(frozenset()) == frozenset()
+
+
+class _ParentlessMemo(dict):
+    """A memo that drops the parent from every key, so that two contexts share an entry."""
+
+    @staticmethod
+    def _key(key):
+        return key[:1] + (None,) + key[2:]
+
+    def get(self, key):
+        return super().get(self._key(key))
+
+    def __setitem__(self, key, value):
+        super().__setitem__(self._key(key), value)
+
+
+def test_context_check_catches_a_memo_that_drops_the_parent(monkeypatch):
+    """A memo that keys ``P`` on no parent gives it one parent's preposition under the other."""
+    init = grammar_module._Derivation.__init__
+
+    def parentless(self, *args):
+        init(self, *args)
+        self.memo = _ParentlessMemo()
+
+    monkeypatch.setattr(grammar_module._Derivation, "__init__", parentless)
+    with pytest.raises(AssertionError):
+        _context_checked(PREPOSITION)
 
 
 def test_prefix_walk_check_catches_a_compile_past_the_depth_limit(monkeypatch):
@@ -936,7 +1036,8 @@ def test_prefix_walk_agrees_with_reference_under_any_rule_order(data):
 
     The start rule ``TOP -> S`` stays first, so every head of the drawn
     rules, ``S`` included, is searched through its prefix tree. Each head
-    keeps at least one rule, its first in the drawn order.
+    keeps at least one rule, its first in the drawn order. The search
+    declares a drawn set of terminals contextual, or every one.
     """
     rules, inputs = _rule_set(data.draw(st.sampled_from(["bundled", "prefixes"])))
     order = data.draw(st.permutations(rules))
@@ -951,7 +1052,8 @@ def test_prefix_walk_agrees_with_reference_under_any_rule_order(data):
         st.sampled_from(inputs) | st.lists(st.sampled_from(sorted(TERMINAL_BITS)), max_size=5)
     )
     insertable = data.draw(st.sampled_from([frozenset(), PREFIX_INSERTABLE]))
-    _prefix_walk_checked(grammar, tuple(cats), insertable)
+    contextual = data.draw(st.none() | st.frozensets(st.sampled_from(sorted(TERMINAL_BITS))))
+    _prefix_walk_checked(grammar, tuple(cats), insertable, contextual)
 
 
 def test_prefix_walk_check_catches_derivations_joined_in_tree_order(monkeypatch):

@@ -112,7 +112,8 @@ def test_readings_keep_every_category_of_a_surface():
     both = TERMINAL_BITS["verb"] | TERMINAL_BITS["noun"]
     grammar = parse_grammar("S -> PRED\nPRED -> verb\n")
     # What the grammar search reads at the start: one token left, both categories.
-    assert _Derivation(grammar, None, [token.mask], frozenset()).pending[0] == (1, both)
+    search = _Derivation(grammar, None, [token.mask], frozenset(), frozenset())
+    assert search.pending[0] == (1, both)
 
 
 def test_tokenize_requires_content(lexicon):
@@ -264,10 +265,12 @@ def test_oov_subject_reads_as_proper_name(resources):
 # prefix-tree walks expand over the golden inputs, as (all, terminals).
 # Deterministic work counters: change them only with a reason. A rule
 # that would pass the depth limit is dead in the compiled table, so the
-# search never expands the terminals that open it.
-CORPUS_FILL_CALLS = 129
-GOLDEN_FILL_CALLS = 800
-GOLDEN_BRANCH_EXPANSIONS = (1628, 1087)
+# search never expands the terminals that open it. The planner declares
+# only the preposition contextual, so every other fill is called once per
+# (terminal, state), whatever the parents.
+CORPUS_FILL_CALLS = 86
+GOLDEN_FILL_CALLS = 594
+GOLDEN_BRANCH_EXPANSIONS = (1342, 844)
 # Root derivations the search builds over the 20 hand-written lists: one per
 # plan, since none that ends before the last token is built (255 were).
 CORPUS_ROOT_DERIVATIONS = 135
@@ -385,8 +388,8 @@ def test_root_derivations_on_corpus_are_pinned(resources, monkeypatch):
     roots = []
     derive = planner.derive
 
-    def counting_derive(grammar, fill, state, masks, insertable):
-        for item in derive(grammar, fill, state, masks, insertable):
+    def counting_derive(grammar, fill, state, masks, insertable, contextual):
+        for item in derive(grammar, fill, state, masks, insertable, contextual):
             roots.append(item)
             if item[1][0] != len(masks):
                 short.append(item)
@@ -426,12 +429,14 @@ def _pruning_checked(words, resources):
     stream of the unbounded search, leaf payloads included, with the
     derivations that end short of the last token left out, in the same
     order, and that it calls no fill when ``covers`` rejects the masks.
-    Returns the fill calls made (pruned, unpruned) over the searches
-    ``covers`` accepts.
+    The masked search declares the planner's contextual terminals, the
+    unbounded one every terminal, so the check also holds the planner's
+    declaration to its fill. Returns the fill calls made (pruned,
+    unpruned) over the searches ``covers`` accepts.
     """
     calls = [0, 0]
 
-    def checked_derive(grammar, fill, state, masks, insertable):
+    def checked_derive(grammar, fill, state, masks, insertable, contextual):
         assert masks is not None
         made = [0, 0]
 
@@ -442,7 +447,7 @@ def _pruning_checked(words, resources):
 
             return counting_fill
 
-        pruned = list(derive(grammar, counted(0), state, masks, insertable))
+        pruned = list(derive(grammar, counted(0), state, masks, insertable, contextual))
         full = derive(grammar, counted(1), state)
         assert pruned == [found for found in full if found[1][0] == len(masks)], words
         if covers(grammar, masks, insertable):
@@ -484,9 +489,9 @@ def _cover_checked(words, resources, check=covers):
     searches = []  # (fill, start state, masks) of each search the planner starts
     verdicts = []
 
-    def recorded_derive(grammar, fill, state, masks, insertable):
+    def recorded_derive(grammar, fill, state, masks, insertable, contextual):
         searches.append((fill, state, masks))
-        return derive(grammar, fill, state, masks, insertable)
+        return derive(grammar, fill, state, masks, insertable, contextual)
 
     def checked_covers(grammar, masks, insertable):
         fill, start, search_masks = searches[-1]
@@ -543,11 +548,12 @@ def test_cover_soundness_check_catches_a_planted_mutant(resources):
 # and with a goal: deterministic work counters, like the fill calls above.
 # Each call walks its compiled symbol's prefix tree from a whole set of
 # start positions, so a shared body prefix is matched once; a name reached
-# at two path usages is two compiled symbols, so two calls. A call with a
-# goal is a step of the goal walk down each rule's last symbol, which stops
-# at the first rule that reaches the last token; one without collects the
-# full set of ends of a symbol that has more of its rule after it.
-GOLDEN_COVER_ENDS = 1023
+# with two counts of the names it can reach is two compiled symbols, so two
+# calls. A call with a goal is a step of the goal walk down each rule's last
+# symbol, which stops at the first rule that reaches the last token; one
+# without collects the full set of ends of a symbol that has more of its
+# rule after it.
+GOLDEN_COVER_ENDS = 900
 GOLDEN_COVER_GOALS = 1453
 
 
@@ -623,21 +629,23 @@ def _oracle_checked(words, resources):
     With ``covers`` accepting every attempt, each search ``derive`` runs
     must give the stream of ``reference_derive`` with the derivations that
     end short of the last token left out: the same trees, their leaves'
-    payloads included, and end states in the same order. Within one run
-    the fill must be called at most once per argument tuple. Returns, per
+    payloads included, and end states in the same order; the reference
+    passes every terminal's fill its context, ``derive`` only the planner's
+    contextual terminals'. Within one run the fill must be called at most
+    once per argument tuple. Returns, per
     checked search, the count of ``reference_derive`` derivations and of
     those that ``derive`` yields.
     """
     searches = []
 
-    def checked_derive(grammar, fill, state, masks, insertable):
+    def checked_derive(grammar, fill, state, masks, insertable, contextual):
         calls = []
 
         def counting_fill(*args):
             calls.append(args)
             return fill(*args)
 
-        found = list(derive(grammar, counting_fill, state, masks, insertable))
+        found = list(derive(grammar, counting_fill, state, masks, insertable, contextual))
         reference = reference_derive(grammar, fill, state)
         assert found == [item for item in reference if item[1][0] == len(masks)], words
         assert len(calls) == len(set(calls)), words

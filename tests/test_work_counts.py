@@ -12,15 +12,17 @@ from work_counts import count_work, main
 # Deterministic work counters: change them only with a reason.
 WORK_COUNTS = """\
 counter                      corpus   golden
-fill_calls                      238      800
-terminal_expansions             353     1087
-nonterminal_expansions          261      872
-memo_derivations                566     1585
-memo_derivations_in_plans       332      963
+fill_calls                      163      594
+terminal_expansions             260      844
+nonterminal_expansions          248      829
+memo_keys                       172      621
+memo_derivations                491     1375
+memo_derivations_in_plans       326      951
 root_derivations                135      388
-cover_ends                       42     1023
+cover_ends                       40      900
 cover_goals                     104     1453
 plans                           135      388
+compiled_symbols                 16       16
 """
 
 

@@ -11,6 +11,8 @@ Generates, with no cap, each of the 20 hand-written corpus lists
 - ``fill_calls``: calls of the planner's terminal fill;
 - ``terminal_expansions`` and ``nonterminal_expansions``: body symbols the
   search expands, memo hits included;
+- ``memo_keys``: the nonterminal memo keys of the searches, read off
+  ``_Derivation.memo`` after each run;
 - ``memo_derivations``: derivations in the nonterminal lists the search
   memoizes, and ``memo_derivations_in_plans`` how many of them are a
   subtree of some plan;
@@ -23,16 +25,19 @@ Generates, with no cap, each of the 20 hand-written corpus lists
   goal walk down each rule's last symbol, which stop at the first rule
   that reaches the last token, memo hits included (0 for a checkout
   without it);
-- ``plans``: the plans ``plan_structures`` returns.
+- ``plans``: the plans ``plan_structures`` returns;
+- ``compiled_symbols``: the compiled symbols in the grammar's tables once
+  every list has run, the tables built afresh for the input set, so the
+  symbols the search and ``covers`` reached over it.
 
 The search and ``covers`` read one prefix tree per compiled symbol, a
 nonterminal with the usage counts of its path, its live rules
 left-factored, so a body prefix that several rules share counts once; the
 start symbol's tree is one chain per rule. The counts wrap only
 ``_Derivation.expand``, ``_Cover.ends``, ``planner.derive``,
-``planner._fill_terminal`` and ``pipeline.plan_structures``, so the script
-also counts an older checkout: put that checkout's ``src`` on
-``PYTHONPATH`` instead.
+``planner._fill_terminal`` and ``pipeline.plan_structures``, and read only
+``_Derivation.memo`` and ``Grammar._tables``, so the script also counts an
+older checkout: put that checkout's ``src`` on ``PYTHONPATH`` instead.
 """
 
 import sys
@@ -48,12 +53,14 @@ COUNTERS = (
     "fill_calls",
     "terminal_expansions",
     "nonterminal_expansions",
+    "memo_keys",
     "memo_derivations",
     "memo_derivations_in_plans",
     "root_derivations",
     "cover_ends",
     "cover_goals",
     "plans",
+    "compiled_symbols",
 )
 
 
@@ -67,6 +74,7 @@ def count_work(inputs, resources):
     """The ``COUNTERS`` of generating each keyword list of ``inputs`` once, as a dict."""
     counts = dict.fromkeys(COUNTERS, 0)
     memo_lists = {}  # id -> the list, kept alive so that no id is reused within a call
+    searches = {}  # id -> the run, kept alive likewise
     fill, derive, plan = planner._fill_terminal, planner.derive, pipeline.plan_structures
     expand, ends = _Derivation.expand, _Cover.ends
 
@@ -76,6 +84,7 @@ def count_work(inputs, resources):
 
     def counting_expand(self, name, symbol, *args):
         found = expand(self, name, symbol, *args)
+        searches[id(self)] = self
         if symbol is None:
             counts["terminal_expansions"] += 1
         else:
@@ -110,11 +119,19 @@ def count_work(inputs, resources):
         _Cover, "ends", counting_ends
     ), mock.patch.object(
         pipeline, "plan_structures", counting_plan
+    ), mock.patch.object(
+        resources.grammar, "_tables", {}
     ):
         for words in inputs:
             generate(list(words), resources, max_candidates=0)
             counts["memo_derivations"] += sum(len(derived) for derived in memo_lists.values())
+            counts["memo_keys"] += sum(
+                len(key) == 3 for search in searches.values() for key in search.memo
+            )
             memo_lists.clear()
+            searches.clear()
+        tables = resources.grammar._tables.values()
+        counts["compiled_symbols"] = sum(len(table) for table in tables)
     return counts
 
 
