@@ -24,22 +24,26 @@ name the symbol cannot reach could never cut one of its rules, so symbols
 that differ only there would derive alike: zeroing those counts makes them
 one symbol.
 
-All searches over the grammar go through one function, ``derive``: a
+All searches over the grammar go through one class, ``Search``: a
 memoized top-down search that asks a caller-supplied fill for each
-terminal's choices. Each choice becomes a leaf that carries the fill's
-payload, so a derivation is one tree and nothing is kept beside it.
-``enumerate_trees`` accepts every terminal with no payload, and the
+terminal's choices. ``derive`` is one run of a fresh search, from one
+start state; the planner builds one search per keyword list and runs each
+subject attempt's start on it. Each choice becomes a leaf that carries
+the fill's payload, so a derivation is one tree and nothing is kept beside
+it. ``enumerate_trees`` accepts every terminal with no payload, and the
 planner fills terminals with keywords and inserted function words. Every
 step of the search is memoized (Norvig 1991, "Techniques for Automatic
-Memoization with Applications to Context-Free Parsing"), for one run: a
-nonterminal's derivations on (compiled symbol, parent, state), and a
-terminal's fill on its own arguments, (name, parent, grandparent, state).
-So a fill must return the same choices whenever it is called with the same
-arguments. A caller declares which terminals' fills read the parent and
-grandparent heads; any other terminal's fill gets None for both, and a
-nonterminal whose rule bodies hold no declared terminal is keyed with
-parent None, so it is memoized once per (compiled symbol, state) whatever
-stands above it.
+Memoization with Applications to Context-Free Parsing"), for one search
+and all its starts: a nonterminal's derivations on (compiled symbol,
+parent, state), and a terminal's fill on its own arguments, (name, parent,
+grandparent, state). The state holds the token position, so a start reads
+another start's entries only where both reach the same symbol at the same
+position. So a fill must return the same choices whenever it is called
+with the same arguments. A caller declares which terminals' fills read the
+parent and grandparent heads; any other terminal's fill gets None for
+both, and a nonterminal whose rule bodies hold no declared terminal is
+keyed with parent None, so it is memoized once per (compiled symbol,
+state) whatever stands above it.
 
 A search over an input takes it as masks, per token the categories it
 reads as, and is bounded by it (Kay 1996, "Chart Generation"): it yields
@@ -174,7 +178,7 @@ class Grammar(Value):
     def keyed(self, contextual):
         """The heads with a rule whose body holds a terminal of ``contextual``, kept per set.
 
-        ``contextual`` is a frozenset of terminal names. ``derive`` keys
+        ``contextual`` is a frozenset of terminal names. ``Search`` keys
         only these heads' derivations on their parent.
         """
         heads = self._keyed.get(contextual)
@@ -417,8 +421,11 @@ def load_grammar(path):
 def derive(grammar, fill, state=None, masks=None, insertable=frozenset(), contextual=None):
     """Derivations of the start symbol, lazily, in deterministic DFS order.
 
-    The package's one grammar search. Rules are tried in file order and
-    rule bodies expand leftmost first. ``fill(name, parent_head,
+    The package's one grammar search, run once: ``Search(grammar, fill,
+    masks, insertable, contextual).run(state)``. A caller that runs several
+    starts over one input builds the search once instead, so that the
+    starts share its memo. Rules are tried in file order and rule bodies
+    expand leftmost first. ``fill(name, parent_head,
     grandparent_head, state)`` returns the ``(payload, new_state)`` choices
     for terminal ``name`` whose parent node is headed ``parent_head`` and
     grandparent ``grandparent_head`` (None above the root); a terminal with
@@ -444,14 +451,15 @@ def derive(grammar, fill, state=None, masks=None, insertable=frozenset(), contex
     expanded and keyed with parent None: one memo entry per (compiled
     symbol, state). A terminal's choices are memoized on the fill's own
     arguments, (name, parent head, grandparent head, state), so ``fill`` is
-    called at most once per distinct arguments in a run and must return the
-    same choices for the same arguments. Memoized subtrees and leaves, one
-    leaf per choice, are shared between trees. A memoized nonterminal's
-    list comes from one walk over its compiled symbol's prefix tree, which
-    expands a shared body prefix once and keeps each rule's derivations
-    apart, joined in file order. The start symbol's derivations are streamed from its tree of one
-    chain per rule, never all held at once: an unbounded search can yield
-    tens of thousands of trees.
+    called at most once per distinct arguments in a search, over all its
+    starts, and must return the same choices for the same arguments.
+    Memoized subtrees and leaves, one leaf per choice, are shared between
+    trees. A memoized nonterminal's list comes from one walk over its
+    compiled symbol's prefix tree, which expands a shared body prefix once
+    and keeps each rule's derivations apart, joined in file order. The
+    start symbol's derivations are streamed from its tree of one chain per
+    rule, never all held at once: an unbounded search can yield tens of
+    thousands of trees.
 
     A search over an input passes ``masks``, per token the ``TERMINAL_BITS``
     mask of the categories it reads as, and ``insertable``, the terminals
@@ -472,40 +480,53 @@ def derive(grammar, fill, state=None, masks=None, insertable=frozenset(), contex
     cut. A masked search needs a start: without ``state``, or with a
     ``state[0]`` outside ``0..len(masks)``, it raises ValueError.
     """
-    if masks is not None and (state is None or not 0 <= state[0] <= len(masks)):
-        raise ValueError(
-            "a masked search needs a start state whose state[0], the token position,"
-            " lies in 0..%d: got %r" % (len(masks), state)
-        )
-    if masks is not None and not covers(grammar, masks[state[0]:], insertable):
-        return iter(())
-    contextual = TERMINALS if contextual is None else frozenset(contextual)
-    search = _Derivation(grammar, fill, masks, insertable, contextual)
-    return search.stream(search.table[search.table.start], grammar.start, state, ())
+    return Search(grammar, fill, masks, insertable, contextual).run(state)
 
 
-class _Derivation:
-    """One ``derive`` run: the fill, the input bounds and the memo, with no reference cycle.
+class Search:
+    """A grammar search over one input: the fill, the input bounds and the memo.
 
-    Plain methods instead of nested closures let the memo go as soon as the
-    returned iterator does, without waiting for the cyclic garbage collector.
-    ``pending[pos]`` is (tokens left, mask of token ``pos`` or 0) and ``last``
-    the input's length, both None without input. ``contextual`` is the
-    frozenset of terminals whose fill gets its context and ``keyed`` the
-    heads whose derivations key on their parent.
+    ``derive`` is one ``run`` of a fresh search. A caller that searches one
+    input from several starts builds one search and runs each start on it,
+    so the starts share the memo: its keys hold the state, token position
+    included, so a hit from another start is exact. Plain methods instead
+    of nested closures leave no reference cycle, so the memo goes as soon
+    as the search and its streams do, without waiting for the cyclic
+    garbage collector. ``pending[pos]`` is (tokens left, mask of token
+    ``pos`` or 0) and ``last`` the input's length, both None without input
+    and built by the first start that ``covers`` accepts, so a search whose
+    every start is rejected costs little more than its ``covers`` checks.
+    ``contextual`` is the frozenset of terminals whose fill gets its
+    context and ``keyed`` the heads whose derivations key on their parent.
     """
 
-    def __init__(self, grammar, fill, masks, insertable, contextual):
+    def __init__(self, grammar, fill, masks=None, insertable=frozenset(), contextual=None):
+        self.grammar = grammar
         self.rules_for = grammar.rules_for
         self.fill = fill
-        self.contextual = contextual
-        self.keyed = grammar.keyed(contextual)
+        self.masks = masks
+        self.insertable = insertable
+        self.contextual = TERMINALS if contextual is None else frozenset(contextual)
+        self.keyed = grammar.keyed(self.contextual)
         self.pending = self.last = None
-        if masks is not None:
-            self.pending = [(len(masks) - pos, mask) for pos, mask in enumerate([*masks, 0])]
-            self.last = len(masks)
         self.table = grammar.table(insertable)
         self.memo = {}
+
+    def run(self, state=None):
+        """The start symbol's ``(tree, end_state)`` derivations from ``state``, as ``derive``."""
+        masks = self.masks
+        if masks is not None:
+            if state is None or not 0 <= state[0] <= len(masks):
+                raise ValueError(
+                    "a masked search needs a start state whose state[0], the token position,"
+                    " lies in 0..%d: got %r" % (len(masks), state)
+                )
+            if not covers(self.grammar, masks[state[0]:], self.insertable):
+                return iter(())
+            if self.pending is None:
+                self.pending = [(len(masks) - pos, mask) for pos, mask in enumerate([*masks, 0])]
+                self.last = len(masks)
+        return self.stream(self.table[self.table.start], self.grammar.start, state, ())
 
     def expand(self, name, symbol, parent, grandparent, state):
         """(node, end_state) choices for one body symbol, memoized.

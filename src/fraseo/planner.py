@@ -5,9 +5,10 @@ against the lexicon, detect the sentence mode, split the keywords into
 subject and predicate around the main verb, then search the grammar for
 every structure that fits the keyword sequence once function words
 (determiners, prepositions, conjunctions) are interleaved where the
-grammar demands them. The search is the shared ``grammar.derive``; the
-planner hands it the keywords' category masks and fills its terminals,
-threading (token position, main verb lemma) as the search state.
+grammar demands them. The search is the shared ``grammar.Search``, built
+once per call; the planner hands it the keywords' category masks and fills
+its terminals, threading (token position, main verb lemma) as the search
+state.
 
 Candidate plans are ranked by how far their insertions stray from the
 house realization policy (fewer deviations first), with grammar search
@@ -19,9 +20,10 @@ search's insertable set is its keys, and an inserted word's rationale is
 its terminal's name.
 
 Keywords with no subject get the default subject, the keyword ``yo``, at
-the front of the one token list the search runs over; starting the search
-past it elides it. Only that position marks it as the default: a typed
-``yo`` is the same token.
+the front of the one token list the search runs over; a second start of
+the same search, past it, elides it, and reads what the first start
+memoized at each later token position. Only that position marks it as the
+default: a typed ``yo`` is the same token.
 
 What the planner resolves from a word alone it resolves once per lexicon,
 and keeps in the lexicon's table ``Lexicon.interned`` (hash-consing, Goto
@@ -53,7 +55,7 @@ from types import MappingProxyType
 
 from .errors import EmptyInputError, GrammarError, NoStructureError, NoVerbError
 from .features import AdverbClass, IdentityEnum, LexicalCategory, Number, Tense, Value
-from .grammar import TERMINAL_BITS, derive
+from .grammar import TERMINAL_BITS, Search
 from .lexicon import lookup_form, lookup_lemma
 from .lm import REFLEXIVE_LEMMA
 
@@ -476,10 +478,11 @@ def plan_structures(tokens, grammar, lexicon, lm):
     Returns SentencePlans sorted by (policy deviations, discovery order).
     The search runs over one token list: the subject, or the default
     subject ``yo`` when the keywords have none, then the predicate. It
-    starts at token 0; a subjectless list is searched again from token 1,
-    past the default subject, and that elision costs one deviation. The
-    start decides which derivations are plans: the root has two children
-    (subject, predicate) exactly when the search starts at 0. A plan's
+    starts at token 0; for a subjectless list the same search runs a second
+    start from token 1, past the default subject, over the memo the first
+    start filled, and that elision costs one deviation. The start decides
+    which derivations are plans: the root has two children (subject,
+    predicate) exactly when the search starts at 0. A plan's
     discovery index is its position in the stream of plans. Every plan
     carries the mode and tense the keywords ask for, and whether its main
     verb takes the reflexive clitic: always after an explicit ``se``,
@@ -505,17 +508,18 @@ def plan_structures(tokens, grammar, lexicon, lm):
             "explicit preposition with no subject does not fit the grammar"
         )
 
-    # One token list for both attempts: a subjectless list is searched from
-    # the default subject (start 0), then from past it (start 1).
+    # One token list and one search for both attempts: a subjectless list
+    # is searched from the default subject (start 0), then from past it
+    # (start 1), and the second start reads the first one's memo.
     searched = insert_default_subject(subject, lexicon) + predicate
     supplied = int(not subject)
     fill = partial(_fill_terminal, lexicon, lm, searched, supplied)
-    masks = [token.mask for token in searched]
+    search = Search(
+        grammar, fill, [token.mask for token in searched], _INSERTABLE, _CONTEXTUAL
+    )
     plans = []
     for start in range(supplied + 1):
-        for tree, (_, verb) in derive(
-            grammar, fill, (start, None), masks, _INSERTABLE, _CONTEXTUAL
-        ):
+        for tree, (_, verb) in search.run((start, None)):
             # Only a search from token 0 has a subject, whose plans have a two-child root.
             if (len(tree.children) == 2) != (start == 0):
                 continue

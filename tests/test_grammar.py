@@ -221,7 +221,7 @@ def test_a_dense_grammar_compiles_no_more_symbols_than_the_search_keys(monkeypat
     cats = ("verb", "noun", "noun", "noun")
     searches = []
 
-    class RecordedDerivation(grammar_module._Derivation):
+    class RecordedSearch(grammar_module.Search):
         def __init__(self, *args):
             super().__init__(*args)
             searches.append(self)
@@ -230,7 +230,7 @@ def test_a_dense_grammar_compiles_no_more_symbols_than_the_search_keys(monkeypat
         (position,) = state
         return ((None, (position + 1,)),) if position < len(cats) and cats[position] == name else ()
 
-    monkeypatch.setattr(grammar_module, "_Derivation", RecordedDerivation)
+    monkeypatch.setattr(grammar_module, "Search", RecordedSearch)
     masks = [mask(cat) for cat in cats]
     found = list(derive(grammar, fill, (0,), masks, frozenset(), frozenset()))
     (search,) = searches
@@ -390,17 +390,19 @@ def test_lookahead_cuts_work_not_derivations():
     )
 
 
-def test_derive_checks_cover_before_any_search_setup(monkeypatch):
-    """A rejected input costs no fill call and no search; none ends short."""
+def test_derive_checks_cover_before_any_search_walk(monkeypatch):
+    """A rejected input costs no fill call and starts no walk; none ends short."""
     grammar = parse_grammar(LOOKAHEAD_GRAMMAR).replaced(depth_limit=3)
     insertable = frozenset({"determiner", "conjunction"})
     calls = []
     searches = []
 
-    class CountedDerivation(grammar_module._Derivation):
-        def __init__(self, *args):
-            searches.append(args)
-            super().__init__(*args)
+    stream = grammar_module.Search.stream
+
+    def counted_stream(self, branches, head, state, children):
+        if not children:  # the root's walk, not a step of it
+            searches.append(state)
+        return stream(self, branches, head, state, children)
 
     def fill(name, parent, grandparent, state):
         calls.append(name)
@@ -409,7 +411,7 @@ def test_derive_checks_cover_before_any_search_setup(monkeypatch):
             return ((None, (position + 1,)),)
         return ((None, state),) if name in insertable else ()
 
-    monkeypatch.setattr(grammar_module, "_Derivation", CountedDerivation)
+    monkeypatch.setattr(grammar_module.Search, "stream", counted_stream)
     cats = ("verb", "noun", "noun")
     masks = [mask(cat) for cat in cats]
     assert not covers(grammar, masks, insertable)
@@ -987,13 +989,13 @@ class _ParentlessMemo(dict):
 
 def test_context_check_catches_a_memo_that_drops_the_parent(monkeypatch):
     """A memo that keys ``P`` on no parent gives it one parent's preposition under the other."""
-    init = grammar_module._Derivation.__init__
+    init = grammar_module.Search.__init__
 
     def parentless(self, *args):
         init(self, *args)
         self.memo = _ParentlessMemo()
 
-    monkeypatch.setattr(grammar_module._Derivation, "__init__", parentless)
+    monkeypatch.setattr(grammar_module.Search, "__init__", parentless)
     with pytest.raises(AssertionError):
         _context_checked(PREPOSITION)
 
@@ -1058,13 +1060,13 @@ def test_prefix_walk_agrees_with_reference_under_any_rule_order(data):
 
 def test_prefix_walk_check_catches_derivations_joined_in_tree_order(monkeypatch):
     """A walk that joins each head's derivations in prefix-tree order fails the check."""
-    walk = grammar_module._Derivation.walk
+    walk = grammar_module.Search.walk
 
     def tree_order(self, *args):
         buckets = args[-1]
         walk(self, *args[:-1], [buckets[0]] * len(buckets))
 
-    monkeypatch.setattr(grammar_module._Derivation, "walk", tree_order)
+    monkeypatch.setattr(grammar_module.Search, "walk", tree_order)
     grammar = parse_grammar(PREFIX_GRAMMAR)
     with pytest.raises(AssertionError):
         _prefix_walk_checked(grammar, ("noun", "verb", "verb"), frozenset())
@@ -1087,12 +1089,12 @@ def test_prefix_walk_check_catches_a_root_stream_over_a_shared_tree(monkeypatch)
     ``S -> A B`` and ``S -> A`` then share the branch of ``A``, and the
     stream yields each ``S -> A`` derivation among those of ``S -> A B``.
     """
-    stream = grammar_module._Derivation.stream
+    stream = grammar_module.Search.stream
 
     def shared_stream(self, branches, *args):
         return stream(self, _shared(branches), *args)
 
-    monkeypatch.setattr(grammar_module._Derivation, "stream", shared_stream)
+    monkeypatch.setattr(grammar_module.Search, "stream", shared_stream)
     grammar = parse_grammar(PREFIX_GRAMMAR)
     table = grammar.table(frozenset())
     assert len(table[table.start]) == 2

@@ -22,7 +22,7 @@ from fraseo.errors import EmptyInputError, GrammarError, NoStructureError, NoVer
 from fraseo.evaluation import load_corpus
 from fraseo.features import FeatureBundle, LexicalCategory, Mood, Number, Person, Tense
 from fraseo.fileio import bundled
-from fraseo.grammar import TERMINAL_BITS, _Cover, _Derivation, covers, derive, parse_grammar
+from fraseo.grammar import TERMINAL_BITS, Search, _Cover, covers, parse_grammar
 from fraseo.lexicon import LexicalEntry, Lexicon, WordForm
 from fraseo.lm import NGramModel
 from fraseo.pipeline import generate, load_default_resources
@@ -32,9 +32,11 @@ from fraseo.planner import (
     RATIONALE_DEFAULT_SUBJECT,
     InputToken,
     SentenceMode,
+    SentencePlan,
     detect_mode,
     insert_default_subject,
     plan_structures,
+    select_tense,
     split_subject_predicate,
     tokenize_and_resolve,
 )
@@ -111,8 +113,10 @@ def test_readings_keep_every_category_of_a_surface():
     assert token.readings[LexicalCategory.noun] == ((song, song.forms[0]),)
     both = TERMINAL_BITS["verb"] | TERMINAL_BITS["noun"]
     grammar = parse_grammar("S -> PRED\nPRED -> verb\n")
-    # What the grammar search reads at the start: one token left, both categories.
-    search = _Derivation(grammar, None, [token.mask], frozenset(), frozenset())
+    # What the grammar search reads at the start, once a start is run: one
+    # token left, both categories.
+    search = Search(grammar, lambda *args: (), [token.mask], frozenset(), frozenset())
+    assert list(search.run((0,))) == []
     assert search.pending[0] == (1, both)
 
 
@@ -267,10 +271,12 @@ def test_oov_subject_reads_as_proper_name(resources):
 # that would pass the depth limit is dead in the compiled table, so the
 # search never expands the terminals that open it. The planner declares
 # only the preposition contextual, so every other fill is called once per
-# (terminal, state), whatever the parents.
-CORPUS_FILL_CALLS = 86
-GOLDEN_FILL_CALLS = 594
-GOLDEN_BRANCH_EXPANSIONS = (1342, 844)
+# (terminal, state), whatever the parents. Both subject attempts of a
+# subjectless list run on one search, so the second start reads the first
+# one's memo (each attempt searching afresh made 86, 594 and (1342, 844)).
+CORPUS_FILL_CALLS = 77
+GOLDEN_FILL_CALLS = 458
+GOLDEN_BRANCH_EXPANSIONS = (1037, 648)
 # Root derivations the search builds over the 20 hand-written lists: one per
 # plan, since none that ends before the last token is built (255 were).
 CORPUS_ROOT_DERIVATIONS = 135
@@ -357,11 +363,36 @@ def test_search_work_on_golden_inputs_is_bounded(resources, monkeypatch):
     assert _fill_calls(inputs, resources, monkeypatch) == GOLDEN_FILL_CALLS
 
 
+def test_no_fill_call_repeats_within_one_generation(resources, monkeypatch):
+    """Both subject attempts share one memo, so one ``generate`` call asks no fill twice.
+
+    The fill's arguments past those the planner binds, (terminal, parent,
+    grandparent, state), key its choices in the memo. A search per attempt
+    repeated 136 calls over 49 golden inputs.
+    """
+    calls = []
+    fill = planner._fill_terminal
+
+    def recorded_fill(*args):
+        calls.append(args[4:])
+        return fill(*args)
+
+    monkeypatch.setattr(planner, "_fill_terminal", recorded_fill)
+    repeated = {}
+    for words in golden_inputs(resources.lexicon):
+        calls.clear()
+        generate(words, resources, max_candidates=0)
+        if len(set(calls)) < len(calls):
+            repeated[tuple(words)] = len(calls) - len(set(calls))
+    monkeypatch.undo()
+    assert repeated == {}
+
+
 def test_prefix_branch_expansions_on_golden_inputs_are_pinned(resources, monkeypatch):
     """Count the body symbols expanded by prefix-tree walks, memo hits included."""
     walking = [0]
     expansions = []
-    walk, expand = _Derivation.walk, _Derivation.expand
+    walk, expand = Search.walk, Search.expand
 
     def counting_walk(self, *args):
         walking[0] += 1
@@ -375,8 +406,8 @@ def test_prefix_branch_expansions_on_golden_inputs_are_pinned(resources, monkeyp
             expansions.append(symbol is None)
         return expand(self, name, symbol, *args)
 
-    monkeypatch.setattr(_Derivation, "walk", counting_walk)
-    monkeypatch.setattr(_Derivation, "expand", counting_expand)
+    monkeypatch.setattr(Search, "walk", counting_walk)
+    monkeypatch.setattr(Search, "expand", counting_expand)
     for words in golden_inputs(resources.lexicon):
         generate(words, resources, max_candidates=0)
     monkeypatch.undo()
@@ -386,16 +417,16 @@ def test_prefix_branch_expansions_on_golden_inputs_are_pinned(resources, monkeyp
 def test_root_derivations_on_corpus_are_pinned(resources, monkeypatch):
     short = []
     roots = []
-    derive = planner.derive
+    run = Search.run
 
-    def counting_derive(grammar, fill, state, masks, insertable, contextual):
-        for item in derive(grammar, fill, state, masks, insertable, contextual):
+    def counting_run(self, state):
+        for item in run(self, state):
             roots.append(item)
-            if item[1][0] != len(masks):
+            if item[1][0] != len(self.masks):
                 short.append(item)
             yield item
 
-    monkeypatch.setattr(planner, "derive", counting_derive)
+    monkeypatch.setattr(Search, "run", counting_run)
     for words in HAND_WRITTEN:
         generate(words, resources, max_candidates=0)
     monkeypatch.undo()
@@ -423,21 +454,25 @@ def test_generation_leaves_no_garbage_cycles(resources, bundled_fixtures):
 
 
 def _pruning_checked(words, resources):
-    """Plan ``words`` with every search run with and without its input masks.
+    """Plan ``words`` with every start of the search run with and without its input masks.
 
-    Asserts that the search over the masks gives the (tree, end_state)
-    stream of the unbounded search, leaf payloads included, with the
-    derivations that end short of the last token left out, in the same
-    order, and that it calls no fill when ``covers`` rejects the masks.
-    The masked search declares the planner's contextual terminals, the
-    unbounded one every terminal, so the check also holds the planner's
-    declaration to its fill. Returns the fill calls made (pruned,
-    unpruned) over the searches ``covers`` accepts.
+    Asserts that each start of the planner's search over the masks gives
+    the (tree, end_state) stream of an unbounded ``derive`` from that
+    start, leaf payloads included, with the derivations that end short of
+    the last token left out, in the same order, and that it calls no fill
+    when ``covers`` rejects the masks from that start. The masked search
+    declares the planner's contextual terminals, the unbounded one every
+    terminal, so the check also holds the planner's declaration to its
+    fill. Returns the fill calls made (pruned, unpruned) over the starts
+    ``covers`` accepts; the pruned count is the shared search's, so a start
+    counts only the fills the starts before it did not make.
     """
     calls = [0, 0]
+    run = Search.run
 
-    def checked_derive(grammar, fill, state, masks, insertable, contextual):
-        assert masks is not None
+    def checked_run(self, state):
+        assert self.masks is not None
+        fill, masks = self.fill, self.masks
         made = [0, 0]
 
         def counted(side):
@@ -447,17 +482,21 @@ def _pruning_checked(words, resources):
 
             return counting_fill
 
-        pruned = list(derive(grammar, counted(0), state, masks, insertable, contextual))
-        full = derive(grammar, counted(1), state)
+        self.fill = counted(0)
+        try:
+            pruned = list(run(self, state))
+        finally:
+            self.fill = fill
+        full = run(Search(self.grammar, counted(1)), state)  # ``derive``, past the patch
         assert pruned == [found for found in full if found[1][0] == len(masks)], words
-        if covers(grammar, masks, insertable):
+        if covers(self.grammar, masks[state[0]:], self.insertable):
             calls[0] += made[0]
             calls[1] += made[1]
         else:
             assert made[0] == 0, words
         return iter(pruned)
 
-    with mock.patch.object(planner, "derive", checked_derive):
+    with mock.patch.object(Search, "run", checked_run):
         try:
             plans_for(words, resources)
         except (EmptyInputError, NoStructureError, NoVerbError):
@@ -486,23 +525,24 @@ def _cover_checked(words, resources, check=covers):
     For every attempt ``check`` rejects, runs the unpruned search over that
     attempt's tokens and asserts that no derivation ends at the last token.
     """
-    searches = []  # (fill, start state, masks) of each search the planner starts
+    searches = []  # (fill, start state, masks) of each start the planner runs
     verdicts = []
+    run = Search.run
 
-    def recorded_derive(grammar, fill, state, masks, insertable, contextual):
-        searches.append((fill, state, masks))
-        return derive(grammar, fill, state, masks, insertable, contextual)
+    def recorded_run(self, state):
+        searches.append((self.fill, state, self.masks))
+        return run(self, state)
 
     def checked_covers(grammar, masks, insertable):
         fill, start, search_masks = searches[-1]
         assert masks == search_masks[start[0]:] and insertable == planner._INSERTABLE
         verdicts.append(check(grammar, masks, insertable))
         if not verdicts[-1]:
-            ends = {state[0] for _tree, state in derive(grammar, fill, start)}
+            ends = {state[0] for _tree, state in run(Search(grammar, fill), start)}
             assert len(search_masks) not in ends, words
         return verdicts[-1]
 
-    with mock.patch.object(planner, "derive", recorded_derive), mock.patch.object(
+    with mock.patch.object(Search, "run", recorded_run), mock.patch.object(
         grammar_module, "covers", checked_covers
     ):
         try:
@@ -624,35 +664,41 @@ def test_covers_reference_check_catches_a_cover_that_ignores_the_depth_limit(res
 
 
 def _oracle_checked(words, resources):
-    """Plan ``words``, searching every subject attempt; check each search.
+    """Plan ``words``, running every subject attempt's start; check each start.
 
-    With ``covers`` accepting every attempt, each search ``derive`` runs
-    must give the stream of ``reference_derive`` with the derivations that
-    end short of the last token left out: the same trees, their leaves'
-    payloads included, and end states in the same order; the reference
-    passes every terminal's fill its context, ``derive`` only the planner's
-    contextual terminals'. Within one run the fill must be called at most
-    once per argument tuple. Returns, per
-    checked search, the count of ``reference_derive`` derivations and of
-    those that ``derive`` yields.
+    With ``covers`` accepting every attempt, each start the planner's
+    search runs must give the stream of ``reference_derive`` from that
+    start with the derivations that end short of the last token left out:
+    the same trees, their leaves' payloads included, and end states in the
+    same order; the reference passes every terminal's fill its context,
+    the search only the planner's contextual terminals'. Over all the
+    starts of the one search the fill must be called at most once per
+    argument tuple. Returns, per checked start, the count of
+    ``reference_derive`` derivations and of those that the start yields.
     """
     searches = []
+    calls = []
+    run = Search.run
 
-    def checked_derive(grammar, fill, state, masks, insertable, contextual):
-        calls = []
+    def checked_run(self, state):
+        fill = self.fill
 
         def counting_fill(*args):
             calls.append(args)
             return fill(*args)
 
-        found = list(derive(grammar, counting_fill, state, masks, insertable, contextual))
-        reference = reference_derive(grammar, fill, state)
-        assert found == [item for item in reference if item[1][0] == len(masks)], words
+        self.fill = counting_fill
+        try:
+            found = list(run(self, state))
+        finally:
+            self.fill = fill
+        reference = reference_derive(self.grammar, fill, state)
+        assert found == [item for item in reference if item[1][0] == len(self.masks)], words
         assert len(calls) == len(set(calls)), words
         searches.append((len(reference), len(found)))
         return iter(found)
 
-    with mock.patch.object(planner, "derive", checked_derive), mock.patch.object(
+    with mock.patch.object(Search, "run", checked_run), mock.patch.object(
         grammar_module, "covers", lambda grammar, masks, insertable: True
     ):
         try:
@@ -723,6 +769,67 @@ def test_plans_agree_with_reference_planner_on_drawn_lists(words):
     assert _planner_oracle_mismatches([words], RESOURCES)[0] == []
 
 
+def _reference_plans(tokens, resources):
+    """The ranked SentencePlans of ``tokens``, each field from the oracles.
+
+    The trees and slot assignments are ``reference_plan_structures``' in its
+    discovery order, which searches each subject attempt apart, and the
+    roles ``reference_plan_roles``'. The reflexive clitic follows the usage
+    model for the first verb leaf with a lexicon entry, the main verb; an
+    explicit ``se`` would force it only after a subject.
+    """
+    lm = resources.lm
+    plans = []
+    found = reference_plan_structures(tokens, resources.grammar, resources.lexicon, lm)
+    for index, (tree, fills) in enumerate(found):
+        deviations, agreement, subject = reference_plan_roles(lm, tree, len(tree.children) != 2)
+        verbs = [fill.entry.lemma for fill in fills
+                 if fill.category is LexicalCategory.verb and fill.entry is not None]
+        plans.append(SentencePlan(
+            mode=detect_mode(tokens),
+            tree=tree,
+            slot_assignment=fills,
+            deviations=deviations,
+            discovery_index=index,
+            tense=select_tense(tokens),
+            reflexive=bool(verbs)
+            and lm.reflexive_probability(verbs[0]) > planner.REFLEXIVE_THRESHOLD,
+            subject_leaf_count=subject,
+            agreement_targets=agreement,
+        ))
+    return sorted(plans, key=lambda plan: plan.deviations)
+
+
+VERB_SURFACES = sorted({
+    form.surface
+    for entry in RESOURCES.lexicon.entries
+    if entry.category is LexicalCategory.verb
+    for form in entry.forms
+})
+# Keyword lists whose first content word reads as a verb: both subject
+# attempts run, from the default subject and past it.
+SUBJECTLESS_LISTS = st.builds(
+    lambda verb, rest: [verb] + rest,
+    st.sampled_from(VERB_SURFACES),
+    st.lists(st.sampled_from(SURFACES + ["yo", "se", "no", "?"]), max_size=5),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(SUBJECTLESS_LISTS)
+def test_subjectless_plans_equal_the_reference_planners_whole(words):
+    """Both starts on one search plan a subjectless list as one search per attempt does.
+
+    The whole ranked plan lists must be equal, discovery indices included.
+    """
+    tokens = tokenize_and_resolve(words, RESOURCES.lexicon)
+    try:
+        plans = plan_structures(tokens, RESOURCES.grammar, RESOURCES.lexicon, RESOURCES.lm)
+    except NoStructureError:
+        plans = []
+    assert plans == _reference_plans(tokens, RESOURCES)
+
+
 # Lists over the bundled lexicon plus the ``cante`` entries. ``cante`` has
 # two subjunctive verb readings, so a verb leaf it fills has two choices,
 # which no bundled surface gives; it also reads as a noun.
@@ -759,7 +866,7 @@ def test_planner_oracle_catches_a_search_that_shares_one_leaf_between_choices(
     The golden inputs cannot tell: no bundled surface has two readings in
     one category.
     """
-    expand = _Derivation.expand
+    expand = Search.expand
 
     def mutant(self, name, slot, *args):
         found = expand(self, name, slot, *args)
@@ -768,7 +875,7 @@ def test_planner_oracle_catches_a_search_that_shares_one_leaf_between_choices(
         return found
 
     cante = _cante_resources(resources)
-    monkeypatch.setattr(_Derivation, "expand", mutant)
+    monkeypatch.setattr(Search, "expand", mutant)
     mismatched, *_ = _planner_oracle_mismatches(CANTE_LISTS, cante)
     assert ("niña", "cante") in mismatched
 

@@ -12,12 +12,13 @@ from work_counts import count_work, main
 # Deterministic work counters: change them only with a reason.
 WORK_COUNTS = """\
 counter                      corpus   golden
-fill_calls                      163      594
-terminal_expansions             260      844
-nonterminal_expansions          248      829
-memo_keys                       172      621
-memo_derivations                491     1375
-memo_derivations_in_plans       326      951
+searches                         19      246
+fill_calls                      150      458
+terminal_expansions             237      648
+nonterminal_expansions          236      720
+memo_keys                       160      484
+memo_derivations                444     1034
+memo_derivations_in_plans       288      708
 root_derivations                135      388
 cover_ends                       40      900
 cover_goals                     104     1453

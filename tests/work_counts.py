@@ -8,16 +8,19 @@ Generates, with no cap, each of the 20 hand-written corpus lists
 (``make_golden.HAND_WRITTEN``) and each golden input once, and prints one
 ``name corpus golden`` line per counter:
 
+- ``searches``: grammar search objects built, one per ``plan_structures``
+  call that reaches the search, whose starts share its memo (an older
+  checkout builds one per subject attempt that ``covers`` accepts);
 - ``fill_calls``: calls of the planner's terminal fill;
 - ``terminal_expansions`` and ``nonterminal_expansions``: body symbols the
   search expands, memo hits included;
 - ``memo_keys``: the nonterminal memo keys of the searches, read off
-  ``_Derivation.memo`` after each run;
+  each search's ``memo`` after each list;
 - ``memo_derivations``: derivations in the nonterminal lists the search
   memoizes, and ``memo_derivations_in_plans`` how many of them are a
   subtree of some plan;
-- ``root_derivations``: derivations of the start symbol, as ``derive``
-  yields them to the planner;
+- ``root_derivations``: derivations of the start symbol, as the search's
+  starts (``derive`` in an older checkout) yield them to the planner;
 - ``cover_ends``: calls of ``_Cover.ends`` with no goal, the ``covers``
   chart's one step per (compiled symbol, start position set) read for its
   full set of ends, memo hits included;
@@ -33,11 +36,13 @@ Generates, with no cap, each of the 20 hand-written corpus lists
 The search and ``covers`` read one prefix tree per compiled symbol, a
 nonterminal with the usage counts of its path, its live rules
 left-factored, so a body prefix that several rules share counts once; the
-start symbol's tree is one chain per rule. The counts wrap only
-``_Derivation.expand``, ``_Cover.ends``, ``planner.derive``,
-``planner._fill_terminal`` and ``pipeline.plan_structures``, and read only
-``_Derivation.memo`` and ``Grammar._tables``, so the script also counts an
-older checkout: put that checkout's ``src`` on ``PYTHONPATH`` instead.
+start symbol's tree is one chain per rule. The counts wrap only the
+search class's ``__init__``, ``expand`` and ``run`` (``Search``, or
+``_Derivation`` and ``planner.derive`` in an older checkout),
+``_Cover.ends``, ``planner._fill_terminal`` and
+``pipeline.plan_structures``, and read only the search's ``memo`` and
+``Grammar._tables``, so the script also counts an older checkout: put that
+checkout's ``src`` on ``PYTHONPATH`` instead.
 """
 
 import sys
@@ -45,11 +50,14 @@ from unittest import mock
 
 from make_golden import HAND_WRITTEN, golden_inputs
 
-from fraseo import pipeline, planner
-from fraseo.grammar import _Cover, _Derivation
+from fraseo import grammar, pipeline, planner
+from fraseo.grammar import _Cover
 from fraseo.pipeline import generate, load_default_resources
 
+SEARCH = getattr(grammar, "Search", None) or grammar._Derivation
+
 COUNTERS = (
+    "searches",
     "fill_calls",
     "terminal_expansions",
     "nonterminal_expansions",
@@ -75,8 +83,15 @@ def count_work(inputs, resources):
     counts = dict.fromkeys(COUNTERS, 0)
     memo_lists = {}  # id -> the list, kept alive so that no id is reused within a call
     searches = {}  # id -> the run, kept alive likewise
-    fill, derive, plan = planner._fill_terminal, planner.derive, pipeline.plan_structures
-    expand, ends = _Derivation.expand, _Cover.ends
+    fill, plan = planner._fill_terminal, pipeline.plan_structures
+    init, expand, ends = SEARCH.__init__, SEARCH.expand, _Cover.ends
+    # Where the planner runs each start: its ``derive`` calls in an older checkout.
+    starts = (planner, "derive") if hasattr(planner, "derive") else (SEARCH, "run")
+    run = getattr(*starts)
+
+    def counting_init(self, *args):
+        counts["searches"] += 1
+        init(self, *args)
 
     def counting_fill(*args):
         counts["fill_calls"] += 1
@@ -93,8 +108,8 @@ def count_work(inputs, resources):
                 memo_lists[id(found)] = found
         return found
 
-    def counting_derive(*args):
-        for item in derive(*args):
+    def counting_run(*args):
+        for item in run(*args):
             counts["root_derivations"] += 1
             yield item
 
@@ -114,8 +129,10 @@ def count_work(inputs, resources):
         return plans
 
     with mock.patch.object(planner, "_fill_terminal", counting_fill), mock.patch.object(
-        planner, "derive", counting_derive
-    ), mock.patch.object(_Derivation, "expand", counting_expand), mock.patch.object(
+        *starts, counting_run
+    ), mock.patch.object(SEARCH, "__init__", counting_init), mock.patch.object(
+        SEARCH, "expand", counting_expand
+    ), mock.patch.object(
         _Cover, "ends", counting_ends
     ), mock.patch.object(
         pipeline, "plan_structures", counting_plan
