@@ -15,6 +15,7 @@ from oracles import (
     reference_plan_roles,
     reference_plan_structures,
 )
+from work_counts import pinned
 
 from fraseo import grammar as grammar_module
 from fraseo import planner
@@ -22,7 +23,7 @@ from fraseo.errors import EmptyInputError, GrammarError, NoStructureError, NoVer
 from fraseo.evaluation import load_corpus
 from fraseo.features import FeatureBundle, LexicalCategory, Mood, Number, Person, Tense
 from fraseo.fileio import bundled
-from fraseo.grammar import TERMINAL_BITS, Search, _Cover, covers, parse_grammar
+from fraseo.grammar import TERMINAL_BITS, Search, covers, parse_grammar
 from fraseo.lexicon import LexicalEntry, Lexicon, WordForm
 from fraseo.lm import NGramModel
 from fraseo.pipeline import generate, load_default_resources
@@ -264,23 +265,6 @@ def test_oov_subject_reads_as_proper_name(resources):
     assert head.surface == "Ana"
 
 
-# Terminal fills the memoized, lookahead-pruned search makes over the
-# exact-match corpus and over the golden inputs, and the body symbols its
-# prefix-tree walks expand over the golden inputs, as (all, terminals).
-# Deterministic work counters: change them only with a reason. A rule
-# that would pass the depth limit is dead in the compiled table, so the
-# search never expands the terminals that open it. The planner declares
-# only the preposition contextual, so every other fill is called once per
-# (terminal, state), whatever the parents. Both subject attempts of a
-# subjectless list run on one search, so the second start reads the first
-# one's memo (each attempt searching afresh made 86, 594 and (1342, 844)).
-CORPUS_FILL_CALLS = 77
-GOLDEN_FILL_CALLS = 458
-GOLDEN_BRANCH_EXPANSIONS = (1037, 648)
-# Root derivations the search builds over the 20 hand-written lists: one per
-# plan, since none that ends before the last token is built (255 were).
-CORPUS_ROOT_DERIVATIONS = 135
-
 RESOURCES = load_default_resources()
 SURFACES = sorted(
     {form.surface for entry in RESOURCES.lexicon.entries for form in entry.forms}
@@ -335,34 +319,6 @@ def test_check_grammar_accepts_only_known_phrase_names(grammar):
         planner.check_grammar(parse_grammar("PRED -> verb\n"), "small")
 
 
-def _fill_calls(inputs, resources, monkeypatch):
-    calls = []
-    fill = planner._fill_terminal
-
-    def counting_fill(*args):
-        calls.append(args)
-        return fill(*args)
-
-    monkeypatch.setattr(planner, "_fill_terminal", counting_fill)
-    for words in inputs:
-        generate(words, resources, max_candidates=0)
-    monkeypatch.undo()
-    return len(calls)
-
-
-def test_search_work_on_corpus_is_bounded(resources, bundled_fixtures, monkeypatch):
-    items = load_corpus(bundled_fixtures / "exact_match_corpus.tsv")
-    assert len(items) == 9
-    keywords = [item.keywords for item in items]
-    assert _fill_calls(keywords, resources, monkeypatch) == CORPUS_FILL_CALLS
-
-
-def test_search_work_on_golden_inputs_is_bounded(resources, monkeypatch):
-    inputs = golden_inputs(resources.lexicon)
-    assert len(inputs) == 327
-    assert _fill_calls(inputs, resources, monkeypatch) == GOLDEN_FILL_CALLS
-
-
 def test_no_fill_call_repeats_within_one_generation(resources, monkeypatch):
     """Both subject attempts share one memo, so one ``generate`` call asks no fill twice.
 
@@ -386,52 +342,6 @@ def test_no_fill_call_repeats_within_one_generation(resources, monkeypatch):
             repeated[tuple(words)] = len(calls) - len(set(calls))
     monkeypatch.undo()
     assert repeated == {}
-
-
-def test_prefix_branch_expansions_on_golden_inputs_are_pinned(resources, monkeypatch):
-    """Count the body symbols expanded by prefix-tree walks, memo hits included."""
-    walking = [0]
-    expansions = []
-    walk, expand = Search.walk, Search.expand
-
-    def counting_walk(self, *args):
-        walking[0] += 1
-        try:
-            return walk(self, *args)
-        finally:
-            walking[0] -= 1
-
-    def counting_expand(self, name, symbol, *args):
-        if walking[0]:  # below the root: the start symbol's bodies expand outside any walk
-            expansions.append(symbol is None)
-        return expand(self, name, symbol, *args)
-
-    monkeypatch.setattr(Search, "walk", counting_walk)
-    monkeypatch.setattr(Search, "expand", counting_expand)
-    for words in golden_inputs(resources.lexicon):
-        generate(words, resources, max_candidates=0)
-    monkeypatch.undo()
-    assert (len(expansions), sum(expansions)) == GOLDEN_BRANCH_EXPANSIONS
-
-
-def test_root_derivations_on_corpus_are_pinned(resources, monkeypatch):
-    short = []
-    roots = []
-    run = Search.run
-
-    def counting_run(self, state):
-        for item in run(self, state):
-            roots.append(item)
-            if item[1][0] != len(self.masks):
-                short.append(item)
-            yield item
-
-    monkeypatch.setattr(Search, "run", counting_run)
-    for words in HAND_WRITTEN:
-        generate(words, resources, max_candidates=0)
-    monkeypatch.undo()
-    assert len(roots) == CORPUS_ROOT_DERIVATIONS
-    assert short == []
 
 
 def test_generation_leaves_no_garbage_cycles(resources, bundled_fixtures):
@@ -584,34 +494,6 @@ def test_cover_soundness_check_catches_a_planted_mutant(resources):
             _cover_checked(words, resources, mutant)
 
 
-# ``_Cover.ends`` calls ``covers`` makes over the golden inputs, without
-# and with a goal: deterministic work counters, like the fill calls above.
-# Each call walks its compiled symbol's prefix tree from a whole set of
-# start positions, so a shared body prefix is matched once; a name reached
-# with two counts of the names it can reach is two compiled symbols, so two
-# calls. A call with a goal is a step of the goal walk down each rule's last
-# symbol, which stops at the first rule that reaches the last token; one
-# without collects the full set of ends of a symbol that has more of its
-# rule after it.
-GOLDEN_COVER_ENDS = 900
-GOLDEN_COVER_GOALS = 1453
-
-
-def test_cover_work_on_golden_inputs_is_pinned(resources, monkeypatch):
-    calls = {"ends": [], "goals": []}
-    ends = _Cover.ends
-
-    def counted(self, symbol, starts, goal=0):
-        calls["goals" if goal else "ends"].append(symbol)
-        return ends(self, symbol, starts, goal)
-
-    monkeypatch.setattr(_Cover, "ends", counted)
-    for words in golden_inputs(resources.lexicon):
-        generate(words, resources, max_candidates=0)
-    monkeypatch.undo()
-    assert (len(calls["ends"]), len(calls["goals"])) == (GOLDEN_COVER_ENDS, GOLDEN_COVER_GOALS)
-
-
 def _reference_checked(words, resources, check=covers):
     """Plan ``words`` with ``check`` in place of ``covers``; assert it agrees with the reference.
 
@@ -636,7 +518,8 @@ def test_covers_agrees_with_reference_on_golden_inputs(resources):
     verdicts = []
     for words in golden_inputs(resources.lexicon):
         verdicts += _reference_checked(words, resources)
-    assert (verdicts.count(True), len(verdicts)) == (138, 374)
+    assert verdicts.count(True) == pinned("covers_accepts", "golden")
+    assert len(verdicts) == pinned("covers_calls", "golden")
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

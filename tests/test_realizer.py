@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from make_golden import HAND_WRITTEN
+from work_counts import pinned
 
 from fraseo import realizer
 from fraseo.errors import LexiconParseError, PlanningError
@@ -369,13 +370,12 @@ def test_lexicons_sharing_an_entry_key_inflect_apart(resources):
         assert generate(["perro", "comer"], other).candidates[0].text == "El perro COME."
 
 
-# Plans of one pass over the 20 hand-written keyword lists. Realizing them
-# built 392 FeatureBundles and 135 AgreementResults before agreement was
-# interned and the inflection targets tabled.
-CORPUS_PLANS = 135
-
-
 def corpus_plans(resources):
+    """The plans of one pass over the 20 hand-written keyword lists.
+
+    Realizing them built 392 FeatureBundles and 135 AgreementResults before
+    agreement was interned and the inflection targets tabled.
+    """
     plans = []
     for words in HAND_WRITTEN:
         try:
@@ -383,7 +383,7 @@ def corpus_plans(resources):
             plans += plan_structures(tokens, resources.grammar, resources.lexicon, resources.lm)
         except PlanningError:
             continue
-    assert len(plans) == CORPUS_PLANS
+    assert len(plans) == pinned("plans", "corpus")
     return plans
 
 
@@ -430,6 +430,6 @@ def test_a_warm_realization_pass_reads_no_enum_value(resources):
         (os.path.basename(path), name): stats[1]
         for (path, _line, name), stats in pstats.Stats(profile).stats.items()
     }
-    assert calls[("realizer.py", "realize")] == CORPUS_PLANS
+    assert calls[("realizer.py", "realize")] == pinned("plans", "corpus")
     assert calls.get(("enum.py", "__get__"), 0) == 0
     assert calls.get(("enum.py", "__hash__"), 0) == 0
